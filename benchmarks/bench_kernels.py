@@ -69,6 +69,20 @@ def channel_workload(repeat: int) -> float:
     return time.perf_counter() - start
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _speedup(times: list[float]) -> str:
+    """Python over compiled time; with one backend there is nothing to compare."""
+    if len(times) < 2 or times[0] <= 0:
+        return f"{'n/a':>9} "
+    return f"{times[-1] / times[0]:>9.2f}x"
+
+
 def _run_child(backend_name: str, repeat: int) -> float:
     env = dict(os.environ, BLOCHISO_KERNEL=backend_name)
     out = subprocess.run(
@@ -83,7 +97,7 @@ def _run_child(backend_name: str, repeat: int) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=20000, help="kernel iterations")
+    parser.add_argument("--repeat", type=_positive_int, default=20000, help="kernel iterations")
     parser.add_argument("--child-workload", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
@@ -116,11 +130,9 @@ def main() -> int:
     kernels = list(rows[0][1].keys())
     for key in kernels:
         times = [timings[key] for _, timings in rows]
-        ratio = times[-1] / times[0] if len(times) > 1 and times[0] > 0 else 1.0
-        print(f"{key:<16}" + "".join(f"{t:>11.4f}s" for t in times) + f"{ratio:>9.2f}x")
+        print(f"{key:<16}" + "".join(f"{t:>11.4f}s" for t in times) + _speedup(times))
     times = [classify_times[name] for name in backends]
-    ratio = times[-1] / times[0] if len(times) > 1 and times[0] > 0 else 1.0
-    print(f"{'classify e2e':<16}" + "".join(f"{t:>11.4f}s" for t in times) + f"{ratio:>9.2f}x")
+    print(f"{'classify e2e':<16}" + "".join(f"{t:>11.4f}s" for t in times) + _speedup(times))
     return 0
 
 

@@ -9,7 +9,7 @@ representation of such a channel to that unitary constructively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import sqrt
 
@@ -23,6 +23,7 @@ from .errors import (
 from .matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
+    HermitianEigenResult,
     add,
     adjoint,
     hermitian_deviation,
@@ -50,6 +51,10 @@ class KrausSet:
     Trace preservation (sum A* A = I) is the defining channel invariant but
     is deliberately not enforced here: diagnostic paths must be able to hold
     ill-formed sets. Operations that require a channel check it themselves.
+
+    The set remembers its last :func:`classify` verdict with the tolerance
+    it was reached at, outside the dataclass fields, so equality, hashing
+    and repr depend on the operators alone.
     """
 
     operators: tuple[ComplexMatrix, ...]
@@ -64,6 +69,7 @@ class KrausSet:
         if not kept:
             raise InvalidChannelError("Kraus set has no nonzero operators")
         object.__setattr__(self, "operators", tuple(kept))
+        object.__setattr__(self, "_classified", None)
 
     def tp_deviation(self) -> float:
         """Largest entrywise deviation of sum A* A from the identity."""
@@ -79,10 +85,13 @@ class ChoiMatrix:
 
     Hermiticity and positivity (the CP side) are enforced; the partial trace
     over the output factor equals I exactly when the source set is trace
-    preserving, exposed via :meth:`tp_deviation`.
+    preserving, exposed via :meth:`tp_deviation`. ``spectrum`` keeps the
+    eigendecomposition the positivity check computed; it is not part of the
+    value's equality or repr.
     """
 
     matrix: ComplexMatrix
+    spectrum: HermitianEigenResult = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -90,11 +99,13 @@ class ChoiMatrix:
             raise InvalidChannelError("Choi matrix must be 4x4")
         if hermitian_deviation(m) > DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be Hermitian")
-        if self.eigenvalues()[-1] < -DEFAULT_TOL:
+        spectrum = hermitian_eig(m)
+        if spectrum.eigenvalues[-1] < -DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
+        object.__setattr__(self, "spectrum", spectrum)
 
     def eigenvalues(self) -> tuple[float, ...]:
-        return hermitian_eig(self.matrix).eigenvalues
+        return self.spectrum.eigenvalues
 
     def tp_deviation(self) -> float:
         """Deviation of the partial trace over the output factor from I."""
@@ -201,8 +212,7 @@ def apply_channel(k: KrausSet, rho: DensityOperator, tol: float = DEFAULT_TOL) -
     return DensityOperator(_apply_to_matrix(k, rho.matrix))
 
 
-def choi_of(k: KrausSet) -> ChoiMatrix:
-    """Choi matrix of the channel; its rank is the minimal Kraus count."""
+def _choi_entries(k: KrausSet) -> ComplexMatrix:
     ents = [0j] * 16
     for op in k.operators:
         w = op.entries  # row-major flattening matches the kron convention
@@ -210,22 +220,49 @@ def choi_of(k: KrausSet) -> ChoiMatrix:
             wr = w[r]
             for c in range(4):
                 ents[r * 4 + c] += wr * w[c].conjugate()
-    return ChoiMatrix(ComplexMatrix(4, 4, tuple(ents)))
+    return ComplexMatrix(4, 4, tuple(ents))
+
+
+def choi_of(k: KrausSet) -> ChoiMatrix:
+    """Choi matrix of the channel; its rank is the minimal Kraus count."""
+    return ChoiMatrix(_choi_entries(k))
 
 
 def is_cptp(k: KrausSet, tol: float = DEFAULT_TOL) -> CptpDiagnostics:
-    """Trace preservation plus positivity of the Choi matrix."""
+    """Trace preservation plus positivity of the Choi matrix.
+
+    The spectrum is taken without :class:`ChoiMatrix` validation, whose
+    positivity check is absolute: a set far from trace preservation can
+    have a Choi roundoff beyond it and must still get its diagnostics.
+    """
     tp = k.tp_deviation()
-    min_eig = choi_of(k).eigenvalues()[-1]
+    min_eig = hermitian_eig(_choi_entries(k)).eigenvalues[-1]
     return CptpDiagnostics(tp <= tol and min_eig >= -tol, tp, min_eig)
 
 
 def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
-    """Decide invertibility: rank-one Choi means conjugation by one unitary."""
-    diagnostics = is_cptp(k, tol)
-    if not diagnostics.is_cptp:
+    """Decide invertibility: rank-one Choi means conjugation by one unitary.
+
+    Trace preservation is checked first, so a non-TP set needs no Choi
+    matrix. The verdict is kept on ``k`` and returned again for the same
+    ``tol``.
+    """
+    cached = k._classified
+    if cached is not None and cached[0] == tol:
+        return cached[1]
+    result = _classify(k, tol)
+    object.__setattr__(k, "_classified", (tol, result))
+    return result
+
+
+def _classify(k: KrausSet, tol: float) -> ChannelClassification:
+    # Negated comparisons, so that a NaN tolerance fails both checks.
+    if not k.tp_deviation() <= tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
-    rank = choi_of(k).rank()
+    choi = choi_of(k)
+    if not choi.eigenvalues()[-1] >= -tol:
+        return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
+    rank = choi.rank()
     if rank == 1:
         try:
             unitary, _ = extract_unitary_via_gram(k, tol)
@@ -400,7 +437,7 @@ def make_depolarizing(p: float) -> KrausSet:
 
 def kraus_from_choi(j: ChoiMatrix) -> KrausSet:
     """Minimal Kraus set from the spectral decomposition of the Choi matrix."""
-    eig = hermitian_eig(j.matrix)
+    eig = j.spectrum
     top = eig.eigenvalues[0]
     if top <= 0.0:
         raise InvalidChannelError("Choi matrix is zero")

@@ -22,7 +22,7 @@ from . import channels, isomorphism, sampling, so3, su2
 from .bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from .channels import ChannelKind, ChoiMatrix, KrausSet
 from .errors import DomainError
-from .matrix import ComplexMatrix
+from .matrix import ComplexMatrix, adjoint
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
@@ -272,8 +272,8 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     if result.kind is ChannelKind.UNITARY_CONJUGATION:
         assert result.extracted_unitary is not None
         report["unitary"] = _encode_cmatrix(result.extracted_unitary)
-        inverse = channels.invert(obj, tol=args.tol)
-        report["inverse"] = {"operators": [_encode_cmatrix(op) for op in inverse.operators]}
+        # The inverse channel is conjugation by U*, as channels.invert builds it.
+        report["inverse"] = {"operators": [_encode_cmatrix(adjoint(result.extracted_unitary))]}
     return report
 
 

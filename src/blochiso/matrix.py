@@ -220,12 +220,18 @@ def hermitian_eig(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenR
     """
     if not m.is_square():
         raise DimensionError("hermitian_eig needs a square matrix")
-    dev = hermitian_deviation(m)
+    x = m.entries
+    y = adjoint(m).entries
+    dev = max(abs(a - b) for a, b in zip(x, y))
     if dev > tol:
         raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
     n = m.rows
-    sym = scale(add(m, adjoint(m)), 0.5)
-    diag, vflat = _kernels.jacobi_hermitian(n, sym.entries)
+    sym = tuple((a + b) * 0.5 for a, b in zip(x, y))
+    # A + A* can overflow where A itself is finite.
+    for e in sym:
+        if not cmath.isfinite(e):
+            raise DomainError("matrix entries must be finite")
+    diag, vflat = _kernels.jacobi_hermitian(n, sym)
     order = sorted(range(n), key=diag.__getitem__, reverse=True)
     eigenvalues = tuple(diag[k] for k in order)
     reordered = [0j] * (n * n)

@@ -55,6 +55,14 @@ def amplitude_damping(g: float) -> KrausSet:
     )
 
 
+def large_non_tp_sets():
+    """Redundant unitary sets scaled by 2e4. Their Choi roundoff exceeds the
+    absolute positivity tolerance a ChoiMatrix enforces."""
+    for seed in range(5):
+        k = redundant_unitary_kraus(random.Random(seed), 3)[0]
+        yield KrausSet(tuple(scale(op, 2e4) for op in k.operators))
+
+
 class TestKrausSet:
     def test_prunes_zero_operators(self):
         k = KrausSet((I2, ComplexMatrix.zeros(2, 2)))
@@ -168,8 +176,20 @@ class TestIsCptp:
         assert not diag.is_cptp
         assert diag.tp_deviation == 3.0
 
+    def test_large_non_tp_set_gets_diagnostics(self):
+        for big in large_non_tp_sets():
+            diag = is_cptp(big)
+            assert not diag.is_cptp
+            assert diag.tp_deviation > 1.0
+
 
 class TestClassify:
+    def test_large_non_tp_set_is_not_cptp(self):
+        for big in large_non_tp_sets():
+            result = classify(big)
+            assert result.kind is ChannelKind.NOT_CPTP
+            assert result.choi_rank == 0 and result.extracted_unitary is None
+
     def test_single_unitary(self):
         k = KrausSet((unitary_from_axis_angle(AxisAngle(Z, pi / 3)).matrix,))
         result = classify(k)

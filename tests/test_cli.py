@@ -196,6 +196,16 @@ class TestClassify:
         doc = json.loads(out)
         assert doc == {"cptp": False, "kind": "NotCptp"}
 
+    def test_large_redundant_set_is_not_cptp(self, tmp_path):
+        # A redundant unitary set scaled by 2e4: its Choi matrix is ~1e9 in
+        # size, far past trace preservation.
+        u = [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]
+        ops = [[[[x * w * 2e4 for x in z] for z in row] for row in u] for w in (0.5, 0.5, sqrt(0.5))]
+        path = write_doc(tmp_path, "big.json", "kraus", {"operators": ops})
+        code, out = run_cli(["classify", path])
+        assert code == 0
+        assert out == '{"cptp":false,"kind":"NotCptp"}\n'
+
 
 class TestVerify:
     def test_diagram_passes(self):

@@ -1,0 +1,138 @@
+"""Each channel fact is computed once per value.
+
+The eigensolve counts are exact, so they gate regressions without timing
+noise. The cache tests check that what a ``KrausSet`` or ``ChoiMatrix``
+keeps never changes an answer, an equality, a hash or a repr.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from math import sqrt
+
+import pytest
+
+import blochiso._kernels
+from blochiso.channels import (
+    ChannelKind,
+    ChoiMatrix,
+    KrausSet,
+    choi_of,
+    classify,
+    invert,
+    kraus_from_choi,
+    make_depolarizing,
+    verify_inverse_pair,
+)
+from blochiso.cli import main
+from blochiso.matrix import ComplexMatrix, hermitian_eig, scale
+from blochiso.sampling import redundant_unitary_kraus, su2_haar
+from helpers import random_cptp_kraus
+
+I2 = ComplexMatrix.identity(2)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Sizes of the matrices handed to the Jacobi kernel, one per call."""
+    sizes = []
+    kernel = blochiso._kernels.jacobi_hermitian
+
+    def counted(n, a):
+        sizes.append(n)
+        return kernel(n, a)
+
+    monkeypatch.setattr(blochiso._kernels, "jacobi_hermitian", counted)
+    return sizes
+
+
+def amplitude_damping(g: float) -> KrausSet:
+    return KrausSet(
+        (
+            ComplexMatrix.from_rows([[1, 0], [0, sqrt(1 - g)]]),
+            ComplexMatrix.from_rows([[0, sqrt(g)], [0, 0]]),
+        )
+    )
+
+
+def kraus_doc(tmp_path, k: KrausSet) -> str:
+    ops = [
+        [[[op.at(i, j).real, op.at(i, j).imag] for j in range(2)] for i in range(2)]
+        for op in k.operators
+    ]
+    path = tmp_path / "kraus.json"
+    path.write_text(
+        json.dumps({"schema_version": "1", "kind": "kraus", "payload": {"operators": ops}}),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestEigensolveCounts:
+    def test_unitary_classify_invert_verify(self, eigensolves):
+        k = redundant_unitary_kraus(random.Random(5), 3)[0]
+        assert classify(k).kind is ChannelKind.UNITARY_CONJUGATION
+        assert verify_inverse_pair(k, invert(k)).valid
+        # One for the Choi matrix, one for the 3x3 Gram matrix.
+        assert eigensolves == [4, 3]
+
+    @pytest.mark.parametrize(
+        "k", [make_depolarizing(0.5), amplitude_damping(0.3)], ids=["depolarizing", "damping"]
+    )
+    def test_non_invertible_channel(self, eigensolves, k):
+        assert classify(k).kind is ChannelKind.CPTP_NOT_INVERTIBLE
+        assert eigensolves == [4]
+
+    def test_non_trace_preserving_set(self, eigensolves):
+        assert classify(KrausSet((scale(I2, 2.0),))).kind is ChannelKind.NOT_CPTP
+        assert eigensolves == []
+
+    def test_cli_classify_unitary(self, eigensolves, tmp_path):
+        path = kraus_doc(tmp_path, redundant_unitary_kraus(random.Random(6), 3)[0])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["classify", path]) == 0
+        assert json.loads(out.getvalue())["kind"] == "UnitaryConjugation"
+        assert eigensolves == [4, 3]
+
+
+class TestCacheSafety:
+    def test_new_tolerance_is_classified_afresh(self):
+        # Trace preservation fails by about 2e-6: not CPTP at 1e-9, a
+        # unitary conjugation at 1e-3.
+        u = su2_haar(random.Random(8)).matrix
+        k = KrausSet((scale(u, 1.0 + 1e-6),))
+        assert classify(k, 1e-9).kind is ChannelKind.NOT_CPTP
+        loose = classify(k, 1e-3)
+        assert loose.kind is ChannelKind.UNITARY_CONJUGATION
+        assert loose == classify(KrausSet(k.operators), 1e-3)
+        assert classify(k, 1e-9).kind is ChannelKind.NOT_CPTP
+
+    def test_kraus_set_value_unchanged_by_classification(self):
+        k = redundant_unitary_kraus(random.Random(9), 2)[0]
+        twin = KrausSet(k.operators)
+        before = (repr(k), hash(k))
+        classify(k)
+        invert(k)
+        assert (repr(k), hash(k)) == before
+        assert k == twin and twin == k
+        assert hash(k) == hash(twin)
+
+    def test_choi_matrix_value_excludes_its_spectrum(self):
+        j = choi_of(make_depolarizing(0.25))
+        same = ChoiMatrix(j.matrix)
+        assert j == same and hash(j) == hash(same)
+        assert repr(j) == f"ChoiMatrix(matrix={j.matrix!r})"
+        assert repr(j.spectrum) == repr(hermitian_eig(j.matrix))
+
+    def test_kraus_from_choi_bytes(self):
+        rng = random.Random(91)
+        parts = [
+            repr(kraus_from_choi(choi_of(random_cptp_kraus(rng, count))))
+            for count in (1, 2, 3, 4)
+            for _ in range(3)
+        ]
+        # Recorded when kraus_from_choi ran its own eigensolve.
+        expected = "58f8ef2c35d7acdfd2946681e2eb749ea747af3b24c5ededce683e350ff1b7f1"
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == expected
