@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from math import isfinite
 from typing import Any, Callable, Sequence
 
 from . import channels, isomorphism, sampling, so3, su2
@@ -264,7 +265,10 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     kind, obj = _decode_document(_load_json(args.input))
     if kind != "kraus":
         raise CliError(2, "malformed_input", f"classify expects a kraus document, got {kind}")
-    result = channels.classify(obj, tol=args.tol)
+    try:
+        result = channels.classify(obj, tol=args.tol)
+    except DomainError as exc:
+        raise CliError(2, "malformed_input", str(exc)) from exc
     report: dict[str, Any] = {"cptp": result.kind is not ChannelKind.NOT_CPTP}
     if report["cptp"]:
         report["choi_rank"] = result.choi_rank
@@ -504,9 +508,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args: argparse.Namespace) -> None:
+    # Checked here rather than by argparse so that stdout stays JSON.
+    if not (isfinite(args.tol) and args.tol >= 0.0):
+        raise CliError(
+            2, "malformed_input", f"--tol must be finite and non-negative, got {args.tol!r}"
+        )
+    if args.command == "verify" and not args.inputs and args.samples < 1:
+        raise CliError(2, "malformed_input", f"--samples must be at least 1, got {args.samples}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_args(args)
         if args.command == "convert":
             report = _cmd_convert(args)
         elif args.command == "classify":

@@ -14,9 +14,9 @@ from math import isfinite, sqrt
 from typing import Sequence
 
 from . import so3, su2
-from .bloch import PAULIS, BlochVector, bloch_to_density
+from .bloch import BlochVector, bloch_to_density
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, ComplexMatrix, adjoint, mul, trace
+from .matrix import DEFAULT_TOL, ComplexMatrix, adjoint, max_abs_diff, mul
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
@@ -77,16 +77,35 @@ def phi(rot: Rotation3) -> Unitary2:
 def phi_inverse(u: Unitary2) -> Rotation3:
     """Drop a special unitary to its rotation, R_kj = Tr(U s_j U* s_k) / 2.
 
-    The entries are quadratic in U, so U and -U give the identical matrix,
-    bit for bit.
+    Closed 2x2 form of the trace formula: a Pauli matrix only permutes,
+    negates or multiplies by +-i, so U s_j is read off the entries of U, and
+    column j of R comes from the four entries m of (U s_j) U*. These are
+    the generic products' IEEE-754 operations less the terms that are exact
+    zeros, so the entries are those of the generic formula, bit for bit. They
+    are quadratic in U, so U and -U give the identical matrix, bit for bit.
     """
-    ua = adjoint(u.matrix)
-    rows = [[0.0, 0.0, 0.0] for _ in range(3)]
-    for j in range(3):
-        mj = mul(mul(u.matrix, PAULIS[j]), ua)
-        for k in range(3):
-            rows[k][j] = 0.5 * trace(mul(mj, PAULIS[k])).real
-    return Rotation3(tuple(tuple(row) for row in rows))
+    a, b, c, d = u.matrix.entries
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    columns = []
+    for x0, x1, x2, x3 in (
+        (b, a, d, c),
+        (b * 1j, a * -1j, d * 1j, c * -1j),
+        (a, -b, c, -d),
+    ):
+        m00 = x0 * ac + x1 * bc
+        m01 = x0 * cc + x1 * dc
+        m10 = x2 * ac + x3 * bc
+        m11 = x2 * cc + x3 * dc
+        # Tr(m s_k) summed from 0.0, as the generic trace does, so an exact
+        # zero is always +0.0 and the result is bitwise the generic one.
+        columns.append(
+            (
+                0.5 * (0.0 + m01.real + m10.real),
+                0.5 * (0.0 - m01.imag + m10.imag),
+                0.5 * (0.0 + m00.real - m11.real),
+            )
+        )
+    return Rotation3(tuple(zip(*columns)))
 
 
 def psi(u: Su2AlgebraElement) -> BlochVector:
@@ -124,7 +143,7 @@ def verify_state_diagram(
     u = su2.unitary_from_axis_angle(aa)
     path_a = bloch_to_density(so3.apply(rot, r))
     path_b = su2.conjugate(u, bloch_to_density(r))
-    dev = _density_deviation(path_a.matrix, path_b.matrix)
+    dev = max_abs_diff(path_a.matrix, path_b.matrix)
     return DiagramReport(dev, dev <= tol, path_a, path_b)
 
 
@@ -150,7 +169,3 @@ def verify_group_diagram(
         for j in range(3)
     )
     return DiagramReport(dev, dev <= tol, dropped, r_total)
-
-
-def _density_deviation(a: ComplexMatrix, b: ComplexMatrix) -> float:
-    return max(abs(x - y) for x, y in zip(a.entries, b.entries))

@@ -78,13 +78,21 @@ def _det3(m: Matrix3) -> float:
 
 
 def orthogonality_deviation(m: Matrix3) -> float:
-    """Largest entrywise deviation of R^T R from the identity."""
-    dev = 0.0
-    for i in range(3):
-        for j in range(3):
-            s = sum(m[k][i] * m[k][j] for k in range(3))
-            dev = max(dev, abs(s - (1.0 if i == j else 0.0)))
-    return dev
+    """Largest entrywise deviation of R^T R from the identity.
+
+    Each entry is summed left to right over k, and R^T R is symmetric with
+    the same products in the same order either side of the diagonal, so
+    the six entries on and above it suffice.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return max(
+        abs(m00 * m00 + m10 * m10 + m20 * m20 - 1.0),
+        abs(m00 * m01 + m10 * m11 + m20 * m21),
+        abs(m00 * m02 + m10 * m12 + m20 * m22),
+        abs(m01 * m01 + m11 * m11 + m21 * m21 - 1.0),
+        abs(m01 * m02 + m11 * m12 + m21 * m22),
+        abs(m02 * m02 + m12 * m12 + m22 * m22 - 1.0),
+    )
 
 
 def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:

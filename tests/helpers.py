@@ -11,7 +11,16 @@ from pathlib import Path
 
 from blochiso.channels import KrausSet
 from blochiso.cli import main as cli_main
-from blochiso.matrix import ComplexMatrix, add, adjoint, hermitian_eig, mul, scale
+from blochiso.matrix import (
+    ComplexMatrix,
+    add,
+    adjoint,
+    hermitian_eig,
+    max_abs_diff,
+    mul,
+    scale,
+    trace,
+)
 
 # Rotation generators (tau_l)_jk = -i eps_jkl, used only to drive the
 # series-exponential oracle for the closed-form rotation matrix.
@@ -38,6 +47,43 @@ def pauli_generator(axis: tuple[float, float, float], angle: float) -> ComplexMa
     for n_l, sigma_l in zip(axis, PAULIS):
         acc = add(acc, scale(sigma_l, n_l))
     return scale(acc, -0.5j * angle)
+
+
+# Generic-product oracles for the closed forms in isomorphism, su2 and so3.
+
+
+def phi_inverse_generic(u) -> tuple[tuple[float, ...], ...]:
+    """R_kj = Tr(U s_j U* s_k) / 2 through generic matrix products."""
+    from blochiso.bloch import PAULIS
+
+    ua = adjoint(u.matrix)
+    rows = [[0.0, 0.0, 0.0] for _ in range(3)]
+    for j in range(3):
+        mj = mul(mul(u.matrix, PAULIS[j]), ua)
+        for k in range(3):
+            rows[k][j] = 0.5 * trace(mul(mj, PAULIS[k])).real
+    return tuple(tuple(row) for row in rows)
+
+
+def unitarity_deviation_generic(m: ComplexMatrix) -> float:
+    """Largest entrywise deviation of M* M from the identity."""
+    return max_abs_diff(mul(adjoint(m), m), ComplexMatrix.identity(m.rows))
+
+
+def orthogonality_deviation_generic(m) -> float:
+    """Largest entrywise deviation of R^T R from the identity, all 9 entries.
+
+    Each entry is summed left to right, as built-in ``sum`` does on floats
+    before Python 3.12 (later versions compensate the rounding).
+    """
+    dev = 0.0
+    for i in range(3):
+        for j in range(3):
+            s = 0
+            for k in range(3):
+                s += m[k][i] * m[k][j]
+            dev = max(dev, abs(s - (1.0 if i == j else 0.0)))
+    return dev
 
 
 def rotation_as_cmatrix(rot) -> ComplexMatrix:

@@ -26,6 +26,12 @@ def run_cli(argv, stdin_text=None):
     return code, buffer.getvalue()
 
 
+def large_redundant_ops():
+    """Kraus operators of a unitary conjugation, scaled by 2e4."""
+    u = [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]
+    return [[[[x * w * 2e4 for x in z] for z in row] for row in u] for w in (0.5, 0.5, sqrt(0.5))]
+
+
 def write_doc(tmp_path, name, kind, payload):
     path = tmp_path / name
     path.write_text(
@@ -199,12 +205,18 @@ class TestClassify:
     def test_large_redundant_set_is_not_cptp(self, tmp_path):
         # A redundant unitary set scaled by 2e4: its Choi matrix is ~1e9 in
         # size, far past trace preservation.
-        u = [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]
-        ops = [[[[x * w * 2e4 for x in z] for z in row] for row in u] for w in (0.5, 0.5, sqrt(0.5))]
-        path = write_doc(tmp_path, "big.json", "kraus", {"operators": ops})
+        path = write_doc(tmp_path, "big.json", "kraus", {"operators": large_redundant_ops()})
         code, out = run_cli(["classify", path])
         assert code == 0
         assert out == '{"cptp":false,"kind":"NotCptp"}\n'
+
+    def test_invalid_choi_exits_2(self, tmp_path):
+        # At this tolerance the scaled set passes the trace-preservation
+        # check, and its Choi matrix's roundoff fails the positivity check.
+        path = write_doc(tmp_path, "big.json", "kraus", {"operators": large_redundant_ops()})
+        code, out = run_cli(["classify", path, "--tol", "1e12"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "malformed_input"
 
 
 class TestVerify:
@@ -275,6 +287,46 @@ class TestVerify:
         _, a = run_cli(["verify", "diagram", "--samples", "25", "--seed", "11"])
         _, b = run_cli(["verify", "diagram", "--samples", "25", "--seed", "12"])
         assert a != b
+
+
+class TestArguments:
+    """Bad flag values exit 2 with a JSON error on stdout, never a bare token."""
+
+    KRAUS = str(GOLDEN / "inputs" / "kraus_identity.json")
+    COMMANDS = [
+        ["convert", "--to", "density", str(GOLDEN / "inputs" / "bloch_north.json")],
+        ["classify", KRAUS],
+        ["bloch-action", KRAUS],
+        ["verify", "diagram", "--samples", "3"],
+    ]
+
+    def expect_rejected(self, argv):
+        code, out = run_cli(argv)
+        assert code == 2
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert doc["error"]["code"] == "malformed_input"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_bad_tol(self, argv, tol):
+        # The "=" form, since argparse reads "-inf" alone as an option.
+        self.expect_rejected(argv + [f"--tol={tol}"])
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("mode", ["diagram", "double-cover", "group", "inverse-pair"])
+    def test_no_samples(self, mode, samples):
+        self.expect_rejected(["verify", mode, "--samples", samples])
+
+    def test_zero_tol_is_accepted(self):
+        code, out = run_cli(["verify", "double-cover", "--samples", "3", "--tol", "0"])
+        assert code == 0
+        assert json.loads(out)["tol"] == 0
+
+    def test_samples_unused_with_documents(self, tmp_path):
+        path = write_doc(tmp_path, "aa.json", "axis_angle", {"axis": [0, 0, 1], "angle": 1.0})
+        code, out = run_cli(["verify", "group", path, "--samples", "0"])
+        assert code == 0
+        assert json.loads(out)["samples"] == 1
 
 
 class TestBlochAction:
