@@ -13,11 +13,12 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 from math import isfinite
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import channels, isomorphism, sampling, so3, su2
 from .bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
@@ -49,11 +50,16 @@ def _fmt_float(x: float) -> str:
     x = float(x)
     if x == 0.0:
         x = 0.0  # drop the sign of negative zero
+    elif not isfinite(x):
+        raise ValueError(f"{x!r} has no JSON form")
     return format(x, ".17g")
 
 
 def dumps(value: Any) -> str:
-    """Compact JSON with fixed float formatting and insertion-order keys."""
+    """Compact JSON with fixed float formatting and insertion-order keys.
+
+    Raises ValueError on a NaN or infinite float, which JSON cannot carry.
+    """
     if isinstance(value, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in value.items())
         return "{" + inner + "}"
@@ -204,7 +210,8 @@ def _decode_document(doc: Any) -> tuple[str, Any]:
         if kind == "choi":
             m = _decode_cmatrix(_payload_field(payload, "matrix"), 4, 4, "matrix")
             return kind, ChoiMatrix(m)
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
+        # OverflowError: float() of an integer literal beyond the float range.
         raise CliError(2, "malformed_input", f"invalid {kind} document: {exc}") from exc
     raise CliError(2, "malformed_input", f"unknown kind {kind!r}")
 
@@ -254,21 +261,14 @@ def _cmd_convert(args: argparse.Namespace) -> dict[str, Any]:
     func = _CONVERSIONS.get((kind, target))
     if func is None:
         raise CliError(3, "unsupported_conversion", f"no conversion from {kind} to {target}")
-    try:
-        converted = func(obj)
-    except DomainError as exc:
-        raise CliError(2, "malformed_input", str(exc)) from exc
-    return _encode_domain(target, converted)
+    return _encode_domain(target, func(obj))
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     kind, obj = _decode_document(_load_json(args.input))
     if kind != "kraus":
         raise CliError(2, "malformed_input", f"classify expects a kraus document, got {kind}")
-    try:
-        result = channels.classify(obj, tol=args.tol)
-    except DomainError as exc:
-        raise CliError(2, "malformed_input", str(exc)) from exc
+    result = channels.classify(obj, tol=args.tol)
     report: dict[str, Any] = {"cptp": result.kind is not ChannelKind.NOT_CPTP}
     if report["cptp"]:
         report["choi_rank"] = result.choi_rank
@@ -285,10 +285,7 @@ def _cmd_bloch_action(args: argparse.Namespace) -> dict[str, Any]:
     kind, obj = _decode_document(_load_json(args.input))
     if kind != "kraus":
         raise CliError(2, "malformed_input", f"bloch-action expects a kraus document, got {kind}")
-    try:
-        action = channels.bloch_affine_action(obj, tol=args.tol)
-    except DomainError as exc:
-        raise CliError(2, "malformed_input", str(exc)) from exc
+    action = channels.bloch_affine_action(obj, tol=args.tol)
     dev = so3.orthogonality_deviation(action.matrix)
     return {
         "M": _encode_rmatrix(action.matrix),
@@ -456,17 +453,24 @@ def _load_json(path: str) -> Any:
                 text = fh.read()
     except OSError as exc:
         raise CliError(2, "malformed_input", f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(2, "malformed_input", f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(2, "malformed_input", f"invalid JSON: {exc.msg} at line {exc.lineno}") from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise CliError(2, "malformed_input", f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(2, "malformed_input", "invalid JSON: nested too deeply") from exc
 
 
-def _emit(report: Any, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(dumps(report) + "\n")
-    else:
-        sys.stdout.write(render_text(report) + "\n")
+def _render(report: Any, fmt: str) -> str:
+    try:
+        return (dumps(report) if fmt == "json" else render_text(report)) + "\n"
+    except ValueError as exc:
+        # A non-finite result, from finite inputs whose products overflow.
+        raise CliError(2, "malformed_input", f"a result is not finite: {exc}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -476,8 +480,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a JSON ``malformed_input`` error, not usage text."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(2, "malformed_input", message)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use and not at import.
+
+    Building it costs far more than a parse, and ``parse_args`` leaves it
+    unchanged, so every ``main`` call shares it. The subparsers inherit
+    ``_Parser`` through ``add_subparsers``.
+    """
+    parser = _Parser(
         prog="blochiso",
         description="Convert between qubit-state representations and analyze channel reversibility.",
     )
@@ -509,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    # Checked here rather than by argparse so that stdout stays JSON.
+    # Checked after parsing: whether --samples is used depends on the inputs.
     if not (isfinite(args.tol) and args.tol >= 0.0):
         raise CliError(
             2, "malformed_input", f"--tol must be finite and non-negative, got {args.tol!r}"
@@ -518,22 +536,34 @@ def _check_args(args: argparse.Namespace) -> None:
         raise CliError(2, "malformed_input", f"--samples must be at least 1, got {args.samples}")
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> dict[str, Any]:
     try:
-        _check_args(args)
         if args.command == "convert":
-            report = _cmd_convert(args)
-        elif args.command == "classify":
-            report = _cmd_classify(args)
-        elif args.command == "verify":
-            report = _cmd_verify(args)
-        else:
-            report = _cmd_bloch_action(args)
+            return _cmd_convert(args)
+        if args.command == "classify":
+            return _cmd_classify(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_bloch_action(args)
+    except DomainError as exc:
+        # The library rejected a value built from the input: products of huge
+        # entries overflowing, or a --tol too tight for the sampled
+        # inverse-pair channels to classify as unitary.
+        raise CliError(2, "malformed_input", str(exc)) from exc
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    fmt = "json"  # until the command line has parsed
+    try:
+        args = _build_parser().parse_args(argv)
+        fmt = args.format
+        _check_args(args)
+        report = _run(args)
+        out = _render(report, fmt)
     except CliError as exc:
-        _emit(exc.payload, args.format)
+        sys.stdout.write(_render(exc.payload, fmt))
         return exc.exit_code
-    _emit(report, args.format)
+    sys.stdout.write(out)
     if args.command == "verify" and not report["pass"]:
         return 1
     return 0

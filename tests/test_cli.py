@@ -1,14 +1,22 @@
 """CLI behavior: documents, conversions, reports, exit codes, goldens."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import random
+import subprocess
 import sys
 from math import sqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from blochiso.cli import main
+from blochiso import channels, sampling, so3
+from blochiso.bloch import bloch_to_density
+from blochiso.cli import KINDS, main
 from helpers import GOLDEN_CASES, GOLDEN_DIR as GOLDEN, run_golden_case as run_case
 
 
@@ -178,6 +186,42 @@ class TestMalformedInput:
         code, _ = run_cli(["classify", path])
         assert code == 2
 
+    def expect_malformed(self, argv):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "malformed_input"
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + (GOLDEN / "inputs" / "kraus_identity.json").read_bytes())
+        self.expect_malformed(["classify", str(path)])
+
+    def test_non_utf8_stdin(self, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        self.expect_malformed(["classify", "-"])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Integers past the float range, where float() overflows.
+            '{"schema_version": "1", "kind": "bloch", "payload": {"vector": [1%s, 0, 0]}}'
+            % ("0" * 400),
+            '{"schema_version": "1", "kind": "axis_angle", "payload": {"axis": [0, 0, 1], "angle": 1%s}}'
+            % ("0" * 400),
+            '{"schema_version": "1", "kind": "unitary", "payload": {"matrix": [[1%s, 0], [0, 1]]}}'
+            % ("0" * 400),
+            # An integer past int's digit limit, and nesting past the recursion limit.
+            "[1%s]" % ("0" * 5000),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["bloch", "axis_angle", "unitary", "digits", "depth"],
+    )
+    def test_unrepresentable_json(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        self.expect_malformed(["convert", "--to", "rotation", str(path)])
+
 
 class TestClassify:
     def test_identity_report(self):
@@ -279,6 +323,22 @@ class TestVerify:
         assert doc["pass"] is False
         assert doc["cases"][0]["alpha"]  # diagnostics present
 
+    def test_inverse_pair_tol_too_tight_exits_2(self):
+        # At --tol 0 the sampled channels' roundoff fails trace preservation,
+        # so no inverse can be built.
+        code, out = run_cli(["verify", "inverse-pair", "--samples", "1", "--tol", "0"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "malformed_input"
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_inverse_pair_overflow_exits_2(self, tmp_path, scale):
+        # At 1e150 alpha_square_sum overflows to inf; at 1e160 the products do.
+        ops = [[[[0.6 * scale, 0], [0, 0]], [[0, 0], [0.6 * scale, 0]]]]
+        path = write_doc(tmp_path, "big.json", "kraus", {"operators": ops})
+        code, out = run_cli(["verify", "inverse-pair", path, path])
+        assert code == 2
+        assert json.loads(out, parse_constant=pytest.fail)["error"]["code"] == "malformed_input"
+
     def test_seeded_determinism(self):
         argv = ["verify", "diagram", "--samples", "25", "--seed", "11"]
         assert run_cli(argv) == run_cli(argv)
@@ -316,6 +376,30 @@ class TestArguments:
     @pytest.mark.parametrize("mode", ["diagram", "double-cover", "group", "inverse-pair"])
     def test_no_samples(self, mode, samples):
         self.expect_rejected(["verify", mode, "--samples", samples])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            [],
+            ["classify", "--tol", "-1e-9", KRAUS],
+            ["verify", "double-cover", "--seed", "3", str(GOLDEN / "inputs" / "unitary_quarter_z.json")],
+            ["convert", KRAUS],
+            ["verify", "diagram", "--samples", "x"],
+            ["classify", "--format", "text", "--bogus", KRAUS],
+        ],
+        ids=["command", "no-command", "bare-tol", "trailing-input", "no-to", "samples", "after-format"],
+    )
+    def test_usage_error(self, argv, capsys):
+        # Before the command line parses, --format is unknown: the error is JSON.
+        self.expect_rejected(argv)
+        assert capsys.readouterr().err == ""
+
+    def test_help_is_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: blochiso classify")
 
     def test_zero_tol_is_accepted(self):
         code, out = run_cli(["verify", "double-cover", "--samples", "3", "--tol", "0"])
@@ -422,3 +506,211 @@ class TestTextFormat:
         path = write_doc(tmp_path, "in.json", "bloch", {"vector": [0.1, 0.2, 0.3]})
         argv = ["convert", "--to", "density", path, "--format", "text"]
         assert run_cli(argv) == run_cli(argv)
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call of a process, and keeps no state."""
+
+    KRAUS = str(GOLDEN / "inputs" / "kraus_identity.json")
+
+    def test_not_built_at_import(self):
+        # A fresh process counts the parsers that ``import blochiso.cli`` builds.
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import blochiso.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout == "0\n"
+
+    def test_built_once(self, monkeypatch):
+        run_case(GOLDEN_CASES[0][1])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _, argv in GOLDEN_CASES:
+            assert run_case(argv)[0] == 0
+        assert run_cli(["verify", "group", "--samples", "2"])[0] == 0
+        assert run_cli(["frobnicate"])[0] == 2
+        assert run_cli(["classify", "--tol=nan", self.KRAUS])[0] == 2
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            ["classify", "--tol", "1e-3", "--format", "text", KRAUS],
+            ["verify", "group", "--samples", "2", "--seed", "5", "--tol", "1e-3", "--format", "text"],
+            ["frobnicate"],
+            ["classify", "--tol", "-1e-9", KRAUS],
+            ["verify", "double-cover", "--seed", "3", KRAUS],
+            ["convert", "--format", "text", KRAUS],
+        ],
+        ids=["text", "verify-text", "command", "bare-tol", "trailing-input", "no-to"],
+    )
+    def test_nothing_leaks_between_calls(self, first):
+        run_cli(first)
+        for expected_name, argv in GOLDEN_CASES:
+            expected = (GOLDEN / "expected" / expected_name).read_text(encoding="utf-8")
+            assert run_case(argv) == (0, expected)
+        code, out = run_cli(["verify", "double-cover", "--samples", "1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["samples"], doc["seed"], doc["tol"]) == (1, 42, 1e-9)
+
+
+# ----------------------------------------------------------------------
+# The CLI contract under generated input: any document and any flag value
+# give an exit code in {0, 1, 2, 3} and one JSON value on stdout, with no
+# NaN or Infinity token and no exception.
+
+NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(),  # NaN and the infinities too: json.dumps writes them, json.loads reads them
+    st.sampled_from([1e200, -1e200, 1e154, 1e-200, 0.0, -0.0]),
+    st.integers(-3, 3),
+    st.integers(10**308, 10**310),
+)
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}))
+ENTRIES = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2), JUNK)
+# Scale factors for valid values: exact, a roundoff away, and past overflow
+# once squared or multiplied.
+FACTORS = st.sampled_from([1.0, 1.0 + 1e-12, -1.0, 2e4, 1e154, 1e200])
+
+
+def shaped(rows, cols, entries):
+    """Nested lists of ``rows`` x ``cols`` entries, or rows of another length."""
+    rows_of = lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=rows, max_size=rows)
+    return rows_of(cols) | st.integers(0, 5).flatmap(rows_of)
+
+
+def scaled_pairs(m, factor):
+    return [[[m.at(i, j).real * factor, m.at(i, j).imag * factor] for j in range(m.cols)] for i in range(m.rows)]
+
+
+@st.composite
+def sampled_payload(draw, kind):
+    """The payload of a valid value of ``kind``, scaled by one of FACTORS."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    factor = draw(FACTORS)
+    if kind in ("kraus", "choi"):
+        k = sampling.redundant_unitary_kraus(rng, draw(st.integers(1, 3)))[0]
+        if kind == "choi":
+            return {"matrix": scaled_pairs(channels.choi_of(k).matrix, factor)}
+        return {"operators": [scaled_pairs(op, factor) for op in k.operators]}
+    if kind == "unitary":
+        return {"matrix": scaled_pairs(sampling.su2_haar(rng).matrix, factor)}
+    if kind in ("bloch", "density"):
+        r = sampling.bloch_in_ball(rng)
+        if kind == "density":
+            return {"matrix": scaled_pairs(bloch_to_density(r).matrix, factor)}
+        return {"vector": [x * factor for x in r.as_tuple()]}
+    aa = sampling.axis_angle(rng)
+    if kind == "axis_angle":
+        return {"axis": [x * factor for x in aa.axis], "angle": aa.angle * factor}
+    return {"matrix": [[x * factor for x in row] for row in so3.rotation_from_axis_angle(aa).matrix]}
+
+
+def generated_payload(kind):
+    """A payload of ``kind`` with arbitrary entries, mostly of the right shape."""
+    vector = shaped(1, 3, NUMBERS).map(lambda rows: rows[0])
+    fields = {
+        "bloch": {"vector": vector},
+        "axis_angle": {"axis": vector, "angle": NUMBERS | JUNK},
+        "rotation": {"matrix": shaped(3, 3, NUMBERS)},
+        "unitary": {"matrix": shaped(2, 2, ENTRIES)},
+        "density": {"matrix": shaped(2, 2, ENTRIES)},
+        "kraus": {"operators": st.lists(shaped(2, 2, ENTRIES), max_size=3)},
+        "choi": {"matrix": shaped(4, 4, ENTRIES)},
+    }[kind]
+    return st.fixed_dictionaries(fields)
+
+
+@st.composite
+def documents(draw, kind):
+    """The bytes of one input file: a ``kind`` document, sometimes damaged."""
+    payload = draw(sampled_payload(kind) | generated_payload(kind))
+    doc = {"schema_version": "1", "kind": kind, "payload": payload}
+    # Undamaged most of the time, so that two-document commands reach the library.
+    damage = draw(st.sampled_from(["none"] * 4 + ["kind", "document", "cut", "bytes"]))
+    if damage == "kind":
+        doc["kind"] = draw(st.sampled_from(KINDS + ("qutrit",)))
+    elif damage == "document":
+        doc = draw(st.sampled_from([[], 3, "x", {"schema_version": 1}]))
+    data = json.dumps(doc).encode("utf-8")
+    if damage == "cut":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    return b"\xff\xfe" + data if damage == "bytes" else data
+
+
+# Each command family: its leading arguments and the kind of document it
+# reads (None: any kind; diagram reads none, so bloch stands in).
+COMMANDS = {
+    "convert": (["convert", "--to"], None),
+    "classify": (["classify"], "kraus"),
+    "bloch-action": (["bloch-action"], "kraus"),
+    "diagram": (["verify", "diagram"], "bloch"),
+    "double-cover": (["verify", "double-cover"], "unitary"),
+    "group": (["verify", "group"], "axis_angle"),
+    "inverse-pair": (["verify", "inverse-pair"], "kraus"),
+}
+TOLS = ["nan", "inf", "-inf", "-1e-9", "0", "1e-12", "1e-9", "1e-3", "1e12", "abc"]
+
+
+@st.composite
+def command_lines(draw, family):
+    """A command line of ``family`` reading doc0.json (and doc1.json)."""
+    argv = list(COMMANDS[family][0])
+    if family == "convert":
+        argv += [draw(st.sampled_from(KINDS)), "doc0.json"]
+    elif argv[0] == "verify":
+        argv += ["doc0.json", "doc1.json"][: draw(st.integers(0, 2))]
+        argv += ["--samples", str(draw(st.integers(0, 3))), "--seed", str(draw(st.integers(-5, 2**40)))]
+    else:
+        argv.append("doc0.json")
+    tol = draw(st.none() | st.sampled_from(TOLS))
+    if tol is not None:
+        argv += draw(st.sampled_from([[f"--tol={tol}"], ["--tol", tol]]))
+    return argv
+
+
+def reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize("family", COMMANDS)
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    # The examples share tmp_path; each rewrites every file it reads.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_contract(tmp_path, family, data):
+    argv = data.draw(command_lines(family), label="argv")
+    kind = COMMANDS[family][1] or data.draw(st.sampled_from(KINDS), label="kind")
+    for name in ("doc0.json", "doc1.json"):
+        (tmp_path / name).write_bytes(data.draw(documents(kind), label=name))
+    code, out = run_cli([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+    assert code in (0, 1, 2, 3)
+    json.loads(out, parse_constant=reject_constant)
