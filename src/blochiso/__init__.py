@@ -1,7 +1,6 @@
 """Bloch-sphere geometry, the rotation/unitary correspondence, and
 reversibility analysis of qubit channels."""
 
-from ._kernels import BACKEND_NAME, available_backends
 from .bloch import (
     PAULI_X,
     PAULI_Y,
@@ -62,18 +61,14 @@ from .matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
-    SvdResult,
     add,
     adjoint,
     allclose,
-    expm_taylor,
     hermitian_eig,
-    kron,
     max_abs_diff,
     mul,
     scale,
     sub,
-    svd,
     trace,
 )
 from .so3 import AxisAngle, Rotation3, axis_angle_from_rotation, rotation_from_axis_angle
@@ -89,5 +84,5 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the active matrix kernel backend ('cython' or 'python')."""
-    return BACKEND_NAME
+    """Name of the matrix kernel implementation; there is one, in Python."""
+    return "python"

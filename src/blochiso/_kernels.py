@@ -1,15 +1,14 @@
-"""Pure-Python matrix kernels, the fallback backend.
+"""The two hot loops of the matrix layer: complex products and Jacobi.
 
-Mirrors ``backend_cy`` operation for operation: both backends perform the
-same IEEE-754 double operations in the same order, so their results agree
-bit for bit. Any change here must be replicated in the .pyx file.
+Callers reach them as module attributes (``_kernels.matmul(...)``), so a
+test or profiler that replaces an attribute sees every call. The results
+are pinned bit for bit by the golden CLI fixtures and the seeded ``verify``
+reports: a change here must keep each IEEE-754 operation and its order.
 """
 
 from __future__ import annotations
 
 from math import sqrt
-
-NAME = "python"
 
 _JACOBI_EPS = 1e-15
 _MAX_SWEEPS = 60

@@ -81,8 +81,9 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """4x4 Choi matrix J = sum_ij Phi(E_ij) kron E_ij (unnormalized, trace 2).
+    """4x4 Choi matrix J = sum_ij Phi(E_ij) (x) E_ij (unnormalized, trace 2).
 
+    ``(x)`` is the tensor product of the output and input factors.
     Hermiticity and positivity (the CP side) are enforced; the partial trace
     over the output factor equals I exactly when the source set is trace
     preserving, exposed via :meth:`tp_deviation`. ``spectrum`` keeps the
@@ -215,7 +216,7 @@ def apply_channel(k: KrausSet, rho: DensityOperator, tol: float = DEFAULT_TOL) -
 def _choi_entries(k: KrausSet) -> ComplexMatrix:
     ents = [0j] * 16
     for op in k.operators:
-        w = op.entries  # row-major flattening matches the kron convention
+        w = op.entries  # row-major flattening matches the tensor-product order
         for r in range(4):
             wr = w[r]
             for c in range(4):

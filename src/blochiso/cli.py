@@ -298,126 +298,81 @@ def _cmd_bloch_action(args: argparse.Namespace) -> dict[str, Any]:
 # Verification modes
 
 
-def _verify_diagram(args: argparse.Namespace) -> dict[str, Any]:
+# Each mode draws its cases, from the documents or from the seeded RNG, and
+# checks one case at a time. A check returns the case's deviation, its
+# verdict and the mode's fields of the case entry, in report order.
+
+
+def _diagram_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
+    if docs:
+        raise CliError(2, "malformed_input", "diagram mode is sampled; no documents expected")
     rng = random.Random(args.seed)
-    cases = []
-    failures = []
-    worst = 0.0
-    for i in range(args.samples):
-        r = sampling.bloch_in_ball(rng)
-        aa = sampling.axis_angle(rng)
-        report = isomorphism.verify_state_diagram(r, aa, tol=args.tol)
-        worst = max(worst, report.max_deviation)
-        if not report.commutes:
-            failures.append(i)
-        cases.append({"index": i, "max_deviation": report.max_deviation, "pass": report.commutes})
-    return _verify_report("diagram", args, worst, failures, cases)
+    return [(sampling.bloch_in_ball(rng), sampling.axis_angle(rng)) for _ in range(args.samples)]
 
 
-def _verify_double_cover(args: argparse.Namespace, docs: list[Any]) -> dict[str, Any]:
+def _diagram_check(case: Any, tol: float) -> tuple[float, bool, dict[str, Any]]:
+    report = isomorphism.verify_state_diagram(*case, tol=tol)
+    return report.max_deviation, report.commutes, {"max_deviation": report.max_deviation}
+
+
+def _double_cover_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
-        units = [_expect_kind(doc, "unitary", "double-cover") for doc in docs]
-    else:
-        rng = random.Random(args.seed)
-        units = [sampling.su2_haar(rng) for _ in range(args.samples)]
-    cases = []
-    failures = []
-    worst = 0.0
-    for i, u in enumerate(units):
-        r_plus = isomorphism.phi_inverse(u)
-        r_minus = isomorphism.phi_inverse(su2.negate(u))
-        dev = max(
-            abs(r_plus.matrix[a][b] - r_minus.matrix[a][b])
-            for a in range(3)
-            for b in range(3)
-        )
-        ok = dev == 0.0
-        worst = max(worst, dev)
-        if not ok:
-            failures.append(i)
-        cases.append({"index": i, "max_deviation": dev, "pass": ok})
-    return _verify_report("double-cover", args, worst, failures, cases)
+        return [_expect_kind(doc, "unitary", "double-cover") for doc in docs]
+    rng = random.Random(args.seed)
+    return [sampling.su2_haar(rng) for _ in range(args.samples)]
 
 
-def _verify_group(args: argparse.Namespace, docs: list[Any]) -> dict[str, Any]:
-    words: list[list[AxisAngle]]
+def _double_cover_check(u: Unitary2, tol: float) -> tuple[float, bool, dict[str, Any]]:
+    r_plus = isomorphism.phi_inverse(u)
+    r_minus = isomorphism.phi_inverse(su2.negate(u))
+    dev = max(
+        abs(r_plus.matrix[a][b] - r_minus.matrix[a][b]) for a in range(3) for b in range(3)
+    )
+    return dev, dev == 0.0, {"max_deviation": dev}
+
+
+def _group_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
-        words = [[_expect_kind(doc, "axis_angle", "group") for doc in docs]]
-    else:
-        rng = random.Random(args.seed)
-        words = [
-            [sampling.axis_angle(rng) for _ in range(3)] for _ in range(args.samples)
-        ]
-    cases = []
-    failures = []
-    worst = 0.0
-    for i, word in enumerate(words):
-        report = isomorphism.verify_group_diagram(word, tol=args.tol)
-        worst = max(worst, report.max_deviation)
-        if not report.commutes:
-            failures.append(i)
-        cases.append(
-            {
-                "index": i,
-                "word_length": len(word),
-                "max_deviation": report.max_deviation,
-                "pass": report.commutes,
-            }
-        )
-    return _verify_report("group", args, worst, failures, cases)
+        return [[_expect_kind(doc, "axis_angle", "group") for doc in docs]]
+    rng = random.Random(args.seed)
+    return [[sampling.axis_angle(rng) for _ in range(3)] for _ in range(args.samples)]
 
 
-def _verify_inverse_pair(args: argparse.Namespace, docs: list[Any]) -> dict[str, Any]:
-    if docs and len(docs) != 2:
-        raise CliError(2, "malformed_input", "inverse-pair takes exactly two kraus documents")
-    cases = []
-    failures = []
-    worst = 0.0
+def _group_check(word: list[AxisAngle], tol: float) -> tuple[float, bool, dict[str, Any]]:
+    report = isomorphism.verify_group_diagram(word, tol=tol)
+    fields = {"word_length": len(word), "max_deviation": report.max_deviation}
+    return report.max_deviation, report.commutes, fields
+
+
+def _inverse_pair_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
-        fwd = _expect_kind(docs[0], "kraus", "inverse-pair")
-        inv = _expect_kind(docs[1], "kraus", "inverse-pair")
-        pairs = [(fwd, inv)]
-    else:
-        rng = random.Random(args.seed)
-        pairs = []
-        for _ in range(args.samples):
-            k, _u, _w, _m = sampling.redundant_unitary_kraus(rng, 1 + rng.randrange(3))
-            pairs.append((k, channels.invert(k, tol=args.tol)))
-    for i, (fwd, inv) in enumerate(pairs):
-        report = channels.verify_inverse_pair(fwd, inv, tol=args.tol)
-        dev = max(report.max_residual, abs(report.alpha_square_sum - 1.0))
-        worst = max(worst, dev)
-        if not report.valid:
-            failures.append(i)
-        cases.append(
-            {
-                "index": i,
-                "alpha_square_sum": report.alpha_square_sum,
-                "max_residual": report.max_residual,
-                "alpha": _encode_cmatrix(report.alpha),
-                "pass": report.valid,
-            }
-        )
-    return _verify_report("inverse-pair", args, worst, failures, cases)
+        if len(docs) != 2:
+            raise CliError(2, "malformed_input", "inverse-pair takes exactly two kraus documents")
+        return [tuple(_expect_kind(doc, "kraus", "inverse-pair") for doc in docs)]
+    rng = random.Random(args.seed)
+    pairs = []
+    for _ in range(args.samples):
+        k, _u, _w, _m = sampling.redundant_unitary_kraus(rng, 1 + rng.randrange(3))
+        pairs.append((k, channels.invert(k, tol=args.tol)))
+    return pairs
 
 
-def _verify_report(
-    mode: str,
-    args: argparse.Namespace,
-    worst: float,
-    failures: list[int],
-    cases: list[dict[str, Any]],
-) -> dict[str, Any]:
-    return {
-        "mode": mode,
-        "samples": len(cases),
-        "seed": args.seed,
-        "tol": args.tol,
-        "max_deviation": worst,
-        "pass": not failures,
-        "failures": failures,
-        "cases": cases,
+def _inverse_pair_check(pair: Any, tol: float) -> tuple[float, bool, dict[str, Any]]:
+    report = channels.verify_inverse_pair(*pair, tol=tol)
+    fields = {
+        "alpha_square_sum": report.alpha_square_sum,
+        "max_residual": report.max_residual,
+        "alpha": _encode_cmatrix(report.alpha),
     }
+    return max(report.max_residual, abs(report.alpha_square_sum - 1.0)), report.valid, fields
+
+
+_VERIFY_MODES = {
+    "diagram": (_diagram_cases, _diagram_check),
+    "double-cover": (_double_cover_cases, _double_cover_check),
+    "group": (_group_cases, _group_check),
+    "inverse-pair": (_inverse_pair_cases, _inverse_pair_check),
+}
 
 
 def _expect_kind(doc: Any, kind: str, command: str) -> Any:
@@ -428,16 +383,26 @@ def _expect_kind(doc: Any, kind: str, command: str) -> Any:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
-    docs = [_load_json(path) for path in args.inputs]
-    if args.mode == "diagram":
-        if docs:
-            raise CliError(2, "malformed_input", "diagram mode is sampled; no documents expected")
-        return _verify_diagram(args)
-    if args.mode == "double-cover":
-        return _verify_double_cover(args, docs)
-    if args.mode == "group":
-        return _verify_group(args, docs)
-    return _verify_inverse_pair(args, docs)
+    draw, check = _VERIFY_MODES[args.mode]
+    cases = []
+    failures = []
+    worst = 0.0
+    for i, case in enumerate(draw(args, [_load_json(path) for path in args.inputs])):
+        dev, ok, fields = check(case, args.tol)
+        worst = max(worst, dev)
+        if not ok:
+            failures.append(i)
+        cases.append({"index": i, **fields, "pass": ok})
+    return {
+        "mode": args.mode,
+        "samples": len(cases),
+        "seed": args.seed,
+        "tol": args.tol,
+        "max_deviation": worst,
+        "pass": not failures,
+        "failures": failures,
+        "cases": cases,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -445,14 +410,18 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _load_json(path: str) -> Any:
+    # Bytes from stdin and from files alike, decoded here and not by the
+    # locale-dependent text layer of sys.stdin.
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise CliError(2, "malformed_input", f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(2, "malformed_input", f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
     try:
@@ -511,9 +480,7 @@ def _build_parser() -> _Parser:
     _add_common(p_classify)
 
     p_verify = sub.add_parser("verify", help="run a seeded verification suite")
-    p_verify.add_argument(
-        "mode", choices=("diagram", "double-cover", "group", "inverse-pair")
-    )
+    p_verify.add_argument("mode", choices=tuple(_VERIFY_MODES))
     p_verify.add_argument("inputs", nargs="*", help="optional input documents")
     p_verify.add_argument("--samples", type=int, default=1000, help="number of random cases")
     p_verify.add_argument("--seed", type=int, default=42, help="random seed")
@@ -524,6 +491,21 @@ def _build_parser() -> _Parser:
     _add_common(p_action)
 
     return parser
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse a command line, taking ``verify`` documents after options too.
+
+    ``parse_known_args`` returns the documents that follow an option as
+    leftovers and, unlike ``parse_intermixed_args``, leaves the shared
+    parser unchanged.
+    """
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        if args.command != "verify" or any(t.startswith("-") and t != "-" for t in extra):
+            raise CliError(2, "malformed_input", "unrecognized arguments: " + " ".join(extra))
+        args.inputs = [*args.inputs, *extra]
+    return args
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -555,7 +537,7 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
 def main(argv: Sequence[str] | None = None) -> int:
     fmt = "json"  # until the command line has parsed
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         fmt = args.format
         _check_args(args)
         report = _run(args)

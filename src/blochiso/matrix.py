@@ -2,8 +2,7 @@
 
 Matrices are immutable, row-major, and small (everything downstream is 2x2
 to 4x4 plus Gram matrices of Kraus sets). The hot loops, products and the
-cyclic Jacobi eigensolver, live in :mod:`blochiso._kernels`, which selects
-the compiled backend when it is built.
+cyclic Jacobi eigensolver, live in :mod:`blochiso._kernels`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .errors import DimensionError, DomainError
 DEFAULT_TOL = 1e-9
 
 _PHASE_CUTOFF = 1e-12
-_SVD_RELATIVE_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,15 +113,6 @@ class HermitianEigenResult:
     eigenvectors: ComplexMatrix
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Factorization A = left diag(singular_values) right*."""
-
-    left: ComplexMatrix
-    singular_values: tuple[float, ...]
-    right: ComplexMatrix
-
-
 def _require_same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
@@ -162,19 +151,6 @@ def trace(a: ComplexMatrix) -> complex:
     for i in range(a.rows):
         t += a.entries[i * a.cols + i]
     return t
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    ents = [0j] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.at(i, j)
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    ents[(i * b.rows + k) * cols + (j * b.cols + l)] = aij * b.at(k, l)
-    return ComplexMatrix(rows, cols, tuple(ents))
 
 
 def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
@@ -240,98 +216,3 @@ def hermitian_eig(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenR
             reordered[i * n + new_col] = vflat[i * n + old_col]
     vectors = _phase_fix_columns(n, reordered)
     return HermitianEigenResult(eigenvalues, ComplexMatrix(n, n, tuple(vectors)))
-
-
-def _column(m: ComplexMatrix, k: int) -> ComplexMatrix:
-    return ComplexMatrix(m.rows, 1, tuple(m.at(i, k) for i in range(m.rows)))
-
-
-def _vec_norm(v: ComplexMatrix) -> float:
-    return sqrt(sum(e.real * e.real + e.imag * e.imag for e in v.entries))
-
-
-def _complete_orthonormal(n: int, columns: list[ComplexMatrix | None]) -> list[ComplexMatrix]:
-    """Fill the ``None`` slots with unit vectors orthogonal to the rest."""
-    fixed = [c for c in columns if c is not None]
-    for k, col in enumerate(columns):
-        if col is not None:
-            continue
-        for cand in range(n):
-            v = [0j] * n
-            v[cand] = 1.0 + 0j
-            # Two Gram-Schmidt passes keep the result orthonormal to roundoff.
-            for _ in range(2):
-                for u in fixed:
-                    overlap = sum(u.entries[i].conjugate() * v[i] for i in range(n))
-                    for i in range(n):
-                        v[i] -= overlap * u.entries[i]
-            nrm = sqrt(sum(e.real * e.real + e.imag * e.imag for e in v))
-            if nrm > 1e-6:
-                unit = ComplexMatrix(n, 1, tuple(e / nrm for e in v))
-                columns[k] = unit
-                fixed.append(unit)
-                break
-        else:
-            raise DomainError("failed to complete an orthonormal basis")
-    return columns  # type: ignore[return-value]
-
-
-def svd(m: ComplexMatrix) -> SvdResult:
-    """Singular value decomposition of a square matrix.
-
-    Built from the Jacobi eigendecomposition of m* m; left singular vectors
-    for negligible singular values are completed to a unitary basis.
-    """
-    if not m.is_square():
-        raise DimensionError("svd supports square matrices only")
-    n = m.rows
-    gram = mul(adjoint(m), m)
-    eig = hermitian_eig(gram)
-    right = eig.eigenvectors
-
-    svals: list[float] = []
-    images: list[ComplexMatrix] = []
-    for k in range(n):
-        image = mul(m, _column(right, k))
-        svals.append(_vec_norm(image))
-        images.append(image)
-
-    smax = max(svals) if svals else 0.0
-    cutoff = _SVD_RELATIVE_CUTOFF * smax
-    left_cols: list[ComplexMatrix | None] = []
-    for k in range(n):
-        if svals[k] > cutoff:
-            left_cols.append(scale(images[k], 1.0 / svals[k]))
-        else:
-            left_cols.append(None)
-    completed = _complete_orthonormal(n, left_cols)
-
-    # Eigenvalue order already sorts the singular values up to roundoff;
-    # a stable re-sort pins the documented descending invariant.
-    order = sorted(range(n), key=svals.__getitem__, reverse=True)
-    singular_values = tuple(svals[k] for k in order)
-    left_entries = tuple(completed[k].entries[i] for i in range(n) for k in order)
-    right_entries = tuple(right.at(i, k) for i in range(n) for k in order)
-    return SvdResult(
-        ComplexMatrix(n, n, left_entries),
-        singular_values,
-        ComplexMatrix(n, n, right_entries),
-    )
-
-
-def expm_taylor(m: ComplexMatrix, terms: int) -> ComplexMatrix:
-    """Truncated series sum_{k < terms} m^k / k!.
-
-    Brute-force exponential used as an independent oracle for the closed-form
-    rotation and unitary constructions; not meant to be fast or clever.
-    """
-    if not m.is_square():
-        raise DimensionError("expm_taylor needs a square matrix")
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    acc = ComplexMatrix.identity(m.rows)
-    term = ComplexMatrix.identity(m.rows)
-    for k in range(1, terms):
-        term = scale(mul(term, m), 1.0 / k)
-        acc = add(acc, term)
-    return acc

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from blochiso.channels import KrausSet
 from blochiso.cli import main as cli_main
+from blochiso.errors import DimensionError, DomainError
 from blochiso.matrix import (
     ComplexMatrix,
     add,
@@ -47,6 +48,24 @@ def pauli_generator(axis: tuple[float, float, float], angle: float) -> ComplexMa
     for n_l, sigma_l in zip(axis, PAULIS):
         acc = add(acc, scale(sigma_l, n_l))
     return scale(acc, -0.5j * angle)
+
+
+def expm_taylor(m: ComplexMatrix, terms: int) -> ComplexMatrix:
+    """Truncated series sum_{k < terms} m^k / k!.
+
+    Brute-force exponential used as an independent oracle for the closed-form
+    rotation and unitary constructions; not meant to be fast or clever.
+    """
+    if not m.is_square():
+        raise DimensionError("expm_taylor needs a square matrix")
+    if terms < 1:
+        raise DomainError("terms must be >= 1")
+    acc = ComplexMatrix.identity(m.rows)
+    term = ComplexMatrix.identity(m.rows)
+    for k in range(1, terms):
+        term = scale(mul(term, m), 1.0 / k)
+        acc = add(acc, term)
+    return acc
 
 
 # Generic-product oracles for the closed forms in isomorphism, su2 and so3.

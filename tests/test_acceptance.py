@@ -26,7 +26,7 @@ from blochiso.isomorphism import (
     phi_inverse,
     verify_state_diagram,
 )
-from blochiso.matrix import adjoint, expm_taylor, max_abs_diff, trace
+from blochiso.matrix import adjoint, max_abs_diff, trace
 from blochiso.sampling import (
     axis_angle as random_axis_angle,
     bloch_in_ball,
@@ -40,6 +40,7 @@ from blochiso.su2 import negate, unitary_from_axis_angle
 from helpers import (
     GOLDEN_CASES,
     GOLDEN_DIR,
+    expm_taylor,
     pauli_generator,
     phase_aligned_diff,
     rotation_as_cmatrix,

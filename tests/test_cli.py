@@ -24,7 +24,8 @@ def run_cli(argv, stdin_text=None):
     buffer = io.StringIO()
     if stdin_text is not None:
         old_stdin = sys.stdin
-        sys.stdin = io.StringIO(stdin_text)
+        # A binary buffer underneath, as on a real stdin, which the CLI reads.
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(buffer):
             code = main(argv)
@@ -200,6 +201,24 @@ class TestMalformedInput:
         stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
         monkeypatch.setattr(sys, "stdin", stdin)
         self.expect_malformed(["classify", "-"])
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b'{"schema_version":"1","kind":"\xff"}', b"\xef\xbb\xbf{}"],
+        ids=["bom16", "in-string", "bom8"],
+    )
+    def test_stdin_reads_like_a_file(self, tmp_path, monkeypatch, data):
+        # The same bytes give the same error whatever the locale's stdin
+        # error handler (surrogateescape under the C locale).
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        from_file = run_cli(["classify", str(path)])
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        from_stdin = run_cli(["classify", "-"])
+        assert from_stdin[0] == from_file[0] == 2
+        detail = json.loads(from_stdin[1])["error"]["detail"]
+        assert detail == json.loads(from_file[1])["error"]["detail"].replace(str(path), "-")
 
     @pytest.mark.parametrize(
         "text",
@@ -383,12 +402,24 @@ class TestArguments:
             ["frobnicate"],
             [],
             ["classify", "--tol", "-1e-9", KRAUS],
-            ["verify", "double-cover", "--seed", "3", str(GOLDEN / "inputs" / "unitary_quarter_z.json")],
+            ["classify", KRAUS, KRAUS],
             ["convert", KRAUS],
             ["verify", "diagram", "--samples", "x"],
             ["classify", "--format", "text", "--bogus", KRAUS],
+            ["verify", "group", "--seed", "3", "--bogus", "x"],
+            ["verify", "group", "--seed", "3", "--", "x"],
         ],
-        ids=["command", "no-command", "bare-tol", "trailing-input", "no-to", "samples", "after-format"],
+        ids=[
+            "command",
+            "no-command",
+            "bare-tol",
+            "trailing-input",
+            "no-to",
+            "samples",
+            "after-format",
+            "verify-bogus",
+            "verify-dashdash",
+        ],
     )
     def test_usage_error(self, argv, capsys):
         # Before the command line parses, --format is unknown: the error is JSON.
@@ -405,6 +436,36 @@ class TestArguments:
         code, out = run_cli(["verify", "double-cover", "--samples", "3", "--tol", "0"])
         assert code == 0
         assert json.loads(out)["tol"] == 0
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [
+            (["--seed", "3"], []),
+            (["--samples", "2", "--format", "text"], []),
+            (["--seed", "3"], ["--samples", "2"]),
+        ],
+        ids=["seed", "text", "between"],
+    )
+    def test_documents_after_options(self, before, after):
+        unitary = str(GOLDEN / "inputs" / "unitary_quarter_z.json")
+        first = run_cli(["verify", "double-cover", unitary, *before, *after])
+        second = run_cli(["verify", "double-cover", *before, unitary, *after])
+        assert first == second
+        assert first[0] == 0
+        if "text" not in before:
+            assert json.loads(first[1])["samples"] == 1
+
+    def test_documents_around_options_keep_their_order(self):
+        pair = [str(GOLDEN / "inputs" / name) for name in ("kraus_identity.json", "kraus_depolarizing_half.json")]
+        split = run_cli(["verify", "inverse-pair", pair[0], "--seed", "3", pair[1]])
+        assert split == run_cli(["verify", "inverse-pair", *pair, "--seed", "3"])
+        assert split != run_cli(["verify", "inverse-pair", *pair[::-1], "--seed", "3"])
+
+    def test_stdin_document_after_options(self):
+        doc = (GOLDEN / "inputs" / "unitary_quarter_z.json").read_text(encoding="utf-8")
+        code, out = run_cli(["verify", "double-cover", "--seed", "3", "-"], stdin_text=doc)
+        assert code == 0
+        assert json.loads(out)["samples"] == 1
 
     def test_samples_unused_with_documents(self, tmp_path):
         path = write_doc(tmp_path, "aa.json", "axis_angle", {"axis": [0, 0, 1], "angle": 1.0})
@@ -512,6 +573,7 @@ class TestSharedParser:
     """One parser serves every ``main`` call of a process, and keeps no state."""
 
     KRAUS = str(GOLDEN / "inputs" / "kraus_identity.json")
+    UNITARY = str(GOLDEN / "inputs" / "unitary_quarter_z.json")
 
     def test_not_built_at_import(self):
         # A fresh process counts the parsers that ``import blochiso.cli`` builds.
@@ -551,6 +613,7 @@ class TestSharedParser:
         for _, argv in GOLDEN_CASES:
             assert run_case(argv)[0] == 0
         assert run_cli(["verify", "group", "--samples", "2"])[0] == 0
+        assert run_cli(["verify", "double-cover", "--seed", "3", self.UNITARY])[0] == 0
         assert run_cli(["frobnicate"])[0] == 2
         assert run_cli(["classify", "--tol=nan", self.KRAUS])[0] == 2
         assert built == []

@@ -1,28 +1,26 @@
 """Unit tests for the dense-matrix kernel layer."""
 
 import random
-from math import sqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blochiso
+import blochiso._kernels
 from blochiso.errors import DimensionError, DomainError
 from blochiso.matrix import (
     ComplexMatrix,
     add,
     adjoint,
-    expm_taylor,
     hermitian_eig,
-    kron,
     max_abs_diff,
     mul,
     scale,
     sub,
-    svd,
     trace,
 )
-from helpers import random_hermitian, random_matrix
+from helpers import expm_taylor, random_hermitian, random_matrix
 
 SIGMA_X = ComplexMatrix.from_rows([[0, 1], [1, 0]])
 
@@ -37,11 +35,6 @@ def diag(*values):
 def reconstruct_eig(result):
     lam = diag(*result.eigenvalues)
     return mul(mul(result.eigenvectors, lam), adjoint(result.eigenvectors))
-
-
-def reconstruct_svd(result):
-    lam = diag(*result.singular_values)
-    return mul(mul(result.left, lam), adjoint(result.right))
 
 
 class TestAlgebra:
@@ -62,12 +55,6 @@ class TestAlgebra:
         rng = random.Random(5)
         a = random_matrix(rng, 3)
         assert adjoint(adjoint(a)) == a
-
-    def test_kron_on_basis_vector(self):
-        # sigma_x kron sigma_x flips both tensor slots: e0 x e0 -> e1 x e1.
-        big = kron(SIGMA_X, SIGMA_X)
-        e00 = ComplexMatrix.column([1, 0, 0, 0])
-        assert mul(big, e00).entries == (0j, 0j, 0j, 1 + 0j)
 
     def test_shape_mismatch(self):
         a = ComplexMatrix.identity(2)
@@ -97,6 +84,24 @@ class TestAlgebra:
         a = ComplexMatrix(2, 2, tuple(a_entries))
         b = ComplexMatrix(2, 2, tuple(b_entries))
         assert abs(trace(mul(a, b)) - trace(mul(b, a))) <= 1e-12
+
+
+def test_one_python_kernel_reached_through_module_attributes(monkeypatch):
+    # blochbench stamps kernel_backend() on every result and wraps the
+    # kernels by module attribute; the call-count tests patch them the same way.
+    assert blochiso.kernel_backend() == "python"
+    calls = {"matmul": 0, "jacobi_hermitian": 0}
+    for name in calls:
+        original = getattr(blochiso._kernels, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(blochiso._kernels, name, counted)
+    mul(SIGMA_X, SIGMA_X)
+    hermitian_eig(SIGMA_X)
+    assert calls == {"matmul": 1, "jacobi_hermitian": 1}
 
 
 class TestHermitianEig:
@@ -158,44 +163,6 @@ class TestHermitianEig:
             hermitian_eig(ComplexMatrix.zeros(2, 3))
 
 
-class TestSvd:
-    def test_identity(self):
-        result = svd(ComplexMatrix.identity(2))
-        assert result.singular_values == (1.0, 1.0)
-
-    def test_diagonal_with_zero(self):
-        result = svd(diag(2, 0))
-        assert result.singular_values == (2.0, 0.0)
-        assert max_abs_diff(reconstruct_svd(result), diag(2, 0)) <= 1e-12
-
-    def test_scaled_unitary(self):
-        # sqrt(0.5) U has both singular values equal to sqrt(0.5).
-        rng = random.Random(12)
-        from blochiso import sampling
-
-        for _ in range(10):
-            u = sampling.su2_haar(rng)
-            result = svd(scale(u.matrix, sqrt(0.5)))
-            for s in result.singular_values:
-                assert abs(s - sqrt(0.5)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_reconstruction_random(self, n):
-        rng = random.Random(300 + n)
-        for _ in range(20):
-            a = random_matrix(rng, n)
-            result = svd(a)
-            assert max_abs_diff(reconstruct_svd(result), a) <= 1e-11
-            assert max_abs_diff(
-                mul(adjoint(result.left), result.left), ComplexMatrix.identity(n)
-            ) <= 1e-11
-
-    def test_zero_matrix(self):
-        result = svd(ComplexMatrix.zeros(3, 3))
-        assert result.singular_values == (0.0, 0.0, 0.0)
-        assert result.left == ComplexMatrix.identity(3)
-
-
 class TestAgainstLapack:
     """Cross-checks against numpy's LAPACK bindings (test-only dependency)."""
 
@@ -212,19 +179,10 @@ class TestAgainstLapack:
                 for a, b in zip(ours, theirs):
                     assert abs(a - b) <= 1e-10
 
-    def test_singular_values_match_numpy(self):
-        np = pytest.importorskip("numpy")
-        rng = random.Random(402)
-        for n in (2, 3, 4):
-            for _ in range(10):
-                a = random_matrix(rng, n)
-                ours = svd(a).singular_values
-                theirs = np.linalg.svd(np.array(a.to_rows()), compute_uv=False)
-                for x, y in zip(ours, theirs):
-                    assert abs(x - y) <= 1e-10
-
 
 class TestExpmTaylor:
+    """The series oracle in ``helpers`` that the closed forms are checked against."""
+
     def test_zero_matrix(self):
         assert expm_taylor(ComplexMatrix.zeros(2, 2), 30) == ComplexMatrix.identity(2)
 

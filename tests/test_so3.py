@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from blochiso.bloch import BlochVector
 from blochiso.errors import DomainError
-from blochiso.matrix import expm_taylor, max_abs_diff
+from blochiso.matrix import max_abs_diff
 from blochiso.sampling import axis_angle as random_axis_angle
 from blochiso.sampling import bloch_in_ball, unit_vector
 from blochiso.so3 import (
@@ -21,7 +21,7 @@ from blochiso.so3 import (
     orthogonality_deviation,
     rotation_from_axis_angle,
 )
-from helpers import rotation_as_cmatrix, rotation_generator
+from helpers import expm_taylor, rotation_as_cmatrix, rotation_generator
 
 Z = (0.0, 0.0, 1.0)
 QUARTER_TURN_Z = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))

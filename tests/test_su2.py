@@ -11,7 +11,6 @@ from blochiso.errors import DomainError
 from blochiso.matrix import (
     ComplexMatrix,
     adjoint,
-    expm_taylor,
     max_abs_diff,
     mul,
     scale,
@@ -31,7 +30,7 @@ from blochiso.su2 import (
     normalize_phase,
     unitary_from_axis_angle,
 )
-from helpers import pauli_generator
+from helpers import expm_taylor, pauli_generator
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
