@@ -63,12 +63,10 @@ from .matrix import (
     HermitianEigenResult,
     add,
     adjoint,
-    allclose,
     hermitian_eig,
     max_abs_diff,
     mul,
     scale,
-    sub,
     trace,
 )
 from .so3 import AxisAngle, Rotation3, axis_angle_from_rotation, rotation_from_axis_angle

@@ -396,6 +396,45 @@ def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
     return KrausSet((adjoint(classification.extracted_unitary),))
 
 
+def _bloch_columns(
+    operators: tuple[ComplexMatrix, ...], count: int
+) -> list[tuple[float, float, float]]:
+    """Columns (Tr(s_k Phi(X)) / 2 for k = x, y, z) of Phi(X) = sum_a A X A*.
+
+    X runs through s_x, s_y, s_z and I, the first ``count`` of them. A Pauli
+    matrix only permutes, negates or multiplies by +-i, so A X is read off
+    the entries of A. The four entries of (A X) A* are added, operator by
+    operator, into sums started at 0j, as the generic sum of products does.
+    Only operations on exact zeros are left out, and the 0j start makes
+    every exact zero +0.0, so each result is the generic one bit for bit,
+    zero signs included. The entries are quadratic in A, so A and -A give
+    the identical columns.
+    """
+    expanded = []
+    for op in operators:
+        a, b, c, d = op.entries
+        # A X for X = s_x, s_y, s_z, I, then the entries of A*.
+        times_x = ((b, a, d, c), (b * 1j, a * -1j, d * 1j, c * -1j), (a, -b, c, -d), (a, b, c, d))
+        expanded.append((times_x, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()))
+    columns = []
+    for j in range(count):
+        m00 = m01 = m10 = m11 = 0j
+        for times_x, ac, bc, cc, dc in expanded:
+            x0, x1, x2, x3 = times_x[j]
+            m00 += x0 * ac + x1 * bc
+            m01 += x0 * cc + x1 * dc
+            m10 += x2 * ac + x3 * bc
+            m11 += x2 * cc + x3 * dc
+        columns.append(
+            (
+                0.5 * (m01.real + m10.real),
+                0.5 * (m10.imag - m01.imag),
+                0.5 * (m00.real - m11.real),
+            )
+        )
+    return columns
+
+
 def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAction:
     """Affine description r -> M r + t of a channel on Bloch vectors.
 
@@ -410,16 +449,8 @@ def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAct
             f"(tp deviation {diagnostics.tp_deviation:.3e}, "
             f"choi min eigenvalue {diagnostics.choi_min_eigenvalue:.3e})"
         )
-    phi_of_identity = _apply_to_matrix(k, _I2)
-    translation = tuple(
-        0.5 * trace(mul(PAULIS[i], phi_of_identity)).real for i in range(3)
-    )
-    columns = []
-    for j in range(3):
-        phi_of_sigma = _apply_to_matrix(k, PAULIS[j])
-        columns.append([0.5 * trace(mul(PAULIS[i], phi_of_sigma)).real for i in range(3)])
-    matrix = tuple(tuple(columns[j][i] for j in range(3)) for i in range(3))
-    return BlochAffineAction(matrix, translation)  # type: ignore[arg-type]
+    *columns, translation = _bloch_columns(k.operators, 4)
+    return BlochAffineAction(tuple(zip(*columns)), translation)  # type: ignore[arg-type]
 
 
 def make_depolarizing(p: float) -> KrausSet:

@@ -79,7 +79,11 @@ def dumps(value: Any) -> str:
 
 
 def render_text(value: Any, indent: int = 0) -> str:
-    """Line-oriented rendering for --format text."""
+    """Line-oriented rendering for --format text.
+
+    A dict inside a list is a block of its own, its first line marked
+    ``- ``, so its values are rendered as every other value is.
+    """
     pad = "  " * indent
     if isinstance(value, dict):
         lines = []
@@ -91,7 +95,14 @@ def render_text(value: Any, indent: int = 0) -> str:
                 lines.append(f"{pad}{k}: {_inline(v)}")
         return "\n".join(lines)
     if isinstance(value, (list, tuple)):
-        return "\n".join(f"{pad}{_inline(v)}" for v in value)
+        lines = []
+        for v in value:
+            if isinstance(v, dict):
+                block = render_text(v, indent + 1)
+                lines.append(f"{pad}- {block[len(pad) + 2:]}")
+            else:
+                lines.append(f"{pad}{_inline(v)}")
+        return "\n".join(lines)
     return f"{pad}{_inline(value)}"
 
 

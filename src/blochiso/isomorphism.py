@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import so3, su2
 from .bloch import BlochVector, bloch_to_density
+from .channels import _bloch_columns
 from .errors import DomainError
 from .matrix import DEFAULT_TOL, ComplexMatrix, adjoint, max_abs_diff, mul
 from .so3 import AxisAngle, Rotation3
@@ -75,37 +76,13 @@ def phi(rot: Rotation3) -> Unitary2:
 
 
 def phi_inverse(u: Unitary2) -> Rotation3:
-    """Drop a special unitary to its rotation, R_kj = Tr(U s_j U* s_k) / 2.
+    """Drop a special unitary to its rotation, R_kj = Tr(s_k U s_j U*) / 2.
 
-    Closed 2x2 form of the trace formula: a Pauli matrix only permutes,
-    negates or multiplies by +-i, so U s_j is read off the entries of U, and
-    column j of R comes from the four entries m of (U s_j) U*. These are
-    the generic products' IEEE-754 operations less the terms that are exact
-    zeros, so the entries are those of the generic formula, bit for bit. They
-    are quadratic in U, so U and -U give the identical matrix, bit for bit.
+    The rotation is the Bloch action of the channel rho -> U rho U*: the
+    one-operator case of the channels' closed form, which is the generic
+    trace formula bit for bit and gives U and -U the identical matrix.
     """
-    a, b, c, d = u.matrix.entries
-    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    columns = []
-    for x0, x1, x2, x3 in (
-        (b, a, d, c),
-        (b * 1j, a * -1j, d * 1j, c * -1j),
-        (a, -b, c, -d),
-    ):
-        m00 = x0 * ac + x1 * bc
-        m01 = x0 * cc + x1 * dc
-        m10 = x2 * ac + x3 * bc
-        m11 = x2 * cc + x3 * dc
-        # Tr(m s_k) summed from 0.0, as the generic trace does, so an exact
-        # zero is always +0.0 and the result is bitwise the generic one.
-        columns.append(
-            (
-                0.5 * (0.0 + m01.real + m10.real),
-                0.5 * (0.0 - m01.imag + m10.imag),
-                0.5 * (0.0 + m00.real - m11.real),
-            )
-        )
-    return Rotation3(tuple(zip(*columns)))
+    return Rotation3(tuple(zip(*_bloch_columns((u.matrix,), 3))))
 
 
 def psi(u: Su2AlgebraElement) -> BlochVector:

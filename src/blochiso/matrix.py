@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import sqrt
-from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import DimensionError, DomainError
@@ -44,19 +43,6 @@ class ComplexMatrix:
         object.__setattr__(self, "entries", ents)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            raise DimensionError("matrix needs at least one row")
-        ncols = len(rows[0])
-        flat: list[complex] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise DimensionError("ragged rows")
-            flat.extend(row)
-        return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
         return cls(n, n, tuple(1.0 + 0j if i == j else 0j for i in range(n) for j in range(n)))
 
@@ -64,42 +50,14 @@ class ComplexMatrix:
     def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
         return cls(rows, cols, (0j,) * (rows * cols))
 
-    @classmethod
-    def column(cls, values: Iterable[complex]) -> "ComplexMatrix":
-        vals = tuple(complex(v) for v in values)
-        return cls(len(vals), 1, vals)
-
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[complex]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)
-        ]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def frobenius_norm(self) -> float:
         return sqrt(sum(e.real * e.real + e.imag * e.imag for e in self.entries))
-
-    def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        return add(self, other)
-
-    def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        return sub(self, other)
-
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        return mul(self, other)
-
-    def __mul__(self, z: complex) -> "ComplexMatrix":
-        return scale(self, z)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
 
 @dataclass(frozen=True)
 class HermitianEigenResult:
@@ -121,11 +79,6 @@ def _require_same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:
 def add(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     _require_same_shape(a, b)
     return ComplexMatrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
-
-
-def sub(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    _require_same_shape(a, b)
-    return ComplexMatrix(a.rows, a.cols, tuple(x - y for x, y in zip(a.entries, b.entries)))
 
 
 def scale(a: ComplexMatrix, z: complex) -> ComplexMatrix:
@@ -156,10 +109,6 @@ def trace(a: ComplexMatrix) -> complex:
 def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
     _require_same_shape(a, b)
     return max(abs(x - y) for x, y in zip(a.entries, b.entries))
-
-
-def allclose(a: ComplexMatrix, b: ComplexMatrix, tol: float = DEFAULT_TOL) -> bool:
-    return max_abs_diff(a, b) <= tol
 
 
 def hermitian_deviation(a: ComplexMatrix) -> float:

@@ -40,11 +40,6 @@ def bloch_in_ball(rng: random.Random, max_norm: float = 1.0) -> BlochVector:
     return BlochVector(r * d[0], r * d[1], r * d[2])
 
 
-def bloch_on_sphere(rng: random.Random) -> BlochVector:
-    d = unit_vector(rng)
-    return BlochVector(*d)
-
-
 def axis_angle(rng: random.Random, max_angle: float = 2.0 * pi) -> AxisAngle:
     """Uniform axis and uniform angle in [0, max_angle)."""
     return AxisAngle(unit_vector(rng), max_angle * rng.random())

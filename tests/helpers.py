@@ -9,7 +9,7 @@ import random
 from math import cos, pi, sin, sqrt
 from pathlib import Path
 
-from blochiso.channels import KrausSet
+from blochiso.channels import BlochAffineAction, KrausSet, _apply_to_matrix
 from blochiso.cli import main as cli_main
 from blochiso.errors import DimensionError, DomainError
 from blochiso.matrix import (
@@ -23,12 +23,32 @@ from blochiso.matrix import (
     trace,
 )
 
+
+def from_rows(rows) -> ComplexMatrix:
+    """Matrix from a list of equal-length rows."""
+    nrows = len(rows)
+    if nrows == 0:
+        raise DimensionError("matrix needs at least one row")
+    ncols = len(rows[0])
+    flat: list[complex] = []
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionError("ragged rows")
+        flat.extend(row)
+    return ComplexMatrix(nrows, ncols, tuple(flat))
+
+
+def to_rows(m: ComplexMatrix) -> list[list[complex]]:
+    """The entries of ``m`` as a list of rows."""
+    return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
 # Rotation generators (tau_l)_jk = -i eps_jkl, used only to drive the
 # series-exponential oracle for the closed-form rotation matrix.
 TAU = (
-    ComplexMatrix.from_rows([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]),
-    ComplexMatrix.from_rows([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]]),
-    ComplexMatrix.from_rows([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]),
+    from_rows([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]),
+    from_rows([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]]),
+    from_rows([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]),
 )
 
 
@@ -84,6 +104,23 @@ def phi_inverse_generic(u) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
+    """M_kj = Tr(s_k Phi(s_j)) / 2 and t_k = Tr(s_k Phi(I)) / 2 through
+    generic matrix products, for a set already known to be CPTP."""
+    from blochiso.bloch import PAULIS
+
+    phi_of_identity = _apply_to_matrix(k, ComplexMatrix.identity(2))
+    translation = tuple(
+        0.5 * trace(mul(PAULIS[i], phi_of_identity)).real for i in range(3)
+    )
+    columns = []
+    for j in range(3):
+        phi_of_sigma = _apply_to_matrix(k, PAULIS[j])
+        columns.append([0.5 * trace(mul(PAULIS[i], phi_of_sigma)).real for i in range(3)])
+    matrix = tuple(tuple(columns[j][i] for j in range(3)) for i in range(3))
+    return BlochAffineAction(matrix, translation)  # type: ignore[arg-type]
+
+
 def unitarity_deviation_generic(m: ComplexMatrix) -> float:
     """Largest entrywise deviation of M* M from the identity."""
     return max_abs_diff(mul(adjoint(m), m), ComplexMatrix.identity(m.rows))
@@ -106,7 +143,7 @@ def orthogonality_deviation_generic(m) -> float:
 
 
 def rotation_as_cmatrix(rot) -> ComplexMatrix:
-    return ComplexMatrix.from_rows([[complex(x) for x in row] for row in rot.matrix])
+    return from_rows([[complex(x) for x in row] for row in rot.matrix])
 
 
 def random_hermitian(rng: random.Random, n: int) -> ComplexMatrix:
@@ -140,6 +177,16 @@ def random_cptp_kraus(rng: random.Random, count: int) -> KrausSet:
     )
     s_inv_root = mul(mul(eig.eigenvectors, inv_root_diag), adjoint(eig.eigenvectors))
     return KrausSet(tuple(mul(g, s_inv_root) for g in blocks))
+
+
+def amplitude_damping(g: float) -> KrausSet:
+    """Decay |1> -> |0> with probability g: sqrt(1 - g) on |1><1|, sqrt(g) on |0><1|."""
+    return KrausSet(
+        (
+            from_rows([[1, 0], [0, sqrt(1 - g)]]),
+            from_rows([[0, sqrt(g)], [0, 0]]),
+        )
+    )
 
 
 def remix_kraus(rng_unitary: ComplexMatrix, k: KrausSet) -> KrausSet:
@@ -180,6 +227,9 @@ GOLDEN_CASES = [
     ("classify_identity.json", ["classify", "kraus_identity.json"]),
     ("classify_depolarizing_half.json", ["classify", "kraus_depolarizing_half.json"]),
     ("classify_scaled_identity.json", ["classify", "kraus_scaled_identity.json"]),
+    ("bloch_action_unitary_tilted.json", ["bloch-action", "kraus_unitary_tilted.json"]),
+    ("bloch_action_depolarizing_half.json", ["bloch-action", "kraus_depolarizing_half.json"]),
+    ("bloch_action_damping.json", ["bloch-action", "kraus_damping.json"]),
 ]
 
 
@@ -194,6 +244,10 @@ def build_golden_inputs() -> dict[str, str]:
     s = sin(pi / 4)
     root_main = sqrt(0.625)
     root_pauli = sqrt(0.125)
+    # exp(-i (pi/3) n . sigma) = cos(pi/3) I - i sin(pi/3) n . sigma about
+    # the tilted axis n = (1, 2, 2) / 3; (sx, sy, sz) is sin(pi/3) n.
+    half_cos = cos(pi / 3)
+    sx, sy, sz = (sin(pi / 3) * x / 3 for x in (1, 2, 2))
     return {
         "bloch_north.json": _golden_doc("bloch", {"vector": [0, 0, 1]}),
         "unitary_quarter_z.json": _golden_doc(
@@ -218,6 +272,24 @@ def build_golden_inputs() -> dict[str, str]:
         ),
         "kraus_scaled_identity.json": _golden_doc(
             "kraus", {"operators": [[[[2, 0], [0, 0]], [[0, 0], [2, 0]]]]}
+        ),
+        "kraus_unitary_tilted.json": _golden_doc(
+            "kraus",
+            {
+                "operators": [
+                    [[[half_cos, -sz], [-sy, -sx]], [[sy, -sx], [half_cos, sz]]],
+                ]
+            },
+        ),
+        # Amplitude damping at gamma = 0.36: sqrt(1 - gamma) = 0.8, sqrt(gamma) = 0.6.
+        "kraus_damping.json": _golden_doc(
+            "kraus",
+            {
+                "operators": [
+                    [[[1, 0], [0, 0]], [[0, 0], [0.8, 0]]],
+                    [[[0, 0], [0.6, 0]], [[0, 0], [0, 0]]],
+                ]
+            },
         ),
     }
 

@@ -20,8 +20,9 @@ from blochiso.bloch import (
     purity,
 )
 from blochiso.errors import DomainError, NonStateError
-from blochiso.matrix import ComplexMatrix, max_abs_diff
+from blochiso.matrix import max_abs_diff
 from blochiso.sampling import bloch_in_ball
+from helpers import from_rows, to_rows
 
 
 def vec(x1, x2, x3):
@@ -93,15 +94,15 @@ class TestPureStates:
 class TestDensity:
     def test_north_pole_projector(self):
         rho = bloch_to_density(vec(0, 0, 1))
-        assert rho.matrix.to_rows() == [[1, 0], [0, 0]]
+        assert to_rows(rho.matrix) == [[1, 0], [0, 0]]
 
     def test_maximally_mixed(self):
         rho = bloch_to_density(vec(0, 0, 0))
-        assert rho.matrix.to_rows() == [[0.5, 0], [0, 0.5]]
+        assert to_rows(rho.matrix) == [[0.5, 0], [0, 0.5]]
 
     def test_x_pole(self):
         rho = bloch_to_density(vec(1, 0, 0))
-        assert rho.matrix.to_rows() == [[0.5, 0.5], [0.5, 0.5]]
+        assert to_rows(rho.matrix) == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_rejects_outside_ball(self):
         with pytest.raises(NonStateError):
@@ -126,11 +127,11 @@ class TestDensity:
 
     def test_invariant_validation(self):
         with pytest.raises(NonStateError):
-            DensityOperator(ComplexMatrix.from_rows([[1, 0], [0, 1]]))  # trace 2
+            DensityOperator(from_rows([[1, 0], [0, 1]]))  # trace 2
         with pytest.raises(NonStateError):
-            DensityOperator(ComplexMatrix.from_rows([[1.5, 0], [0, -0.5]]))  # not PSD
+            DensityOperator(from_rows([[1.5, 0], [0, -0.5]]))  # not PSD
         with pytest.raises(NonStateError):
-            DensityOperator(ComplexMatrix.from_rows([[0.5, 0.5], [0.1, 0.5]]))  # not Hermitian
+            DensityOperator(from_rows([[0.5, 0.5], [0.1, 0.5]]))  # not Hermitian
 
     @given(
         st.tuples(

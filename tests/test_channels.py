@@ -8,6 +8,7 @@ import pytest
 from blochiso.bloch import PAULIS, bloch_to_density, density_to_bloch
 from blochiso.channels import (
     ChannelKind,
+    ChoiMatrix,
     KrausSet,
     apply_channel,
     bloch_affine_action,
@@ -26,7 +27,16 @@ from blochiso.errors import (
     NotInvertibleError,
     NotUnitaryConjugationError,
 )
-from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, mul, scale, trace
+from blochiso.matrix import (
+    ComplexMatrix,
+    add,
+    adjoint,
+    hermitian_eig,
+    max_abs_diff,
+    mul,
+    scale,
+    trace,
+)
 from blochiso.sampling import (
     axis_angle as random_axis_angle,
     density as random_density,
@@ -36,7 +46,7 @@ from blochiso.sampling import (
 )
 from blochiso.so3 import AxisAngle
 from blochiso.su2 import conjugate, unitary_from_axis_angle
-from helpers import phase_aligned_diff, random_cptp_kraus, remix_kraus
+from helpers import amplitude_damping, from_rows, phase_aligned_diff, random_cptp_kraus, remix_kraus
 
 I2 = ComplexMatrix.identity(2)
 Z = (0.0, 0.0, 1.0)
@@ -44,15 +54,6 @@ X = (1.0, 0.0, 0.0)
 
 IDENTITY_SET = KrausSet((I2,))
 BIT_FLIP = KrausSet((scale(I2, sqrt(0.5)), scale(PAULIS[0], sqrt(0.5))))
-
-
-def amplitude_damping(g: float) -> KrausSet:
-    return KrausSet(
-        (
-            ComplexMatrix.from_rows([[1, 0], [0, sqrt(1 - g)]]),
-            ComplexMatrix.from_rows([[0, sqrt(g)], [0, 0]]),
-        )
-    )
 
 
 def large_non_tp_sets():
@@ -118,7 +119,7 @@ class TestApply:
 class TestChoi:
     def test_identity_channel_choi(self):
         j = choi_of(IDENTITY_SET)
-        expected = ComplexMatrix.from_rows(
+        expected = from_rows(
             [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]
         )
         assert max_abs_diff(j.matrix, expected) == 0.0
@@ -395,6 +396,42 @@ class TestAffineAction:
             bloch_affine_action(KrausSet((scale(I2, 2.0),)))
 
 
+class TestReversibilityTraps:
+    """Where purity preservation alone would mislead, the Bloch action answers."""
+
+    def test_full_damping_keeps_purity_but_is_not_reversible(self):
+        k = amplitude_damping(1.0)
+        verdict = classify(k)
+        assert verdict.kind is ChannelKind.CPTP_NOT_INVERTIBLE
+        assert verdict.choi_rank == 2
+        # Every state goes to |0>, so pure states stay pure, but the map is a
+        # constant, not an isometry.
+        action = bloch_affine_action(k)
+        assert action.matrix == ((0.0, 0.0, 0.0),) * 3
+        assert action.translation == (0.0, 0.0, 1.0)
+
+    def test_transpose_is_not_completely_positive(self):
+        def transpose(m):
+            return ComplexMatrix(2, 2, (m.at(0, 0), m.at(1, 0), m.at(0, 1), m.at(1, 1)))
+
+        # rho -> rho^T is invertible and keeps purity, but reflects the Bloch ball.
+        reflection = [
+            [0.5 * trace(mul(PAULIS[i], transpose(PAULIS[j]))).real for j in range(3)]
+            for i in range(3)
+        ]
+        assert reflection == [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+        # Its Choi matrix sum_ij E_ji (x) E_ij is the swap, which has eigenvalue -1.
+        swap = ComplexMatrix(
+            4,
+            4,
+            tuple(1.0 + 0j if c == 2 * (r % 2) + r // 2 else 0j for r in range(4) for c in range(4)),
+        )
+        with pytest.raises(InvalidChannelError, match="positive semidefinite"):
+            ChoiMatrix(swap)
+        eigenvalues = hermitian_eig(swap).eigenvalues
+        assert max(abs(a - b) for a, b in zip(eigenvalues, (1.0, 1.0, 1.0, -1.0))) <= 1e-12
+
+
 class TestDepolarizing:
     def test_unit_parameter_collapses_to_identity(self):
         k = make_depolarizing(1.0)
@@ -412,7 +449,7 @@ class TestDepolarizing:
         for _ in range(10):
             rho = random_density(rng)
             out = apply_channel(k, rho)
-            expected = scale(rho.matrix, p) + scale(I2, (1 - p) / 2)
+            expected = add(scale(rho.matrix, p), scale(I2, (1 - p) / 2))
             assert max_abs_diff(out.matrix, expected) <= 1e-12
 
     def test_rejects_out_of_range(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -282,6 +283,15 @@ class TestClassify:
         assert json.loads(out)["error"]["code"] == "malformed_input"
 
 
+# SHA-256 of `blochiso verify <mode> --samples 1000 --seed 42` stdout.
+SEEDED_DIGESTS = {
+    "diagram": "b325f42f87d65baee9456ce598377e6225f7e8e959f72af24849ece56b382798",
+    "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
+    "group": "01b75ee0efa33068e81dbeb39a1f9be7870a987322bef4809f63aea9f836ce6d",
+    "inverse-pair": "02f36820f9215d9bc9791b7bf8531099c55caeec6d33f59a01979716ac370ad1",
+}
+
+
 class TestVerify:
     def test_diagram_passes(self):
         code, out = run_cli(["verify", "diagram", "--samples", "50", "--seed", "7"])
@@ -366,6 +376,12 @@ class TestVerify:
         _, a = run_cli(["verify", "diagram", "--samples", "25", "--seed", "11"])
         _, b = run_cli(["verify", "diagram", "--samples", "25", "--seed", "12"])
         assert a != b
+
+    @pytest.mark.parametrize("mode", SEEDED_DIGESTS)
+    def test_seeded_report_bytes(self, mode):
+        code, out = run_cli(["verify", mode, "--samples", "1000", "--seed", "42"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEEDED_DIGESTS[mode]
 
 
 class TestArguments:
@@ -549,6 +565,13 @@ class TestThinDispatcher:
         assert doc["kind"] == direct.kind.value
 
 
+def as_text(value):
+    """A JSON scalar as the text report prints it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".17g")
+
+
 class TestTextFormat:
     def test_convert_text(self, tmp_path):
         path = write_doc(tmp_path, "in.json", "bloch", {"vector": [0, 0, 1]})
@@ -562,6 +585,28 @@ class TestTextFormat:
         )
         assert code == 0
         assert "kind: UnitaryConjugation" in out
+
+    @pytest.mark.parametrize("mode", ["group", "inverse-pair"])
+    def test_verify_cases_render_as_blocks(self, mode):
+        argv = ["verify", mode, "--samples", "2", "--seed", "7"]
+        report = json.loads(run_cli(argv)[1])
+        code, out = run_cli([*argv, "--format", "text"])
+        assert code == 0
+        lines = out.splitlines()
+        expected = []
+        for case in report["cases"]:
+            block = []
+            for key, value in case.items():
+                if key == "alpha":
+                    block.append("alpha:")
+                    for row in value:
+                        pairs = ", ".join(f"[{as_text(re)}, {as_text(im)}]" for re, im in row)
+                        block.append(f"  [{pairs}]")
+                else:
+                    block.append(f"{key}: {as_text(value)}")
+            expected += [f"  - {block[0]}"] + [f"    {line}" for line in block[1:]]
+        assert lines[lines.index("cases:") + 1 :] == expected
+        assert "True" not in out and "{" not in out
 
     def test_text_is_deterministic(self, tmp_path):
         path = write_doc(tmp_path, "in.json", "bloch", {"vector": [0.1, 0.2, 0.3]})

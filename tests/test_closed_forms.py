@@ -1,10 +1,11 @@
 """The closed 2x2 and 3x3 forms give the generic products' answers exactly.
 
-``phi_inverse``, ``unitarity_deviation`` and ``orthogonality_deviation``
-perform the IEEE-754 operations of the generic matmul and sum formulas in
-``helpers`` less the terms that are exact zeros, so their results equal the
-oracles' (``phi_inverse`` bit for bit). The matmul counts are exact, so they
-gate regressions without timing noise.
+``bloch_affine_action`` (and ``phi_inverse``, its one-operator case),
+``unitarity_deviation`` and ``orthogonality_deviation`` perform the IEEE-754
+operations of the generic matmul and sum formulas in ``helpers`` less the
+terms that are exact zeros, so their results equal the oracles' (the Bloch
+action bit for bit). The matmul counts are exact, so they gate regressions
+without timing noise.
 """
 
 import random
@@ -14,14 +15,15 @@ from math import pi
 import pytest
 
 import blochiso._kernels
-from blochiso.bloch import BlochVector
-from blochiso.channels import bloch_affine_action, make_depolarizing
+from blochiso.channels import KrausSet, bloch_affine_action, make_depolarizing
 from blochiso.isomorphism import phi_inverse, verify_state_diagram
 from blochiso.matrix import ComplexMatrix
-from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar
+from blochiso.sampling import axis_angle, bloch_in_ball, redundant_unitary_kraus, su2_haar
 from blochiso.so3 import AxisAngle, orthogonality_deviation
 from blochiso.su2 import Unitary2, negate, unitarity_deviation, unitary_from_axis_angle
 from helpers import (
+    amplitude_damping,
+    bloch_affine_action_generic,
     orthogonality_deviation_generic,
     phi_inverse_generic,
     random_cptp_kraus,
@@ -51,6 +53,18 @@ def bits(rows) -> bytes:
     return struct.pack("9d", *(x for row in rows for x in row))
 
 
+def channel_sets() -> list[KrausSet]:
+    """One-operator Haar and edge sets, redundant unitary, random, depolarizing
+    and damping sets."""
+    rng = random.Random(20254)
+    sets = [KrausSet((su2_haar(rng).matrix,)) for _ in range(2000)]
+    sets += [KrausSet((u.matrix,)) for u in edge_unitaries()]
+    sets += [redundant_unitary_kraus(rng, 2 + rng.randrange(3))[0] for _ in range(500)]
+    sets += [random_cptp_kraus(rng, 1 + rng.randrange(4)) for _ in range(500)]
+    sets += [make_depolarizing(p) for p in (0.0, 0.2, 0.5, 1.0)]
+    return sets + [amplitude_damping(g) for g in (0.0, 0.3, 1.0)]
+
+
 @pytest.fixture(scope="module")
 def unitaries():
     return sampled_unitaries()
@@ -61,6 +75,14 @@ class TestMatchesGenericFormulas:
         for u in unitaries:
             # Both sum each trace from 0.0, so even the zeros' signs agree.
             assert bits(phi_inverse(u).matrix) == bits(phi_inverse_generic(u))
+
+    def test_bloch_affine_action(self):
+        sets = channel_sets()
+        assert len(sets) == 3069
+        for k in sets:
+            got, want = bloch_affine_action(k), bloch_affine_action_generic(k)
+            assert bits(got.matrix) == bits(want.matrix)
+            assert struct.pack("3d", *got.translation) == struct.pack("3d", *want.translation)
 
     def test_unitarity_deviation_on_unitaries(self, unitaries):
         for u in unitaries:
@@ -119,6 +141,22 @@ class TestMatmulCounts:
         entries = su2_haar(random.Random(4)).matrix.entries
         Unitary2(ComplexMatrix(2, 2, entries))
         assert matmuls == []
+
+    def test_bloch_affine_action_makes_only_the_tp_check(self, matmuls, monkeypatch):
+        eigensolves = []
+        kernel = blochiso._kernels.jacobi_hermitian
+
+        def counted(n, a):
+            eigensolves.append(n)
+            return kernel(n, a)
+
+        monkeypatch.setattr(blochiso._kernels, "jacobi_hermitian", counted)
+        k = make_depolarizing(0.5)
+        matmuls.clear()
+        bloch_affine_action(k)
+        # A* A for each of the four operators; the Choi spectrum is one 4x4 solve.
+        assert matmuls == [(2, 2, 2)] * 4
+        assert eigensolves == [4]
 
     def test_state_diagram_makes_two(self, matmuls):
         rng = random.Random(5)

@@ -10,7 +10,6 @@ import hashlib
 import io
 import json
 import random
-from math import sqrt
 
 import pytest
 
@@ -29,7 +28,7 @@ from blochiso.channels import (
 from blochiso.cli import main
 from blochiso.matrix import ComplexMatrix, hermitian_eig, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
-from helpers import random_cptp_kraus
+from helpers import amplitude_damping, random_cptp_kraus
 
 I2 = ComplexMatrix.identity(2)
 
@@ -46,15 +45,6 @@ def eigensolves(monkeypatch):
 
     monkeypatch.setattr(blochiso._kernels, "jacobi_hermitian", counted)
     return sizes
-
-
-def amplitude_damping(g: float) -> KrausSet:
-    return KrausSet(
-        (
-            ComplexMatrix.from_rows([[1, 0], [0, sqrt(1 - g)]]),
-            ComplexMatrix.from_rows([[0, sqrt(g)], [0, 0]]),
-        )
-    )
 
 
 def kraus_doc(tmp_path, k: KrausSet) -> str:

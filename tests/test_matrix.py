@@ -17,12 +17,11 @@ from blochiso.matrix import (
     max_abs_diff,
     mul,
     scale,
-    sub,
     trace,
 )
-from helpers import expm_taylor, random_hermitian, random_matrix
+from helpers import expm_taylor, from_rows, random_hermitian, random_matrix, to_rows
 
-SIGMA_X = ComplexMatrix.from_rows([[0, 1], [1, 0]])
+SIGMA_X = from_rows([[0, 1], [1, 0]])
 
 
 def diag(*values):
@@ -42,14 +41,13 @@ class TestAlgebra:
         assert trace(ComplexMatrix.identity(2)) == 2 + 0j
 
     def test_add_sub_scale(self):
-        a = ComplexMatrix.from_rows([[1, 2], [3, 4]])
-        b = ComplexMatrix.from_rows([[5, 6], [7, 8]])
-        assert add(a, b).to_rows() == [[6, 8], [10, 12]]
-        assert sub(b, a).to_rows() == [[4, 4], [4, 4]]
+        a = from_rows([[1, 2], [3, 4]])
+        b = from_rows([[5, 6], [7, 8]])
+        assert to_rows(add(a, b)) == [[6, 8], [10, 12]]
         assert scale(a, 2j).at(1, 1) == 8j
 
     def test_mul_known(self):
-        assert mul(SIGMA_X, SIGMA_X).to_rows() == ComplexMatrix.identity(2).to_rows()
+        assert to_rows(mul(SIGMA_X, SIGMA_X)) == to_rows(ComplexMatrix.identity(2))
 
     def test_adjoint_involution(self):
         rng = random.Random(5)
@@ -67,14 +65,6 @@ class TestAlgebra:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             ComplexMatrix(1, 1, (complex(float("nan"), 0),))
-
-    def test_operators(self):
-        a = ComplexMatrix.from_rows([[1, 0], [0, 1]])
-        assert (a + a).at(0, 0) == 2
-        assert (a - a).at(0, 0) == 0
-        assert (2.0 * a).at(1, 1) == 2
-        assert (a @ a) == a
-        assert (-a).at(0, 0) == -1
 
     @given(
         st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
@@ -156,7 +146,7 @@ class TestHermitianEig:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
-            hermitian_eig(ComplexMatrix.from_rows([[0, 1], [2, 0]]))
+            hermitian_eig(from_rows([[0, 1], [2, 0]]))
 
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):
@@ -174,7 +164,7 @@ class TestAgainstLapack:
                 h = random_hermitian(rng, n)
                 ours = hermitian_eig(h).eigenvalues
                 theirs = sorted(
-                    np.linalg.eigvalsh(np.array(h.to_rows())), reverse=True
+                    np.linalg.eigvalsh(np.array(to_rows(h))), reverse=True
                 )
                 for a, b in zip(ours, theirs):
                     assert abs(a - b) <= 1e-10

@@ -30,7 +30,7 @@ from blochiso.su2 import (
     normalize_phase,
     unitary_from_axis_angle,
 )
-from helpers import expm_taylor, pauli_generator
+from helpers import expm_taylor, from_rows, pauli_generator
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -40,7 +40,7 @@ I2 = ComplexMatrix.identity(2)
 class TestTypes:
     def test_rejects_nonunitary(self):
         with pytest.raises(DomainError):
-            Unitary2(ComplexMatrix.from_rows([[1, 0], [0, 2]]))
+            Unitary2(from_rows([[1, 0], [0, 2]]))
 
     def test_rejects_phased_determinant(self):
         phased = scale(I2, cmath.exp(0.3j))
@@ -55,7 +55,7 @@ class TestTypes:
 
     def test_normalize_phase_rejects_nonunitary(self):
         with pytest.raises(DomainError):
-            normalize_phase(ComplexMatrix.from_rows([[1, 0], [0, 2]]))
+            normalize_phase(from_rows([[1, 0], [0, 2]]))
 
 
 class TestClosedForm:
@@ -112,7 +112,7 @@ class TestLogarithm:
 
     def test_quarter_turn_worked_example(self):
         u = Unitary2(
-            ComplexMatrix.from_rows(
+            from_rows(
                 [[cmath.exp(-0.25j * pi), 0], [0, cmath.exp(0.25j * pi)]]
             )
         )
