@@ -9,6 +9,7 @@ representation of such a channel to that unitary constructively.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass, field
 from enum import Enum
 from math import sqrt
@@ -33,6 +34,7 @@ from .matrix import (
     scale,
     trace,
 )
+from .su2 import unitarity_deviation
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
 #: contribute nothing to the channel and break proportionality diagnostics.
@@ -42,6 +44,46 @@ ZERO_OPERATOR_NORM = 1e-12
 RANK_RELATIVE_THRESHOLD = 1e-7
 
 _I2 = ComplexMatrix.identity(2)
+
+
+# Closed 2x2 forms over row-major entry tuples: the generic adjoint, mul,
+# trace, scale and max_abs_diff operations in the same order, so the values
+# are the generic ones bit for bit and a non-finite entry raises as there.
+
+
+def _adjoint2(x: tuple[complex, ...]) -> tuple[complex, ...]:
+    a, b, c, d = x
+    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+
+
+def _mul2(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Entries of x y, each summed from 0j as ``_kernels.matmul`` sums them."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        0j + x0 * y0 + x1 * y2,
+        0j + x0 * y1 + x1 * y3,
+        0j + x2 * y0 + x3 * y2,
+        0j + x2 * y1 + x3 * y3,
+    )
+
+
+def _require_finite(*entries: complex) -> None:
+    for e in entries:
+        if not isfinite(e):
+            raise DomainError("matrix entries must be finite")
+
+
+def _proportionality(prod: tuple[complex, ...]) -> tuple[complex, float]:
+    """coeff = Tr(P) / 2 of a 2x2 product P, and max |P - coeff I|.
+
+    Sums never turn a non-finite entry finite, so checking the off-diagonal
+    entries and coeff covers every value the generic chain checks.
+    """
+    p0, p1, p2, p3 = prod
+    coeff = (p0 + p3) / 2.0
+    _require_finite(p1, p2, coeff)
+    return coeff, max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
 
 
 @dataclass(frozen=True)
@@ -73,10 +115,12 @@ class KrausSet:
 
     def tp_deviation(self) -> float:
         """Largest entrywise deviation of sum A* A from the identity."""
-        acc = ComplexMatrix.zeros(2, 2)
+        s0 = s1 = s2 = s3 = 0j
         for op in self.operators:
-            acc = add(acc, mul(adjoint(op), op))
-        return max_abs_diff(acc, _I2)
+            p0, p1, p2, p3 = _mul2(_adjoint2(op.entries), op.entries)
+            s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
+        _require_finite(s0, s1, s2, s3)
+        return max(abs(s0 - 1.0), abs(s1), abs(s2), abs(s3 - 1.0))
 
 
 @dataclass(frozen=True)
@@ -110,11 +154,8 @@ class ChoiMatrix:
 
     def tp_deviation(self) -> float:
         """Deviation of the partial trace over the output factor from I."""
-        reduced = [
-            sum(self.matrix.at(2 * k + i, 2 * k + j) for k in range(2))
-            for i in range(2)
-            for j in range(2)
-        ]
+        m = self.matrix
+        reduced = [m.at(i, j) + m.at(2 + i, 2 + j) for i in range(2) for j in range(2)]
         return max_abs_diff(ComplexMatrix(2, 2, tuple(reduced)), _I2)
 
     def rank(self, relative_threshold: float = RANK_RELATIVE_THRESHOLD) -> int:
@@ -297,11 +338,9 @@ def extract_unitary_via_gram(
     worst_pair = (0, 0)
     worst_residual = 0.0
     for a_prime in range(count):
-        left = adjoint(ops[a_prime])
+        left = _adjoint2(ops[a_prime].entries)
         for a in range(count):
-            prod = mul(left, ops[a])
-            coeff = trace(prod) / 2.0
-            residual = max_abs_diff(prod, scale(_I2, coeff))
+            coeff, residual = _proportionality(_mul2(left, ops[a].entries))
             if residual > worst_residual:
                 worst_residual = residual
                 worst_pair = (a_prime, a)
@@ -328,13 +367,16 @@ def extract_unitary_via_gram(
     for c in range(count):
         if gamma[c] <= RANK_RELATIVE_THRESHOLD * gamma[0]:
             break
-        combo = ComplexMatrix.zeros(2, 2)
+        s0 = s1 = s2 = s3 = 0j
         for a in range(count):
-            combo = add(combo, scale(ops[a], mixing.at(a, c)))
-        candidates.append(scale(combo, 1.0 / sqrt(gamma[c])))
+            x0, x1, x2, x3 = ops[a].entries
+            v = mixing.at(a, c)
+            s0, s1, s2, s3 = s0 + x0 * v, s1 + x1 * v, s2 + x2 * v, s3 + x3 * v
+        norm = 1.0 / sqrt(gamma[c])
+        candidates.append(ComplexMatrix(2, 2, (s0 * norm, s1 * norm, s2 * norm, s3 * norm)))
 
     unitary = candidates[0]
-    dev = max_abs_diff(mul(adjoint(unitary), unitary), _I2)
+    dev = unitarity_deviation(unitary)
     if dev > max(tol, 1e-7):
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
@@ -372,10 +414,9 @@ def verify_inverse_pair(
     max_residual = 0.0
     square_sum = 0.0
     for b in range(n_inv):
+        left = k_inv.operators[b].entries
         for a in range(n_fwd):
-            prod = mul(k_inv.operators[b], k_fwd.operators[a])
-            coeff = trace(prod) / 2.0
-            residual = max_abs_diff(prod, scale(_I2, coeff))
+            coeff, residual = _proportionality(_mul2(left, k_fwd.operators[a].entries))
             max_residual = max(max_residual, residual)
             alpha_entries[b * n_fwd + a] = coeff
             square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag

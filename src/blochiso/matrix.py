@@ -57,7 +57,10 @@ class ComplexMatrix:
         return self.rows == self.cols
 
     def frobenius_norm(self) -> float:
-        return sqrt(sum(e.real * e.real + e.imag * e.imag for e in self.entries))
+        total = 0.0  # left to right on every Python version, unlike sum()
+        for e in self.entries:
+            total += e.real * e.real + e.imag * e.imag
+        return sqrt(total)
 
 @dataclass(frozen=True)
 class HermitianEigenResult:

@@ -2,7 +2,8 @@
 
 Every draw reduces to ``random.Random.random()`` so a fixed seed reproduces
 the identical stream on any platform; this is what makes the CLI's sampled
-verification reports byte-stable.
+verification reports byte-stable. Sums are explicit left-to-right loops:
+built-in ``sum`` compensates float rounding from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def density(rng: random.Random) -> DensityOperator:
 def probability_vector(rng: random.Random, count: int, floor: float = 0.1) -> tuple[float, ...]:
     """Strictly positive weights summing to one."""
     raw = [floor + rng.random() for _ in range(count)]
-    total = sum(raw)
+    total = 0.0
+    for w in raw:
+        total += w
     return tuple(w / total for w in raw)
 
 
@@ -81,10 +84,15 @@ def mixing_unitary(rng: random.Random, n: int) -> ComplexMatrix:
             v = [complex(gaussian(rng), gaussian(rng)) for _ in range(n)]
             for _pass in range(2):
                 for u in cols:
-                    overlap = sum(u[i].conjugate() * v[i] for i in range(n))
+                    overlap = 0j
+                    for i in range(n):
+                        overlap += u[i].conjugate() * v[i]
                     for i in range(n):
                         v[i] -= overlap * u[i]
-            nrm = sqrt(sum(e.real * e.real + e.imag * e.imag for e in v))
+            nrm = 0.0
+            for e in v:
+                nrm += e.real * e.real + e.imag * e.imag
+            nrm = sqrt(nrm)
             if nrm > 1e-6:
                 cols.append([e / nrm for e in v])
                 break

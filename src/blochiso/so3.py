@@ -156,18 +156,17 @@ def axis_angle_from_rotation(rot: Rotation3) -> AxisAngle:
     return AxisAngle((axis[0] / nrm, axis[1] / nrm, axis[2] / nrm), angle)
 
 
+def _dot3(u, v) -> float:
+    """Summed left to right from 0.0, as built-in ``sum`` did before Python
+    3.12 compensated its rounding, so results are the same on every version."""
+    return 0.0 + u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def compose(ra: Rotation3, rb: Rotation3) -> Rotation3:
-    a, b = ra.matrix, rb.matrix
-    return Rotation3(
-        tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-    )
+    columns = tuple(zip(*rb.matrix))
+    return Rotation3(tuple(tuple(_dot3(row, col) for col in columns) for row in ra.matrix))
 
 
 def apply(rot: Rotation3, r: BlochVector) -> BlochVector:
-    m = rot.matrix
     v = r.as_tuple()
-    out = [sum(m[i][k] * v[k] for k in range(3)) for i in range(3)]
-    return BlochVector(out[0], out[1], out[2])
+    return BlochVector(*(_dot3(row, v) for row in rot.matrix))

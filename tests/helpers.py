@@ -9,10 +9,19 @@ import random
 from math import cos, pi, sin, sqrt
 from pathlib import Path
 
-from blochiso.channels import BlochAffineAction, KrausSet, _apply_to_matrix
+from blochiso.channels import (
+    RANK_RELATIVE_THRESHOLD,
+    BlochAffineAction,
+    GramData,
+    InversePairReport,
+    KrausSet,
+    _apply_to_matrix,
+    _pin_phase,
+)
 from blochiso.cli import main as cli_main
-from blochiso.errors import DimensionError, DomainError
+from blochiso.errors import DimensionError, DomainError, NotUnitaryConjugationError
 from blochiso.matrix import (
+    DEFAULT_TOL,
     ComplexMatrix,
     add,
     adjoint,
@@ -88,7 +97,7 @@ def expm_taylor(m: ComplexMatrix, terms: int) -> ComplexMatrix:
     return acc
 
 
-# Generic-product oracles for the closed forms in isomorphism, su2 and so3.
+# Generic-product oracles for the closed forms in channels, su2 and so3.
 
 
 def phi_inverse_generic(u) -> tuple[tuple[float, ...], ...]:
@@ -119,6 +128,105 @@ def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
         columns.append([0.5 * trace(mul(PAULIS[i], phi_of_sigma)).real for i in range(3)])
     matrix = tuple(tuple(columns[j][i] for j in range(3)) for i in range(3))
     return BlochAffineAction(matrix, translation)  # type: ignore[arg-type]
+
+
+_I2 = ComplexMatrix.identity(2)
+
+
+def tp_deviation_generic(k: KrausSet) -> float:
+    """Largest entrywise deviation of sum A* A from the identity."""
+    acc = ComplexMatrix.zeros(2, 2)
+    for op in k.operators:
+        acc = add(acc, mul(adjoint(op), op))
+    return max_abs_diff(acc, _I2)
+
+
+def extract_unitary_via_gram_generic(
+    k: KrausSet, tol: float = DEFAULT_TOL
+) -> tuple[ComplexMatrix, GramData]:
+    """``channels.extract_unitary_via_gram`` through generic matrix products."""
+    ops = k.operators
+    count = len(ops)
+    beta_entries = [0j] * (count * count)
+    worst_pair = (0, 0)
+    worst_residual = 0.0
+    for a_prime in range(count):
+        left = adjoint(ops[a_prime])
+        for a in range(count):
+            prod = mul(left, ops[a])
+            coeff = trace(prod) / 2.0
+            residual = max_abs_diff(prod, scale(_I2, coeff))
+            if residual > worst_residual:
+                worst_residual = residual
+                worst_pair = (a_prime, a)
+            beta_entries[a_prime * count + a] = coeff
+    if worst_residual > tol:
+        raise NotUnitaryConjugationError(
+            "channel is not a unitary conjugation: operator pair "
+            f"{worst_pair} has proportionality residual {worst_residual:.3e}",
+            worst_pair,
+            worst_residual,
+        )
+
+    beta = ComplexMatrix(count, count, tuple(beta_entries))
+    eig = hermitian_eig(beta, tol)
+    gamma = eig.eigenvalues
+    mixing = eig.eigenvectors
+
+    if gamma[0] <= tol:
+        raise NotUnitaryConjugationError(
+            "Gram matrix has no significant direction", (0, 0), gamma[0]
+        )
+
+    candidates: list[ComplexMatrix] = []
+    for c in range(count):
+        if gamma[c] <= RANK_RELATIVE_THRESHOLD * gamma[0]:
+            break
+        combo = ComplexMatrix.zeros(2, 2)
+        for a in range(count):
+            combo = add(combo, scale(ops[a], mixing.at(a, c)))
+        candidates.append(scale(combo, 1.0 / sqrt(gamma[c])))
+
+    unitary = candidates[0]
+    dev = max_abs_diff(mul(adjoint(unitary), unitary), _I2)
+    if dev > max(tol, 1e-7):
+        raise NotUnitaryConjugationError(
+            f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
+        )
+    # The remaining significant directions, if any, must carry the same
+    # unitary up to phase; this is asserted rather than assumed.
+    for extra in candidates[1:]:
+        overlap = trace(mul(adjoint(unitary), extra)) / 2.0
+        mag = abs(overlap)
+        if mag < 1e-12 or max_abs_diff(extra, scale(unitary, overlap / mag)) > max(tol, 1e-7):
+            raise NotUnitaryConjugationError(
+                "Gram directions disagree on the underlying unitary", (0, 0), mag
+            )
+
+    return _pin_phase(unitary), GramData(beta, gamma, mixing)
+
+
+def verify_inverse_pair_generic(
+    k_fwd: KrausSet, k_inv: KrausSet, tol: float = DEFAULT_TOL
+) -> InversePairReport:
+    """``channels.verify_inverse_pair`` through generic matrix products."""
+    n_inv = len(k_inv.operators)
+    n_fwd = len(k_fwd.operators)
+    alpha_entries = [0j] * (n_inv * n_fwd)
+    max_residual = 0.0
+    square_sum = 0.0
+    for b in range(n_inv):
+        for a in range(n_fwd):
+            prod = mul(k_inv.operators[b], k_fwd.operators[a])
+            coeff = trace(prod) / 2.0
+            residual = max_abs_diff(prod, scale(_I2, coeff))
+            max_residual = max(max_residual, residual)
+            alpha_entries[b * n_fwd + a] = coeff
+            square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
+    valid = max_residual <= tol and abs(square_sum - 1.0) <= tol
+    return InversePairReport(
+        valid, ComplexMatrix(n_inv, n_fwd, tuple(alpha_entries)), square_sum, max_residual
+    )
 
 
 def unitarity_deviation_generic(m: ComplexMatrix) -> float:

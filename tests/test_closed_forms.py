@@ -4,31 +4,66 @@
 ``unitarity_deviation`` and ``orthogonality_deviation`` perform the IEEE-754
 operations of the generic matmul and sum formulas in ``helpers`` less the
 terms that are exact zeros, so their results equal the oracles' (the Bloch
-action bit for bit). The matmul counts are exact, so they gate regressions
-without timing noise.
+action bit for bit). The Kraus-pair products of ``KrausSet.tp_deviation``,
+``extract_unitary_via_gram`` and ``verify_inverse_pair`` perform the same
+operations as the generic ones, so every result, and every exception on a
+non-finite product, is the oracle's bit for bit. The library's sums run
+left to right on every Python version. The matmul counts are exact, so they
+gate regressions without timing noise.
 """
 
+import dataclasses
+import itertools
 import random
 import struct
-from math import pi
+from math import fsum, pi, sqrt
 
 import pytest
 
 import blochiso._kernels
-from blochiso.channels import KrausSet, bloch_affine_action, make_depolarizing
+from blochiso.bloch import BlochVector
+from blochiso.channels import (
+    KrausSet,
+    bloch_affine_action,
+    choi_of,
+    classify,
+    extract_unitary_via_gram,
+    invert,
+    make_depolarizing,
+    verify_inverse_pair,
+)
 from blochiso.isomorphism import phi_inverse, verify_state_diagram
-from blochiso.matrix import ComplexMatrix
-from blochiso.sampling import axis_angle, bloch_in_ball, redundant_unitary_kraus, su2_haar
-from blochiso.so3 import AxisAngle, orthogonality_deviation
+from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, scale
+from blochiso.sampling import (
+    axis_angle,
+    bloch_in_ball,
+    gaussian,
+    mixing_unitary,
+    probability_vector,
+    redundant_unitary_kraus,
+    su2_haar,
+)
+from blochiso.so3 import (
+    AxisAngle,
+    Rotation3,
+    _det3,
+    apply,
+    compose,
+    orthogonality_deviation,
+    rotation_from_axis_angle,
+)
 from blochiso.su2 import Unitary2, negate, unitarity_deviation, unitary_from_axis_angle
 from helpers import (
     amplitude_damping,
     bloch_affine_action_generic,
+    extract_unitary_via_gram_generic,
     orthogonality_deviation_generic,
     phi_inverse_generic,
     random_cptp_kraus,
     random_matrix,
+    tp_deviation_generic,
     unitarity_deviation_generic,
+    verify_inverse_pair_generic,
 )
 
 HAAR_DRAWS = 10_000
@@ -111,6 +146,227 @@ class TestMatchesGenericFormulas:
             assert orthogonality_deviation(m) == orthogonality_deviation_generic(m)
 
 
+def fingerprint(value):
+    """``value`` with every float as its IEEE-754 bytes, so ``==`` is bitwise.
+
+    An exception becomes its type, message and, where it has them, the
+    worst pair and residual.
+    """
+    if isinstance(value, float):
+        return struct.pack("d", value)
+    if isinstance(value, complex):
+        return struct.pack("2d", value.real, value.imag)
+    if isinstance(value, (tuple, list)):
+        return tuple(fingerprint(v) for v in value)
+    if isinstance(value, BaseException):
+        extra = (getattr(value, "pair", None), getattr(value, "residual", None))
+        return (type(value), str(value), fingerprint(extra))
+    if dataclasses.is_dataclass(value):
+        return tuple(fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def outcome(function, *args):
+    """The fingerprint of ``function(*args)`` or of what it raised."""
+    try:
+        return fingerprint(function(*args))
+    except Exception as exc:  # compared, type included, against the oracle's
+        return fingerprint(exc)
+
+
+def kraus(*entry_tuples) -> KrausSet:
+    return KrausSet(tuple(ComplexMatrix(2, 2, e) for e in entry_tuples))
+
+
+def kraus_pair_sets() -> list[KrausSet]:
+    """Sets reaching every branch of the Gram pipeline and of its products."""
+    rng = random.Random(20255)
+    sets = [redundant_unitary_kraus(rng, count)[0] for count in (1, 2, 3, 4) for _ in range(150)]
+    sets += [make_depolarizing(p) for p in (0.0, 0.5, 1.0)]
+    sets += [amplitude_damping(g) for g in (0.0, 0.3, 1.0)]
+    # Not proportional, and not trace preserving.
+    sets += [random_cptp_kraus(rng, 1 + rng.randrange(4)) for _ in range(100)]
+    sets += [
+        KrausSet(tuple(random_matrix(rng, 2) for _ in range(1 + rng.randrange(3))))
+        for _ in range(100)
+    ]
+    # Exact zeros of both signs: axis-aligned unitaries, split into
+    # redundant copies whose weights flip the zeros' signs.
+    for u in edge_unitaries():
+        m = u.matrix
+        sets.append(KrausSet((m,)))
+        sets.append(KrausSet((scale(m, 0.6), scale(m, -0.8))))
+        sets.append(KrausSet((scale(m, -0.6j), scale(m, 0.8), scale(m, -0.0 + 0j))))
+    nz = complex(-0.0, -0.0)
+    sets.append(kraus((1.0, nz, complex(-0.0, 0.0), complex(1.0, -0.0))))
+    sets.append(kraus((nz, 1.0, 1.0, nz), (sqrt(0.5), nz, nz, -sqrt(0.5))))
+    # Overflow: the products (1e160, 1e200) or their square sums (1e150,
+    # 1.2e154 twice) leave the float range, or |P - coeff I| does (1.3e154).
+    for big in (1e150, 1e160, 1e200):
+        sets.append(kraus((0.6 * big, 0j, 0j, 0.6 * big)))
+        sets.append(KrausSet((scale(su2_haar(rng).matrix, big),) * 2))
+    sets.append(kraus((1.2e154, 0j, 0j, 1.2e154), (1.2e154, 0j, 0j, 1.2e154)))
+    sets.append(kraus((0j, 1e154, 0j, 0j), (complex(1.3e154, 1.3e154), 0j, 0j, 0j)))
+    return sets
+
+
+@pytest.fixture(scope="module")
+def pair_sets():
+    return kraus_pair_sets()
+
+
+class TestKrausPairProducts:
+    def test_tp_deviation(self, pair_sets):
+        for k in pair_sets:
+            assert outcome(k.tp_deviation) == outcome(tp_deviation_generic, k)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.3, 0.6])
+    def test_extract_unitary_via_gram(self, pair_sets, tol):
+        # Looser tolerances carry non-proportional sets into the remix, the
+        # unitarity check and the extra-direction branch.
+        for k in pair_sets:
+            got = outcome(extract_unitary_via_gram, k, tol)
+            assert got == outcome(extract_unitary_via_gram_generic, k, tol)
+
+    def test_verify_inverse_pair(self, pair_sets):
+        for k in pair_sets:
+            inverses = [k, KrausSet(tuple(adjoint(op) for op in k.operators))]
+            try:
+                unitary, _ = extract_unitary_via_gram_generic(k)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                inverses.append(KrausSet((adjoint(unitary),)))
+            for k_inv in inverses:
+                got = outcome(verify_inverse_pair, k, k_inv)
+                assert got == outcome(verify_inverse_pair_generic, k, k_inv)
+
+    def test_every_branch_is_reached(self, pair_sets):
+        def branch(result, success):
+            if not isinstance(result[0], type):
+                return success
+            return result[1].split(" (")[0].split(":")[0]
+
+        gram, pair = set(), set()
+        for k in pair_sets:
+            for tol in (1e-9, 0.3, 0.6):
+                gram.add(branch(outcome(extract_unitary_via_gram_generic, k, tol), "unitary"))
+            pair.add(branch(outcome(verify_inverse_pair_generic, k, k), "report"))
+        finite, overflow = "matrix entries must be finite", "absolute value too large"
+        assert gram == {
+            "unitary",
+            "channel is not a unitary conjugation",
+            "Gram matrix has no significant direction",
+            "leading Gram direction is not unitary",
+            "Gram directions disagree on the underlying unitary",
+            finite,
+            overflow,
+        }
+        assert pair == {"report", finite, overflow}
+
+
+def exact_rotations() -> list[Rotation3]:
+    """Signed permutations and axis rotations by 4 rad (cos and sin < 0)."""
+    rotations = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            rows = tuple(tuple(signs[i] if j == perm[i] else 0.0 for j in range(3)) for i in range(3))
+            if abs(_det3(rows) - 1.0) < 0.5:
+                rotations.append(Rotation3(rows))
+    axes = [tuple(sign * float(i == k) for i in range(3)) for k in range(3) for sign in (1.0, -1.0)]
+    return rotations + [rotation_from_axis_angle(AxisAngle(ax, 4.0)) for ax in axes]
+
+
+def left_to_right(terms, start=0.0):
+    for t in terms:
+        start += t
+    return start
+
+
+class TestLeftToRightSums:
+    """Built-in ``sum`` compensates float rounding from Python 3.12 on, so
+    the library sums left to right itself; these inputs tell the two apart."""
+
+    def test_rotation_products(self):
+        rng = random.Random(20256)
+        # Exact zeros times negative entries give -0.0 products; a sum of
+        # three of them is +0.0 only from a +0.0 start.
+        edges = [phi_inverse(u) for u in edge_unitaries()] + exact_rotations()
+        cases = [(ra, rb, BlochVector(*rb.matrix[0])) for ra in edges for rb in edges]
+        for _ in range(1000):
+            cases.append((phi_inverse(su2_haar(rng)), phi_inverse(su2_haar(rng)), bloch_in_ball(rng)))
+        distinguishing = 0
+        for ra, rb, r in cases:
+            a, b, v = ra.matrix, rb.matrix, r.as_tuple()
+            terms = [[[a[i][k] * b[k][j] for k in range(3)] for j in range(3)] for i in range(3)]
+            want = [[left_to_right(t) for t in row] for row in terms]
+            assert bits(compose(ra, rb).matrix) == bits(want)
+            v_terms = [[a[i][k] * v[k] for k in range(3)] for i in range(3)]
+            want_v = [left_to_right(t) for t in v_terms]
+            assert fingerprint(apply(ra, r).as_tuple()) == fingerprint(want_v)
+            distinguishing += any(
+                left_to_right(t) != fsum(t) for row in terms + [v_terms] for t in row
+            )
+        assert distinguishing > 0
+
+    def test_frobenius_norm(self):
+        rng = random.Random(20257)
+        distinguishing = 0
+        for _ in range(1000):
+            m = random_matrix(rng, 2)
+            terms = [e.real * e.real + e.imag * e.imag for e in m.entries]
+            assert m.frobenius_norm() == sqrt(left_to_right(terms))
+            distinguishing += left_to_right(terms) != fsum(terms)
+        assert distinguishing > 0
+
+    def test_probability_vector(self):
+        distinguishing = 0
+        for seed in range(300):
+            got = probability_vector(random.Random(seed), 6)
+            draws = random.Random(seed)
+            raw = [0.1 + draws.random() for _ in range(6)]
+            assert fingerprint(got) == fingerprint(tuple(w / left_to_right(raw) for w in raw))
+            distinguishing += left_to_right(raw) != fsum(raw)
+        assert distinguishing > 0
+
+    def test_mixing_unitary(self):
+        for seed in range(100):
+            got = mixing_unitary(random.Random(seed), 4)
+            assert fingerprint(got.entries) == fingerprint(mixing_unitary_left_to_right(seed, 4))
+
+    def test_choi_partial_trace(self):
+        rng = random.Random(20258)
+        for _ in range(200):
+            choi = choi_of(random_cptp_kraus(rng, 1 + rng.randrange(4)))
+            m = choi.matrix
+            reduced = tuple(
+                left_to_right((m.at(i, j), m.at(2 + i, 2 + j)), 0j)
+                for i in range(2)
+                for j in range(2)
+            )
+            want = max_abs_diff(ComplexMatrix(2, 2, reduced), ComplexMatrix.identity(2))
+            assert fingerprint(choi.tp_deviation()) == fingerprint(want)
+
+
+def mixing_unitary_left_to_right(seed: int, n: int) -> tuple[complex, ...]:
+    """``sampling.mixing_unitary`` with every sum written left to right."""
+    rng = random.Random(seed)
+    cols: list[list[complex]] = []
+    for _ in range(n):
+        while True:
+            v = [complex(gaussian(rng), gaussian(rng)) for _ in range(n)]
+            for _pass in range(2):
+                for u in cols:
+                    overlap = left_to_right((u[i].conjugate() * v[i] for i in range(n)), 0j)
+                    for i in range(n):
+                        v[i] -= overlap * u[i]
+            nrm = sqrt(left_to_right(e.real * e.real + e.imag * e.imag for e in v))
+            if nrm > 1e-6:
+                cols.append([e / nrm for e in v])
+                break
+    return tuple(cols[j][i] for i in range(n) for j in range(n))
+
+
 def test_double_cover_is_bitwise_exact(unitaries):
     for u in unitaries:
         assert bits(phi_inverse(u).matrix) == bits(phi_inverse(negate(u)).matrix)
@@ -154,9 +410,17 @@ class TestMatmulCounts:
         k = make_depolarizing(0.5)
         matmuls.clear()
         bloch_affine_action(k)
-        # A* A for each of the four operators; the Choi spectrum is one 4x4 solve.
-        assert matmuls == [(2, 2, 2)] * 4
+        # The trace-preservation check is a closed form too; the Choi
+        # spectrum is one 4x4 solve.
+        assert matmuls == []
         assert eigensolves == [4]
+
+    def test_classify_invert_verify_make_none(self, matmuls):
+        k = redundant_unitary_kraus(random.Random(6), 3)[0]
+        matmuls.clear()
+        assert verify_inverse_pair(k, invert(k)).valid
+        assert classify(k).extracted_unitary is not None
+        assert matmuls == []
 
     def test_state_diagram_makes_two(self, matmuls):
         rng = random.Random(5)
