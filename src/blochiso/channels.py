@@ -25,9 +25,9 @@ from .matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
+    _checked_hermitian_eig,
     add,
     adjoint,
-    hermitian_deviation,
     hermitian_eig,
     max_abs_diff,
     mul,
@@ -130,9 +130,8 @@ class ChoiMatrix:
     ``(x)`` is the tensor product of the output and input factors.
     Hermiticity and positivity (the CP side) are enforced; the partial trace
     over the output factor equals I exactly when the source set is trace
-    preserving, exposed via :meth:`tp_deviation`. ``spectrum`` keeps the
-    eigendecomposition the positivity check computed; it is not part of the
-    value's equality or repr.
+    preserving. ``spectrum`` keeps the eigendecomposition the positivity
+    check computed; it is not part of the value's equality or repr.
     """
 
     matrix: ComplexMatrix
@@ -142,21 +141,17 @@ class ChoiMatrix:
         m = self.matrix
         if m.rows != 4 or m.cols != 4:
             raise InvalidChannelError("Choi matrix must be 4x4")
-        if hermitian_deviation(m) > DEFAULT_TOL:
+        # One adjoint serves the Hermiticity check and the factorization.
+        m_adjoint = adjoint(m)
+        if max_abs_diff(m, m_adjoint) > DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be Hermitian")
-        spectrum = hermitian_eig(m)
+        spectrum = _checked_hermitian_eig(m, m_adjoint)
         if spectrum.eigenvalues[-1] < -DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
         object.__setattr__(self, "spectrum", spectrum)
 
     def eigenvalues(self) -> tuple[float, ...]:
         return self.spectrum.eigenvalues
-
-    def tp_deviation(self) -> float:
-        """Deviation of the partial trace over the output factor from I."""
-        m = self.matrix
-        reduced = [m.at(i, j) + m.at(2 + i, 2 + j) for i in range(2) for j in range(2)]
-        return max_abs_diff(ComplexMatrix(2, 2, tuple(reduced)), _I2)
 
     def rank(self, relative_threshold: float = RANK_RELATIVE_THRESHOLD) -> int:
         evs = self.eigenvalues()
@@ -353,12 +348,15 @@ def extract_unitary_via_gram(
             worst_residual,
         )
 
-    beta = ComplexMatrix(count, count, tuple(beta_entries))
+    # Each coefficient passed _proportionality's finiteness check.
+    beta = ComplexMatrix._trusted(count, count, tuple(beta_entries))
     eig = hermitian_eig(beta, tol)
     gamma = eig.eigenvalues
     mixing = eig.eigenvectors
 
-    if gamma[0] <= tol:
+    # Beta is the Gram matrix of nonzero operators, so gamma[0] is positive;
+    # the check guards the square root and does not depend on tol.
+    if not gamma[0] > 0.0:
         raise NotUnitaryConjugationError(
             "Gram matrix has no significant direction", (0, 0), gamma[0]
         )
@@ -421,9 +419,9 @@ def verify_inverse_pair(
             alpha_entries[b * n_fwd + a] = coeff
             square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
     valid = max_residual <= tol and abs(square_sum - 1.0) <= tol
-    return InversePairReport(
-        valid, ComplexMatrix(n_inv, n_fwd, tuple(alpha_entries)), square_sum, max_residual
-    )
+    # Each coefficient passed _proportionality's finiteness check.
+    alpha = ComplexMatrix._trusted(n_inv, n_fwd, tuple(alpha_entries))
+    return InversePairReport(valid, alpha, square_sum, max_residual)
 
 
 def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:

@@ -20,6 +20,11 @@ DEFAULT_TOL = 1e-9
 _PHASE_CUTOFF = 1e-12
 
 
+def _require_positive_shape(rows: int, cols: int) -> None:
+    if rows <= 0 or cols <= 0:
+        raise DimensionError(f"matrix shape must be positive, got {rows}x{cols}")
+
+
 @dataclass(frozen=True)
 class ComplexMatrix:
     """Immutable row-major complex matrix with finite entries."""
@@ -29,26 +34,39 @@ class ComplexMatrix:
     entries: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
-            raise DimensionError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
-        ents = tuple(complex(e) for e in self.entries)
+        _require_positive_shape(self.rows, self.cols)
+        ents = tuple(map(complex, self.entries))
         if len(ents) != self.rows * self.cols:
             raise DimensionError(
                 f"expected {self.rows * self.cols} entries for a "
                 f"{self.rows}x{self.cols} matrix, got {len(ents)}"
             )
-        for e in ents:
-            if not cmath.isfinite(e):
-                raise DomainError("matrix entries must be finite")
+        if not all(map(cmath.isfinite, ents)):
+            raise DomainError("matrix entries must be finite")
         object.__setattr__(self, "entries", ents)
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[complex, ...]) -> "ComplexMatrix":
+        """A matrix without validation, for a tuple the library built with
+        ``rows * cols`` finite complex entries; no outside value comes here.
+        """
+        m = object.__new__(cls)
+        fields = m.__dict__  # frozen: fill the fields as __init__ would
+        fields["rows"] = rows
+        fields["cols"] = cols
+        fields["entries"] = entries
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        return cls(n, n, tuple(1.0 + 0j if i == j else 0j for i in range(n) for j in range(n)))
+        _require_positive_shape(n, n)
+        ents = tuple(1.0 + 0j if i == j else 0j for i in range(n) for j in range(n))
+        return cls._trusted(n, n, ents)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        return cls(rows, cols, (0j,) * (rows * cols))
+        _require_positive_shape(rows, cols)
+        return cls._trusted(rows, cols, (0j,) * (rows * cols))
 
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]
@@ -96,8 +114,9 @@ def mul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
 
 
 def adjoint(a: ComplexMatrix) -> ComplexMatrix:
-    ents = tuple(a.entries[i * a.cols + j].conjugate() for j in range(a.cols) for i in range(a.rows))
-    return ComplexMatrix(a.cols, a.rows, ents)
+    ents, cols = a.entries, a.cols
+    conjugated = tuple([e.conjugate() for j in range(cols) for e in ents[j::cols]])
+    return ComplexMatrix._trusted(cols, a.rows, conjugated)
 
 
 def trace(a: ComplexMatrix) -> complex:
@@ -148,23 +167,25 @@ def hermitian_eig(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenR
     """
     if not m.is_square():
         raise DimensionError("hermitian_eig needs a square matrix")
-    x = m.entries
-    y = adjoint(m).entries
-    dev = max(abs(a - b) for a, b in zip(x, y))
+    m_adjoint = adjoint(m)
+    dev = max_abs_diff(m, m_adjoint)
     if dev > tol:
         raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    return _checked_hermitian_eig(m, m_adjoint)
+
+
+def _checked_hermitian_eig(m: ComplexMatrix, m_adjoint: ComplexMatrix) -> HermitianEigenResult:
+    """:func:`hermitian_eig` of a square ``m`` whose Hermiticity the caller
+    has checked against ``m_adjoint``, its adjoint."""
     n = m.rows
-    sym = tuple((a + b) * 0.5 for a, b in zip(x, y))
+    sym = [(a + b) * 0.5 for a, b in zip(m.entries, m_adjoint.entries)]
     # A + A* can overflow where A itself is finite.
-    for e in sym:
-        if not cmath.isfinite(e):
-            raise DomainError("matrix entries must be finite")
+    if not all(map(cmath.isfinite, sym)):
+        raise DomainError("matrix entries must be finite")
     diag, vflat = _kernels.jacobi_hermitian(n, sym)
     order = sorted(range(n), key=diag.__getitem__, reverse=True)
-    eigenvalues = tuple(diag[k] for k in order)
-    reordered = [0j] * (n * n)
-    for new_col, old_col in enumerate(order):
-        for i in range(n):
-            reordered[i * n + new_col] = vflat[i * n + old_col]
+    eigenvalues = tuple([diag[k] for k in order])
+    reordered = [vflat[row + k] for row in range(0, n * n, n) for k in order]
     vectors = _phase_fix_columns(n, reordered)
-    return HermitianEigenResult(eigenvalues, ComplexMatrix(n, n, tuple(vectors)))
+    # Columns of a unitary: finite, of modulus at most 1.
+    return HermitianEigenResult(eigenvalues, ComplexMatrix._trusted(n, n, tuple(vectors)))

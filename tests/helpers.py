@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 from blochiso.channels import (
     RANK_RELATIVE_THRESHOLD,
     BlochAffineAction,
+    ChoiMatrix,
     GramData,
     InversePairReport,
     KrausSet,
@@ -21,8 +23,10 @@ from blochiso.channels import (
 from blochiso.cli import main as cli_main
 from blochiso.errors import DimensionError, DomainError, NotUnitaryConjugationError
 from blochiso.matrix import (
+    _PHASE_CUTOFF,
     DEFAULT_TOL,
     ComplexMatrix,
+    HermitianEigenResult,
     add,
     adjoint,
     hermitian_eig,
@@ -133,6 +137,14 @@ def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
 _I2 = ComplexMatrix.identity(2)
 
 
+def choi_tp_deviation(choi: ChoiMatrix) -> float:
+    """Deviation of the Choi matrix's partial trace over the output factor
+    from I; zero exactly when the source set is trace preserving."""
+    m = choi.matrix
+    reduced = [m.at(i, j) + m.at(2 + i, 2 + j) for i in range(2) for j in range(2)]
+    return max_abs_diff(ComplexMatrix(2, 2, tuple(reduced)), _I2)
+
+
 def tp_deviation_generic(k: KrausSet) -> float:
     """Largest entrywise deviation of sum A* A from the identity."""
     acc = ComplexMatrix.zeros(2, 2)
@@ -173,7 +185,7 @@ def extract_unitary_via_gram_generic(
     gamma = eig.eigenvalues
     mixing = eig.eigenvectors
 
-    if gamma[0] <= tol:
+    if not gamma[0] > 0.0:
         raise NotUnitaryConjugationError(
             "Gram matrix has no significant direction", (0, 0), gamma[0]
         )
@@ -227,6 +239,132 @@ def verify_inverse_pair_generic(
     return InversePairReport(
         valid, ComplexMatrix(n_inv, n_fwd, tuple(alpha_entries)), square_sum, max_residual
     )
+
+
+# The eigensolver before its pivot table and its trusted values: the kernel
+# and hermitian_eig verbatim, so their results can be compared bit for bit.
+
+_JACOBI_EPS = 1e-15
+_MAX_SWEEPS = 60
+
+
+def jacobi_hermitian_reference(n: int, a):
+    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+
+    Returns ``(diag, v)``: unsorted real eigenvalues and the accumulated
+    unitary as a row-major flat list (columns are eigenvectors). Ordering
+    and phase conventions belong to the caller.
+    """
+    A = [complex(x) for x in a]
+    V = [0j] * (n * n)
+    for i in range(n):
+        V[i * n + i] = 1.0 + 0j
+
+    anorm = 0.0
+    for x in A:
+        anorm += x.real * x.real + x.imag * x.imag
+    anorm = sqrt(anorm)
+    if anorm == 0.0:
+        return [0.0] * n, V
+
+    thresh = _JACOBI_EPS * anorm
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p * n + q]
+                r = sqrt(apq.real * apq.real + apq.imag * apq.imag)
+                if r <= thresh:
+                    continue
+                rotated = True
+                app = A[p * n + p].real
+                aqq = A[q * n + q].real
+                tau = (aqq - app) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                s = apq * (t * c / r)
+                sc = s.conjugate()
+                # Right-multiply columns p, q of A and V by the rotation.
+                for i in range(n):
+                    ip = i * n + p
+                    iq = i * n + q
+                    aip = A[ip]
+                    aiq = A[iq]
+                    A[ip] = aip * c - aiq * sc
+                    A[iq] = aip * s + aiq * c
+                    vip = V[ip]
+                    viq = V[iq]
+                    V[ip] = vip * c - viq * sc
+                    V[iq] = vip * s + viq * c
+                # Left-multiply rows p, q of A by the adjoint rotation.
+                for j in range(n):
+                    pj = p * n + j
+                    qj = q * n + j
+                    apj = A[pj]
+                    aqj = A[qj]
+                    A[pj] = apj * c - aqj * s
+                    A[qj] = apj * sc + aqj * c
+                # The pivot is zero analytically; pin it to keep A Hermitian.
+                A[p * n + q] = 0j
+                A[q * n + p] = 0j
+                A[p * n + p] = complex(A[p * n + p].real, 0.0)
+                A[q * n + q] = complex(A[q * n + q].real, 0.0)
+        if not rotated:
+            break
+
+    return [A[i * n + i].real for i in range(n)], V
+
+
+def _phase_fix_columns_reference(n: int, v: list[complex]) -> list[complex]:
+    for k in range(n):
+        pivot = 0j
+        prow = -1
+        for i in range(n):
+            z = v[i * n + k]
+            if abs(z) > _PHASE_CUTOFF:
+                pivot = z
+                prow = i
+                break
+        if prow < 0:
+            continue
+        w = pivot.conjugate() / abs(pivot)
+        for i in range(n):
+            v[i * n + k] *= w
+    return v
+
+
+def hermitian_eig_reference(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenResult:
+    """Spectral decomposition of a Hermitian matrix via cyclic Jacobi.
+
+    Deterministic: eigenvalues descending (stable order on ties), eigenvector
+    phases pinned. Raises :class:`DomainError` when the input departs from
+    Hermiticity by more than ``tol``.
+    """
+    if not m.is_square():
+        raise DimensionError("hermitian_eig needs a square matrix")
+    x = m.entries
+    y = adjoint(m).entries
+    dev = max(abs(a - b) for a, b in zip(x, y))
+    if dev > tol:
+        raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    n = m.rows
+    sym = tuple((a + b) * 0.5 for a, b in zip(x, y))
+    # A + A* can overflow where A itself is finite.
+    for e in sym:
+        if not cmath.isfinite(e):
+            raise DomainError("matrix entries must be finite")
+    diag, vflat = jacobi_hermitian_reference(n, sym)
+    order = sorted(range(n), key=diag.__getitem__, reverse=True)
+    eigenvalues = tuple(diag[k] for k in order)
+    reordered = [0j] * (n * n)
+    for new_col, old_col in enumerate(order):
+        for i in range(n):
+            reordered[i * n + new_col] = vflat[i * n + old_col]
+    vectors = _phase_fix_columns_reference(n, reordered)
+    return HermitianEigenResult(eigenvalues, ComplexMatrix(n, n, tuple(vectors)))
 
 
 def unitarity_deviation_generic(m: ComplexMatrix) -> float:

@@ -46,7 +46,14 @@ from blochiso.sampling import (
 )
 from blochiso.so3 import AxisAngle
 from blochiso.su2 import conjugate, unitary_from_axis_angle
-from helpers import amplitude_damping, from_rows, phase_aligned_diff, random_cptp_kraus, remix_kraus
+from helpers import (
+    amplitude_damping,
+    choi_tp_deviation,
+    from_rows,
+    phase_aligned_diff,
+    random_cptp_kraus,
+    remix_kraus,
+)
 
 I2 = ComplexMatrix.identity(2)
 Z = (0.0, 0.0, 1.0)
@@ -149,8 +156,8 @@ class TestChoi:
             assert max_abs_diff(a.matrix, b.matrix) <= 1e-11
 
     def test_tp_deviation_reflects_source(self):
-        assert choi_of(IDENTITY_SET).tp_deviation() == 0.0
-        assert choi_of(KrausSet((scale(I2, 2.0),))).tp_deviation() == 3.0
+        assert choi_tp_deviation(choi_of(IDENTITY_SET)) == 0.0
+        assert choi_tp_deviation(choi_of(KrausSet((scale(I2, 2.0),)))) == 3.0
 
     def test_kraus_round_trip_through_choi(self):
         rng = random.Random(78)
@@ -197,6 +204,15 @@ class TestClassify:
         assert result.kind is ChannelKind.UNITARY_CONJUGATION
         assert result.choi_rank == 1
         assert result.extracted_unitary is not None
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0])
+    def test_loose_tolerance_keeps_a_unitary(self, tol):
+        # A trace-preserving set has a Gram weight of at most 1, which must
+        # not be read against the tolerance.
+        result = classify(KrausSet((I2,)), tol)
+        assert result.kind is ChannelKind.UNITARY_CONJUGATION
+        assert result.choi_rank == 1
+        assert result.extracted_unitary == I2
 
     def test_kind_alias(self):
         assert ChannelKind.INVERTIBLE_WITH_CPTP_INVERSE is ChannelKind.UNITARY_CONJUGATION

@@ -254,6 +254,12 @@ class TestClassify:
         assert doc["unitary"] == [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
         assert doc["inverse"]["operators"] == [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
 
+    @pytest.mark.parametrize("tol", ["1", "2"])
+    def test_identity_at_loose_tolerance(self, tol):
+        code, out = run_case(["classify", "kraus_identity.json", "--tol", tol])
+        assert code == 0
+        assert json.loads(out)["kind"] == "UnitaryConjugation"
+
     def test_depolarizing_report(self):
         code, out = run_case(["classify", "kraus_depolarizing_half.json"])
         assert code == 0

@@ -56,6 +56,7 @@ from blochiso.su2 import Unitary2, negate, unitarity_deviation, unitary_from_axi
 from helpers import (
     amplitude_damping,
     bloch_affine_action_generic,
+    choi_tp_deviation,
     extract_unitary_via_gram_generic,
     orthogonality_deviation_generic,
     phi_inverse_generic,
@@ -256,7 +257,6 @@ class TestKrausPairProducts:
         assert gram == {
             "unitary",
             "channel is not a unitary conjugation",
-            "Gram matrix has no significant direction",
             "leading Gram direction is not unitary",
             "Gram directions disagree on the underlying unitary",
             finite,
@@ -345,7 +345,7 @@ class TestLeftToRightSums:
                 for j in range(2)
             )
             want = max_abs_diff(ComplexMatrix(2, 2, reduced), ComplexMatrix.identity(2))
-            assert fingerprint(choi.tp_deviation()) == fingerprint(want)
+            assert fingerprint(choi_tp_deviation(choi)) == fingerprint(want)
 
 
 def mixing_unitary_left_to_right(seed: int, n: int) -> tuple[complex, ...]:

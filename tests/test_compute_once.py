@@ -1,8 +1,9 @@
 """Each channel fact is computed once per value.
 
-The eigensolve counts are exact, so they gate regressions without timing
-noise. The cache tests check that what a ``KrausSet`` or ``ChoiMatrix``
-keeps never changes an answer, an equality, a hash or a repr.
+The eigensolve, adjoint and validated-construction counts are exact, so
+they gate regressions without timing noise. The cache tests check that what
+a ``KrausSet`` or ``ChoiMatrix`` keeps never changes an answer, an equality,
+a hash or a repr.
 """
 
 import contextlib
@@ -14,6 +15,8 @@ import random
 import pytest
 
 import blochiso._kernels
+import blochiso.channels
+import blochiso.matrix
 from blochiso.channels import (
     ChannelKind,
     ChoiMatrix,
@@ -26,7 +29,8 @@ from blochiso.channels import (
     verify_inverse_pair,
 )
 from blochiso.cli import main
-from blochiso.matrix import ComplexMatrix, hermitian_eig, scale
+from blochiso.errors import DomainError
+from blochiso.matrix import ComplexMatrix, adjoint, hermitian_eig, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
 from helpers import amplitude_damping, random_cptp_kraus
 
@@ -85,6 +89,49 @@ class TestEigensolveCounts:
             assert main(["classify", path]) == 0
         assert json.loads(out.getvalue())["kind"] == "UnitaryConjugation"
         assert eigensolves == [4, 3]
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Shapes of the ``ComplexMatrix`` values built through validation."""
+    shapes = []
+    check = ComplexMatrix.__post_init__
+
+    def counted(self):
+        shapes.append((self.rows, self.cols))
+        check(self)
+
+    monkeypatch.setattr(ComplexMatrix, "__post_init__", counted)
+    return shapes
+
+
+class TestValueConstructions:
+    def test_choi_matrix_makes_one_adjoint(self, monkeypatch):
+        m = choi_of(make_depolarizing(0.5)).matrix
+        calls = []
+
+        def counted(a):
+            calls.append((a.rows, a.cols))
+            return adjoint(a)
+
+        monkeypatch.setattr(blochiso.matrix, "adjoint", counted)
+        monkeypatch.setattr(blochiso.channels, "adjoint", counted)
+        ChoiMatrix(m)
+        assert calls == [(4, 4)]
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_unitary_classify_invert_verify(self, validated, count):
+        k = redundant_unitary_kraus(random.Random(10 + count), count)[0]
+        validated.clear()
+        assert verify_inverse_pair(k, invert(k)).valid
+        # The Choi matrix, then the leading Gram direction and its
+        # phase-pinned copy; the README states this count.
+        assert validated == [(4, 4), (2, 2), (2, 2)]
+
+    def test_choi_of_overflow_still_raises(self):
+        k = KrausSet((ComplexMatrix(2, 2, (1e160, 0j, 0j, 1e160)),))
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            choi_of(k)
 
 
 class TestCacheSafety:

@@ -1,0 +1,136 @@
+"""The eigensolver path gives the reference eigensolver's bytes.
+
+``helpers`` keeps the Jacobi kernel and ``hermitian_eig`` as they were before
+the kernel walked a pivot table and the factorization built its eigenvector
+matrix without re-validation. Both perform the same IEEE-754 operations in
+the same order, so on every input each eigenvalue and eigenvector entry is
+the reference's bit for bit, and every input the reference rejects raises
+the same exception with the same message.
+"""
+
+import random
+import struct
+
+import pytest
+
+from blochiso import _kernels
+from blochiso.channels import ChoiMatrix
+from blochiso.errors import InvalidChannelError
+from blochiso.matrix import ComplexMatrix, hermitian_eig
+from helpers import hermitian_eig_reference, jacobi_hermitian_reference
+
+SIZES = (1, 2, 3, 4, 5, 6)
+SCALES = (1e-160, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e150)
+
+
+def gauss_entries(rng: random.Random, count: int) -> list[complex]:
+    return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(count)]
+
+
+def hermitian_part(n: int, g: list[complex]) -> list[complex]:
+    return [(g[i * n + j] + g[j * n + i].conjugate()) * 0.5 for i in range(n) for j in range(n)]
+
+
+def outer(n: int, v: list[complex], w: float = 1.0) -> list[complex]:
+    return [w * v[i] * v[j].conjugate() for i in range(n) for j in range(n)]
+
+
+def shapes(rng: random.Random, n: int) -> list[list[complex]]:
+    """Random Hermitian, rank one, diagonal, degenerate and zero matrices."""
+    v = gauss_entries(rng, n)
+    diagonal = [complex(rng.gauss(0.0, 1.0)) if i == j else 0j for i in range(n) for j in range(n)]
+    repeated = [complex(1.5) if i == j else 0j for i in range(n) for j in range(n)]
+    # 2 I + v v*: the eigenvalue 2 has multiplicity n - 1.
+    lifted = outer(n, v)
+    for i in range(n):
+        lifted[i * n + i] += 2.0
+    return [
+        hermitian_part(n, gauss_entries(rng, n * n)),
+        outer(n, v),
+        diagonal,
+        repeated,
+        lifted,
+        [0j] * (n * n),
+    ]
+
+
+def cases(n: int) -> list[list[complex]]:
+    rng = random.Random(4100 + n)
+    out = []
+    for base in shapes(rng, n):
+        out += [[e * s for e in base] for s in SCALES]
+        # Mixed scales: D A D with D's entries drawn across the range, so
+        # one matrix holds tiny, unit and huge entries.
+        d = [rng.choice(SCALES) for _ in range(n)]
+        out.append([base[i * n + j] * (d[i] * d[j]) for i in range(n) for j in range(n)])
+    out += [hermitian_part(n, gauss_entries(rng, n * n)) for _ in range(20)]
+    return out
+
+
+def rejected(n: int) -> list[ComplexMatrix]:
+    """Inputs the reference rejects, and some it only just accepts."""
+    rng = random.Random(4200 + n)
+    out = [ComplexMatrix(n, n, tuple(gauss_entries(rng, n * n)))]
+    if n > 1:
+        out.append(ComplexMatrix(n, n - 1, tuple(gauss_entries(rng, n * (n - 1)))))
+    # Deviations from Hermiticity of 2e-9 (n = 1: 4e-9) and 5e-10 (1e-9).
+    for skew in (2e-9j, 5e-10j):
+        h = hermitian_part(n, gauss_entries(rng, n * n))
+        h[n - 1] += skew
+        out.append(ComplexMatrix(n, n, tuple(h)))
+    # Finite entries whose Hermitian average overflows.
+    out.append(ComplexMatrix(n, n, tuple(complex(1.5e308) for _ in range(n * n))))
+    return out
+
+
+def kernel_bits(result) -> bytes:
+    diag, v = result
+    flat = [x for z in v for x in (z.real, z.imag)]
+    return struct.pack(f"{len(diag)}d{len(flat)}d", *diag, *flat)
+
+
+def eig_bits(result) -> tuple:
+    vectors = result.eigenvectors
+    return (vectors.rows, vectors.cols, kernel_bits((result.eigenvalues, vectors.entries)))
+
+
+def eig_outcome(function, m: ComplexMatrix):
+    try:
+        return eig_bits(function(m))
+    except Exception as exc:  # compared, type included, against the reference's
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kernel_matches_reference(n):
+    for entries in cases(n):
+        got = _kernels.jacobi_hermitian(n, entries)
+        assert kernel_bits(got) == kernel_bits(jacobi_hermitian_reference(n, entries))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_hermitian_eig_matches_reference(n):
+    matrices = [ComplexMatrix(n, n, tuple(e)) for e in cases(n)] + rejected(n)
+    refused = 0
+    for m in matrices:
+        want = eig_outcome(hermitian_eig_reference, m)
+        assert eig_outcome(hermitian_eig, m) == want
+        refused += isinstance(want[0], type)
+    assert refused >= 3
+
+
+def test_choi_spectrum_matches_reference():
+    for entries in cases(4):
+        m = ComplexMatrix(4, 4, tuple(entries))
+        want = hermitian_eig_reference(m)
+        if want.eigenvalues[-1] < -1e-9:
+            with pytest.raises(InvalidChannelError, match="positive semidefinite"):
+                ChoiMatrix(m)
+        else:
+            assert eig_bits(ChoiMatrix(m).spectrum) == eig_bits(want)
+
+
+def test_pivot_table_is_built_once_per_size():
+    assert _kernels._sweep(5) is _kernels._sweep(5)
+    pivots = [(pq // 5, pq % 5) for pq, *_ in _kernels._sweep(5)]
+    assert pivots == [(p, q) for p in range(4) for q in range(p + 1, 5)]
