@@ -12,7 +12,7 @@ from enum import Enum
 from math import cos, isfinite, pi, sin, sqrt
 
 from .errors import DomainError, NonStateError
-from .matrix import DEFAULT_TOL, ComplexMatrix, hermitian_deviation, mul, trace
+from .matrix import DEFAULT_TOL, ComplexMatrix, mul, trace
 
 PAULI_X = ComplexMatrix(2, 2, (0j, 1 + 0j, 1 + 0j, 0j))
 PAULI_Y = ComplexMatrix(2, 2, (0j, -1j, 1j, 0j))
@@ -78,6 +78,18 @@ class Purity:
     kind: PurityKind
 
 
+def _hermiticity_deviation(m: ComplexMatrix) -> float:
+    """max |m - m*| over the entries of a 2x2 ``m``, taken in the order
+    ``max_abs_diff(m, adjoint(m))`` takes them, so the value is its own."""
+    a, b, c, d = m.entries
+    return max(
+        abs(a - a.conjugate()),
+        abs(b - c.conjugate()),
+        abs(c - b.conjugate()),
+        abs(d - d.conjugate()),
+    )
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """2x2 Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -88,7 +100,7 @@ class DensityOperator:
         m = self.matrix
         if m.rows != 2 or m.cols != 2:
             raise NonStateError("density operator must be 2x2")
-        if hermitian_deviation(m) > DEFAULT_TOL:
+        if _hermiticity_deviation(m) > DEFAULT_TOL:
             raise NonStateError("density operator must be Hermitian")
         a = m.at(0, 0).real
         d = m.at(1, 1).real
@@ -142,7 +154,8 @@ def bloch_to_density(r: BlochVector, tol: float = DEFAULT_TOL) -> DensityOperato
     x1, x2, x3 = r.x1, r.x2, r.x3
     if nrm > 1.0:
         x1, x2, x3 = x1 / nrm, x2 / nrm, x3 / nrm
-    m = ComplexMatrix(
+    # Finite: each component is at most 1 in size once pulled back.
+    m = ComplexMatrix._trusted(
         2,
         2,
         (

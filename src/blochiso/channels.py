@@ -25,7 +25,9 @@ from .matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
+    _adjoint2,
     _checked_hermitian_eig,
+    _mul2,
     add,
     adjoint,
     hermitian_eig,
@@ -46,26 +48,10 @@ RANK_RELATIVE_THRESHOLD = 1e-7
 _I2 = ComplexMatrix.identity(2)
 
 
-# Closed 2x2 forms over row-major entry tuples: the generic adjoint, mul,
-# trace, scale and max_abs_diff operations in the same order, so the values
-# are the generic ones bit for bit and a non-finite entry raises as there.
-
-
-def _adjoint2(x: tuple[complex, ...]) -> tuple[complex, ...]:
-    a, b, c, d = x
-    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
-
-
-def _mul2(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Entries of x y, each summed from 0j as ``_kernels.matmul`` sums them."""
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return (
-        0j + x0 * y0 + x1 * y2,
-        0j + x0 * y1 + x1 * y3,
-        0j + x2 * y0 + x3 * y2,
-        0j + x2 * y1 + x3 * y3,
-    )
+# The Kraus-pair products are closed 2x2 forms (``matrix._mul2`` and
+# ``matrix._adjoint2``); the trace, scale and max_abs_diff steps on them
+# below keep the generic operations in the same order, so the values are the
+# generic ones bit for bit and a non-finite entry raises as there.
 
 
 def _require_finite(*entries: complex) -> None:

@@ -82,7 +82,7 @@ def phi_inverse(u: Unitary2) -> Rotation3:
     one-operator case of the channels' closed form, which is the generic
     trace formula bit for bit and gives U and -U the identical matrix.
     """
-    return Rotation3(tuple(zip(*_bloch_columns((u.matrix,), 3))))
+    return Rotation3._built(tuple(zip(*_bloch_columns((u.matrix,), 3))))
 
 
 def psi(u: Su2AlgebraElement) -> BlochVector:

@@ -119,6 +119,27 @@ def adjoint(a: ComplexMatrix) -> ComplexMatrix:
     return ComplexMatrix._trusted(cols, a.rows, conjugated)
 
 
+# Closed 2x2 forms over row-major entry tuples: the generic adjoint and mul
+# in the same order, so the values are the generic ones bit for bit.
+
+
+def _adjoint2(x: tuple[complex, ...]) -> tuple[complex, ...]:
+    a, b, c, d = x
+    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+
+
+def _mul2(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Entries of x y, each summed from 0j as ``_kernels.matmul`` sums them."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        0j + x0 * y0 + x1 * y2,
+        0j + x0 * y1 + x1 * y3,
+        0j + x2 * y0 + x3 * y2,
+        0j + x2 * y1 + x3 * y3,
+    )
+
+
 def trace(a: ComplexMatrix) -> complex:
     if not a.is_square():
         raise DimensionError("trace needs a square matrix")
@@ -131,13 +152,6 @@ def trace(a: ComplexMatrix) -> complex:
 def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
     _require_same_shape(a, b)
     return max(abs(x - y) for x, y in zip(a.entries, b.entries))
-
-
-def hermitian_deviation(a: ComplexMatrix) -> float:
-    """Largest entrywise deviation from A = A*."""
-    if not a.is_square():
-        raise DimensionError("hermitian_deviation needs a square matrix")
-    return max_abs_diff(a, adjoint(a))
 
 
 def _phase_fix_columns(n: int, v: list[complex]) -> list[complex]:

@@ -60,13 +60,28 @@ class Rotation3:
             raise DomainError("rotation matrix must be 3x3")
         if any(not isfinite(x) for r in rows for x in r):
             raise DomainError("rotation entries must be finite")
-        dev = orthogonality_deviation(rows)
-        if dev > DEFAULT_TOL:
-            raise DomainError(f"matrix is not orthogonal (deviation {dev:.3e})")
-        d = _det3(rows)
-        if abs(d - 1.0) > DEFAULT_TOL:
-            raise DomainError(f"rotation must have det +1, got {d!r}")
+        _check_rotation(rows)
         object.__setattr__(self, "matrix", rows)
+
+    @classmethod
+    def _built(cls, rows: Matrix3) -> "Rotation3":
+        """A rotation from three 3-tuples of finite floats the library built,
+        without the float rebuild and finiteness pass; the orthogonality and
+        det checks still run. No outside value comes here.
+        """
+        _check_rotation(rows)
+        rot = object.__new__(cls)
+        rot.__dict__["matrix"] = rows  # frozen: fill the field as __init__ would
+        return rot
+
+
+def _check_rotation(rows: Matrix3) -> None:
+    dev = orthogonality_deviation(rows)
+    if dev > DEFAULT_TOL:
+        raise DomainError(f"matrix is not orthogonal (deviation {dev:.3e})")
+    d = _det3(rows)
+    if abs(d - 1.0) > DEFAULT_TOL:
+        raise DomainError(f"rotation must have det +1, got {d!r}")
 
 
 def _det3(m: Matrix3) -> float:
@@ -101,7 +116,7 @@ def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:
     ca = cos(aa.angle)
     sa = sin(aa.angle)
     k = 1.0 - ca
-    return Rotation3(
+    return Rotation3._built(
         (
             (ca + n1 * n1 * k, n1 * n2 * k - n3 * sa, n1 * n3 * k + n2 * sa),
             (n2 * n1 * k + n3 * sa, ca + n2 * n2 * k, n2 * n3 * k - n1 * sa),
@@ -163,8 +178,15 @@ def _dot3(u, v) -> float:
 
 
 def compose(ra: Rotation3, rb: Rotation3) -> Rotation3:
-    columns = tuple(zip(*rb.matrix))
-    return Rotation3(tuple(tuple(_dot3(row, col) for col in columns) for row in ra.matrix))
+    r0, r1, r2 = ra.matrix
+    c0, c1, c2 = zip(*rb.matrix)
+    return Rotation3._built(
+        (
+            (_dot3(r0, c0), _dot3(r0, c1), _dot3(r0, c2)),
+            (_dot3(r1, c0), _dot3(r1, c1), _dot3(r1, c2)),
+            (_dot3(r2, c0), _dot3(r2, c1), _dot3(r2, c2)),
+        )
+    )
 
 
 def apply(rot: Rotation3, r: BlochVector) -> BlochVector:

@@ -13,7 +13,7 @@ from math import atan2, cos, sin, sqrt
 
 from .bloch import DensityOperator
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, ComplexMatrix, adjoint, mul, scale
+from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, scale
 from .so3 import Z_AXIS, AxisAngle
 
 _AXIS_CUTOFF = 1e-12
@@ -68,7 +68,7 @@ def unitary_from_axis_angle(aa: AxisAngle) -> Unitary2:
     s = sin(aa.angle / 2.0)
     n1, n2, n3 = aa.axis
     return Unitary2(
-        ComplexMatrix(
+        ComplexMatrix._trusted(
             2,
             2,
             (
@@ -103,17 +103,20 @@ def axis_angle_from_unitary(u: Unitary2) -> AxisAngle:
 
 
 def compose(ua: Unitary2, ub: Unitary2) -> Unitary2:
-    return Unitary2(mul(ua.matrix, ub.matrix))
+    return Unitary2(ComplexMatrix._trusted(2, 2, _mul2(ua.matrix.entries, ub.matrix.entries)))
 
 
 def conjugate(u: Unitary2, rho: DensityOperator) -> DensityOperator:
     """U rho U*; preserves trace, Hermiticity, positivity, and purity."""
-    return DensityOperator(mul(mul(u.matrix, rho.matrix), adjoint(u.matrix)))
+    ue = u.matrix.entries
+    return DensityOperator(
+        ComplexMatrix._trusted(2, 2, _mul2(_mul2(ue, rho.matrix.entries), _adjoint2(ue)))
+    )
 
 
 def negate(u: Unitary2) -> Unitary2:
     """The other preimage of the same rotation."""
-    return Unitary2(scale(u.matrix, -1.0))
+    return Unitary2(ComplexMatrix._trusted(2, 2, tuple(e * -1.0 for e in u.matrix.entries)))
 
 
 def normalize_phase(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Unitary2:

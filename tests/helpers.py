@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import dataclasses
 import io
 import json
 import random
-from math import cos, pi, sin, sqrt
+import struct
+from math import cos, isfinite, pi, sin, sqrt
 from pathlib import Path
 
 from blochiso.channels import (
@@ -18,10 +20,16 @@ from blochiso.channels import (
     InversePairReport,
     KrausSet,
     _apply_to_matrix,
+    _bloch_columns,
     _pin_phase,
 )
 from blochiso.cli import main as cli_main
-from blochiso.errors import DimensionError, DomainError, NotUnitaryConjugationError
+from blochiso.errors import (
+    DimensionError,
+    DomainError,
+    NonStateError,
+    NotUnitaryConjugationError,
+)
 from blochiso.matrix import (
     _PHASE_CUTOFF,
     DEFAULT_TOL,
@@ -35,6 +43,10 @@ from blochiso.matrix import (
     scale,
     trace,
 )
+from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
+from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar
+from blochiso.so3 import Rotation3, _det3, _dot3, orthogonality_deviation, rotation_from_axis_angle
+from blochiso.su2 import Unitary2, negate
 
 
 def from_rows(rows) -> ComplexMatrix:
@@ -365,6 +377,184 @@ def hermitian_eig_reference(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Hermi
             reordered[i * n + new_col] = vflat[i * n + old_col]
     vectors = _phase_fix_columns_reference(n, reordered)
     return HermitianEigenResult(eigenvalues, ComplexMatrix(n, n, tuple(vectors)))
+
+
+def fingerprint(value):
+    """``value`` with every float as its IEEE-754 bytes, so ``==`` is bitwise.
+
+    An exception becomes its type, message and, where it has them, the
+    worst pair and residual.
+    """
+    if isinstance(value, float):
+        return struct.pack("d", value)
+    if isinstance(value, complex):
+        return struct.pack("2d", value.real, value.imag)
+    if isinstance(value, (tuple, list)):
+        return tuple(fingerprint(v) for v in value)
+    if isinstance(value, BaseException):
+        extra = (getattr(value, "pair", None), getattr(value, "residual", None))
+        return (type(value), str(value), fingerprint(extra))
+    if dataclasses.is_dataclass(value):
+        return tuple(fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def outcome(function, *args):
+    """The fingerprint of ``function(*args)`` or of what it raised."""
+    try:
+        return fingerprint(function(*args))
+    except Exception as exc:  # compared, type included, against the oracle's
+        return fingerprint(exc)
+
+
+# The geometry path as it was before it trusted the values it builds: every
+# rotation and 2x2 value validated in full, every 2x2 product through the
+# matmul kernel. Rotations come back as their validated rows and density
+# operators as their validated matrix; tests/test_trusted_geometry.py
+# compares the library with these bit for bit.
+
+
+def rotation_reference(matrix):
+    """The rows ``Rotation3(matrix)`` kept, or the error it raised."""
+    rows = tuple(tuple(float(x) for x in row) for row in matrix)
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise DomainError("rotation matrix must be 3x3")
+    if any(not isfinite(x) for r in rows for x in r):
+        raise DomainError("rotation entries must be finite")
+    dev = orthogonality_deviation(rows)
+    if dev > DEFAULT_TOL:
+        raise DomainError(f"matrix is not orthogonal (deviation {dev:.3e})")
+    d = _det3(rows)
+    if abs(d - 1.0) > DEFAULT_TOL:
+        raise DomainError(f"rotation must have det +1, got {d!r}")
+    return rows
+
+
+def rotation_from_axis_angle_reference(aa):
+    """Rodrigues form: cos a * I + (1 - cos a) n n^T + sin a [n]_x."""
+    n1, n2, n3 = aa.axis
+    ca = cos(aa.angle)
+    sa = sin(aa.angle)
+    k = 1.0 - ca
+    return rotation_reference(
+        (
+            (ca + n1 * n1 * k, n1 * n2 * k - n3 * sa, n1 * n3 * k + n2 * sa),
+            (n2 * n1 * k + n3 * sa, ca + n2 * n2 * k, n2 * n3 * k - n1 * sa),
+            (n3 * n1 * k - n2 * sa, n3 * n2 * k + n1 * sa, ca + n3 * n3 * k),
+        )
+    )
+
+
+def so3_compose_reference(ra, rb):
+    columns = tuple(zip(*rb.matrix))
+    return rotation_reference(tuple(tuple(_dot3(row, col) for col in columns) for row in ra.matrix))
+
+
+def phi_inverse_reference(u):
+    return rotation_reference(tuple(zip(*_bloch_columns((u.matrix,), 3))))
+
+
+def unitary_from_axis_angle_reference(aa) -> Unitary2:
+    """cos(a/2) I - i sin(a/2) n . sigma; det is 1 by construction."""
+    c = cos(aa.angle / 2.0)
+    s = sin(aa.angle / 2.0)
+    n1, n2, n3 = aa.axis
+    return Unitary2(
+        ComplexMatrix(
+            2,
+            2,
+            (
+                complex(c, -s * n3),
+                complex(-s * n2, -s * n1),
+                complex(s * n2, -s * n1),
+                complex(c, s * n3),
+            ),
+        )
+    )
+
+
+def su2_compose_reference(ua, ub) -> Unitary2:
+    return Unitary2(mul(ua.matrix, ub.matrix))
+
+
+def su2_negate_reference(u) -> Unitary2:
+    return Unitary2(scale(u.matrix, -1.0))
+
+
+def hermitian_deviation_reference(a: ComplexMatrix) -> float:
+    """Largest entrywise deviation from A = A*."""
+    if not a.is_square():
+        raise DimensionError("hermitian_deviation needs a square matrix")
+    return max_abs_diff(a, adjoint(a))
+
+
+def density_operator_reference(m: ComplexMatrix) -> ComplexMatrix:
+    """The matrix ``DensityOperator(m)`` kept, or the error it raised."""
+    if m.rows != 2 or m.cols != 2:
+        raise NonStateError("density operator must be 2x2")
+    if hermitian_deviation_reference(m) > DEFAULT_TOL:
+        raise NonStateError("density operator must be Hermitian")
+    a = m.at(0, 0).real
+    d = m.at(1, 1).real
+    if abs(a + d - 1.0) > DEFAULT_TOL:
+        raise NonStateError(f"density operator trace must be 1, got {a + d!r}")
+    b = m.at(0, 1)
+    disc = sqrt((a - d) * (a - d) + 4.0 * (b.real * b.real + b.imag * b.imag))
+    if (a + d - disc) / 2.0 < -DEFAULT_TOL:
+        raise NonStateError("density operator must be positive semidefinite")
+    if a * a + d * d + 2.0 * (b.real * b.real + b.imag * b.imag) > 1.0 + DEFAULT_TOL:
+        raise NonStateError("density operator purity exceeds 1")
+    return m
+
+
+def su2_conjugate_reference(u, rho) -> ComplexMatrix:
+    """U rho U*; preserves trace, Hermiticity, positivity, and purity."""
+    return density_operator_reference(mul(mul(u.matrix, rho.matrix), adjoint(u.matrix)))
+
+
+def bloch_to_density_reference(r, tol: float = DEFAULT_TOL) -> ComplexMatrix:
+    nrm = r.norm()
+    if nrm > 1.0 + tol:
+        raise NonStateError(f"Bloch vector norm {nrm!r} exceeds 1")
+    x1, x2, x3 = r.x1, r.x2, r.x3
+    if nrm > 1.0:
+        x1, x2, x3 = x1 / nrm, x2 / nrm, x3 / nrm
+    m = ComplexMatrix(
+        2,
+        2,
+        (
+            complex(0.5 * (1.0 + x3), 0.0),
+            complex(0.5 * x1, -0.5 * x2),
+            complex(0.5 * x1, 0.5 * x2),
+            complex(0.5 * (1.0 - x3), 0.0),
+        ),
+    )
+    return density_operator_reference(m)
+
+
+def geometry_inputs(rng: random.Random):
+    """Seeded inputs of one geometry case: a Bloch vector and an axis-angle
+    for the state diagram, the entries of a special unitary, a word of three
+    axis-angles and the rows of a rotation to lift."""
+    return (
+        bloch_in_ball(rng),
+        axis_angle(rng),
+        su2_haar(rng).matrix.entries,
+        [axis_angle(rng) for _ in range(3)],
+        rotation_from_axis_angle(axis_angle(rng)).matrix,
+    )
+
+
+def run_geometry_case(inputs):
+    """The diagram checks of one geometry case, as a caller makes them: the
+    caller builds the unitary and the rotation to lift from plain values."""
+    r, aa, u_entries, word, lift_rows = inputs
+    state = verify_state_diagram(r, aa)
+    u = Unitary2(ComplexMatrix(2, 2, u_entries))
+    plus, minus = phi_inverse(u), phi_inverse(negate(u))
+    group = verify_group_diagram(word)
+    lift = phi(Rotation3(lift_rows))
+    return state, plus, minus, group, lift
 
 
 def unitarity_deviation_generic(m: ComplexMatrix) -> float:

@@ -7,12 +7,12 @@ terms that are exact zeros, so their results equal the oracles' (the Bloch
 action bit for bit). The Kraus-pair products of ``KrausSet.tp_deviation``,
 ``extract_unitary_via_gram`` and ``verify_inverse_pair`` perform the same
 operations as the generic ones, so every result, and every exception on a
-non-finite product, is the oracle's bit for bit. The library's sums run
+non-finite product, is the oracle's bit for bit; ``su2.compose`` and
+``su2.conjugate`` take the same closed 2x2 product. The library's sums run
 left to right on every Python version. The matmul counts are exact, so they
 gate regressions without timing noise.
 """
 
-import dataclasses
 import itertools
 import random
 import struct
@@ -58,10 +58,14 @@ from helpers import (
     bloch_affine_action_generic,
     choi_tp_deviation,
     extract_unitary_via_gram_generic,
+    fingerprint,
+    geometry_inputs,
     orthogonality_deviation_generic,
+    outcome,
     phi_inverse_generic,
     random_cptp_kraus,
     random_matrix,
+    run_geometry_case,
     tp_deviation_generic,
     unitarity_deviation_generic,
     verify_inverse_pair_generic,
@@ -145,34 +149,6 @@ class TestMatchesGenericFormulas:
         mats.append(bloch_affine_action(make_depolarizing(0.5)).matrix)
         for m in mats:
             assert orthogonality_deviation(m) == orthogonality_deviation_generic(m)
-
-
-def fingerprint(value):
-    """``value`` with every float as its IEEE-754 bytes, so ``==`` is bitwise.
-
-    An exception becomes its type, message and, where it has them, the
-    worst pair and residual.
-    """
-    if isinstance(value, float):
-        return struct.pack("d", value)
-    if isinstance(value, complex):
-        return struct.pack("2d", value.real, value.imag)
-    if isinstance(value, (tuple, list)):
-        return tuple(fingerprint(v) for v in value)
-    if isinstance(value, BaseException):
-        extra = (getattr(value, "pair", None), getattr(value, "residual", None))
-        return (type(value), str(value), fingerprint(extra))
-    if dataclasses.is_dataclass(value):
-        return tuple(fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value))
-    return value
-
-
-def outcome(function, *args):
-    """The fingerprint of ``function(*args)`` or of what it raised."""
-    try:
-        return fingerprint(function(*args))
-    except Exception as exc:  # compared, type included, against the oracle's
-        return fingerprint(exc)
 
 
 def kraus(*entry_tuples) -> KrausSet:
@@ -422,10 +398,18 @@ class TestMatmulCounts:
         assert classify(k).extracted_unitary is not None
         assert matmuls == []
 
-    def test_state_diagram_makes_two(self, matmuls):
+    def test_state_diagram_makes_none(self, matmuls):
         rng = random.Random(5)
         r, aa = bloch_in_ball(rng), axis_angle(rng)
         assert verify_state_diagram(r, aa).commutes
-        # U rho, then (U rho) U*: the conjugation of the state.
-        assert matmuls == [(2, 2, 2), (2, 2, 2)]
+        # U rho U* is the closed 2x2 product, twice.
+        assert matmuls == []
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_geometry_case_makes_none(self, matmuls, seed):
+        inputs = geometry_inputs(random.Random(seed))
+        matmuls.clear()
+        state, plus, minus, group, _lift = run_geometry_case(inputs)
+        assert state.commutes and group.commutes and plus == minus
+        assert matmuls == []
 

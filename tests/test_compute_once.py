@@ -32,7 +32,8 @@ from blochiso.cli import main
 from blochiso.errors import DomainError
 from blochiso.matrix import ComplexMatrix, adjoint, hermitian_eig, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
-from helpers import amplitude_damping, random_cptp_kraus
+from blochiso.so3 import Rotation3
+from helpers import amplitude_damping, geometry_inputs, random_cptp_kraus, run_geometry_case
 
 I2 = ComplexMatrix.identity(2)
 
@@ -127,6 +128,32 @@ class TestValueConstructions:
         # The Choi matrix, then the leading Gram direction and its
         # phase-pinned copy; the README states this count.
         assert validated == [(4, 4), (2, 2), (2, 2)]
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_geometry_case_validates_only_the_callers_unitary(self, validated, seed):
+        inputs = geometry_inputs(random.Random(seed))
+        validated.clear()
+        run_geometry_case(inputs)
+        # The unitary the caller builds from its entries; every other 2x2
+        # value of the diagrams is built by the library. The README states
+        # this count.
+        assert validated == [(2, 2)]
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_geometry_case_validates_only_the_callers_rotation(self, monkeypatch, seed):
+        inputs = geometry_inputs(random.Random(seed))
+        checked = []
+        check = Rotation3.__post_init__
+
+        def counted(self):
+            checked.append(self.matrix)
+            check(self)
+
+        monkeypatch.setattr(Rotation3, "__post_init__", counted)
+        run_geometry_case(inputs)
+        # The rotation to lift; the Rodrigues form, compose and phi_inverse
+        # build theirs through Rotation3._built.
+        assert checked == [inputs[4]]
 
     def test_choi_of_overflow_still_raises(self):
         k = KrausSet((ComplexMatrix(2, 2, (1e160, 0j, 0j, 1e160)),))
