@@ -165,8 +165,9 @@ class TestStates:
         cases = [bloch_to_density(r).matrix for r in bloch_vectors()]
         for _ in range(100):
             g = random_matrix(rng, 2)
-            cases += [g, scale(g, 1e-300), scale(g, 1e200), ComplexMatrix(2, 2, g.entries[:3] + (-0.0j,))]
-            cases.append(ComplexMatrix(2, 2, tuple((x + y) * 0.5 for x, y in zip(g.entries, adjoint(g).entries))))
+            hermitian = tuple((x + y) * 0.5 for x, y in zip(g.entries, adjoint(g).entries))
+            cases += [g, scale(g, 1e-300), scale(g, 1e200), ComplexMatrix(2, 2, hermitian)]
+            cases.append(ComplexMatrix(2, 2, g.entries[:3] + (-0.0j,)))
         cases.append(ComplexMatrix(2, 2, (1e308j, 1e308 + 0j, -1e308 + 0j, -1e308j)))
         for m in cases:
             assert outcome(_hermiticity_deviation, m) == outcome(hermitian_deviation_reference, m)
@@ -187,7 +188,10 @@ class TestErrorParity:
             r"^matrix is not orthogonal \(deviation 3\.000e\+00\)$",
         ),
         # The transpose map's Bloch action: orthogonal, det -1.
-        (((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)), r"^rotation must have det \+1, got -1\.0$"),
+        (
+            ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)),
+            r"^rotation must have det \+1, got -1\.0$",
+        ),
     ]
 
     @pytest.mark.parametrize("rows, message", REJECTED_ROTATIONS)
@@ -212,7 +216,8 @@ class TestErrorParity:
     def test_density_operator_messages(self, m, message):
         with pytest.raises(NonStateError, match=message):
             DensityOperator(m)
-        assert outcome(DensityOperator, m) == outcome(lambda x: DensityOperator(density_operator_reference(x)), m)
+        reference = outcome(lambda x: DensityOperator(density_operator_reference(x)), m)
+        assert outcome(DensityOperator, m) == reference
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_outside_values_are_still_checked_finite(self, bad):
