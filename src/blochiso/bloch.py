@@ -149,7 +149,7 @@ def bloch_to_density(r: BlochVector, tol: float = DEFAULT_TOL) -> DensityOperato
     :class:`NonStateError`.
     """
     nrm = r.norm()
-    if nrm > 1.0 + tol:
+    if not nrm <= 1.0 + tol:  # negated, so that a NaN tol fails it
         raise NonStateError(f"Bloch vector norm {nrm!r} exceeds 1")
     x1, x2, x3 = r.x1, r.x2, r.x3
     if nrm > 1.0:
@@ -169,9 +169,21 @@ def bloch_to_density(r: BlochVector, tol: float = DEFAULT_TOL) -> DensityOperato
 
 
 def density_to_bloch(rho: DensityOperator) -> BlochVector:
-    """Inverse dictionary, components x_k = Tr(rho sigma_k)."""
-    comps = [trace(mul(rho.matrix, p)).real for p in PAULIS]
-    return BlochVector(comps[0], comps[1], comps[2])
+    """Inverse dictionary, components x_k = Tr(rho sigma_k).
+
+    Each trace is the generic ``trace(mul(rho, sigma_k)).real`` read off the
+    entries: the same products and sums from ``0j``, less the products with
+    an exact zero of sigma_k, which leave such a sum unchanged bit for bit.
+    """
+    a, b, c, d = rho.matrix.entries
+    _, x01, x10, _ = PAULI_X.entries
+    _, y01, y10, _ = PAULI_Y.entries
+    z00, _, _, z11 = PAULI_Z.entries
+    return BlochVector(
+        (0j + (0j + b * x10) + (0j + c * x01)).real,
+        (0j + (0j + b * y10) + (0j + c * y01)).real,
+        (0j + (0j + a * z00) + (0j + d * z11)).real,
+    )
 
 
 def purity(rho: DensityOperator) -> Purity:

@@ -230,7 +230,7 @@ def _apply_to_matrix(k: KrausSet, m: ComplexMatrix) -> ComplexMatrix:
 def apply_channel(k: KrausSet, rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityOperator:
     """sum_a A_a rho A_a* for a trace-preserving set."""
     dev = k.tp_deviation()
-    if dev > tol:
+    if not dev <= tol:  # negated, so that a NaN tol fails it
         raise InvalidChannelError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
     return DensityOperator(_apply_to_matrix(k, rho.matrix))
 
@@ -326,7 +326,8 @@ def extract_unitary_via_gram(
                 worst_residual = residual
                 worst_pair = (a_prime, a)
             beta_entries[a_prime * count + a] = coeff
-    if worst_residual > tol:
+    # Negated comparisons, so that a NaN tolerance fails every guard.
+    if not worst_residual <= tol:
         raise NotUnitaryConjugationError(
             "channel is not a unitary conjugation: operator pair "
             f"{worst_pair} has proportionality residual {worst_residual:.3e}",
@@ -361,7 +362,7 @@ def extract_unitary_via_gram(
 
     unitary = candidates[0]
     dev = unitarity_deviation(unitary)
-    if dev > max(tol, 1e-7):
+    if not dev <= max(tol, 1e-7):
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
@@ -370,7 +371,7 @@ def extract_unitary_via_gram(
     for extra in candidates[1:]:
         overlap = trace(mul(adjoint(unitary), extra)) / 2.0
         mag = abs(overlap)
-        if mag < 1e-12 or max_abs_diff(extra, scale(unitary, overlap / mag)) > max(tol, 1e-7):
+        if mag < 1e-12 or not max_abs_diff(extra, scale(unitary, overlap / mag)) <= max(tol, 1e-7):
             raise NotUnitaryConjugationError(
                 "Gram directions disagree on the underlying unitary", (0, 0), mag
             )

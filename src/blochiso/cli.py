@@ -13,10 +13,12 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
 from typing import Any, Callable, NoReturn, Sequence
 
@@ -29,6 +31,8 @@ from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
 SCHEMA_VERSION = "1"
+
+_NUMBER = (int, float)
 
 KINDS = ("kraus", "choi", "rotation", "unitary", "axis_angle", "bloch", "density")
 
@@ -59,20 +63,22 @@ def dumps(value: Any) -> str:
     """Compact JSON with fixed float formatting and insertion-order keys.
 
     Raises ValueError on a NaN or infinite float, which JSON cannot carry.
+    Floats come first, being most of every report; bool before int, its
+    base class. Strings are escaped by the function ``json.dumps`` calls.
     """
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in value.items())
-        return "{" + inner + "}"
+    if isinstance(value, float):
+        return _fmt_float(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in value) + "]"
+        return "[" + ",".join(map(dumps, value)) + "]"
+    if isinstance(value, dict):
+        inner = ",".join([f"{_encode_str(str(k))}:{dumps(v)}" for k, v in value.items()])
+        return "{" + inner + "}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _encode_str(value)
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -126,31 +132,33 @@ def _inline(v: Any) -> str:
 # Payload encoding / decoding
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _encode_cmatrix(m: ComplexMatrix) -> list[list[list[float]]]:
-    return [[_complex_pair(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    ents, cols = m.entries, m.cols
+    return [[[z.real, z.imag] for z in ents[r : r + cols]] for r in range(0, len(ents), cols)]
 
 
 def _encode_rmatrix(rows: Sequence[Sequence[float]]) -> list[list[float]]:
     return [[float(x) for x in row] for row in rows]
 
 
-def _decode_complex(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def _decode_complex(value: Any) -> complex | None:
+    """The complex of a number or an ``[re, im]`` pair; None for anything else.
+
+    Exact type tests: ``json.loads`` makes no subclass of int or float, and
+    bool is neither. ``float()`` of an integer beyond the float range raises
+    OverflowError.
+    """
+    if type(value) in _NUMBER:
         return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise CliError(2, "malformed_input", f"{where}: expected a number or [re, im] pair")
+    if type(value) is list and len(value) == 2:
+        re, im = value
+        if type(re) in _NUMBER and type(im) in _NUMBER:
+            return complex(float(re), float(im))
+    return None
 
 
 def _decode_cmatrix(value: Any, rows: int, cols: int, where: str) -> ComplexMatrix:
+    """The one check of a document's complex matrix: shape, cells, finiteness."""
     if not isinstance(value, list) or len(value) != rows:
         raise CliError(2, "malformed_input", f"{where}: expected {rows} rows")
     flat: list[complex] = []
@@ -158,8 +166,16 @@ def _decode_cmatrix(value: Any, rows: int, cols: int, where: str) -> ComplexMatr
         if not isinstance(row, list) or len(row) != cols:
             raise CliError(2, "malformed_input", f"{where}: row {i} must have {cols} entries")
         for j, cell in enumerate(row):
-            flat.append(_decode_complex(cell, f"{where}[{i}][{j}]"))
-    return ComplexMatrix(rows, cols, tuple(flat))
+            z = _decode_complex(cell)
+            if z is None:
+                raise CliError(
+                    2, "malformed_input", f"{where}[{i}][{j}]: expected a number or [re, im] pair"
+                )
+            flat.append(z)
+    entries = tuple(flat)
+    if not all(map(cmath.isfinite, entries)):
+        raise DomainError("matrix entries must be finite")
+    return ComplexMatrix._trusted(rows, cols, entries)
 
 
 def _decode_real_vector(value: Any, length: int, where: str) -> tuple[float, ...]:

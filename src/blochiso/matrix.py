@@ -47,8 +47,10 @@ class ComplexMatrix:
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple[complex, ...]) -> "ComplexMatrix":
-        """A matrix without validation, for a tuple the library built with
-        ``rows * cols`` finite complex entries; no outside value comes here.
+        """A matrix without validation, for a tuple of ``rows * cols`` finite
+        complex entries. The library's own values come here, and one outside
+        caller: the CLI decoder, which has checked the shape and the
+        finiteness of a document's entries itself.
         """
         m = object.__new__(cls)
         fields = m.__dict__  # frozen: fill the fields as __init__ would
@@ -183,7 +185,7 @@ def hermitian_eig(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenR
         raise DimensionError("hermitian_eig needs a square matrix")
     m_adjoint = adjoint(m)
     dev = max_abs_diff(m, m_adjoint)
-    if dev > tol:
+    if not dev <= tol:  # negated, so that a NaN tol fails it
         raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
     return _checked_hermitian_eig(m, m_adjoint)
 

@@ -128,7 +128,7 @@ def normalize_phase(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Unitary2:
     if m.rows != 2 or m.cols != 2:
         raise DomainError("normalize_phase expects a 2x2 matrix")
     dev = unitarity_deviation(m)
-    if dev > tol:
+    if not dev <= tol:  # negated, so that a NaN tol fails it
         raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")
     d = det2(m)
     root = cmath.sqrt(d)

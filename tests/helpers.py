@@ -23,7 +23,7 @@ from blochiso.channels import (
     _bloch_columns,
     _pin_phase,
 )
-from blochiso.cli import main as cli_main
+from blochiso.cli import CliError, _fmt_float, main as cli_main
 from blochiso.errors import (
     DimensionError,
     DomainError,
@@ -144,6 +144,13 @@ def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
         columns.append([0.5 * trace(mul(PAULIS[i], phi_of_sigma)).real for i in range(3)])
     matrix = tuple(tuple(columns[j][i] for j in range(3)) for i in range(3))
     return BlochAffineAction(matrix, translation)  # type: ignore[arg-type]
+
+
+def density_to_bloch_generic(rho) -> tuple[float, float, float]:
+    """x_k = Tr(rho s_k) through generic matrix products."""
+    from blochiso.bloch import PAULIS
+
+    return tuple(trace(mul(rho.matrix, p)).real for p in PAULIS)  # type: ignore[return-value]
 
 
 _I2 = ComplexMatrix.identity(2)
@@ -648,6 +655,58 @@ def phase_aligned_diff(candidate: ComplexMatrix, reference: ComplexMatrix) -> fl
         return float("inf")
     phase = overlap / mag
     return max(abs(y - phase * x) for x, y in zip(reference.entries, candidate.entries))
+
+
+# The CLI codec before it checked each cell once: dumps, _decode_complex and
+# _decode_cmatrix verbatim, so their bytes, values and errors can be
+# compared with the library's.
+
+
+def dumps_reference(value):
+    """Compact JSON with fixed float formatting and insertion-order keys.
+
+    Raises ValueError on a NaN or infinite float, which JSON cannot carry.
+    """
+    if isinstance(value, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{dumps_reference(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(dumps_reference(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _decode_complex_reference(value, where: str) -> complex:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return complex(float(value), 0.0)
+    if (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    ):
+        return complex(float(value[0]), float(value[1]))
+    raise CliError(2, "malformed_input", f"{where}: expected a number or [re, im] pair")
+
+
+def _decode_cmatrix_reference(value, rows: int, cols: int, where: str) -> ComplexMatrix:
+    if not isinstance(value, list) or len(value) != rows:
+        raise CliError(2, "malformed_input", f"{where}: expected {rows} rows")
+    flat: list[complex] = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != cols:
+            raise CliError(2, "malformed_input", f"{where}: row {i} must have {cols} entries")
+        for j, cell in enumerate(row):
+            flat.append(_decode_complex_reference(cell, f"{where}[{i}][{j}]"))
+    return ComplexMatrix(rows, cols, tuple(flat))
 
 
 # ----------------------------------------------------------------------

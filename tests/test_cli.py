@@ -9,16 +9,25 @@ import os
 import random
 import subprocess
 import sys
-from math import sqrt
+from math import inf, nan, sqrt
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from blochiso import channels, sampling, so3
+from blochiso import channels, cli, sampling, so3
 from blochiso.bloch import bloch_to_density
-from blochiso.cli import KINDS, main
-from helpers import GOLDEN_CASES, GOLDEN_DIR as GOLDEN, run_golden_case as run_case
+from blochiso.cli import KINDS, CliError, main
+from helpers import (
+    GOLDEN_CASES,
+    GOLDEN_DIR as GOLDEN,
+    _decode_cmatrix_reference,
+    dumps_reference,
+    fingerprint,
+    outcome,
+    run_golden_case as run_case,
+)
 
 
 def run_cli(argv, stdin_text=None):
@@ -828,3 +837,102 @@ def test_cli_contract(tmp_path, family, data):
     code, out = run_cli([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
     assert code in (0, 1, 2, 3)
     json.loads(out, parse_constant=reject_constant)
+
+
+# ----------------------------------------------------------------------
+# The codec checks each cell once and writes each value by one test; its
+# bytes, values and errors are those of the previous codec, kept in helpers.
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),  # NaN and the infinities, which have no JSON form
+    st.sampled_from([0.0, -0.0, nan, inf, -inf, 1e-320]),
+    st.builds(pow, st.just(10), st.just(5000)),  # past str()'s digit limit
+    st.integers(),
+    st.integers(10**300, 10**400),
+    st.text(),  # non-ASCII too
+    st.complex_numbers(max_magnitude=1.0),  # not serializable
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text() | st.integers() | st.booleans(), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+# Cells a document can carry in place of a number or an [re, im] pair.
+DAMAGED_CELLS = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.just({}),
+    st.lists(NUMBERS, min_size=1, max_size=1),
+    st.lists(NUMBERS, min_size=3, max_size=3),
+    st.lists(NUMBERS | st.booleans() | st.text(max_size=1), min_size=2, max_size=2),
+    st.sampled_from([nan, inf, -inf, 1e400, 10**400, -(10**400), 0, -0.0, 1, 2**53 + 1]),
+    NUMBERS,
+)
+MATRIX_KINDS = ("unitary", "density", "kraus", "choi")
+
+
+@st.composite
+def damaged_documents(draw):
+    """A matrix document, some of whose cells are replaced or made bare numbers."""
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    payload = draw(sampled_payload(kind) | generated_payload(kind))
+    matrices = payload["operators"] if kind == "kraus" else [payload["matrix"]]
+    rows = [row for m in matrices if isinstance(m, list) for row in m if isinstance(row, list)]
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.sampled_from(rows)) if rows else []
+        if row:
+            j = draw(st.integers(0, len(row) - 1))
+            cell = row[j]
+            bare = isinstance(cell, list) and len(cell) == 2 and draw(st.booleans())
+            row[j] = cell[0] if bare else draw(DAMAGED_CELLS)
+    return {"schema_version": "1", "kind": kind, "payload": payload}
+
+
+def decoded(doc):
+    """The decoded value's fingerprint, or the exit code and payload of the error."""
+    try:
+        kind, value = cli._decode_document(doc)
+    except CliError as exc:
+        return (exc.exit_code, exc.payload)
+    except Exception as exc:  # compared, type included, against the reference's
+        return fingerprint(exc)
+    return (kind, fingerprint(value))
+
+
+class TestCodecParity:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(value=VALUES)
+    def test_dumps_matches_the_previous_encoder(self, value):
+        assert outcome(cli.dumps, value) == outcome(dumps_reference, value)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [[nan, "x"], [0, 1]],  # a damaged cell is reported before a non-finite one
+            [[10**400, "x"], [0, 1]],  # an overflow is raised where it is met
+            [["x", 10**400], [0, 1]],
+            [[inf, 0], [0, [1, 0, 0]]],
+            [[[1, True], 0], [0, 1]],
+            [[1e400, 0], [0, 1]],
+            [[1, -0.0], [[-0.0, -0.0], 1]],
+        ],
+    )
+    def test_first_error_wins(self, cells):
+        doc = {"schema_version": "1", "kind": "unitary", "payload": {"matrix": cells}}
+        with mock.patch.object(cli, "_decode_cmatrix", _decode_cmatrix_reference):
+            expected = decoded(doc)
+        assert decoded(doc) == expected
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(doc=damaged_documents())
+    def test_decoder_matches_the_previous_decoder(self, doc):
+        with mock.patch.object(cli, "_decode_cmatrix", _decode_cmatrix_reference):
+            expected = decoded(doc)
+        assert decoded(doc) == expected

@@ -1,10 +1,11 @@
 """The closed 2x2 and 3x3 forms give the generic products' answers exactly.
 
 ``bloch_affine_action`` (and ``phi_inverse``, its one-operator case),
-``unitarity_deviation`` and ``orthogonality_deviation`` perform the IEEE-754
+``density_to_bloch``, ``unitarity_deviation`` and ``orthogonality_deviation``
+perform the IEEE-754
 operations of the generic matmul and sum formulas in ``helpers`` less the
 terms that are exact zeros, so their results equal the oracles' (the Bloch
-action bit for bit). The Kraus-pair products of ``KrausSet.tp_deviation``,
+action and the Bloch vector of a state bit for bit). The Kraus-pair products of ``KrausSet.tp_deviation``,
 ``extract_unitary_via_gram`` and ``verify_inverse_pair`` perform the same
 operations as the generic ones, so every result, and every exception on a
 non-finite product, is the oracle's bit for bit; ``su2.compose`` and
@@ -13,7 +14,10 @@ left to right on every Python version. The matmul counts are exact, so they
 gate regressions without timing noise.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import struct
 from math import fsum, pi, sqrt
@@ -21,7 +25,7 @@ from math import fsum, pi, sqrt
 import pytest
 
 import blochiso._kernels
-from blochiso.bloch import BlochVector
+from blochiso.bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from blochiso.channels import (
     KrausSet,
     bloch_affine_action,
@@ -32,6 +36,7 @@ from blochiso.channels import (
     make_depolarizing,
     verify_inverse_pair,
 )
+from blochiso.cli import main
 from blochiso.isomorphism import phi_inverse, verify_state_diagram
 from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, scale
 from blochiso.sampling import (
@@ -57,6 +62,7 @@ from helpers import (
     amplitude_damping,
     bloch_affine_action_generic,
     choi_tp_deviation,
+    density_to_bloch_generic,
     extract_unitary_via_gram_generic,
     fingerprint,
     geometry_inputs,
@@ -110,7 +116,28 @@ def unitaries():
     return sampled_unitaries()
 
 
+def densities() -> list[DensityOperator]:
+    """Seeded states in the ball, and |0><0| and I/2 with every sign of
+    their zero parts."""
+    rng = random.Random(20256)
+    states = [bloch_to_density(bloch_in_ball(rng)) for _ in range(3000)]
+
+    def signed(x: float) -> list[complex]:
+        reals = (x, -x) if x == 0.0 else (x,)
+        return [complex(re, im) for re in reals for im in (0.0, -0.0)]
+
+    for a, d in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+        corners = itertools.product(signed(a), signed(0.0), signed(0.0), signed(d))
+        states += [DensityOperator(ComplexMatrix(2, 2, entries)) for entries in corners]
+    return states
+
+
 class TestMatchesGenericFormulas:
+    def test_density_to_bloch(self):
+        for rho in densities():
+            closed = density_to_bloch(rho).as_tuple()
+            assert fingerprint(closed) == fingerprint(density_to_bloch_generic(rho))
+
     def test_phi_inverse(self, unitaries):
         for u in unitaries:
             # Both sum each trace from 0.0, so even the zeros' signs agree.
@@ -403,6 +430,17 @@ class TestMatmulCounts:
         r, aa = bloch_in_ball(rng), axis_angle(rng)
         assert verify_state_diagram(r, aa).commutes
         # U rho U* is the closed 2x2 product, twice.
+        assert matmuls == []
+
+    def test_cli_convert_to_bloch_makes_none(self, matmuls, tmp_path):
+        rho = bloch_to_density(BlochVector(0.25, -0.5, 0.125))
+        matrix = [[[z.real, z.imag] for z in rho.matrix.entries[r : r + 2]] for r in (0, 2)]
+        doc = {"schema_version": "1", "kind": "density", "payload": {"matrix": matrix}}
+        path = tmp_path / "density.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["convert", "--to", "bloch", str(path)]) == 0
+        assert json.loads(out.getvalue())["payload"]["vector"] == [0.25, -0.5, 0.125]
         assert matmuls == []
 
     @pytest.mark.parametrize("seed", [7, 8, 9])

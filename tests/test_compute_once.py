@@ -33,7 +33,13 @@ from blochiso.errors import DomainError
 from blochiso.matrix import ComplexMatrix, adjoint, hermitian_eig, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
 from blochiso.so3 import Rotation3
-from helpers import amplitude_damping, geometry_inputs, random_cptp_kraus, run_geometry_case
+from helpers import (
+    GOLDEN_DIR,
+    amplitude_damping,
+    geometry_inputs,
+    random_cptp_kraus,
+    run_geometry_case,
+)
 
 I2 = ComplexMatrix.identity(2)
 
@@ -154,6 +160,16 @@ class TestValueConstructions:
         # The rotation to lift; the Rodrigues form, compose and phi_inverse
         # build theirs through Rotation3._built.
         assert checked == [inputs[4]]
+
+    def test_cli_classify_validates_only_the_choi_matrix(self, validated):
+        # The decoder checks the four operators itself and builds them
+        # trusted; the depolarizing channel is not invertible, so no Gram
+        # candidate follows the Choi entries.
+        path = GOLDEN_DIR / "inputs" / "kraus_depolarizing_half.json"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["classify", str(path)]) == 0
+        assert json.loads(out.getvalue())["kind"] == "CptpNotInvertible"
+        assert validated == [(4, 4)]
 
     def test_choi_of_overflow_still_raises(self):
         k = KrausSet((ComplexMatrix(2, 2, (1e160, 0j, 0j, 1e160)),))
