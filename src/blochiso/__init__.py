@@ -61,13 +61,10 @@ from .matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
-    add,
     adjoint,
     hermitian_eig,
     max_abs_diff,
-    mul,
     scale,
-    trace,
 )
 from .so3 import AxisAngle, Rotation3, axis_angle_from_rotation, rotation_from_axis_angle
 from .su2 import (

@@ -1,9 +1,16 @@
-"""The two hot loops of the matrix layer: complex products and Jacobi.
+"""The matrix layer's one kernel, the cyclic Jacobi eigensolver, and the
+reference product.
 
-Callers reach them as module attributes (``_kernels.matmul(...)``), so a
-test or profiler that replaces an attribute sees every call. The results
-are pinned bit for bit by the golden CLI fixtures and the seeded ``verify``
-reports: a change here must keep each IEEE-754 operation and its order.
+The library calls ``jacobi_hermitian`` as a module attribute
+(``_kernels.jacobi_hermitian(...)``), so a test or profiler that replaces
+the attribute sees every call. Its results are pinned bit for bit by the
+golden CLI fixtures and the seeded ``verify`` reports: a change here must
+keep each IEEE-754 operation and its order.
+
+``matmul`` is the generic product. No library code calls it: every product
+is a closed 2x2 form in :mod:`blochiso.matrix`. The test oracles call it
+as the reference those forms are checked against, and the benchmark's
+tracer wraps it by name, so it stays until the tracer drops that name.
 """
 
 from __future__ import annotations

@@ -28,13 +28,10 @@ from .matrix import (
     _adjoint2,
     _checked_hermitian_eig,
     _mul2,
-    add,
     adjoint,
     hermitian_eig,
     max_abs_diff,
-    mul,
     scale,
-    trace,
 )
 from .su2 import unitarity_deviation
 
@@ -220,19 +217,18 @@ class BlochAffineAction:
     translation: tuple[float, float, float]
 
 
-def _apply_to_matrix(k: KrausSet, m: ComplexMatrix) -> ComplexMatrix:
-    acc = ComplexMatrix.zeros(2, 2)
-    for op in k.operators:
-        acc = add(acc, mul(mul(op, m), adjoint(op)))
-    return acc
-
-
 def apply_channel(k: KrausSet, rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityOperator:
-    """sum_a A_a rho A_a* for a trace-preserving set."""
+    """sum_a A_a rho A_a* for a trace-preserving set, each entry summed from
+    0j over the operators and checked once for finiteness."""
     dev = k.tp_deviation()
     if not dev <= tol:  # negated, so that a NaN tol fails it
         raise InvalidChannelError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
-    return DensityOperator(_apply_to_matrix(k, rho.matrix))
+    m = rho.matrix.entries
+    s0 = s1 = s2 = s3 = 0j
+    for op in k.operators:
+        p0, p1, p2, p3 = _mul2(_mul2(op.entries, m), _adjoint2(op.entries))
+        s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
+    return DensityOperator(ComplexMatrix(2, 2, (s0, s1, s2, s3)))
 
 
 def _choi_entries(k: KrausSet) -> ComplexMatrix:
@@ -369,7 +365,9 @@ def extract_unitary_via_gram(
     # The remaining significant directions, if any, must carry the same
     # unitary up to phase; this is asserted rather than assumed.
     for extra in candidates[1:]:
-        overlap = trace(mul(adjoint(unitary), extra)) / 2.0
+        p0, p1, p2, p3 = _mul2(_adjoint2(unitary.entries), extra.entries)
+        overlap = (0j + p0 + p3) / 2.0
+        _require_finite(p1, p2, overlap)
         mag = abs(overlap)
         if mag < 1e-12 or not max_abs_diff(extra, scale(unitary, overlap / mag)) <= max(tol, 1e-7):
             raise NotUnitaryConjugationError(

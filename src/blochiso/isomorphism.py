@@ -17,7 +17,7 @@ from . import so3, su2
 from .bloch import BlochVector, bloch_to_density
 from .channels import _bloch_columns
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, ComplexMatrix, adjoint, max_abs_diff, mul
+from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, max_abs_diff
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
@@ -99,9 +99,12 @@ def adjoint_action(u: Unitary2, elem: Su2AlgebraElement) -> Su2AlgebraElement:
     """u -> U u U*, expressed back in Pauli coordinates.
 
     Anti-Hermiticity survives conjugation, so the result decomposes as
-    i r' . sigma again; the coordinate norm is preserved.
+    i r' . sigma again; the coordinate norm is preserved. The closed product
+    is validated once: a product never turns a non-finite entry finite, so
+    it raises exactly where the generic chain does.
     """
-    m = mul(mul(u.matrix, elem.matrix()), adjoint(u.matrix))
+    ue = u.matrix.entries
+    m = ComplexMatrix(2, 2, _mul2(_mul2(ue, elem.matrix().entries), _adjoint2(ue)))
     r1 = (m.at(0, 1).imag + m.at(1, 0).imag) / 2.0
     r2 = (m.at(0, 1).real - m.at(1, 0).real) / 2.0
     r3 = (m.at(0, 0).imag - m.at(1, 1).imag) / 2.0

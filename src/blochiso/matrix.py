@@ -1,8 +1,9 @@
 """Dense complex matrices at qubit scale with deterministic factorizations.
 
 Matrices are immutable, row-major, and small (everything downstream is 2x2
-to 4x4 plus Gram matrices of Kraus sets). The hot loops, products and the
-cyclic Jacobi eigensolver, live in :mod:`blochiso._kernels`.
+to 4x4 plus Gram matrices of Kraus sets). Every product is the closed 2x2
+form ``_mul2``; the library has no generic product. The cyclic Jacobi
+eigensolver, the one kernel, lives in :mod:`blochiso._kernels`.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class ComplexMatrix:
         ents = tuple(1.0 + 0j if i == j else 0j for i in range(n) for j in range(n))
         return cls._trusted(n, n, ents)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        _require_positive_shape(rows, cols)
-        return cls._trusted(rows, cols, (0j,) * (rows * cols))
-
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]
 
@@ -99,20 +95,8 @@ def _require_same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:
         raise DimensionError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
-def add(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    _require_same_shape(a, b)
-    return ComplexMatrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
-
-
 def scale(a: ComplexMatrix, z: complex) -> ComplexMatrix:
     return ComplexMatrix(a.rows, a.cols, tuple(e * z for e in a.entries))
-
-
-def mul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    if a.cols != b.rows:
-        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = _kernels.matmul(a.rows, a.cols, a.entries, b.cols, b.entries)
-    return ComplexMatrix(a.rows, b.cols, tuple(out))
 
 
 def adjoint(a: ComplexMatrix) -> ComplexMatrix:
@@ -121,8 +105,9 @@ def adjoint(a: ComplexMatrix) -> ComplexMatrix:
     return ComplexMatrix._trusted(cols, a.rows, conjugated)
 
 
-# Closed 2x2 forms over row-major entry tuples: the generic adjoint and mul
-# in the same order, so the values are the generic ones bit for bit.
+# Closed 2x2 forms over row-major entry tuples: the generic adjoint and the
+# reference product (the tests' ``mul``) in the same order, so the values
+# are the generic ones bit for bit.
 
 
 def _adjoint2(x: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -131,7 +116,7 @@ def _adjoint2(x: tuple[complex, ...]) -> tuple[complex, ...]:
 
 
 def _mul2(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Entries of x y, each summed from 0j as ``_kernels.matmul`` sums them."""
+    """Entries of x y, each summed from 0j as the reference product sums them."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     return (
@@ -140,15 +125,6 @@ def _mul2(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]
         0j + x2 * y0 + x3 * y2,
         0j + x2 * y1 + x3 * y3,
     )
-
-
-def trace(a: ComplexMatrix) -> complex:
-    if not a.is_square():
-        raise DimensionError("trace needs a square matrix")
-    t = 0j
-    for i in range(a.rows):
-        t += a.entries[i * a.cols + i]
-    return t
 
 
 def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:

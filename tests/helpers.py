@@ -12,6 +12,7 @@ import struct
 from math import cos, isfinite, pi, sin, sqrt
 from pathlib import Path
 
+import blochiso._kernels
 from blochiso.channels import (
     RANK_RELATIVE_THRESHOLD,
     BlochAffineAction,
@@ -19,7 +20,6 @@ from blochiso.channels import (
     GramData,
     InversePairReport,
     KrausSet,
-    _apply_to_matrix,
     _bloch_columns,
     _pin_phase,
 )
@@ -35,18 +35,47 @@ from blochiso.matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
-    add,
     adjoint,
     hermitian_eig,
     max_abs_diff,
-    mul,
     scale,
-    trace,
 )
 from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
 from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar
 from blochiso.so3 import Rotation3, _det3, _dot3, orthogonality_deviation, rotation_from_axis_angle
 from blochiso.su2 import Unitary2, negate
+
+
+# The generic operations. The library's products are closed 2x2 forms; these
+# are the references the oracles below build from. ``mul`` reaches the kernel
+# as a module attribute, so a test that patches ``_kernels.matmul`` sees
+# every call.
+
+
+def zeros(rows: int, cols: int) -> ComplexMatrix:
+    return ComplexMatrix(rows, cols, (0j,) * (rows * cols))
+
+
+def add(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    return ComplexMatrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def mul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = blochiso._kernels.matmul(a.rows, a.cols, a.entries, b.cols, b.entries)
+    return ComplexMatrix(a.rows, b.cols, tuple(out))
+
+
+def trace(a: ComplexMatrix) -> complex:
+    if not a.is_square():
+        raise DimensionError("trace needs a square matrix")
+    t = 0j
+    for i in range(a.rows):
+        t += a.entries[i * a.cols + i]
+    return t
 
 
 def from_rows(rows) -> ComplexMatrix:
@@ -79,7 +108,7 @@ TAU = (
 
 def rotation_generator(axis: tuple[float, float, float], angle: float) -> ComplexMatrix:
     """The matrix -i * angle * (n . tau); its exponential is the rotation."""
-    acc = ComplexMatrix.zeros(3, 3)
+    acc = zeros(3, 3)
     for n_l, tau_l in zip(axis, TAU):
         acc = add(acc, scale(tau_l, n_l))
     return scale(acc, -1j * angle)
@@ -89,7 +118,7 @@ def pauli_generator(axis: tuple[float, float, float], angle: float) -> ComplexMa
     """The matrix -i * (angle / 2) * (n . sigma); its exponential is the unitary."""
     from blochiso.bloch import PAULIS
 
-    acc = ComplexMatrix.zeros(2, 2)
+    acc = zeros(2, 2)
     for n_l, sigma_l in zip(axis, PAULIS):
         acc = add(acc, scale(sigma_l, n_l))
     return scale(acc, -0.5j * angle)
@@ -129,21 +158,53 @@ def phi_inverse_generic(u) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def apply_to_matrix_generic(k: KrausSet, m: ComplexMatrix) -> ComplexMatrix:
+    """sum_a A_a m A_a* through generic matrix products."""
+    acc = zeros(2, 2)
+    for op in k.operators:
+        acc = add(acc, mul(mul(op, m), adjoint(op)))
+    return acc
+
+
 def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
     """M_kj = Tr(s_k Phi(s_j)) / 2 and t_k = Tr(s_k Phi(I)) / 2 through
     generic matrix products, for a set already known to be CPTP."""
     from blochiso.bloch import PAULIS
 
-    phi_of_identity = _apply_to_matrix(k, ComplexMatrix.identity(2))
+    phi_of_identity = apply_to_matrix_generic(k, ComplexMatrix.identity(2))
     translation = tuple(
         0.5 * trace(mul(PAULIS[i], phi_of_identity)).real for i in range(3)
     )
     columns = []
     for j in range(3):
-        phi_of_sigma = _apply_to_matrix(k, PAULIS[j])
+        phi_of_sigma = apply_to_matrix_generic(k, PAULIS[j])
         columns.append([0.5 * trace(mul(PAULIS[i], phi_of_sigma)).real for i in range(3)])
     matrix = tuple(tuple(columns[j][i] for j in range(3)) for i in range(3))
     return BlochAffineAction(matrix, translation)  # type: ignore[arg-type]
+
+
+def apply_channel_generic(k: KrausSet, rho):
+    """``channels.apply_channel`` through generic matrix products, for a set
+    already known to be trace preserving."""
+    from blochiso.bloch import DensityOperator
+
+    return DensityOperator(apply_to_matrix_generic(k, rho.matrix))
+
+
+def purity_generic(rho) -> float:
+    """Tr rho^2 through the generic product."""
+    return trace(mul(rho.matrix, rho.matrix)).real
+
+
+def adjoint_action_generic(u, elem):
+    """``isomorphism.adjoint_action``: U u U* through generic matrix products."""
+    from blochiso.isomorphism import Su2AlgebraElement
+
+    m = mul(mul(u.matrix, elem.matrix()), adjoint(u.matrix))
+    r1 = (m.at(0, 1).imag + m.at(1, 0).imag) / 2.0
+    r2 = (m.at(0, 1).real - m.at(1, 0).real) / 2.0
+    r3 = (m.at(0, 0).imag - m.at(1, 1).imag) / 2.0
+    return Su2AlgebraElement((r1, r2, r3))
 
 
 def density_to_bloch_generic(rho) -> tuple[float, float, float]:
@@ -166,7 +227,7 @@ def choi_tp_deviation(choi: ChoiMatrix) -> float:
 
 def tp_deviation_generic(k: KrausSet) -> float:
     """Largest entrywise deviation of sum A* A from the identity."""
-    acc = ComplexMatrix.zeros(2, 2)
+    acc = zeros(2, 2)
     for op in k.operators:
         acc = add(acc, mul(adjoint(op), op))
     return max_abs_diff(acc, _I2)
@@ -213,7 +274,7 @@ def extract_unitary_via_gram_generic(
     for c in range(count):
         if gamma[c] <= RANK_RELATIVE_THRESHOLD * gamma[0]:
             break
-        combo = ComplexMatrix.zeros(2, 2)
+        combo = zeros(2, 2)
         for a in range(count):
             combo = add(combo, scale(ops[a], mixing.at(a, c)))
         candidates.append(scale(combo, 1.0 / sqrt(gamma[c])))
@@ -605,7 +666,7 @@ def random_matrix(rng: random.Random, n: int) -> ComplexMatrix:
 def random_cptp_kraus(rng: random.Random, count: int) -> KrausSet:
     """Random channel: raw Gaussian blocks normalized by S^{-1/2}."""
     blocks = [random_matrix(rng, 2) for _ in range(count)]
-    s = ComplexMatrix.zeros(2, 2)
+    s = zeros(2, 2)
     for g in blocks:
         s = add(s, mul(adjoint(g), g))
     eig = hermitian_eig(s)
@@ -638,7 +699,7 @@ def remix_kraus(rng_unitary: ComplexMatrix, k: KrausSet) -> KrausSet:
     assert rng_unitary.rows == count
     new_ops = []
     for a in range(count):
-        acc = ComplexMatrix.zeros(2, 2)
+        acc = zeros(2, 2)
         for c in range(count):
             acc = add(acc, scale(k.operators[c], rng_unitary.at(c, a)))
         new_ops.append(acc)

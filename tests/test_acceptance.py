@@ -26,7 +26,7 @@ from blochiso.isomorphism import (
     phi_inverse,
     verify_state_diagram,
 )
-from blochiso.matrix import adjoint, max_abs_diff, trace
+from blochiso.matrix import adjoint, max_abs_diff
 from blochiso.sampling import (
     axis_angle as random_axis_angle,
     bloch_in_ball,
@@ -46,6 +46,7 @@ from helpers import (
     rotation_as_cmatrix,
     rotation_generator,
     run_golden_case,
+    trace,
 )
 
 

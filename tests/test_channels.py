@@ -29,13 +29,10 @@ from blochiso.errors import (
 )
 from blochiso.matrix import (
     ComplexMatrix,
-    add,
     adjoint,
     hermitian_eig,
     max_abs_diff,
-    mul,
     scale,
-    trace,
 )
 from blochiso.sampling import (
     axis_angle as random_axis_angle,
@@ -47,12 +44,16 @@ from blochiso.sampling import (
 from blochiso.so3 import AxisAngle
 from blochiso.su2 import conjugate, unitary_from_axis_angle
 from helpers import (
+    add,
     amplitude_damping,
     choi_tp_deviation,
     from_rows,
+    mul,
     phase_aligned_diff,
     random_cptp_kraus,
     remix_kraus,
+    trace,
+    zeros,
 )
 
 I2 = ComplexMatrix.identity(2)
@@ -73,12 +74,12 @@ def large_non_tp_sets():
 
 class TestKrausSet:
     def test_prunes_zero_operators(self):
-        k = KrausSet((I2, ComplexMatrix.zeros(2, 2)))
+        k = KrausSet((I2, zeros(2, 2)))
         assert len(k.operators) == 1
 
     def test_rejects_all_zero(self):
         with pytest.raises(InvalidChannelError):
-            KrausSet((ComplexMatrix.zeros(2, 2),))
+            KrausSet((zeros(2, 2),))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvalidChannelError):

@@ -8,10 +8,11 @@ terms that are exact zeros, so their results equal the oracles' (the Bloch
 action and the Bloch vector of a state bit for bit). The Kraus-pair products of ``KrausSet.tp_deviation``,
 ``extract_unitary_via_gram`` and ``verify_inverse_pair`` perform the same
 operations as the generic ones, so every result, and every exception on a
-non-finite product, is the oracle's bit for bit; ``su2.compose`` and
-``su2.conjugate`` take the same closed 2x2 product. The library's sums run
-left to right on every Python version. The matmul counts are exact, so they
-gate regressions without timing noise.
+non-finite product, is the oracle's bit for bit; ``su2.compose``,
+``su2.conjugate``, ``purity``, ``adjoint_action`` and ``apply_channel`` take
+the same closed 2x2 product. The library's sums run left to right on every
+Python version. The matmul counts are exact, so they gate regressions
+without timing noise.
 """
 
 import contextlib
@@ -25,9 +26,16 @@ from math import fsum, pi, sqrt
 import pytest
 
 import blochiso._kernels
-from blochiso.bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
+from blochiso.bloch import (
+    BlochVector,
+    DensityOperator,
+    bloch_to_density,
+    density_to_bloch,
+    purity,
+)
 from blochiso.channels import (
     KrausSet,
+    apply_channel,
     bloch_affine_action,
     choi_of,
     classify,
@@ -37,7 +45,12 @@ from blochiso.channels import (
     verify_inverse_pair,
 )
 from blochiso.cli import main
-from blochiso.isomorphism import phi_inverse, verify_state_diagram
+from blochiso.isomorphism import (
+    Su2AlgebraElement,
+    adjoint_action,
+    phi_inverse,
+    verify_state_diagram,
+)
 from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, scale
 from blochiso.sampling import (
     axis_angle,
@@ -59,7 +72,9 @@ from blochiso.so3 import (
 )
 from blochiso.su2 import Unitary2, negate, unitarity_deviation, unitary_from_axis_angle
 from helpers import (
+    adjoint_action_generic,
     amplitude_damping,
+    apply_channel_generic,
     bloch_affine_action_generic,
     choi_tp_deviation,
     density_to_bloch_generic,
@@ -69,6 +84,7 @@ from helpers import (
     orthogonality_deviation_generic,
     outcome,
     phi_inverse_generic,
+    purity_generic,
     random_cptp_kraus,
     random_matrix,
     run_geometry_case,
@@ -137,6 +153,40 @@ class TestMatchesGenericFormulas:
         for rho in densities():
             closed = density_to_bloch(rho).as_tuple()
             assert fingerprint(closed) == fingerprint(density_to_bloch_generic(rho))
+
+    def test_purity(self):
+        for rho in densities():
+            assert fingerprint(purity(rho).value) == fingerprint(purity_generic(rho))
+
+    def test_adjoint_action(self):
+        rng = random.Random(20259)
+        cases = [
+            (su2_haar(rng), Su2AlgebraElement(tuple(gaussian(rng) for _ in range(3))))
+            for _ in range(2000)
+        ]
+        # Axis-aligned coordinates carry zeros of both signs; the largest
+        # ones overflow the product, which must raise as the generic one does.
+        edges = [Su2AlgebraElement(ax) for ax in AXES]
+        edges += [Su2AlgebraElement((0.0, 0.0, 0.0)), Su2AlgebraElement((-0.0, -0.0, -0.0))]
+        edges += [Su2AlgebraElement((1.5e308, 1.5e308, -0.0)), Su2AlgebraElement((-0.0, 1e308, -1.5e308))]
+        cases += [(u, elem) for u in edge_unitaries() for elem in edges]
+        raised = 0
+        for u, elem in cases:
+            got = outcome(adjoint_action, u, elem)
+            assert got == outcome(adjoint_action_generic, u, elem)
+            raised += isinstance(got[0], type)
+        assert raised > 0
+
+    def test_apply_channel(self):
+        rng = random.Random(20260)
+        sets = [redundant_unitary_kraus(rng, 1 + rng.randrange(4))[0] for _ in range(300)]
+        sets += [make_depolarizing(p) for p in (0.0, 0.2, 0.5, 1.0)]
+        # Axis-aligned unitaries split into copies whose weights flip the
+        # zeros' signs.
+        sets += [KrausSet((scale(u.matrix, 0.6), scale(u.matrix, -0.8))) for u in edge_unitaries()]
+        for i, rho in enumerate(densities()):
+            k = sets[i % len(sets)]
+            assert outcome(apply_channel, k, rho) == outcome(apply_channel_generic, k, rho)
 
     def test_phi_inverse(self, unitaries):
         for u in unitaries:

@@ -3,7 +3,7 @@
 import random
 from math import pi
 
-from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, mul
+from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff
 from blochiso.sampling import (
     axis_angle,
     bloch_in_ball,
@@ -14,6 +14,7 @@ from blochiso.sampling import (
     unit_vector,
 )
 from blochiso.su2 import det2
+from helpers import mul
 
 
 def test_streams_are_reproducible():

@@ -8,14 +8,7 @@ import pytest
 
 from blochiso.bloch import bloch_to_density, BlochVector, purity
 from blochiso.errors import DomainError
-from blochiso.matrix import (
-    ComplexMatrix,
-    adjoint,
-    max_abs_diff,
-    mul,
-    scale,
-    trace,
-)
+from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, scale
 from blochiso.sampling import axis_angle as random_axis_angle
 from blochiso.sampling import density as random_density
 from blochiso.sampling import su2_haar, unit_vector
@@ -30,7 +23,7 @@ from blochiso.su2 import (
     normalize_phase,
     unitary_from_axis_angle,
 )
-from helpers import expm_taylor, from_rows, pauli_generator
+from helpers import expm_taylor, from_rows, mul, pauli_generator, trace
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
