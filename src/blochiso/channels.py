@@ -57,16 +57,40 @@ def _require_finite(*entries: complex) -> None:
             raise DomainError("matrix entries must be finite")
 
 
-def _proportionality(prod: tuple[complex, ...]) -> tuple[complex, float]:
-    """coeff = Tr(P) / 2 of a 2x2 product P, and max |P - coeff I|.
+def _pair_table(
+    lefts: list[tuple[complex, ...]], rights: list[tuple[complex, ...]]
+) -> tuple[ComplexMatrix, float, tuple[int, int]]:
+    """Coefficients Tr(L R) / 2 of every product L R, row-major, as a matrix;
+    the largest max |L R - coeff I|; and the first pair that reaches it.
 
     Sums never turn a non-finite entry finite, so checking the off-diagonal
     entries and coeff covers every value the generic chain checks.
     """
-    p0, p1, p2, p3 = prod
-    coeff = (p0 + p3) / 2.0
-    _require_finite(p1, p2, coeff)
-    return coeff, max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
+    entries = []
+    worst = 0.0
+    worst_pair = (0, 0)
+    for i, left in enumerate(lefts):
+        for j, right in enumerate(rights):
+            p0, p1, p2, p3 = _mul2(left, right)
+            coeff = (p0 + p3) / 2.0
+            _require_finite(p1, p2, coeff)
+            residual = max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
+            if residual > worst:
+                worst = residual
+                worst_pair = (i, j)
+            entries.append(coeff)
+    return ComplexMatrix._trusted(len(lefts), len(rights), tuple(entries)), worst, worst_pair
+
+
+def _rank(eigenvalues: tuple[float, ...]) -> int:
+    """Number of a descending spectrum's eigenvalues above RANK_RELATIVE_THRESHOLD
+    times the largest, 0 if that is not positive: the Choi rank, the Kraus count of
+    :func:`kraus_from_choi` and the Gram directions of the unitary extraction.
+    """
+    top = eigenvalues[0]
+    if top <= 0.0:
+        return 0
+    return sum(1 for ev in eigenvalues if ev > RANK_RELATIVE_THRESHOLD * top)
 
 
 @dataclass(frozen=True)
@@ -136,12 +160,8 @@ class ChoiMatrix:
     def eigenvalues(self) -> tuple[float, ...]:
         return self.spectrum.eigenvalues
 
-    def rank(self, relative_threshold: float = RANK_RELATIVE_THRESHOLD) -> int:
-        evs = self.eigenvalues()
-        top = evs[0]
-        if top <= 0.0:
-            return 0
-        return sum(1 for ev in evs if ev > relative_threshold * top)
+    def rank(self) -> int:
+        return _rank(self.spectrum.eigenvalues)
 
 
 class ChannelKind(Enum):
@@ -311,17 +331,9 @@ def extract_unitary_via_gram(
     """
     ops = k.operators
     count = len(ops)
-    beta_entries = [0j] * (count * count)
-    worst_pair = (0, 0)
-    worst_residual = 0.0
-    for a_prime in range(count):
-        left = _adjoint2(ops[a_prime].entries)
-        for a in range(count):
-            coeff, residual = _proportionality(_mul2(left, ops[a].entries))
-            if residual > worst_residual:
-                worst_residual = residual
-                worst_pair = (a_prime, a)
-            beta_entries[a_prime * count + a] = coeff
+    beta, worst_residual, worst_pair = _pair_table(
+        [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
+    )
     # Negated comparisons, so that a NaN tolerance fails every guard.
     if not worst_residual <= tol:
         raise NotUnitaryConjugationError(
@@ -331,8 +343,6 @@ def extract_unitary_via_gram(
             worst_residual,
         )
 
-    # Each coefficient passed _proportionality's finiteness check.
-    beta = ComplexMatrix._trusted(count, count, tuple(beta_entries))
     eig = hermitian_eig(beta, tol)
     gamma = eig.eigenvalues
     mixing = eig.eigenvectors
@@ -345,9 +355,7 @@ def extract_unitary_via_gram(
         )
 
     candidates: list[ComplexMatrix] = []
-    for c in range(count):
-        if gamma[c] <= RANK_RELATIVE_THRESHOLD * gamma[0]:
-            break
+    for c in range(_rank(gamma)):
         s0 = s1 = s2 = s3 = 0j
         for a in range(count):
             x0, x1, x2, x3 = ops[a].entries
@@ -391,21 +399,13 @@ def verify_inverse_pair(
     Every product B_b A_a must be proportional to I with the squared
     magnitudes of the constants summing to one.
     """
-    n_inv = len(k_inv.operators)
-    n_fwd = len(k_fwd.operators)
-    alpha_entries = [0j] * (n_inv * n_fwd)
-    max_residual = 0.0
+    alpha, max_residual, _ = _pair_table(
+        [op.entries for op in k_inv.operators], [op.entries for op in k_fwd.operators]
+    )
     square_sum = 0.0
-    for b in range(n_inv):
-        left = k_inv.operators[b].entries
-        for a in range(n_fwd):
-            coeff, residual = _proportionality(_mul2(left, k_fwd.operators[a].entries))
-            max_residual = max(max_residual, residual)
-            alpha_entries[b * n_fwd + a] = coeff
-            square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
+    for coeff in alpha.entries:
+        square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
     valid = max_residual <= tol and abs(square_sum - 1.0) <= tol
-    # Each coefficient passed _proportionality's finiteness check.
-    alpha = ComplexMatrix._trusted(n_inv, n_fwd, tuple(alpha_entries))
     return InversePairReport(valid, alpha, square_sum, max_residual)
 
 
@@ -494,15 +494,12 @@ def make_depolarizing(p: float) -> KrausSet:
 def kraus_from_choi(j: ChoiMatrix) -> KrausSet:
     """Minimal Kraus set from the spectral decomposition of the Choi matrix."""
     eig = j.spectrum
-    top = eig.eigenvalues[0]
-    if top <= 0.0:
+    rank = _rank(eig.eigenvalues)
+    if rank == 0:
         raise InvalidChannelError("Choi matrix is zero")
     ops = []
-    for k in range(4):
-        ev = eig.eigenvalues[k]
-        if ev <= RANK_RELATIVE_THRESHOLD * top:
-            continue
-        root = sqrt(ev)
+    for k in range(rank):
+        root = sqrt(eig.eigenvalues[k])
         ops.append(
             ComplexMatrix(
                 2, 2, tuple(root * eig.eigenvectors.at(r, k) for r in range(4))

@@ -234,13 +234,12 @@ def _decode_document(doc: Any) -> tuple[str, Any]:
                 _decode_cmatrix(op, 2, 2, f"operators[{i}]") for i, op in enumerate(raw)
             )
             return kind, KrausSet(ops)
-        if kind == "choi":
-            m = _decode_cmatrix(_payload_field(payload, "matrix"), 4, 4, "matrix")
-            return kind, ChoiMatrix(m)
+        # The one kind left: "choi".
+        m = _decode_cmatrix(_payload_field(payload, "matrix"), 4, 4, "matrix")
+        return kind, ChoiMatrix(m)
     except (DomainError, OverflowError) as exc:
         # OverflowError: float() of an integer literal beyond the float range.
         raise CliError(2, "malformed_input", f"invalid {kind} document: {exc}") from exc
-    raise CliError(2, "malformed_input", f"unknown kind {kind!r}")
 
 
 def _encode_domain(kind: str, obj: Any) -> dict[str, Any]:
@@ -250,16 +249,10 @@ def _encode_domain(kind: str, obj: Any) -> dict[str, Any]:
         payload = {"axis": list(obj.axis), "angle": obj.angle}
     elif kind == "rotation":
         payload = {"matrix": _encode_rmatrix(obj.matrix)}
-    elif kind == "unitary":
-        payload = {"matrix": _encode_cmatrix(obj.matrix)}
-    elif kind == "density":
-        payload = {"matrix": _encode_cmatrix(obj.matrix)}
     elif kind == "kraus":
         payload = {"operators": [_encode_cmatrix(op) for op in obj.operators]}
-    elif kind == "choi":
+    else:  # unitary, density and choi, the kinds left in KINDS
         payload = {"matrix": _encode_cmatrix(obj.matrix)}
-    else:
-        raise CliError(3, "unsupported_conversion", f"cannot encode kind {kind!r}")
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
 
 
@@ -291,11 +284,15 @@ def _cmd_convert(args: argparse.Namespace) -> dict[str, Any]:
     return _encode_domain(target, func(obj))
 
 
-def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
+def _kraus_input(args: argparse.Namespace) -> KrausSet:
     kind, obj = _decode_document(_load_json(args.input))
     if kind != "kraus":
-        raise CliError(2, "malformed_input", f"classify expects a kraus document, got {kind}")
-    result = channels.classify(obj, tol=args.tol)
+        raise CliError(2, "malformed_input", f"{args.command} expects a kraus document, got {kind}")
+    return obj
+
+
+def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
+    result = channels.classify(_kraus_input(args), tol=args.tol)
     report: dict[str, Any] = {"cptp": result.kind is not ChannelKind.NOT_CPTP}
     if report["cptp"]:
         report["choi_rank"] = result.choi_rank
@@ -309,10 +306,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_bloch_action(args: argparse.Namespace) -> dict[str, Any]:
-    kind, obj = _decode_document(_load_json(args.input))
-    if kind != "kraus":
-        raise CliError(2, "malformed_input", f"bloch-action expects a kraus document, got {kind}")
-    action = channels.bloch_affine_action(obj, tol=args.tol)
+    action = channels.bloch_affine_action(_kraus_input(args), tol=args.tol)
     dev = so3.orthogonality_deviation(action.matrix)
     return {
         "M": _encode_rmatrix(action.matrix),

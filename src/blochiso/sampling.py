@@ -41,9 +41,9 @@ def bloch_in_ball(rng: random.Random, max_norm: float = 1.0) -> BlochVector:
     return BlochVector(r * d[0], r * d[1], r * d[2])
 
 
-def axis_angle(rng: random.Random, max_angle: float = 2.0 * pi) -> AxisAngle:
-    """Uniform axis and uniform angle in [0, max_angle)."""
-    return AxisAngle(unit_vector(rng), max_angle * rng.random())
+def axis_angle(rng: random.Random) -> AxisAngle:
+    """Uniform axis and uniform angle in [0, 2 pi)."""
+    return AxisAngle(unit_vector(rng), 2.0 * pi * rng.random())
 
 
 def su2_haar(rng: random.Random) -> Unitary2:
@@ -67,9 +67,9 @@ def density(rng: random.Random) -> DensityOperator:
     return bloch_to_density(bloch_in_ball(rng))
 
 
-def probability_vector(rng: random.Random, count: int, floor: float = 0.1) -> tuple[float, ...]:
-    """Strictly positive weights summing to one."""
-    raw = [floor + rng.random() for _ in range(count)]
+def probability_vector(rng: random.Random, count: int) -> tuple[float, ...]:
+    """Strictly positive weights summing to one: draws of 0.1 + U[0, 1), normalized."""
+    raw = [0.1 + rng.random() for _ in range(count)]
     total = 0.0
     for w in raw:
         total += w

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).parent
-sys.path.insert(0, str(HERE.parent))
+# The checkout's tests/ and src/, so that the script runs without an install.
+sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "src")]
 
 from helpers import GOLDEN_CASES, build_golden_inputs, run_golden_case  # noqa: E402
 

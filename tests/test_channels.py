@@ -138,6 +138,16 @@ class TestChoi:
         for p in (0.1, 0.5, 0.9):
             assert choi_of(make_depolarizing(p)).rank() == 4
 
+    def test_eigenvalue_on_the_threshold_counts_as_zero(self):
+        # 1e-7 is RANK_RELATIVE_THRESHOLD times the largest eigenvalue 1: the
+        # Choi rank and the Kraus count both keep only eigenvalues above it.
+        for second, rank in ((1e-7, 1), (2e-7, 2)):
+            j = ChoiMatrix(
+                from_rows([[1, 0, 0, 0], [0, second, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+            )
+            assert j.rank() == rank
+            assert len(kraus_from_choi(j).operators) == rank
+
     def test_rank_invariant_under_remixing(self):
         rng = random.Random(76)
         for count in (2, 3, 4):
