@@ -5,7 +5,9 @@ The library calls ``jacobi_hermitian`` as a module attribute
 (``_kernels.jacobi_hermitian(...)``), so a test or profiler that replaces
 the attribute sees every call. Its results are pinned bit for bit by the
 golden CLI fixtures and the seeded ``verify`` reports: a change here must
-keep each IEEE-754 operation and its order.
+keep each IEEE-754 operation and its order. A matrix whose sum of squared
+entries leaves the float range is diagonalized as a copy scaled by a power
+of two, so its results are those of the scaled copy, eigenvalues scaled back.
 
 ``matmul`` is the generic product. No library code calls it: every product
 is a closed 2x2 form in :mod:`blochiso.matrix`. The test oracles call it
@@ -16,7 +18,9 @@ tracer wraps it by name, so it stays until the tracer drops that name.
 from __future__ import annotations
 
 from functools import cache
-from math import sqrt
+from math import frexp, inf, ldexp, sqrt
+
+from .errors import DomainError
 
 _JACOBI_EPS = 1e-15
 _MAX_SWEEPS = 60
@@ -66,10 +70,21 @@ def jacobi_hermitian(n: int, a):
     for i in range(n):
         V[i * n + i] = 1.0 + 0j
 
-    anorm = 0.0
-    for x in A:
-        anorm += x.real * x.real + x.imag * x.imag
-    anorm = sqrt(anorm)
+    anorm = _frobenius(A)
+    shift = 0
+    if not 0.0 < anorm < inf:
+        # The sum of squares overflowed (entries above about 1e154) or
+        # underflowed to 0 (below about 1e-162), so the threshold would stop
+        # every rotation or none. As LAPACK's zheev does, sweep a copy scaled
+        # by 2**-shift, which brings the largest part into [0.5, 1) exactly
+        # (a part pushed below the normal range rounds), and scale the
+        # eigenvalues back. The factor stops at 2**1023, the largest power of
+        # two, which still lifts a subnormal part above 2**-52. A zero matrix
+        # keeps shift 0, frexp(0.0) being (0.0, 0).
+        shift = max(frexp(max(max(abs(x.real), abs(x.imag)) for x in A))[1], -1023)
+        factor = ldexp(1.0, -shift)
+        A = [complex(x.real * factor, x.imag * factor) for x in A]
+        anorm = _frobenius(A)
     if anorm == 0.0:
         return [0.0] * n, V
 
@@ -117,4 +132,17 @@ def jacobi_hermitian(n: int, a):
         if not rotated:
             break
 
-    return [A[i * n + i].real for i in range(n)], V
+    diag = [A[i * n + i].real for i in range(n)]
+    if shift:
+        try:
+            diag = [ldexp(d, shift) for d in diag]
+        except OverflowError:
+            raise DomainError("matrix entries must be finite") from None
+    return diag, V
+
+
+def _frobenius(A) -> float:
+    total = 0.0
+    for x in A:
+        total += x.real * x.real + x.imag * x.imag
+    return sqrt(total)

@@ -85,7 +85,7 @@ def _pair_table(
 def _rank(eigenvalues: tuple[float, ...]) -> int:
     """Number of a descending spectrum's eigenvalues above RANK_RELATIVE_THRESHOLD
     times the largest, 0 if that is not positive: the Choi rank, the Kraus count of
-    :func:`kraus_from_choi` and the Gram directions of the unitary extraction.
+    :func:`kraus_from_choi` and the Gram rank of the unitary extraction.
     """
     top = eigenvalues[0]
     if top <= 0.0:
@@ -322,15 +322,16 @@ def extract_unitary_via_gram(
     Every pairwise product A_a'* A_a must be proportional to the identity;
     the proportionality constants form the Gram matrix beta. Diagonalizing
     beta remixes the set into operators C_c = sum_a V[a][c] A_a satisfying
-    C_c'* C_c = gamma_c delta I, of which exactly one survives and equals
-    sqrt(gamma) times the underlying unitary.
+    C_c'* C_c = gamma_c delta I. The leading one, divided by sqrt(gamma_0), is
+    the underlying unitary; the channel is that unitary's conjugation exactly
+    when the Gram rank, :func:`_rank` of gamma, is 1.
 
     Returns the unitary (up to a phase pinned deterministically) and the
     Gram intermediates. Raises :class:`NotUnitaryConjugationError`, carrying
-    the worst offending pair, when proportionality fails.
+    the worst offending pair, when proportionality fails, the leading
+    direction is not unitary or the Gram rank exceeds 1 (residual gamma_1).
     """
     ops = k.operators
-    count = len(ops)
     beta, worst_residual, worst_pair = _pair_table(
         [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
     )
@@ -354,33 +355,24 @@ def extract_unitary_via_gram(
             "Gram matrix has no significant direction", (0, 0), gamma[0]
         )
 
-    candidates: list[ComplexMatrix] = []
-    for c in range(_rank(gamma)):
-        s0 = s1 = s2 = s3 = 0j
-        for a in range(count):
-            x0, x1, x2, x3 = ops[a].entries
-            v = mixing.at(a, c)
-            s0, s1, s2, s3 = s0 + x0 * v, s1 + x1 * v, s2 + x2 * v, s3 + x3 * v
-        norm = 1.0 / sqrt(gamma[c])
-        candidates.append(ComplexMatrix(2, 2, (s0 * norm, s1 * norm, s2 * norm, s3 * norm)))
-
-    unitary = candidates[0]
+    s0 = s1 = s2 = s3 = 0j
+    for a, op in enumerate(ops):
+        x0, x1, x2, x3 = op.entries
+        v = mixing.at(a, 0)
+        s0, s1, s2, s3 = s0 + x0 * v, s1 + x1 * v, s2 + x2 * v, s3 + x3 * v
+    norm = 1.0 / sqrt(gamma[0])
+    unitary = ComplexMatrix(2, 2, (s0 * norm, s1 * norm, s2 * norm, s3 * norm))
     dev = unitarity_deviation(unitary)
     if not dev <= max(tol, 1e-7):
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
-    # The remaining significant directions, if any, must carry the same
-    # unitary up to phase; this is asserted rather than assumed.
-    for extra in candidates[1:]:
-        p0, p1, p2, p3 = _mul2(_adjoint2(unitary.entries), extra.entries)
-        overlap = (0j + p0 + p3) / 2.0
-        _require_finite(p1, p2, overlap)
-        mag = abs(overlap)
-        if mag < 1e-12 or not max_abs_diff(extra, scale(unitary, overlap / mag)) <= max(tol, 1e-7):
-            raise NotUnitaryConjugationError(
-                "Gram directions disagree on the underlying unitary", (0, 0), mag
-            )
+    # The Gram rank is the minimal Kraus count, as the Choi rank is: a second
+    # significant direction is a second operator the channel cannot do without.
+    if _rank(gamma) > 1:
+        raise NotUnitaryConjugationError(
+            "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
+        )
 
     return _pin_phase(unitary), GramData(beta, gamma, mixing)
 

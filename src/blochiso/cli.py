@@ -26,7 +26,7 @@ from . import channels, isomorphism, sampling, so3, su2
 from .bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from .channels import ChannelKind, ChoiMatrix, KrausSet
 from .errors import DomainError
-from .matrix import ComplexMatrix, adjoint
+from .matrix import ComplexMatrix
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
@@ -285,14 +285,12 @@ def _cmd_convert(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _kraus_input(args: argparse.Namespace) -> KrausSet:
-    kind, obj = _decode_document(_load_json(args.input))
-    if kind != "kraus":
-        raise CliError(2, "malformed_input", f"{args.command} expects a kraus document, got {kind}")
-    return obj
+    return _expect_kind(_load_json(args.input), "kraus", f"{args.command} expects a kraus document")
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    result = channels.classify(_kraus_input(args), tol=args.tol)
+    k = _kraus_input(args)
+    result = channels.classify(k, tol=args.tol)
     report: dict[str, Any] = {"cptp": result.kind is not ChannelKind.NOT_CPTP}
     if report["cptp"]:
         report["choi_rank"] = result.choi_rank
@@ -300,8 +298,9 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     if result.kind is ChannelKind.UNITARY_CONJUGATION:
         assert result.extracted_unitary is not None
         report["unitary"] = _encode_cmatrix(result.extracted_unitary)
-        # The inverse channel is conjugation by U*, as channels.invert builds it.
-        report["inverse"] = {"operators": [_encode_cmatrix(adjoint(result.extracted_unitary))]}
+        # invert reuses the verdict classify has just kept on k.
+        inverse = channels.invert(k, tol=args.tol)
+        report["inverse"] = {"operators": [_encode_cmatrix(op) for op in inverse.operators]}
     return report
 
 
@@ -338,7 +337,8 @@ def _diagram_check(case: Any, tol: float) -> tuple[float, bool, dict[str, Any]]:
 
 def _double_cover_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
-        return [_expect_kind(doc, "unitary", "double-cover") for doc in docs]
+        expected = "double-cover expects unitary documents"
+        return [_expect_kind(doc, "unitary", expected) for doc in docs]
     rng = random.Random(args.seed)
     return [sampling.su2_haar(rng) for _ in range(args.samples)]
 
@@ -354,7 +354,8 @@ def _double_cover_check(u: Unitary2, tol: float) -> tuple[float, bool, dict[str,
 
 def _group_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
-        return [[_expect_kind(doc, "axis_angle", "group") for doc in docs]]
+        expected = "group expects axis_angle documents"
+        return [[_expect_kind(doc, "axis_angle", expected) for doc in docs]]
     rng = random.Random(args.seed)
     return [[sampling.axis_angle(rng) for _ in range(3)] for _ in range(args.samples)]
 
@@ -369,7 +370,8 @@ def _inverse_pair_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
         if len(docs) != 2:
             raise CliError(2, "malformed_input", "inverse-pair takes exactly two kraus documents")
-        return [tuple(_expect_kind(doc, "kraus", "inverse-pair") for doc in docs)]
+        expected = "inverse-pair expects kraus documents"
+        return [tuple(_expect_kind(doc, "kraus", expected) for doc in docs)]
     rng = random.Random(args.seed)
     pairs = []
     for _ in range(args.samples):
@@ -396,10 +398,12 @@ _VERIFY_MODES = {
 }
 
 
-def _expect_kind(doc: Any, kind: str, command: str) -> Any:
+def _expect_kind(doc: Any, kind: str, expected: str) -> Any:
+    """The decoded ``doc``, which must be of ``kind``; ``expected`` opens the
+    error text otherwise."""
     got, obj = _decode_document(doc)
     if got != kind:
-        raise CliError(2, "malformed_input", f"{command} expects {kind} documents, got {got}")
+        raise CliError(2, "malformed_input", f"{expected}, got {got}")
     return obj
 
 

@@ -119,16 +119,17 @@ def negate(u: Unitary2) -> Unitary2:
     return Unitary2(ComplexMatrix._trusted(2, 2, tuple(e * -1.0 for e in u.matrix.entries)))
 
 
-def normalize_phase(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Unitary2:
+def normalize_phase(m: ComplexMatrix) -> Unitary2:
     """Divide out the global phase so det becomes 1 (principal square root).
 
-    Accepts any matrix that is unitary within ``tol``; the two SU(2)
-    representatives differ by sign and this picks the principal branch.
+    Accepts a matrix that is unitary within ``DEFAULT_TOL``, the tolerance
+    :class:`Unitary2` holds its result to; the two SU(2) representatives
+    differ by sign and this picks the principal branch.
     """
     if m.rows != 2 or m.cols != 2:
         raise DomainError("normalize_phase expects a 2x2 matrix")
     dev = unitarity_deviation(m)
-    if not dev <= tol:  # negated, so that a NaN tol fails it
+    if dev > DEFAULT_TOL:
         raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")
     d = det2(m)
     root = cmath.sqrt(d)

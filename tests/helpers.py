@@ -9,7 +9,7 @@ import io
 import json
 import random
 import struct
-from math import cos, isfinite, pi, sin, sqrt
+from math import cos, frexp, inf, isfinite, ldexp, pi, sin, sqrt
 from pathlib import Path
 
 import blochiso._kernels
@@ -270,30 +270,21 @@ def extract_unitary_via_gram_generic(
             "Gram matrix has no significant direction", (0, 0), gamma[0]
         )
 
-    candidates: list[ComplexMatrix] = []
-    for c in range(count):
-        if gamma[c] <= RANK_RELATIVE_THRESHOLD * gamma[0]:
-            break
-        combo = zeros(2, 2)
-        for a in range(count):
-            combo = add(combo, scale(ops[a], mixing.at(a, c)))
-        candidates.append(scale(combo, 1.0 / sqrt(gamma[c])))
-
-    unitary = candidates[0]
+    combo = zeros(2, 2)
+    for a in range(count):
+        combo = add(combo, scale(ops[a], mixing.at(a, 0)))
+    unitary = scale(combo, 1.0 / sqrt(gamma[0]))
     dev = max_abs_diff(mul(adjoint(unitary), unitary), _I2)
     if dev > max(tol, 1e-7):
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
-    # The remaining significant directions, if any, must carry the same
-    # unitary up to phase; this is asserted rather than assumed.
-    for extra in candidates[1:]:
-        overlap = trace(mul(adjoint(unitary), extra)) / 2.0
-        mag = abs(overlap)
-        if mag < 1e-12 or max_abs_diff(extra, scale(unitary, overlap / mag)) > max(tol, 1e-7):
-            raise NotUnitaryConjugationError(
-                "Gram directions disagree on the underlying unitary", (0, 0), mag
-            )
+    # A second significant Gram direction is a second Kraus operator the
+    # channel needs: the Gram rank, like the Choi rank, must be 1.
+    if len(gamma) > 1 and gamma[1] > RANK_RELATIVE_THRESHOLD * gamma[0]:
+        raise NotUnitaryConjugationError(
+            "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
+        )
 
     return _pin_phase(unitary), GramData(beta, gamma, mixing)
 
@@ -323,6 +314,8 @@ def verify_inverse_pair_generic(
 
 # The eigensolver before its pivot table and its trusted values: the kernel
 # and hermitian_eig verbatim, so their results can be compared bit for bit.
+# Where the sum of squared entries leaves the float range, the factorization
+# runs the reference kernel on the exactly rescaled copy the kernel sweeps.
 
 _JACOBI_EPS = 1e-15
 _MAX_SWEEPS = 60
@@ -398,6 +391,31 @@ def jacobi_hermitian_reference(n: int, a):
     return [A[i * n + i].real for i in range(n)], V
 
 
+def rescale_shift(a) -> int:
+    """The power of two the kernel scales ``a`` down by before its sweeps: 0
+    while the square root of the sum of squared entries lies in (0, inf),
+    else the binary exponent of the largest part, at least -1023."""
+    total = 0.0
+    for x in a:
+        total += x.real * x.real + x.imag * x.imag
+    if 0.0 < sqrt(total) < inf:
+        return 0
+    return max(frexp(max(max(abs(x.real), abs(x.imag)) for x in a))[1], -1023)
+
+
+def jacobi_hermitian_rescaled_reference(n: int, a):
+    """The reference kernel on ``a`` scaled exactly by 2**-rescale_shift(a),
+    with its eigenvalues scaled back."""
+    shift = rescale_shift(a)
+    if not shift:
+        return jacobi_hermitian_reference(n, a)
+    factor = ldexp(1.0, -shift)
+    diag, v = jacobi_hermitian_reference(
+        n, [complex(x.real * factor, x.imag * factor) for x in a]
+    )
+    return [ldexp(d, shift) for d in diag], v
+
+
 def _phase_fix_columns_reference(n: int, v: list[complex]) -> list[complex]:
     for k in range(n):
         pivot = 0j
@@ -436,7 +454,7 @@ def hermitian_eig_reference(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Hermi
     for e in sym:
         if not cmath.isfinite(e):
             raise DomainError("matrix entries must be finite")
-    diag, vflat = jacobi_hermitian_reference(n, sym)
+    diag, vflat = jacobi_hermitian_rescaled_reference(n, sym)
     order = sorted(range(n), key=diag.__getitem__, reverse=True)
     eigenvalues = tuple(diag[k] for k in order)
     reordered = [0j] * (n * n)

@@ -298,6 +298,41 @@ class TestClassify:
         assert json.loads(out)["error"]["code"] == "malformed_input"
 
 
+def scaled_identity_choi(s):
+    """s vec(I) vec(I)*: the Choi matrix of the identity channel times s."""
+    return [[[s if r in (0, 3) and c in (0, 3) else 0.0, 0.0] for c in range(4)] for r in range(4)]
+
+
+class TestChannelsAtEveryScale:
+    """Choi entries above about 1e154 once overflowed the eigensolver's sum of
+    squares, which then returned the unrotated diagonal as the spectrum."""
+
+    def test_huge_identity_is_a_unitary_conjugation(self, tmp_path):
+        op = [[[1e153, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e153, 0.0]]]
+        path = write_doc(tmp_path, "k.json", "kraus", {"operators": [op]})
+        code, out = run_cli(["classify", "--tol", "1e308", path])
+        assert code == 0
+        identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        assert json.loads(out) == {
+            "cptp": True,
+            "choi_rank": 1,
+            "kind": "UnitaryConjugation",
+            "unitary": identity,
+            "inverse": {"operators": [identity]},
+        }
+
+    @pytest.mark.parametrize("s", [1e150, 1e154])
+    def test_huge_identity_choi_has_one_operator(self, tmp_path, s):
+        path = write_doc(tmp_path, "c.json", "choi", {"matrix": scaled_identity_choi(s)})
+        code, out = run_cli(["convert", "--to", "kraus", path])
+        assert code == 0
+        (op,) = json.loads(out)["payload"]["operators"]
+        root = sqrt(s)
+        assert abs(op[0][0][0] - root) <= 1e-15 * root
+        assert abs(op[1][1][0] - root) <= 1e-15 * root
+        assert op[0][1] == op[1][0] == [0, 0]
+
+
 # SHA-256 of `blochiso verify <mode> --samples 1000 --seed 42` stdout.
 SEEDED_DIGESTS = {
     "diagram": "b325f42f87d65baee9456ce598377e6225f7e8e959f72af24849ece56b382798",

@@ -35,6 +35,7 @@ from blochiso.bloch import (
 )
 from blochiso.channels import (
     KrausSet,
+    _rank,
     apply_channel,
     bloch_affine_action,
     choi_of,
@@ -51,7 +52,8 @@ from blochiso.isomorphism import (
     phi_inverse,
     verify_state_diagram,
 )
-from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, scale
+from blochiso.errors import NotUnitaryConjugationError
+from blochiso.matrix import ComplexMatrix, adjoint, hermitian_eig, max_abs_diff, scale
 from blochiso.sampling import (
     axis_angle,
     bloch_in_ball,
@@ -81,6 +83,7 @@ from helpers import (
     extract_unitary_via_gram_generic,
     fingerprint,
     geometry_inputs,
+    mul,
     orthogonality_deviation_generic,
     outcome,
     phi_inverse_generic,
@@ -89,6 +92,7 @@ from helpers import (
     random_matrix,
     run_geometry_case,
     tp_deviation_generic,
+    trace,
     unitarity_deviation_generic,
     verify_inverse_pair_generic,
 )
@@ -316,6 +320,72 @@ class TestKrausPairProducts:
             overflow,
         }
         assert pair == {"report", finite, overflow}
+
+
+def near_proportional_sets() -> list[tuple[KrausSet, float]]:
+    """Seeded sets A_a = c_a U + eps G_a of 2 to 4 operators, with eps
+    log-uniform in [1e-8, 1], each paired with a tolerance log-uniform in
+    [1e-9, 1e3]; G_a and c_a are complex Gaussian."""
+    rng = random.Random(13)
+    out = []
+    for _ in range(2000):
+        u = su2_haar(rng).matrix.entries
+        count = 2 + rng.randrange(3)
+        eps = 10.0 ** rng.uniform(-8.0, 0.0)
+        tol = 10.0 ** rng.uniform(-9.0, 3.0)
+        ops = []
+        for _ in range(count):
+            c = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            noise = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+            ops.append(ComplexMatrix(2, 2, tuple(c * x + eps * g for x, g in zip(u, noise))))
+        out.append((KrausSet(tuple(ops)), tol))
+    return out
+
+
+def gram_spectrum(k: KrausSet, tol: float) -> tuple[float, ...]:
+    """Eigenvalues of the Gram matrix Tr(A_a'* A_a) / 2, from generic products."""
+    ops = k.operators
+    beta = tuple(trace(mul(adjoint(x), y)) / 2.0 for x in ops for y in ops)
+    return hermitian_eig(ComplexMatrix(len(ops), len(ops), beta), tol).eigenvalues
+
+
+def gram_verdict(k: KrausSet, tol: float) -> str:
+    """The extraction's outcome, after checking it against the Gram rank: a
+    unitary only at Gram rank 1, and every "disagree" raise at pair (0, 0)
+    with residual gamma_1."""
+    try:
+        _, gram = extract_unitary_via_gram(k, tol)
+    except NotUnitaryConjugationError as exc:
+        if not str(exc).startswith("Gram directions disagree"):
+            return "other"
+        assert exc.pair == (0, 0)
+        assert exc.residual == gram_spectrum(k, tol)[1]
+        return "disagree"
+    except (ValueError, OverflowError):
+        return "other"
+    assert _rank(gram.gamma) == 1
+    return "unitary"
+
+
+class TestGramRank:
+    @pytest.mark.parametrize("tol", [0.3, 0.6, 2.0, 1e3])
+    def test_pair_sets(self, pair_sets, tol):
+        verdicts = {gram_verdict(k, tol) for k in pair_sets}
+        assert {"unitary", "disagree"} <= verdicts
+
+    def test_near_proportional_sets(self):
+        verdicts = [gram_verdict(k, tol) for k, tol in near_proportional_sets()]
+        assert verdicts.count("disagree") > 100
+        assert verdicts.count("unitary") > 100
+
+    def test_second_direction_is_refused_at_a_loose_tolerance(self):
+        # Two significant Gram directions at tol 1.57: the remix of the second
+        # direction once passed its overlap check by roundoff, and the set
+        # was accepted as a unitary conjugation.
+        k, tol = near_proportional_sets()[286]
+        gamma = gram_spectrum(k, tol)
+        assert tol > 1.5 and _rank(gamma) == 2
+        assert gram_verdict(k, tol) == "disagree"
 
 
 def exact_rotations() -> list[Rotation3]:

@@ -5,7 +5,9 @@ the kernel walked a pivot table and the factorization built its eigenvector
 matrix without re-validation. Both perform the same IEEE-754 operations in
 the same order, so on every input each eigenvalue and eigenvector entry is
 the reference's bit for bit, and every input the reference rejects raises
-the same exception with the same message.
+the same exception with the same message. A matrix whose sum of squared
+entries over- or underflows is compared against the reference run on the
+copy scaled by the same exact power of two, eigenvalues scaled back.
 """
 
 import random
@@ -15,9 +17,14 @@ import pytest
 
 from blochiso import _kernels
 from blochiso.channels import ChoiMatrix
-from blochiso.errors import InvalidChannelError
+from blochiso.errors import DomainError, InvalidChannelError
 from blochiso.matrix import ComplexMatrix, hermitian_eig
-from helpers import hermitian_eig_reference, jacobi_hermitian_reference
+from helpers import (
+    hermitian_eig_reference,
+    jacobi_hermitian_reference,
+    jacobi_hermitian_rescaled_reference,
+    rescale_shift,
+)
 
 SIZES = (1, 2, 3, 4, 5, 6)
 SCALES = (1e-160, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e150)
@@ -105,7 +112,37 @@ def eig_outcome(function, m: ComplexMatrix):
 def test_kernel_matches_reference(n):
     for entries in cases(n):
         got = _kernels.jacobi_hermitian(n, entries)
-        assert kernel_bits(got) == kernel_bits(jacobi_hermitian_reference(n, entries))
+        assert kernel_bits(got) == kernel_bits(jacobi_hermitian_rescaled_reference(n, entries))
+
+
+def test_out_of_range_cases_are_rescaled():
+    # 20 cases whose sum of squares overflows, 2 (n = 1, entries near 1e-320)
+    # whose sum underflows to 0; the unscaled reference gets 16 of them wrong.
+    shifts = [rescale_shift(entries) for n in SIZES for entries in cases(n)]
+    assert len(shifts) == 408
+    assert sum(s > 0 for s in shifts) == 20
+    assert sum(s < 0 for s in shifts) == 2
+    changed = sum(
+        kernel_bits(_kernels.jacobi_hermitian(n, e)) != kernel_bits(jacobi_hermitian_reference(n, e))
+        for n in SIZES
+        for e in cases(n)
+        if rescale_shift(e)
+    )
+    assert changed == 16
+
+
+@pytest.mark.parametrize("s", [1e155, 1e-165])
+def test_spectrum_at_every_scale(s):
+    # The sum of squares overflows at 1e155 and underflows to 0 at 1e-165;
+    # unscaled, the kernel returned (s, s) and (0, 0).
+    top, bottom = hermitian_eig(ComplexMatrix(2, 2, (s, s, s, s))).eigenvalues
+    assert abs(top - 2.0 * s) <= 1e-15 * s
+    assert abs(bottom) <= 1e-15 * s
+
+
+def test_eigenvalue_beyond_the_float_range_raises_domain_error():
+    with pytest.raises(DomainError, match="matrix entries must be finite"):
+        hermitian_eig(ComplexMatrix(2, 2, (1e308, 1e308, 1e308, 1e308)))
 
 
 @pytest.mark.parametrize("n", SIZES)

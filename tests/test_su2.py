@@ -47,8 +47,9 @@ class TestTypes:
         assert max_abs_diff(fixed.matrix, I2) <= 1e-12
 
     def test_normalize_phase_rejects_nonunitary(self):
-        with pytest.raises(DomainError):
-            normalize_phase(from_rows([[1, 0], [0, 2]]))
+        for m in (from_rows([[1, 0], [0, 2]]), scale(I2, 2.0)):
+            with pytest.raises(DomainError, match="not unitary"):
+                normalize_phase(m)
 
 
 class TestClosedForm:

@@ -16,7 +16,6 @@ from blochiso.errors import (
     NotUnitaryConjugationError,
 )
 from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, hermitian_eig, scale
-from blochiso.su2 import normalize_phase
 from helpers import amplitude_damping
 
 I2 = ComplexMatrix.identity(2)
@@ -32,11 +31,6 @@ GUARDS = {
         lambda tol: hermitian_eig(ComplexMatrix(2, 2, (1, 5, 0, 1)), tol),
         DomainError,
         "not Hermitian",
-    ),
-    "normalize_phase": (
-        lambda tol: normalize_phase(scale(I2, 2.0), tol),
-        DomainError,
-        "not unitary",
     ),
     "apply_channel": (
         lambda tol: apply_channel(KrausSet((scale(I2, 2.0),)), NORTH, tol),
