@@ -16,6 +16,7 @@ from blochiso.errors import (
     NotUnitaryConjugationError,
 )
 from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, hermitian_eig, scale
+from blochiso.su2 import normalize_phase
 from helpers import amplitude_damping
 
 I2 = ComplexMatrix.identity(2)
@@ -45,10 +46,29 @@ GUARDS = {
 }
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, float("nan")], ids=["default", "nan"])
-@pytest.mark.parametrize("guard", GUARDS)
+# normalize_phase takes no tolerance: it holds its input to DEFAULT_TOL, the
+# tolerance Unitary2 holds its result to, so it has only the default case.
+GUARDS_AT_DEFAULT_ONLY = {
+    "normalize_phase": (
+        lambda tol: normalize_phase(scale(I2, 2.0)),
+        DomainError,
+        "not unitary",
+    ),
+}
+
+CASES = [
+    pytest.param(guard, tol, id=f"{guard}-{tol_id}")
+    for guard in GUARDS
+    for tol, tol_id in ((DEFAULT_TOL, "default"), (float("nan"), "nan"))
+] + [
+    pytest.param(guard, DEFAULT_TOL, id=f"{guard}-default")
+    for guard in GUARDS_AT_DEFAULT_ONLY
+]
+
+
+@pytest.mark.parametrize(("guard", "tol"), CASES)
 def test_guard_rejects_at_a_nan_tolerance(guard, tol):
-    call, error, message = GUARDS[guard]
+    call, error, message = {**GUARDS, **GUARDS_AT_DEFAULT_ONLY}[guard]
     with pytest.raises(error, match=message):
         call(tol)
 
