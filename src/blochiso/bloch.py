@@ -7,10 +7,10 @@ rho = (I + r . sigma) / 2, with the purity dichotomy at the unit sphere.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
 from math import cos, isfinite, pi, sin, sqrt
 
+from ._value import Value
 from .errors import DomainError, NonStateError
 from .matrix import DEFAULT_TOL, ComplexMatrix, _mul2
 
@@ -26,14 +26,14 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 PURITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(Value):
     """Point of physical space R^3; it parameterizes a state when its norm
     is at most 1 (checked by :func:`bloch_to_density`, not here)."""
 
-    x1: float
-    x2: float
-    x3: float
+    def __init__(self, x1: float, x2: float, x3: float) -> None:
+        d = self.__dict__
+        d["x1"], d["x2"], d["x3"] = x1, x2, x3
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("x1", "x2", "x3"):
@@ -49,12 +49,13 @@ class BlochVector:
         return (self.x1, self.x2, self.x3)
 
 
-@dataclass(frozen=True)
-class SphericalAngles:
+class SphericalAngles(Value):
     """Polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
 
-    theta: float
-    phi: float
+    def __init__(self, theta: float, phi: float) -> None:
+        d = self.__dict__
+        d["theta"], d["phi"] = theta, phi
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         theta = float(self.theta)
@@ -72,10 +73,10 @@ class PurityKind(Enum):
     MIXED = "Mixed"
 
 
-@dataclass(frozen=True)
-class Purity:
-    value: float
-    kind: PurityKind
+class Purity(Value):
+    def __init__(self, value: float, kind: PurityKind) -> None:
+        d = self.__dict__
+        d["value"], d["kind"] = value, kind
 
 
 def _hermiticity_deviation(m: ComplexMatrix) -> float:
@@ -90,11 +91,12 @@ def _hermiticity_deviation(m: ComplexMatrix) -> float:
     )
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(Value):
     """2x2 Hermitian, unit-trace, positive-semidefinite matrix."""
 
-    matrix: ComplexMatrix
+    def __init__(self, matrix: ComplexMatrix) -> None:
+        self.__dict__["matrix"] = matrix
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         m = self.matrix

@@ -10,10 +10,10 @@ representation of such a channel to that unitary constructively.
 from __future__ import annotations
 
 from cmath import isfinite
-from dataclasses import dataclass, field
 from enum import Enum
 from math import sqrt
 
+from ._value import Value
 from .bloch import PAULIS, DensityOperator
 from .errors import (
     DomainError,
@@ -33,6 +33,7 @@ from .matrix import (
     max_abs_diff,
     scale,
 )
+from .so3 import Matrix3
 from .su2 import unitarity_deviation
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
@@ -93,8 +94,7 @@ def _rank(eigenvalues: tuple[float, ...]) -> int:
     return sum(1 for ev in eigenvalues if ev > RANK_RELATIVE_THRESHOLD * top)
 
 
-@dataclass(frozen=True)
-class KrausSet:
+class KrausSet(Value):
     """Nonempty collection of 2x2 Kraus operators.
 
     Trace preservation (sum A* A = I) is the defining channel invariant but
@@ -102,11 +102,13 @@ class KrausSet:
     ill-formed sets. Operations that require a channel check it themselves.
 
     The set remembers its last :func:`classify` verdict with the tolerance
-    it was reached at, outside the dataclass fields, so equality, hashing
+    it was reached at, outside the value's fields, so equality, hashing
     and repr depend on the operators alone.
     """
 
-    operators: tuple[ComplexMatrix, ...]
+    def __init__(self, operators: tuple[ComplexMatrix, ...]) -> None:
+        self.__dict__["operators"] = operators
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         kept = []
@@ -130,19 +132,21 @@ class KrausSet:
         return max(abs(s0 - 1.0), abs(s1), abs(s2), abs(s3 - 1.0))
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
+class ChoiMatrix(Value):
     """4x4 Choi matrix J = sum_ij Phi(E_ij) (x) E_ij (unnormalized, trace 2).
 
     ``(x)`` is the tensor product of the output and input factors.
     Hermiticity and positivity (the CP side) are enforced; the partial trace
     over the output factor equals I exactly when the source set is trace
     preserving. ``spectrum`` keeps the eigendecomposition the positivity
-    check computed; it is not part of the value's equality or repr.
+    check computed; it is not part of the value's equality, hash or repr.
     """
 
-    matrix: ComplexMatrix
-    spectrum: HermitianEigenResult = field(init=False, compare=False, repr=False)
+    spectrum: HermitianEigenResult
+
+    def __init__(self, matrix: ComplexMatrix) -> None:
+        self.__dict__["matrix"] = matrix
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -173,18 +177,17 @@ class ChannelKind(Enum):
     NOT_CPTP = "NotCptp"
 
 
-@dataclass(frozen=True)
-class CptpDiagnostics:
-    is_cptp: bool
-    tp_deviation: float
-    choi_min_eigenvalue: float
+class CptpDiagnostics(Value):
+    def __init__(self, is_cptp: bool, tp_deviation: float, choi_min_eigenvalue: float) -> None:
+        d = self.__dict__
+        d["is_cptp"], d["tp_deviation"] = is_cptp, tp_deviation
+        d["choi_min_eigenvalue"] = choi_min_eigenvalue
 
     def __bool__(self) -> bool:
         return self.is_cptp
 
 
-@dataclass(frozen=True)
-class ChannelClassification:
+class ChannelClassification(Value):
     """Verdict of :func:`classify`.
 
     ``choi_rank`` is 0 for non-CPTP input (no meaningful rank is reported).
@@ -193,13 +196,14 @@ class ChannelClassification:
     deliberately not normalized to 1 (see su2.normalize_phase for that).
     """
 
-    kind: ChannelKind
-    choi_rank: int
-    extracted_unitary: ComplexMatrix | None
+    def __init__(
+        self, kind: ChannelKind, choi_rank: int, extracted_unitary: ComplexMatrix | None
+    ) -> None:
+        d = self.__dict__
+        d["kind"], d["choi_rank"], d["extracted_unitary"] = kind, choi_rank, extracted_unitary
 
 
-@dataclass(frozen=True)
-class GramData:
+class GramData(Value):
     """Intermediates of the unitary extraction.
 
     ``beta`` is the Hermitian PSD unit-trace matrix of proportionality
@@ -207,34 +211,37 @@ class GramData:
     descending order, ``mixing`` the unitary whose columns diagonalize it.
     """
 
-    beta: ComplexMatrix
-    gamma: tuple[float, ...]
-    mixing: ComplexMatrix
+    def __init__(
+        self, beta: ComplexMatrix, gamma: tuple[float, ...], mixing: ComplexMatrix
+    ) -> None:
+        d = self.__dict__
+        d["beta"], d["gamma"], d["mixing"] = beta, gamma, mixing
 
 
-@dataclass(frozen=True)
-class InversePairReport:
+class InversePairReport(Value):
     """Result of checking that one Kraus set undoes another.
 
     ``alpha`` tabulates the proportionality constants B_b A_a = alpha_ba I
     (rows indexed by the inverse candidate's operators).
     """
 
-    valid: bool
-    alpha: ComplexMatrix
-    alpha_square_sum: float
-    max_residual: float
+    def __init__(
+        self, valid: bool, alpha: ComplexMatrix, alpha_square_sum: float, max_residual: float
+    ) -> None:
+        d = self.__dict__
+        d["valid"], d["alpha"] = valid, alpha
+        d["alpha_square_sum"], d["max_residual"] = alpha_square_sum, max_residual
 
     def __bool__(self) -> bool:
         return self.valid
 
 
-@dataclass(frozen=True)
-class BlochAffineAction:
+class BlochAffineAction(Value):
     """Action on Bloch vectors: r -> M r + t."""
 
-    matrix: tuple[tuple[float, float, float], ...]
-    translation: tuple[float, float, float]
+    def __init__(self, matrix: Matrix3, translation: tuple[float, float, float]) -> None:
+        d = self.__dict__
+        d["matrix"], d["translation"] = matrix, translation
 
 
 def apply_channel(k: KrausSet, rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityOperator:

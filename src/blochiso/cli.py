@@ -16,19 +16,23 @@ import argparse
 import cmath
 import functools
 import json
-import random
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
-from typing import Any, Callable, NoReturn, Sequence
 
-from . import channels, isomorphism, sampling, so3, su2
+from . import channels, isomorphism, so3, su2
 from .bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from .channels import ChannelKind, ChoiMatrix, KrausSet
 from .errors import DomainError
 from .matrix import ComplexMatrix
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
+    from types import ModuleType
+    from typing import Any, Callable, NoReturn, Sequence
 
 SCHEMA_VERSION = "1"
 
@@ -323,10 +327,20 @@ def _cmd_bloch_action(args: argparse.Namespace) -> dict[str, Any]:
 # verdict and the mode's fields of the case entry, in report order.
 
 
+def _sampler(seed: int) -> tuple[random.Random, ModuleType]:
+    """The seeded generator and the sampling module, imported here so that
+    only a sampled ``verify`` pays for ``random``."""
+    import random
+
+    from . import sampling
+
+    return random.Random(seed), sampling
+
+
 def _diagram_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
         raise CliError(2, "malformed_input", "diagram mode is sampled; no documents expected")
-    rng = random.Random(args.seed)
+    rng, sampling = _sampler(args.seed)
     return [(sampling.bloch_in_ball(rng), sampling.axis_angle(rng)) for _ in range(args.samples)]
 
 
@@ -339,7 +353,7 @@ def _double_cover_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
         expected = "double-cover expects unitary documents"
         return [_expect_kind(doc, "unitary", expected) for doc in docs]
-    rng = random.Random(args.seed)
+    rng, sampling = _sampler(args.seed)
     return [sampling.su2_haar(rng) for _ in range(args.samples)]
 
 
@@ -356,7 +370,7 @@ def _group_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
     if docs:
         expected = "group expects axis_angle documents"
         return [[_expect_kind(doc, "axis_angle", expected) for doc in docs]]
-    rng = random.Random(args.seed)
+    rng, sampling = _sampler(args.seed)
     return [[sampling.axis_angle(rng) for _ in range(3)] for _ in range(args.samples)]
 
 
@@ -372,7 +386,7 @@ def _inverse_pair_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
             raise CliError(2, "malformed_input", "inverse-pair takes exactly two kraus documents")
         expected = "inverse-pair expects kraus documents"
         return [tuple(_expect_kind(doc, "kraus", expected) for doc in docs)]
-    rng = random.Random(args.seed)
+    rng, sampling = _sampler(args.seed)
     pairs = []
     for _ in range(args.samples):
         k, _u, _w, _m = sampling.redundant_unitary_kraus(rng, 1 + rng.randrange(3))

@@ -9,11 +9,10 @@ matrices, and two commuting-diagram verifiers, live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import Sequence
 
 from . import so3, su2
+from ._value import Value
 from .bloch import BlochVector, bloch_to_density
 from .channels import _bloch_columns
 from .errors import DomainError
@@ -21,12 +20,17 @@ from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, max_abs_diff
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
-@dataclass(frozen=True)
-class Su2AlgebraElement:
+
+class Su2AlgebraElement(Value):
     """Anti-Hermitian traceless matrix i r . sigma in Pauli coordinates r."""
 
-    vector: tuple[float, float, float]
+    def __init__(self, vector: tuple[float, float, float]) -> None:
+        self.__dict__["vector"] = vector
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         vec = tuple(float(c) for c in self.vector)
@@ -52,18 +56,19 @@ class Su2AlgebraElement:
         return sqrt(r1 * r1 + r2 * r2 + r3 * r3)
 
 
-@dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(Value):
     """Outcome of a commuting-diagram check.
 
     The two path results carry density operators for the state diagram and
     rotations for the group diagram.
     """
 
-    max_deviation: float
-    commutes: bool
-    path_a_result: object
-    path_b_result: object
+    def __init__(
+        self, max_deviation: float, commutes: bool, path_a_result: object, path_b_result: object
+    ) -> None:
+        d = self.__dict__
+        d["max_deviation"], d["commutes"] = max_deviation, commutes
+        d["path_a_result"], d["path_b_result"] = path_a_result, path_b_result
 
 
 def phi(rot: Rotation3) -> Unitary2:

@@ -9,10 +9,10 @@ eigensolver, the one kernel, lives in :mod:`blochiso._kernels`.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from math import sqrt
 
 from . import _kernels
+from ._value import Value
 from .errors import DimensionError, DomainError
 
 #: Absolute entrywise tolerance used by default everywhere in the library.
@@ -26,13 +26,13 @@ def _require_positive_shape(rows: int, cols: int) -> None:
         raise DimensionError(f"matrix shape must be positive, got {rows}x{cols}")
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
+class ComplexMatrix(Value):
     """Immutable row-major complex matrix with finite entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[complex, ...]
+    def __init__(self, rows: int, cols: int, entries: tuple[complex, ...]) -> None:
+        d = self.__dict__
+        d["rows"], d["cols"], d["entries"] = rows, cols, entries
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_positive_shape(self.rows, self.cols)
@@ -78,16 +78,16 @@ class ComplexMatrix:
             total += e.real * e.real + e.imag * e.imag
         return sqrt(total)
 
-@dataclass(frozen=True)
-class HermitianEigenResult:
+class HermitianEigenResult(Value):
     """Spectral factorization A = V diag(eigenvalues) V*.
 
     Eigenvalues are sorted descending; eigenvector columns are orthonormal,
     each with its first non-negligible component made real positive.
     """
 
-    eigenvalues: tuple[float, ...]
-    eigenvectors: ComplexMatrix
+    def __init__(self, eigenvalues: tuple[float, ...], eigenvectors: ComplexMatrix) -> None:
+        d = self.__dict__
+        d["eigenvalues"], d["eigenvectors"] = eigenvalues, eigenvectors
 
 
 def _require_same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:

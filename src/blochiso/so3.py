@@ -6,9 +6,9 @@ Rodrigues closed form, the axis-angle logarithm with its canonical cell
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import atan2, cos, isfinite, pi, sin, sqrt
 
+from ._value import Value
 from .bloch import BlochVector
 from .errors import DomainError
 from .matrix import DEFAULT_TOL
@@ -23,16 +23,17 @@ _AXIS_NORM_TOL = 1e-12
 Matrix3 = tuple[tuple[float, float, float], ...]
 
 
-@dataclass(frozen=True)
-class AxisAngle:
+class AxisAngle(Value):
     """Rotation axis (unit vector) and angle in radians.
 
     The angle lives in the closed interval [0, 2*pi]; the upper endpoint is
     produced only by the unitary logarithm at U = -I (see su2 module).
     """
 
-    axis: tuple[float, float, float]
-    angle: float
+    def __init__(self, axis: tuple[float, float, float], angle: float) -> None:
+        d = self.__dict__
+        d["axis"], d["angle"] = axis, angle
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         ax = tuple(float(c) for c in self.axis)
@@ -48,11 +49,12 @@ class AxisAngle:
         object.__setattr__(self, "angle", angle)
 
 
-@dataclass(frozen=True)
-class Rotation3:
+class Rotation3(Value):
     """Real 3x3 matrix with R^T R = I and det R = +1 (within tolerance)."""
 
-    matrix: Matrix3
+    def __init__(self, matrix: Matrix3) -> None:
+        self.__dict__["matrix"] = matrix
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(float(x) for x in row) for row in self.matrix)

@@ -8,9 +8,9 @@ state conjugation, and the axis-angle logarithm covering angles in
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from math import atan2, cos, sin, sqrt
 
+from ._value import Value
 from .bloch import DensityOperator
 from .errors import DomainError
 from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, scale
@@ -19,8 +19,7 @@ from .so3 import Z_AXIS, AxisAngle
 _AXIS_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class Unitary2:
+class Unitary2(Value):
     """2x2 complex matrix with U* U = I and det U = 1 (within tolerance).
 
     Matrices that are unitary only up to a global phase are rejected rather
@@ -28,7 +27,9 @@ class Unitary2:
     explicitly.
     """
 
-    matrix: ComplexMatrix
+    def __init__(self, matrix: ComplexMatrix) -> None:
+        self.__dict__["matrix"] = matrix
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         m = self.matrix

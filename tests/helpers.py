@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import cmath
 import contextlib
-import dataclasses
 import io
 import json
 import random
 import struct
+from enum import Enum
 from math import cos, frexp, inf, isfinite, ldexp, pi, sin, sqrt
 from pathlib import Path
 
 import blochiso._kernels
+from blochiso._value import Value
 from blochiso.channels import (
     RANK_RELATIVE_THRESHOLD,
     BlochAffineAction,
@@ -468,8 +469,10 @@ def hermitian_eig_reference(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Hermi
 def fingerprint(value):
     """``value`` with every float as its IEEE-754 bytes, so ``==`` is bitwise.
 
-    An exception becomes its type, message and, where it has them, the
-    worst pair and residual.
+    A library value becomes the fingerprints of its fields. An exception
+    becomes its type, message and, where it has them, the worst pair and
+    residual. Any other blochiso object raises TypeError, since its ``==``
+    need not be bitwise (``-0.0 == 0.0``).
     """
     if isinstance(value, float):
         return struct.pack("d", value)
@@ -480,8 +483,10 @@ def fingerprint(value):
     if isinstance(value, BaseException):
         extra = (getattr(value, "pair", None), getattr(value, "residual", None))
         return (type(value), str(value), fingerprint(extra))
-    if dataclasses.is_dataclass(value):
-        return tuple(fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, Value):
+        return tuple(fingerprint(getattr(value, name)) for name in value.__match_args__)
+    if type(value).__module__.startswith("blochiso") and not isinstance(value, Enum):
+        raise TypeError(f"no bitwise fingerprint for {type(value).__qualname__}")
     return value
 
 
