@@ -5,6 +5,10 @@ the Choi matrix, trace preservation off sum_a A_a* A_a = I. A channel admits
 a CPTP inverse exactly when its Choi rank is 1, i.e. it is conjugation by a
 single unitary; the Gram-matrix pipeline below reduces any redundant Kraus
 representation of such a channel to that unitary constructively.
+
+The Choi matrix of a Kraus set and the Gram matrix are Hermitian by
+construction: each is built as its upper triangle plus the ``0j + conj``
+mirror, bit for bit the full square, and factored with no Hermiticity check.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from .matrix import (
     HermitianEigenResult,
     _adjoint2,
     _checked_hermitian_eig,
+    _hermitian_eig,
     _mul2,
     adjoint,
-    hermitian_eig,
     max_abs_diff,
     scale,
 )
@@ -59,20 +63,28 @@ def _require_finite(*entries: complex) -> None:
 
 
 def _pair_table(
-    lefts: list[tuple[complex, ...]], rights: list[tuple[complex, ...]]
+    lefts: list[tuple[complex, ...]], rights: list[tuple[complex, ...]], _mirror: bool = False
 ) -> tuple[ComplexMatrix, float, tuple[int, int]]:
     """Coefficients Tr(L R) / 2 of every product L R, row-major, as a matrix;
     the largest max |L R - coeff I|; and the first pair that reaches it.
 
     Sums never turn a non-finite entry finite, so checking the off-diagonal
     entries and coeff covers every value the generic chain checks.
+
+    With ``_mirror`` (the Gram table, ``lefts`` the adjoints of ``rights``)
+    only the upper triangle is computed: each lower coefficient is ``0j +
+    conj`` of its mirror, the bits its own product gives, with the same
+    residual and finiteness, so the first worst pair and raise are unchanged.
     """
+    n = len(rights)
     entries = []
     worst = 0.0
     worst_pair = (0, 0)
     for i, left in enumerate(lefts):
-        for j, right in enumerate(rights):
-            p0, p1, p2, p3 = _mul2(left, right)
+        start = i if _mirror else 0
+        entries += [0j + entries[j * n + i].conjugate() for j in range(start)]
+        for j in range(start, n):
+            p0, p1, p2, p3 = _mul2(left, rights[j])
             coeff = (p0 + p3) / 2.0
             _require_finite(p1, p2, coeff)
             residual = max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
@@ -80,7 +92,7 @@ def _pair_table(
                 worst = residual
                 worst_pair = (i, j)
             entries.append(coeff)
-    return ComplexMatrix._trusted(len(lefts), len(rights), tuple(entries)), worst, worst_pair
+    return ComplexMatrix._trusted(len(lefts), n, tuple(entries)), worst, worst_pair
 
 
 def _rank(eigenvalues: tuple[float, ...]) -> int:
@@ -140,6 +152,8 @@ class ChoiMatrix(Value):
     over the output factor equals I exactly when the source set is trace
     preserving. ``spectrum`` keeps the eigendecomposition the positivity
     check computed; it is not part of the value's equality, hash or repr.
+    Positivity is relative, as roundoff is: the least eigenvalue may fall
+    DEFAULT_TOL times max(1, the largest) below zero.
     """
 
     spectrum: HermitianEigenResult
@@ -156,8 +170,19 @@ class ChoiMatrix(Value):
         m_adjoint = adjoint(m)
         if max_abs_diff(m, m_adjoint) > DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be Hermitian")
-        spectrum = _checked_hermitian_eig(m, m_adjoint)
-        if spectrum.eigenvalues[-1] < -DEFAULT_TOL:
+        self._keep_spectrum(_checked_hermitian_eig(m, m_adjoint))
+
+    @classmethod
+    def _of_hermitian(cls, matrix: ComplexMatrix) -> "ChoiMatrix":
+        """A Choi matrix Hermitian bit for bit (``matrix._hermitian_eig``), unchecked."""
+        j = object.__new__(cls)
+        j.__dict__["matrix"] = matrix
+        j._keep_spectrum(_hermitian_eig(4, matrix.entries))
+        return j
+
+    def _keep_spectrum(self, spectrum: HermitianEigenResult) -> None:
+        eigenvalues = spectrum.eigenvalues
+        if eigenvalues[-1] < -DEFAULT_TOL * max(1.0, eigenvalues[0]):
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -258,31 +283,39 @@ def apply_channel(k: KrausSet, rho: DensityOperator, tol: float = DEFAULT_TOL) -
     return DensityOperator(ComplexMatrix(2, 2, (s0, s1, s2, s3)))
 
 
+# Flat index, row and column of each upper Choi entry; each lower entry's
+# flat index and its mirror's.
+_CHOI_UPPER = tuple((r * 4 + c, r, c) for r in range(4) for c in range(r, 4))
+_CHOI_LOWER = tuple((r * 4 + c, c * 4 + r) for r in range(1, 4) for c in range(r))
+
+
 def _choi_entries(k: KrausSet) -> ComplexMatrix:
+    """J = sum vec(A) vec(A)*: the upper triangle summed from 0j, each lower
+    entry ``0j + conj`` of its mirror, the bits its own sum would have."""
     ents = [0j] * 16
     for op in k.operators:
         w = op.entries  # row-major flattening matches the tensor-product order
-        for r in range(4):
-            wr = w[r]
-            for c in range(4):
-                ents[r * 4 + c] += wr * w[c].conjugate()
+        wc = [x.conjugate() for x in w]
+        for i, r, c in _CHOI_UPPER:
+            ents[i] += w[r] * wc[c]
+    for i, j in _CHOI_LOWER:
+        ents[i] = 0j + ents[j].conjugate()
     return ComplexMatrix(4, 4, tuple(ents))
 
 
 def choi_of(k: KrausSet) -> ChoiMatrix:
     """Choi matrix of the channel; its rank is the minimal Kraus count."""
-    return ChoiMatrix(_choi_entries(k))
+    return ChoiMatrix._of_hermitian(_choi_entries(k))
 
 
 def is_cptp(k: KrausSet, tol: float = DEFAULT_TOL) -> CptpDiagnostics:
     """Trace preservation plus positivity of the Choi matrix.
 
-    The spectrum is taken without :class:`ChoiMatrix` validation, whose
-    positivity check is absolute: a set far from trace preservation can
-    have a Choi roundoff beyond it and must still get its diagnostics.
+    The spectrum is taken without :class:`ChoiMatrix`, so the least
+    eigenvalue is reported against ``tol`` instead of raising.
     """
     tp = k.tp_deviation()
-    min_eig = hermitian_eig(_choi_entries(k)).eigenvalues[-1]
+    min_eig = _hermitian_eig(4, _choi_entries(k).entries).eigenvalues[-1]
     return CptpDiagnostics(tp <= tol and min_eig >= -tol, tp, min_eig)
 
 
@@ -340,7 +373,7 @@ def extract_unitary_via_gram(
     """
     ops = k.operators
     beta, worst_residual, worst_pair = _pair_table(
-        [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
+        [_adjoint2(op.entries) for op in ops], [op.entries for op in ops], _mirror=True
     )
     # Negated comparisons, so that a NaN tolerance fails every guard.
     if not worst_residual <= tol:
@@ -351,7 +384,7 @@ def extract_unitary_via_gram(
             worst_residual,
         )
 
-    eig = hermitian_eig(beta, tol)
+    eig = _hermitian_eig(len(ops), beta.entries)
     gamma = eig.eigenvalues
     mixing = eig.eigenvectors
 

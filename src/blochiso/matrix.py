@@ -169,12 +169,16 @@ def hermitian_eig(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenR
 def _checked_hermitian_eig(m: ComplexMatrix, m_adjoint: ComplexMatrix) -> HermitianEigenResult:
     """:func:`hermitian_eig` of a square ``m`` whose Hermiticity the caller
     has checked against ``m_adjoint``, its adjoint."""
-    n = m.rows
-    sym = [(a + b) * 0.5 for a, b in zip(m.entries, m_adjoint.entries)]
-    # A + A* can overflow where A itself is finite.
-    if not all(map(cmath.isfinite, sym)):
+    return _hermitian_eig(m.rows, [(a + b) * 0.5 for a, b in zip(m.entries, m_adjoint.entries)])
+
+
+def _hermitian_eig(n: int, entries) -> HermitianEigenResult:
+    """:func:`hermitian_eig` of row-major ``entries``, symmetrized or Hermitian
+    bit for bit (each lower entry ``0j + conj`` of its mirror, none ``-0.0``),
+    which symmetrizing would not change: only ``A + A*`` can overflow."""
+    if not all([cmath.isfinite(x + x) for x in entries]):
         raise DomainError("matrix entries must be finite")
-    diag, vflat = _kernels.jacobi_hermitian(n, sym)
+    diag, vflat = _kernels.jacobi_hermitian(n, entries)
     order = sorted(range(n), key=diag.__getitem__, reverse=True)
     eigenvalues = tuple([diag[k] for k in order])
     reordered = [vflat[row + k] for row in range(0, n * n, n) for k in order]

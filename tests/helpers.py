@@ -226,6 +226,17 @@ def choi_tp_deviation(choi: ChoiMatrix) -> float:
     return max_abs_diff(ComplexMatrix(2, 2, tuple(reduced)), _I2)
 
 
+def choi_entries_generic(operators) -> tuple[complex, ...]:
+    """The 16 entries of sum_a vec(A_a) vec(A_a)*, each summed from 0j."""
+    ents = [0j] * 16
+    for op in operators:
+        w = op.entries
+        for r in range(4):
+            for c in range(4):
+                ents[r * 4 + c] += w[r] * w[c].conjugate()
+    return tuple(ents)
+
+
 def tp_deviation_generic(k: KrausSet) -> float:
     """Largest entrywise deviation of sum A* A from the identity."""
     acc = zeros(2, 2)

@@ -65,8 +65,8 @@ BIT_FLIP = KrausSet((scale(I2, sqrt(0.5)), scale(PAULIS[0], sqrt(0.5))))
 
 
 def large_non_tp_sets():
-    """Redundant unitary sets scaled by 2e4. Their Choi roundoff exceeds the
-    absolute positivity tolerance a ChoiMatrix enforces."""
+    """Redundant unitary sets scaled by 2e4, far from trace preservation.
+    Their least Choi eigenvalue is a roundoff below -1e-9."""
     for seed in range(5):
         k = redundant_unitary_kraus(random.Random(seed), 3)[0]
         yield KrausSet(tuple(scale(op, 2e4) for op in k.operators))
@@ -169,6 +169,17 @@ class TestChoi:
     def test_tp_deviation_reflects_source(self):
         assert choi_tp_deviation(choi_of(IDENTITY_SET)) == 0.0
         assert choi_tp_deviation(choi_of(KrausSet((scale(I2, 2.0),)))) == 3.0
+
+    @pytest.mark.parametrize("factor", [1e4, 1e5, 1e7])
+    def test_positivity_is_relative_to_the_scale(self, factor):
+        # Roundoff of about 1e-16 times the largest Choi eigenvalue once
+        # failed an absolute -1e-9 positivity check on most of these sets.
+        rng = random.Random(83)
+        for _ in range(20):
+            k = random_cptp_kraus(rng, 2)
+            big = choi_of(KrausSet(tuple(scale(op, factor) for op in k.operators)))
+            assert big.rank() == choi_of(k).rank() == 2
+            assert ChoiMatrix(big.matrix).rank() == 2
 
     def test_kraus_round_trip_through_choi(self):
         rng = random.Random(78)

@@ -290,12 +290,26 @@ class TestClassify:
         assert out == '{"cptp":false,"kind":"NotCptp"}\n'
 
     def test_invalid_choi_exits_2(self, tmp_path):
+        # At this tolerance 1.2e154 I passes the trace-preservation check;
+        # its Choi entries, 1.44e308, are finite, but twice them is not.
+        big = [[[[1.2e154, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.2e154, 0.0]]]]
+        path = write_doc(tmp_path, "big.json", "kraus", {"operators": big})
+        code, out = run_cli(["classify", path, "--tol", "1.7e308"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "malformed_input",
+            "detail": "matrix entries must be finite",
+        }
+
+    def test_large_redundant_set_at_a_loose_tolerance(self, tmp_path):
         # At this tolerance the scaled set passes the trace-preservation
-        # check, and its Choi matrix's roundoff fails the positivity check.
+        # check. Its least Choi eigenvalue, a roundoff of -1.3e-8 against 8e8,
+        # once failed the absolute positivity check (exit 2).
         path = write_doc(tmp_path, "big.json", "kraus", {"operators": large_redundant_ops()})
         code, out = run_cli(["classify", path, "--tol", "1e12"])
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "malformed_input"
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["choi_rank"], doc["kind"]) == (1, "UnitaryConjugation")
 
 
 def scaled_identity_choi(s):

@@ -10,9 +10,10 @@ action and the Bloch vector of a state bit for bit). The Kraus-pair products of 
 operations as the generic ones, so every result, and every exception on a
 non-finite product, is the oracle's bit for bit; ``su2.compose``,
 ``su2.conjugate``, ``purity``, ``adjoint_action`` and ``apply_channel`` take
-the same closed 2x2 product. The library's sums run left to right on every
-Python version. The matmul counts are exact, so they gate regressions
-without timing noise.
+the same closed 2x2 product. The Choi and Gram tables compute their upper
+triangles and mirror them, the bits the full squares hold. The library's
+sums run left to right on every Python version. The matmul counts are
+exact, so they gate regressions without timing noise.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import json
 import random
 import struct
 from math import fsum, pi, sqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +37,8 @@ from blochiso.bloch import (
 )
 from blochiso.channels import (
     KrausSet,
+    _choi_entries,
+    _pair_table,
     _rank,
     apply_channel,
     bloch_affine_action,
@@ -52,8 +56,16 @@ from blochiso.isomorphism import (
     phi_inverse,
     verify_state_diagram,
 )
-from blochiso.errors import NotUnitaryConjugationError
-from blochiso.matrix import ComplexMatrix, adjoint, hermitian_eig, max_abs_diff, scale
+from blochiso.errors import DomainError, NotUnitaryConjugationError
+from blochiso.matrix import (
+    ComplexMatrix,
+    _adjoint2,
+    _hermitian_eig,
+    adjoint,
+    hermitian_eig,
+    max_abs_diff,
+    scale,
+)
 from blochiso.sampling import (
     axis_angle,
     bloch_in_ball,
@@ -78,6 +90,7 @@ from helpers import (
     amplitude_damping,
     apply_channel_generic,
     bloch_affine_action_generic,
+    choi_entries_generic,
     choi_tp_deviation,
     density_to_bloch_generic,
     extract_unitary_via_gram_generic,
@@ -386,6 +399,78 @@ class TestGramRank:
         gamma = gram_spectrum(k, tol)
         assert tol > 1.5 and _rank(gamma) == 2
         assert gram_verdict(k, tol) == "disagree"
+
+
+MIRROR_SCALES = (1e-160, 1e-30, 1.0, 1e30, 1e150, 3e153)
+
+
+def mirror_sets() -> list[list[ComplexMatrix]]:
+    """Seeded sets of 1 to 4 operators with entries in the unit square, some
+    of them zeros of either sign, and axis-aligned unitaries alone and in
+    pairs, each at every scale in MIRROR_SCALES; then three sets near 1e154
+    whose Choi entries are finite and, doubled, overflow. For the last one,
+    diag(1e154, 0), the spectrum itself stays finite."""
+    rng = random.Random(1515)
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    sets = []
+    for count in (1, 2, 3, 4):
+        for _ in range(40):
+            ops = []
+            for _ in range(count):
+                e = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+                for i in rng.sample(range(4), rng.randrange(3)):
+                    e[i] = rng.choice(zeros)
+                ops.append(e)
+            sets.append(ops)
+    edge = [list(u.matrix.entries) for u in edge_unitaries()]
+    sets += [[u] for u in edge] + [[u, edge[(i + 5) % len(edge)]] for i, u in enumerate(edge)]
+    scaled = [
+        [ComplexMatrix(2, 2, tuple(x * s for x in op)) for op in ops] for ops in sets for s in MIRROR_SCALES
+    ]
+    overflow = [[ComplexMatrix(2, 2, (x, 0j, 0j, x))] * count for x, count in ((1.2e154, 1), (9e153, 2))]
+    return scaled + overflow + [[ComplexMatrix(2, 2, (1e154, 0j, 0j, 0j))]]
+
+
+class TestHermitianMirror:
+    """The Choi and Gram tables are built as half a matrix plus its mirror,
+    and factored with no Hermiticity check and no symmetrization."""
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        return mirror_sets()
+
+    def test_tables_equal_the_full_squares(self, sets):
+        for ops in sets:
+            # Not a KrausSet, which would drop the operators below 1e-12.
+            choi = outcome(_choi_entries, SimpleNamespace(operators=ops))
+            assert choi == outcome(lambda: ComplexMatrix(4, 4, choi_entries_generic(ops)))
+            entries = [op.entries for op in ops]
+            lefts = [_adjoint2(e) for e in entries]
+            gram = outcome(_pair_table, lefts, entries, True)
+            assert gram == outcome(_pair_table, lefts, entries)
+            if not isinstance(gram[0], type):
+                generic = [trace(mul(adjoint(x), y)) / 2.0 for x in ops for y in ops]
+                n = len(ops)
+                assert gram[0] == fingerprint(ComplexMatrix(n, n, tuple(generic)))
+
+    def test_factoring_equals_hermitian_eig(self, sets):
+        refused = []
+        for ops in sets:
+            entries = [op.entries for op in ops]
+            tables = [_choi_entries(SimpleNamespace(operators=ops))]
+            try:
+                tables.append(_pair_table([_adjoint2(e) for e in entries], entries, True)[0])
+            except DomainError:
+                # Tr(A* A) overflowed: the table itself refuses.
+                pass
+            for m in tables:
+                got = outcome(_hermitian_eig, m.rows, m.entries)
+                assert got == outcome(hermitian_eig, m)
+                if isinstance(got[0], type):
+                    refused.append((m.rows, got[1]))
+        # A Gram coefficient is half a finite sum, so only the Choi tables of
+        # the three sets near 1e154 have entries whose double overflows.
+        assert refused == [(4, "matrix entries must be finite")] * 3
 
 
 def exact_rotations() -> list[Rotation3]:

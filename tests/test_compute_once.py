@@ -23,13 +23,15 @@ from blochiso.channels import (
     KrausSet,
     choi_of,
     classify,
+    extract_unitary_via_gram,
     invert,
+    is_cptp,
     kraus_from_choi,
     make_depolarizing,
     verify_inverse_pair,
 )
 from blochiso.cli import main
-from blochiso.errors import DomainError
+from blochiso.errors import DomainError, InvalidChannelError
 from blochiso.matrix import ComplexMatrix, adjoint, hermitian_eig, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
 from blochiso.so3 import Rotation3
@@ -170,6 +172,71 @@ class TestValueConstructions:
             assert main(["classify", str(path)]) == 0
         assert json.loads(out.getvalue())["kind"] == "CptpNotInvertible"
         assert validated == [(4, 4)]
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_hermitian_tables_are_not_rechecked(self, monkeypatch, count):
+        # The Choi and Gram matrices are Hermitian bit for bit as built, so
+        # no adjoint and no Hermiticity deviation is taken of them.
+        sets = (
+            redundant_unitary_kraus(random.Random(20 + count), count)[0],
+            random_cptp_kraus(random.Random(30 + count), count),
+        )
+        calls = []
+        for name in ("adjoint", "max_abs_diff"):
+            for module in (blochiso.matrix, blochiso.channels):
+                original = getattr(module, name)
+
+                def counted(*args, name=name, original=original):
+                    calls.append((name, args[0].rows, args[0].cols))
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        for k in sets:
+            classify(k)
+            is_cptp(k)
+            choi_of(k)
+        assert calls == []
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_pair_products(self, monkeypatch, count):
+        products = []
+        mul2 = blochiso.channels._mul2
+
+        def counted(x, y):
+            products.append(1)
+            return mul2(x, y)
+
+        monkeypatch.setattr(blochiso.channels, "_mul2", counted)
+        k = redundant_unitary_kraus(random.Random(40 + count), count)[0]
+        extract_unitary_via_gram(k)
+        # The Gram table's upper triangle; the rest is its mirror.
+        assert len(products) == count * (count + 1) // 2
+        products.clear()
+        # B_b A_a is not Hermitian in (b, a): every product is made.
+        report = verify_inverse_pair(k, KrausSet(k.operators[:2]))
+        assert len(products) == count * min(count, 2)
+        assert report.alpha.rows == min(count, 2)
+
+    def test_non_hermitian_input_is_still_refused(self, tmp_path):
+        skewed = [[1.0 + 0j if r == c else 0j for c in range(4)] for r in range(4)]
+        skewed[0][1] = 1e-3j
+        path = tmp_path / "choi.json"
+        rows = [[[z.real, z.imag] for z in row] for row in skewed]
+        path.write_text(
+            json.dumps({"schema_version": "1", "kind": "choi", "payload": {"matrix": rows}}),
+            encoding="utf-8",
+        )
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["convert", str(path), "--to", "kraus"]) == 2
+        detail = json.loads(out.getvalue())["error"]["detail"]
+        assert detail == "invalid choi document: Choi matrix must be Hermitian"
+        m = ComplexMatrix(4, 4, tuple(z for row in skewed for z in row))
+        with pytest.raises(InvalidChannelError, match="^Choi matrix must be Hermitian$"):
+            ChoiMatrix(m)
+        with pytest.raises(
+            DomainError, match=r"^matrix is not Hermitian within 1e-09 \(deviation 1\.000e-03\)$"
+        ):
+            hermitian_eig(m)
 
     def test_choi_of_overflow_still_raises(self):
         k = KrausSet((ComplexMatrix(2, 2, (1e160, 0j, 0j, 1e160)),))

@@ -160,7 +160,7 @@ def test_choi_spectrum_matches_reference():
     for entries in cases(4):
         m = ComplexMatrix(4, 4, tuple(entries))
         want = hermitian_eig_reference(m)
-        if want.eigenvalues[-1] < -1e-9:
+        if want.eigenvalues[-1] < -1e-9 * max(1.0, want.eigenvalues[0]):
             with pytest.raises(InvalidChannelError, match="positive semidefinite"):
                 ChoiMatrix(m)
         else:
