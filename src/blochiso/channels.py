@@ -3,8 +3,12 @@
 A channel acts as rho -> sum_a A_a rho A_a*. Complete positivity is read off
 the Choi matrix, trace preservation off sum_a A_a* A_a = I. A channel admits
 a CPTP inverse exactly when its Choi rank is 1, i.e. it is conjugation by a
-single unitary; the Gram-matrix pipeline below reduces any redundant Kraus
-representation of such a channel to that unitary constructively.
+single unitary. Then J = vec(U) vec(U)*, so :func:`classify` reads U off the
+leading Choi eigenpair, sqrt(lambda_1) v_1, with no second eigensolve. The
+Gram-matrix pipeline, :func:`extract_unitary_via_gram`, is the paper's
+constructive route to the same unitary from any redundant Kraus set; no
+library path calls it. Both pin the unitary's phase to det U = 1 with
+Re tr U >= 0.
 
 The Choi matrix of a Kraus set and the Gram matrix are Hermitian by
 construction: each is built as its upper triangle plus the ``0j + conj``
@@ -14,6 +18,7 @@ mirror, bit for bit the full square, and factored with no Hermiticity check.
 from __future__ import annotations
 
 from cmath import isfinite
+from cmath import sqrt as csqrt
 from enum import Enum
 from math import sqrt
 
@@ -38,7 +43,7 @@ from .matrix import (
     scale,
 )
 from .so3 import Matrix3
-from .su2 import unitarity_deviation
+from .su2 import det2, unitarity_deviation
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
 #: contribute nothing to the channel and break proportionality diagnostics.
@@ -216,9 +221,12 @@ class ChannelClassification(Value):
     """Verdict of :func:`classify`.
 
     ``choi_rank`` is 0 for non-CPTP input (no meaningful rank is reported).
-    ``extracted_unitary`` is determined up to global phase only, pinned by
-    making its largest-magnitude entry real positive; its determinant is
-    deliberately not normalized to 1 (see su2.normalize_phase for that).
+    ``extracted_unitary`` is sqrt(lambda_1) v_1 of the Choi spectrum with its
+    global phase divided out: det U = 1, and the sign gives Re tr U >= 0
+    (rotation angle in [0, pi]). The sign ties only at Re tr U = 0, angle pi.
+    At Choi rank 1 a candidate that is not unitary within max(tol, 1e-7), or
+    whose determinant is zero or not finite, is reported as
+    ``CptpNotInvertible``.
     """
 
     def __init__(
@@ -335,22 +343,20 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
 
 
 def _classify(k: KrausSet, tol: float) -> ChannelClassification:
-    # Negated comparisons, so that a NaN tolerance fails both checks.
+    # Negated comparisons, so that a NaN tolerance fails every check.
     if not k.tp_deviation() <= tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
-    choi = choi_of(k)
-    if not choi.eigenvalues()[-1] >= -tol:
+    spectrum = choi_of(k).spectrum
+    if not spectrum.eigenvalues[-1] >= -tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
-    rank = choi.rank()
+    rank = _rank(spectrum.eigenvalues)
     if rank == 1:
-        try:
-            unitary, _ = extract_unitary_via_gram(k, tol)
-        except NotUnitaryConjugationError:
-            # Rank fell below the threshold but the operators are not quite
-            # proportional; report the channel as not invertible rather than
-            # crash on the numerically ambiguous input.
-            return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
-        return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary)
+        # J = vec(U) vec(U)*: the leading eigenpair is the unitary itself.
+        candidate = _choi_operator(spectrum, 0)
+        if unitarity_deviation(candidate) <= max(tol, 1e-7):
+            unitary = _pin_phase(candidate)
+            if unitary is not None:
+                return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary)
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
 
 
@@ -366,10 +372,11 @@ def extract_unitary_via_gram(
     the underlying unitary; the channel is that unitary's conjugation exactly
     when the Gram rank, :func:`_rank` of gamma, is 1.
 
-    Returns the unitary (up to a phase pinned deterministically) and the
-    Gram intermediates. Raises :class:`NotUnitaryConjugationError`, carrying
-    the worst offending pair, when proportionality fails, the leading
-    direction is not unitary or the Gram rank exceeds 1 (residual gamma_1).
+    Returns the unitary, pinned as :func:`classify` pins it (det 1,
+    Re tr U >= 0), and the Gram intermediates. Raises
+    :class:`NotUnitaryConjugationError`, carrying the worst offending pair,
+    when proportionality fails, the leading direction is not unitary (or has
+    no phase to pin) or the Gram rank exceeds 1 (residual gamma_1).
     """
     ops = k.operators
     beta, worst_residual, worst_pair = _pair_table(
@@ -403,7 +410,8 @@ def extract_unitary_via_gram(
     norm = 1.0 / sqrt(gamma[0])
     unitary = ComplexMatrix(2, 2, (s0 * norm, s1 * norm, s2 * norm, s3 * norm))
     dev = unitarity_deviation(unitary)
-    if not dev <= max(tol, 1e-7):
+    pinned = _pin_phase(unitary)
+    if not dev <= max(tol, 1e-7) or pinned is None:
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
@@ -414,13 +422,26 @@ def extract_unitary_via_gram(
             "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
         )
 
-    return _pin_phase(unitary), GramData(beta, gamma, mixing)
+    return pinned, GramData(beta, gamma, mixing)
 
 
-def _pin_phase(m: ComplexMatrix) -> ComplexMatrix:
-    """Make the largest-magnitude entry real positive."""
-    pivot = max(m.entries, key=abs)
-    return scale(m, pivot.conjugate() / abs(pivot))
+def _pin_phase(m: ComplexMatrix) -> ComplexMatrix | None:
+    """Divide out the global phase so that det U = 1, then take the sign that
+    makes Re tr U >= 0 (angle in [0, pi]); the sign ties only at Re tr U = 0.
+
+    None when det U is zero or not finite, or a quotient overflows: no
+    unitary has such a matrix as a multiple.
+    """
+    root = csqrt(det2(m))
+    if not (root and isfinite(root)):
+        return None
+    pinned = [e / root for e in m.entries]
+    if (pinned[0] + pinned[3]).real < 0.0:
+        pinned = [-e for e in pinned]
+    try:
+        return ComplexMatrix(2, 2, tuple(pinned))
+    except DomainError:
+        return None
 
 
 def verify_inverse_pair(
@@ -523,18 +544,19 @@ def make_depolarizing(p: float) -> KrausSet:
     return KrausSet(ops)
 
 
+def _choi_operator(eig: HermitianEigenResult, k: int) -> ComplexMatrix:
+    """sqrt(lambda_k) v_k as a 2x2 operator, v_k read row-major as
+    :func:`_choi_entries` flattens: the k-th Kraus operator of the Choi
+    spectrum, for :func:`classify` and :func:`kraus_from_choi` alike."""
+    root = sqrt(eig.eigenvalues[k])
+    v = eig.eigenvectors.entries
+    return ComplexMatrix(2, 2, (root * v[k], root * v[4 + k], root * v[8 + k], root * v[12 + k]))
+
+
 def kraus_from_choi(j: ChoiMatrix) -> KrausSet:
     """Minimal Kraus set from the spectral decomposition of the Choi matrix."""
     eig = j.spectrum
     rank = _rank(eig.eigenvalues)
     if rank == 0:
         raise InvalidChannelError("Choi matrix is zero")
-    ops = []
-    for k in range(rank):
-        root = sqrt(eig.eigenvalues[k])
-        ops.append(
-            ComplexMatrix(
-                2, 2, tuple(root * eig.eigenvectors.at(r, k) for r in range(4))
-            )
-        )
-    return KrausSet(tuple(ops))
+    return KrausSet(tuple(_choi_operator(eig, k) for k in range(rank)))

@@ -287,7 +287,8 @@ def extract_unitary_via_gram_generic(
         combo = add(combo, scale(ops[a], mixing.at(a, 0)))
     unitary = scale(combo, 1.0 / sqrt(gamma[0]))
     dev = max_abs_diff(mul(adjoint(unitary), unitary), _I2)
-    if dev > max(tol, 1e-7):
+    pinned = _pin_phase(unitary)
+    if dev > max(tol, 1e-7) or pinned is None:
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
@@ -298,7 +299,7 @@ def extract_unitary_via_gram_generic(
             "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
         )
 
-    return _pin_phase(unitary), GramData(beta, gamma, mixing)
+    return pinned, GramData(beta, gamma, mixing)
 
 
 def verify_inverse_pair_generic(

@@ -1,5 +1,6 @@
 """Unit tests for channel representations, classification, and inversion."""
 
+import cmath
 import random
 from math import pi, sqrt
 
@@ -12,6 +13,7 @@ from blochiso.channels import (
     KrausSet,
     apply_channel,
     bloch_affine_action,
+    _pin_phase,
     choi_of,
     classify,
     extract_unitary_via_gram,
@@ -229,8 +231,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("tol", [1.0, 2.0])
     def test_loose_tolerance_keeps_a_unitary(self, tol):
-        # A trace-preserving set has a Gram weight of at most 1, which must
-        # not be read against the tolerance.
+        # The leading Choi eigenvalue, 2 for a trace-preserving set, is never
+        # read against the tolerance.
         result = classify(KrausSet((I2,)), tol)
         assert result.kind is ChannelKind.UNITARY_CONJUGATION
         assert result.choi_rank == 1
@@ -306,22 +308,110 @@ class TestExtraction:
                 mul(adjoint(gram.mixing), gram.mixing), ComplexMatrix.identity(count)
             ) <= 1e-11
 
-    def test_phase_pinning_is_deterministic(self):
-        rng = random.Random(83)
-        k, _u, _weights, _mix = redundant_unitary_kraus(rng, 2)
-        u1, _ = extract_unitary_via_gram(k)
-        u2, _ = extract_unitary_via_gram(k)
-        assert u1 == u2
-        pivot = max(u1.entries, key=abs)
-        assert pivot.imag == pytest.approx(0.0, abs=1e-12)
-        assert pivot.real > 0
-
     def test_rejects_genuinely_noisy_channel(self):
         with pytest.raises(NotUnitaryConjugationError) as exc_info:
             extract_unitary_via_gram(BIT_FLIP)
         err = exc_info.value
         assert err.pair in ((0, 1), (1, 0))
         assert err.residual > 0.1
+
+
+def near_unitary(eps: float) -> KrausSet:
+    """sqrt(1 - 3 eps/4) U plus sqrt(eps/4) s_k U, k = x, y, z: weight eps off
+    a fixed U (axis (0.6, 0, 0.8), angle 1.1)."""
+    u = unitary_from_axis_angle(AxisAngle((0.6, 0.0, 0.8), 1.1)).matrix
+    ops = [scale(u, sqrt(1.0 - 0.75 * eps))]
+    ops += [scale(mul(p, u), sqrt(eps / 4.0)) for p in PAULIS]
+    return KrausSet(tuple(ops))
+
+
+class TestChoiEigenpairUnitary:
+    """classify takes the unitary from the leading Choi eigenpair and pins
+    it to det 1 with Re tr U >= 0."""
+
+    def test_same_channel_prints_the_same_unitary(self):
+        # U, e^{i theta} U and a two-operator remix of its channel are one
+        # channel; the pin ties only at Re tr U = 0 (angle pi).
+        rng = random.Random(11)
+        compared = 0
+        for _ in range(2000):
+            u = su2_haar(rng).matrix
+            phased = KrausSet((scale(u, cmath.exp(2j * pi * rng.random())),))
+            w = rng.random()
+            remixed = remix_kraus(
+                mixing_unitary(rng, 2), KrausSet((scale(u, sqrt(w)), scale(u, sqrt(1.0 - w))))
+            )
+            if abs((u.entries[0] + u.entries[3]).real) <= 1e-6:
+                continue
+            printed = classify(KrausSet((u,))).extracted_unitary
+            # U is in SU(2) already, so the pin returns U or -U.
+            assert min(max_abs_diff(printed, u), max_abs_diff(printed, scale(u, -1.0))) <= 1e-14
+            for k in (phased, remixed):
+                assert max_abs_diff(classify(k).extracted_unitary, printed) <= 1e-14
+            compared += 1
+        assert compared >= 1990
+
+    def test_pin_is_det_one_with_nonnegative_real_trace(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            m = scale(su2_haar(rng).matrix, cmath.exp(2j * pi * rng.random()))
+            a, b, c, d = _pin_phase(m).entries
+            assert abs(a * d - b * c - 1.0) <= 1e-15
+            assert (a + d).real >= 0.0
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1, 0, 0, 0),
+            (0, 1, 0, 0),
+            (1, 1, 1, 1),
+            (float("inf"), 0, 0, 1),
+            # det = -1e-320, so 1e150 / sqrt(det) overflows.
+            (1e150, 1e-160, 1e-160, 0),
+        ],
+    )
+    def test_pin_refuses_a_singular_or_infinite_determinant(self, entries):
+        m = ComplexMatrix._trusted(2, 2, tuple(complex(e) for e in entries))
+        assert _pin_phase(m) is None
+
+    def test_singular_rank_one_operator_is_not_unitary(self):
+        # At a tolerance this loose the set passes trace preservation and the
+        # unitarity bound, but no phase makes [[1, 0], [0, 0]] unitary.
+        k = KrausSet((from_rows([[1, 0], [0, 0]]),))
+        for tol in (2.0, 1e308):
+            result = classify(k, tol)
+            assert result.kind is ChannelKind.CPTP_NOT_INVERTIBLE
+            assert result.choi_rank == 1 and result.extracted_unitary is None
+            with pytest.raises(NotUnitaryConjugationError, match="not unitary"):
+                extract_unitary_via_gram(k, tol)
+
+    def test_classify_and_kraus_from_choi_build_the_same_operator(self):
+        rng = random.Random(13)
+        sets = [redundant_unitary_kraus(rng, 1 + i % 4)[0] for i in range(40)]
+        sets += [near_unitary(eps) for eps in (1e-8, 1e-10, 1e-16)]
+        for k in sets:
+            (op,) = kraus_from_choi(choi_of(k)).operators
+            assert classify(k).extracted_unitary == _pin_phase(op)
+
+    def test_gram_route_agrees(self):
+        rng = random.Random(14)
+        for i in range(300):
+            k = redundant_unitary_kraus(rng, 1 + i % 4)[0]
+            via_gram, _ = extract_unitary_via_gram(k)
+            assert max_abs_diff(via_gram, classify(k).extracted_unitary) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-16])
+    def test_near_unitary_channel_at_rank_one_is_unitary(self, eps):
+        result = classify(near_unitary(eps))
+        assert result.choi_rank == 1
+        assert result.kind is ChannelKind.UNITARY_CONJUGATION
+        # The Choi round trip drops the 3 eps / 4 of trace outside the
+        # leading eigenpair, which the trace-preservation check sees above
+        # about 1e-9.
+        round_trip = classify(kraus_from_choi(choi_of(near_unitary(eps))))
+        if eps <= 1e-10:
+            assert (round_trip.kind, round_trip.choi_rank) == (result.kind, 1)
+            assert max_abs_diff(round_trip.extracted_unitary, result.extracted_unitary) <= 1e-14
 
 
 class TestInversePair:

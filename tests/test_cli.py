@@ -312,6 +312,17 @@ class TestClassify:
         assert (doc["choi_rank"], doc["kind"]) == (1, "UnitaryConjugation")
 
 
+    @pytest.mark.parametrize("tol", ["2", "1e308"])
+    def test_singular_rank_one_set_is_not_invertible(self, tmp_path, tol):
+        # The set passes trace preservation and the unitarity bound at these
+        # tolerances; det = 0 leaves no phase to divide out.
+        ops = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]
+        path = write_doc(tmp_path, "singular.json", "kraus", {"operators": ops})
+        code, out = run_cli(["classify", path, "--tol", tol])
+        assert code == 0
+        assert out == '{"cptp":true,"choi_rank":1,"kind":"CptpNotInvertible"}\n'
+
+
 def scaled_identity_choi(s):
     """s vec(I) vec(I)*: the Choi matrix of the identity channel times s."""
     return [[[s if r in (0, 3) and c in (0, 3) else 0.0, 0.0] for c in range(4)] for r in range(4)]
@@ -352,7 +363,7 @@ SEEDED_DIGESTS = {
     "diagram": "b325f42f87d65baee9456ce598377e6225f7e8e959f72af24849ece56b382798",
     "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
     "group": "01b75ee0efa33068e81dbeb39a1f9be7870a987322bef4809f63aea9f836ce6d",
-    "inverse-pair": "02f36820f9215d9bc9791b7bf8531099c55caeec6d33f59a01979716ac370ad1",
+    "inverse-pair": "c9e984953def627805115d9374e16da593589baee4a65ef263c0bafc69eb5df1",
 }
 
 

@@ -78,8 +78,8 @@ class TestEigensolveCounts:
         k = redundant_unitary_kraus(random.Random(5), 3)[0]
         assert classify(k).kind is ChannelKind.UNITARY_CONJUGATION
         assert verify_inverse_pair(k, invert(k)).valid
-        # One for the Choi matrix, one for the 3x3 Gram matrix.
-        assert eigensolves == [4, 3]
+        # The Choi matrix only: its leading eigenpair is the unitary.
+        assert eigensolves == [4]
 
     @pytest.mark.parametrize(
         "k", [make_depolarizing(0.5), amplitude_damping(0.3)], ids=["depolarizing", "damping"]
@@ -97,7 +97,7 @@ class TestEigensolveCounts:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["classify", path]) == 0
         assert json.loads(out.getvalue())["kind"] == "UnitaryConjugation"
-        assert eigensolves == [4, 3]
+        assert eigensolves == [4]
 
 
 @pytest.fixture
@@ -133,7 +133,7 @@ class TestValueConstructions:
         k = redundant_unitary_kraus(random.Random(10 + count), count)[0]
         validated.clear()
         assert verify_inverse_pair(k, invert(k)).valid
-        # The Choi matrix, then the leading Gram direction and its
+        # The Choi matrix, then its leading eigenpair's operator and the
         # phase-pinned copy; the README states this count.
         assert validated == [(4, 4), (2, 2), (2, 2)]
 
