@@ -343,16 +343,16 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
 
 
 def _classify(k: KrausSet, tol: float) -> ChannelClassification:
-    # Negated comparisons, so that a NaN tolerance fails every check.
+    # Negated comparisons, so that a NaN tolerance fails both checks.
     if not k.tp_deviation() <= tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
-    spectrum = choi_of(k).spectrum
-    if not spectrum.eigenvalues[-1] >= -tol:
+    choi = choi_of(k)
+    if not choi.eigenvalues()[-1] >= -tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
-    rank = _rank(spectrum.eigenvalues)
+    rank = choi.rank()
     if rank == 1:
         # J = vec(U) vec(U)*: the leading eigenpair is the unitary itself.
-        candidate = _choi_operator(spectrum, 0)
+        candidate = _choi_operator(choi.spectrum, 0)
         if unitarity_deviation(candidate) <= max(tol, 1e-7):
             unitary = _pin_phase(candidate)
             if unitary is not None:

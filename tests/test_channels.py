@@ -11,9 +11,9 @@ from blochiso.channels import (
     ChannelKind,
     ChoiMatrix,
     KrausSet,
+    _pin_phase,
     apply_channel,
     bloch_affine_action,
-    _pin_phase,
     choi_of,
     classify,
     extract_unitary_via_gram,
@@ -344,20 +344,15 @@ class TestChoiEigenpairUnitary:
             if abs((u.entries[0] + u.entries[3]).real) <= 1e-6:
                 continue
             printed = classify(KrausSet((u,))).extracted_unitary
-            # U is in SU(2) already, so the pin returns U or -U.
+            # U is in SU(2) already, so the pin returns U or -U: the one
+            # with det 1 and Re tr >= 0.
             assert min(max_abs_diff(printed, u), max_abs_diff(printed, scale(u, -1.0))) <= 1e-14
+            a, b, c, d = printed.entries
+            assert abs(a * d - b * c - 1.0) <= 1e-15 and (a + d).real >= 0.0
             for k in (phased, remixed):
                 assert max_abs_diff(classify(k).extracted_unitary, printed) <= 1e-14
             compared += 1
         assert compared >= 1990
-
-    def test_pin_is_det_one_with_nonnegative_real_trace(self):
-        rng = random.Random(12)
-        for _ in range(200):
-            m = scale(su2_haar(rng).matrix, cmath.exp(2j * pi * rng.random()))
-            a, b, c, d = _pin_phase(m).entries
-            assert abs(a * d - b * c - 1.0) <= 1e-15
-            assert (a + d).real >= 0.0
 
     @pytest.mark.parametrize(
         "entries",
