@@ -1,14 +1,15 @@
 """Qubit channels: Kraus and Choi forms, CPTP checks, and reversibility.
 
-A channel acts as rho -> sum_a A_a rho A_a*. Complete positivity is read off
-the Choi matrix, trace preservation off sum_a A_a* A_a = I. A channel admits
+A channel acts as rho -> sum_a A_a rho A_a*. A Kraus set is completely
+positive by construction (its Choi matrix sum_a vec(A_a) vec(A_a)* is PSD),
+so only trace preservation, sum_a A_a* A_a = I, is checked. A channel admits
 a CPTP inverse exactly when its Choi rank is 1, i.e. it is conjugation by a
 single unitary. Then J = vec(U) vec(U)*, so :func:`classify` reads U off the
 leading Choi eigenpair, sqrt(lambda_1) v_1, with no second eigensolve. The
 Gram-matrix pipeline, :func:`extract_unitary_via_gram`, is the paper's
 constructive route to the same unitary from any redundant Kraus set; no
-library path calls it. Both pin the unitary's phase to det U = 1 with
-Re tr U >= 0.
+library path calls it. Both pin the unitary's phase as ``normalize_phase``
+does, to det U = 1 with Re tr U >= 0.
 
 The Choi matrix of a Kraus set and the Gram matrix are Hermitian by
 construction: each is built as its upper triangle plus the ``0j + conj``
@@ -18,7 +19,6 @@ mirror, bit for bit the full square, and factored with no Hermiticity check.
 from __future__ import annotations
 
 from cmath import isfinite
-from cmath import sqrt as csqrt
 from enum import Enum
 from math import sqrt
 
@@ -43,7 +43,7 @@ from .matrix import (
     scale,
 )
 from .so3 import Matrix3
-from .su2 import det2, unitarity_deviation
+from .su2 import _pin_phase, unitarity_deviation
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
 #: contribute nothing to the channel and break proportionality diagnostics.
@@ -152,13 +152,13 @@ class KrausSet(Value):
 class ChoiMatrix(Value):
     """4x4 Choi matrix J = sum_ij Phi(E_ij) (x) E_ij (unnormalized, trace 2).
 
-    ``(x)`` is the tensor product of the output and input factors.
-    Hermiticity and positivity (the CP side) are enforced; the partial trace
-    over the output factor equals I exactly when the source set is trace
-    preserving. ``spectrum`` keeps the eigendecomposition the positivity
-    check computed; it is not part of the value's equality, hash or repr.
-    Positivity is relative, as roundoff is: the least eigenvalue may fall
-    DEFAULT_TOL times max(1, the largest) below zero.
+    ``(x)`` is the tensor product of the output and input factors. A matrix
+    given to the constructor is checked Hermitian and positive semidefinite,
+    relative to roundoff: the least eigenvalue may fall DEFAULT_TOL times
+    max(1, the largest) below zero. :func:`choi_of` builds a Kraus set's,
+    both by construction, unchecked. The partial trace over the output factor
+    equals I exactly when the source set is trace preserving. ``spectrum``
+    keeps the eigendecomposition; it is not in equality, hash or repr.
     """
 
     spectrum: HermitianEigenResult
@@ -175,21 +175,20 @@ class ChoiMatrix(Value):
         m_adjoint = adjoint(m)
         if max_abs_diff(m, m_adjoint) > DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be Hermitian")
-        self._keep_spectrum(_checked_hermitian_eig(m, m_adjoint))
-
-    @classmethod
-    def _of_hermitian(cls, matrix: ComplexMatrix) -> "ChoiMatrix":
-        """A Choi matrix Hermitian bit for bit (``matrix._hermitian_eig``), unchecked."""
-        j = object.__new__(cls)
-        j.__dict__["matrix"] = matrix
-        j._keep_spectrum(_hermitian_eig(4, matrix.entries))
-        return j
-
-    def _keep_spectrum(self, spectrum: HermitianEigenResult) -> None:
+        spectrum = _checked_hermitian_eig(m, m_adjoint)
         eigenvalues = spectrum.eigenvalues
         if eigenvalues[-1] < -DEFAULT_TOL * max(1.0, eigenvalues[0]):
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
-        object.__setattr__(self, "spectrum", spectrum)
+        self.__dict__["spectrum"] = spectrum
+
+    @classmethod
+    def _of_hermitian(cls, matrix: ComplexMatrix) -> "ChoiMatrix":
+        """The Choi matrix of a Kraus set, Hermitian bit for bit
+        (``matrix._hermitian_eig``) and positive semidefinite, unchecked."""
+        j = object.__new__(cls)
+        j.__dict__["matrix"] = matrix
+        j.__dict__["spectrum"] = _hermitian_eig(4, matrix.entries)
+        return j
 
     def eigenvalues(self) -> tuple[float, ...]:
         return self.spectrum.eigenvalues
@@ -208,6 +207,8 @@ class ChannelKind(Enum):
 
 
 class CptpDiagnostics(Value):
+    """Verdict of :func:`is_cptp`; ``choi_min_eigenvalue`` is shown, not tested."""
+
     def __init__(self, is_cptp: bool, tp_deviation: float, choi_min_eigenvalue: float) -> None:
         d = self.__dict__
         d["is_cptp"], d["tp_deviation"] = is_cptp, tp_deviation
@@ -220,7 +221,7 @@ class CptpDiagnostics(Value):
 class ChannelClassification(Value):
     """Verdict of :func:`classify`.
 
-    ``choi_rank`` is 0 for non-CPTP input (no meaningful rank is reported).
+    ``choi_rank`` is 0 for ``NotCptp``: a set not trace preserving within tol.
     ``extracted_unitary`` is sqrt(lambda_1) v_1 of the Choi spectrum with its
     global phase divided out: det U = 1, and the sign gives Re tr U >= 0
     (rotation angle in [0, pi]). The sign ties only at Re tr U = 0, angle pi.
@@ -299,7 +300,8 @@ _CHOI_LOWER = tuple((r * 4 + c, c * 4 + r) for r in range(1, 4) for c in range(r
 
 def _choi_entries(k: KrausSet) -> ComplexMatrix:
     """J = sum vec(A) vec(A)*: the upper triangle summed from 0j, each lower
-    entry ``0j + conj`` of its mirror, the bits its own sum would have."""
+    entry ``0j + conj`` of its mirror, the bits its own sum would have.
+    Unvalidated: the factorization checks every entry finite."""
     ents = [0j] * 16
     for op in k.operators:
         w = op.entries  # row-major flattening matches the tensor-product order
@@ -308,7 +310,7 @@ def _choi_entries(k: KrausSet) -> ComplexMatrix:
             ents[i] += w[r] * wc[c]
     for i, j in _CHOI_LOWER:
         ents[i] = 0j + ents[j].conjugate()
-    return ComplexMatrix(4, 4, tuple(ents))
+    return ComplexMatrix._trusted(4, 4, tuple(ents))
 
 
 def choi_of(k: KrausSet) -> ChoiMatrix:
@@ -317,22 +319,19 @@ def choi_of(k: KrausSet) -> ChoiMatrix:
 
 
 def is_cptp(k: KrausSet, tol: float = DEFAULT_TOL) -> CptpDiagnostics:
-    """Trace preservation plus positivity of the Choi matrix.
-
-    The spectrum is taken without :class:`ChoiMatrix`, so the least
-    eigenvalue is reported against ``tol`` instead of raising.
+    """Trace preservation within ``tol``: a Kraus set's Choi matrix is PSD by
+    construction, so its least eigenvalue, zero or a roundoff, is only shown.
     """
     tp = k.tp_deviation()
-    min_eig = _hermitian_eig(4, _choi_entries(k).entries).eigenvalues[-1]
-    return CptpDiagnostics(tp <= tol and min_eig >= -tol, tp, min_eig)
+    return CptpDiagnostics(tp <= tol, tp, choi_of(k).eigenvalues()[-1])
 
 
 def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     """Decide invertibility: rank-one Choi means conjugation by one unitary.
 
-    Trace preservation is checked first, so a non-TP set needs no Choi
-    matrix. The verdict is kept on ``k`` and returned again for the same
-    ``tol``.
+    Trace preservation is the one CPTP check, and it comes first, so a
+    non-TP set needs no Choi matrix. The verdict is kept on ``k`` and
+    returned again for the same ``tol``.
     """
     cached = k._classified
     if cached is not None and cached[0] == tol:
@@ -347,8 +346,6 @@ def _classify(k: KrausSet, tol: float) -> ChannelClassification:
     if not k.tp_deviation() <= tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
     choi = choi_of(k)
-    if not choi.eigenvalues()[-1] >= -tol:
-        return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
     rank = choi.rank()
     if rank == 1:
         # J = vec(U) vec(U)*: the leading eigenpair is the unitary itself.
@@ -423,25 +420,6 @@ def extract_unitary_via_gram(
         )
 
     return pinned, GramData(beta, gamma, mixing)
-
-
-def _pin_phase(m: ComplexMatrix) -> ComplexMatrix | None:
-    """Divide out the global phase so that det U = 1, then take the sign that
-    makes Re tr U >= 0 (angle in [0, pi]); the sign ties only at Re tr U = 0.
-
-    None when det U is zero or not finite, or a quotient overflows: no
-    unitary has such a matrix as a multiple.
-    """
-    root = csqrt(det2(m))
-    if not (root and isfinite(root)):
-        return None
-    pinned = [e / root for e in m.entries]
-    if (pinned[0] + pinned[3]).real < 0.0:
-        pinned = [-e for e in pinned]
-    try:
-        return ComplexMatrix(2, 2, tuple(pinned))
-    except DomainError:
-        return None
 
 
 def verify_inverse_pair(
@@ -519,12 +497,10 @@ def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAct
     Unitary channels give orthogonal M and zero t; the fully depolarizing
     limit contracts everything to the origin.
     """
-    diagnostics = is_cptp(k, tol)
-    if not diagnostics.is_cptp:
+    dev = k.tp_deviation()
+    if not dev <= tol:  # negated, so that a NaN tol fails it
         raise InvalidChannelError(
-            "affine action is defined for CPTP sets only "
-            f"(tp deviation {diagnostics.tp_deviation:.3e}, "
-            f"choi min eigenvalue {diagnostics.choi_min_eigenvalue:.3e})"
+            f"affine action is defined for CPTP sets only (tp deviation {dev:.3e})"
         )
     *columns, translation = _bloch_columns(k.operators, 4)
     return BlochAffineAction(tuple(zip(*columns)), translation)  # type: ignore[arg-type]
@@ -547,10 +523,12 @@ def make_depolarizing(p: float) -> KrausSet:
 def _choi_operator(eig: HermitianEigenResult, k: int) -> ComplexMatrix:
     """sqrt(lambda_k) v_k as a 2x2 operator, v_k read row-major as
     :func:`_choi_entries` flattens: the k-th Kraus operator of the Choi
-    spectrum, for :func:`classify` and :func:`kraus_from_choi` alike."""
+    spectrum, for :func:`classify` and :func:`kraus_from_choi` alike. Finite
+    by construction: the eigenvector entries have modulus at most 1."""
     root = sqrt(eig.eigenvalues[k])
     v = eig.eigenvectors.entries
-    return ComplexMatrix(2, 2, (root * v[k], root * v[4 + k], root * v[8 + k], root * v[12 + k]))
+    entries = (root * v[k], root * v[4 + k], root * v[8 + k], root * v[12 + k])
+    return ComplexMatrix._trusted(2, 2, entries)
 
 
 def kraus_from_choi(j: ChoiMatrix) -> KrausSet:

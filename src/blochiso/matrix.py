@@ -69,9 +69,6 @@ class ComplexMatrix(Value):
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def frobenius_norm(self) -> float:
         total = 0.0  # left to right on every Python version, unlike sum()
         for e in self.entries:
@@ -157,7 +154,7 @@ def hermitian_eig(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenR
     phases pinned. Raises :class:`DomainError` when the input departs from
     Hermiticity by more than ``tol``.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise DimensionError("hermitian_eig needs a square matrix")
     m_adjoint = adjoint(m)
     dev = max_abs_diff(m, m_adjoint)

@@ -13,7 +13,7 @@ from math import atan2, cos, sin, sqrt
 from ._value import Value
 from .bloch import DensityOperator
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, scale
+from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2
 from .so3 import Z_AXIS, AxisAngle
 
 _AXIS_CUTOFF = 1e-12
@@ -120,20 +120,38 @@ def negate(u: Unitary2) -> Unitary2:
     return Unitary2(ComplexMatrix._trusted(2, 2, tuple(e * -1.0 for e in u.matrix.entries)))
 
 
+def _pin_phase(m: ComplexMatrix) -> ComplexMatrix | None:
+    """Divide out the global phase so that det U = 1, then take the sign that
+    makes Re tr U >= 0 (angle in [0, pi]); the sign ties only at Re tr U = 0.
+
+    None when det U is zero or not finite, or a quotient overflows: no
+    unitary has such a matrix as a multiple.
+    """
+    root = cmath.sqrt(det2(m))
+    if not (root and cmath.isfinite(root)):
+        return None
+    pinned = [e / root for e in m.entries]
+    if (pinned[0] + pinned[3]).real < 0.0:
+        pinned = [-e for e in pinned]
+    try:
+        return ComplexMatrix(2, 2, tuple(pinned))
+    except DomainError:
+        return None
+
+
 def normalize_phase(m: ComplexMatrix) -> Unitary2:
-    """Divide out the global phase so det becomes 1 (principal square root).
+    """Divide out the global phase as :func:`_pin_phase` does: det U = 1, then
+    the sign with angle in [0, pi], the lift ``phi`` gives the rotation of U.
 
     Accepts a matrix that is unitary within ``DEFAULT_TOL``, the tolerance
-    :class:`Unitary2` holds its result to; the two SU(2) representatives
-    differ by sign and this picks the principal branch.
+    :class:`Unitary2` holds its result to.
     """
     if m.rows != 2 or m.cols != 2:
         raise DomainError("normalize_phase expects a 2x2 matrix")
     dev = unitarity_deviation(m)
     if dev > DEFAULT_TOL:
         raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")
-    d = det2(m)
-    root = cmath.sqrt(d)
-    if abs(root) < 1e-12:
+    pinned = _pin_phase(m)
+    if pinned is None:
         raise DomainError("matrix determinant vanishes")
-    return Unitary2(scale(m, 1.0 / root))
+    return Unitary2(pinned)

@@ -22,7 +22,6 @@ from blochiso.channels import (
     InversePairReport,
     KrausSet,
     _bloch_columns,
-    _pin_phase,
 )
 from blochiso.cli import CliError, _fmt_float, main as cli_main
 from blochiso.errors import (
@@ -44,7 +43,7 @@ from blochiso.matrix import (
 from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
 from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar
 from blochiso.so3 import Rotation3, _det3, _dot3, orthogonality_deviation, rotation_from_axis_angle
-from blochiso.su2 import Unitary2, negate
+from blochiso.su2 import Unitary2, _pin_phase, negate
 
 
 # The generic operations. The library's products are closed 2x2 forms; these
@@ -71,7 +70,7 @@ def mul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
 
 
 def trace(a: ComplexMatrix) -> complex:
-    if not a.is_square():
+    if a.rows != a.cols:
         raise DimensionError("trace needs a square matrix")
     t = 0j
     for i in range(a.rows):
@@ -131,7 +130,7 @@ def expm_taylor(m: ComplexMatrix, terms: int) -> ComplexMatrix:
     Brute-force exponential used as an independent oracle for the closed-form
     rotation and unitary constructions; not meant to be fast or clever.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise DimensionError("expm_taylor needs a square matrix")
     if terms < 1:
         raise DomainError("terms must be >= 1")
@@ -454,7 +453,7 @@ def hermitian_eig_reference(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Hermi
     phases pinned. Raises :class:`DomainError` when the input departs from
     Hermiticity by more than ``tol``.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise DimensionError("hermitian_eig needs a square matrix")
     x = m.entries
     y = adjoint(m).entries
@@ -586,7 +585,7 @@ def su2_negate_reference(u) -> Unitary2:
 
 def hermitian_deviation_reference(a: ComplexMatrix) -> float:
     """Largest entrywise deviation from A = A*."""
-    if not a.is_square():
+    if a.rows != a.cols:
         raise DimensionError("hermitian_deviation needs a square matrix")
     return max_abs_diff(a, adjoint(a))
 
@@ -821,6 +820,28 @@ GOLDEN_CASES = [
     ("bloch_action_unitary_tilted.json", ["bloch-action", "kraus_unitary_tilted.json"]),
     ("bloch_action_depolarizing_half.json", ["bloch-action", "kraus_depolarizing_half.json"]),
     ("bloch_action_damping.json", ["bloch-action", "kraus_damping.json"]),
+    (
+        "classify_roundoff_unitary_tol.json",
+        ["classify", "--tol", "1e-16", "kraus_roundoff_unitary.json"],
+    ),
+    (
+        "bloch_action_roundoff_unitary_tol.json",
+        ["bloch-action", "--tol", "1e-16", "kraus_roundoff_unitary.json"],
+    ),
+]
+
+# A two-operator unitary conjugation with TP deviation 3.1e-17 and Choi
+# spectrum (2.0, 0.0, -5.2e-18, -1.57e-16): at --tol 1e-16 its roundoff
+# eigenvalue once read as a failed positivity check (NotCptp, exit 2).
+ROUNDOFF_UNITARY_OPS = [
+    [
+        [[-0.31314843423461786, -0.6812272125570971], [-0.07727121920841441, 0.1817177235281021]],
+        [[-0.1860395759567645, -0.06619251120797451], [-0.28922176181954556, -0.6917248220802137]],
+    ],
+    [
+        [[0.5241343913358012, -0.3135048825639902], [-0.1539548574888297, -0.04659507408607021]],
+        [[0.037243192915324116, -0.15648048969428807], [0.5347398120650055, -0.295051698800557]],
+    ],
 ]
 
 
@@ -882,6 +903,7 @@ def build_golden_inputs() -> dict[str, str]:
                 ]
             },
         ),
+        "kraus_roundoff_unitary.json": _golden_doc("kraus", {"operators": ROUNDOFF_UNITARY_OPS}),
     }
 
 

@@ -11,7 +11,6 @@ from blochiso.channels import (
     ChannelKind,
     ChoiMatrix,
     KrausSet,
-    _pin_phase,
     apply_channel,
     bloch_affine_action,
     choi_of,
@@ -44,7 +43,7 @@ from blochiso.sampling import (
     su2_haar,
 )
 from blochiso.so3 import AxisAngle
-from blochiso.su2 import conjugate, unitary_from_axis_angle
+from blochiso.su2 import _pin_phase, conjugate, unitary_from_axis_angle
 from helpers import (
     add,
     amplitude_damping,
@@ -213,6 +212,38 @@ class TestIsCptp:
             diag = is_cptp(big)
             assert not diag.is_cptp
             assert diag.tp_deviation > 1.0
+
+
+def trace_preserving_sets(rng, count):
+    """Seeded channels in turn: redundant unitary sets of 1 to 4 operators,
+    depolarizing and amplitude damping."""
+    for i in range(count):
+        if i % 3 == 0:
+            yield redundant_unitary_kraus(rng, 1 + (i // 3) % 4)[0]
+        elif i % 3 == 1:
+            yield make_depolarizing(rng.random())
+        else:
+            yield amplitude_damping(rng.random())
+
+
+class TestRoundoffVerdict:
+    """A Kraus set is completely positive by construction, so a set that
+    passes trace preservation is CPTP at any tolerance. A least Choi
+    eigenvalue of -1.6e-16, eigensolver roundoff, once made such sets
+    NotCptp at tol 1e-16."""
+
+    def test_trace_preserving_sets_are_cptp_at_every_tolerance(self):
+        rng = random.Random(9)
+        checked = dict.fromkeys((0.0, 1e-18, 1e-16, 1e-15, 1e-9), 0)
+        for k in trace_preserving_sets(rng, 2100):
+            dev = k.tp_deviation()
+            for tol in checked:
+                if dev <= tol:
+                    checked[tol] += 1
+                    assert classify(k, tol).kind is not ChannelKind.NOT_CPTP
+                    assert is_cptp(k, tol).is_cptp
+                    bloch_affine_action(k, tol)
+        assert checked[0.0] >= 500 and checked[1e-9] == 2100
 
 
 class TestClassify:

@@ -22,6 +22,7 @@ from blochiso.cli import KINDS, CliError, main
 from helpers import (
     GOLDEN_CASES,
     GOLDEN_DIR as GOLDEN,
+    ROUNDOFF_UNITARY_OPS,
     _decode_cmatrix_reference,
     dumps_reference,
     fingerprint,
@@ -300,6 +301,17 @@ class TestClassify:
             "code": "malformed_input",
             "detail": "matrix entries must be finite",
         }
+
+    def test_roundoff_choi_eigenvalue_is_not_a_verdict(self, tmp_path):
+        # TP deviation 3.1e-17, least Choi eigenvalue -1.57e-16: below the
+        # tolerance, but a Kraus set is completely positive by construction.
+        path = write_doc(tmp_path, "k.json", "kraus", {"operators": ROUNDOFF_UNITARY_OPS})
+        code, out = run_cli(["classify", "--tol", "1e-16", path])
+        assert code == 0
+        assert out.startswith('{"cptp":true,"choi_rank":1,"kind":"UnitaryConjugation"')
+        code, out = run_cli(["bloch-action", "--tol", "1e-16", path])
+        assert code == 0
+        assert set(json.loads(out)) == {"M", "t", "isometry"}
 
     def test_large_redundant_set_at_a_loose_tolerance(self, tmp_path):
         # At this tolerance the scaled set passes the trace-preservation

@@ -133,9 +133,10 @@ class TestValueConstructions:
         k = redundant_unitary_kraus(random.Random(10 + count), count)[0]
         validated.clear()
         assert verify_inverse_pair(k, invert(k)).valid
-        # The Choi matrix, then its leading eigenpair's operator and the
-        # phase-pinned copy; the README states this count.
-        assert validated == [(4, 4), (2, 2), (2, 2)]
+        # The phase-pinned unitary only: the Choi entries and the leading
+        # eigenpair's operator are finite by construction, or checked by the
+        # factorization. The README states this count.
+        assert validated == [(2, 2)]
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_geometry_case_validates_only_the_callers_unitary(self, validated, seed):
@@ -163,15 +164,15 @@ class TestValueConstructions:
         # build theirs through Rotation3._built.
         assert checked == [inputs[4]]
 
-    def test_cli_classify_validates_only_the_choi_matrix(self, validated):
+    def test_cli_classify_validates_nothing_past_the_decoder(self, validated):
         # The decoder checks the four operators itself and builds them
-        # trusted; the depolarizing channel is not invertible, so no Gram
-        # candidate follows the Choi entries.
+        # trusted; the factorization checks the Choi entries finite, and the
+        # depolarizing channel is not invertible, so no unitary is pinned.
         path = GOLDEN_DIR / "inputs" / "kraus_depolarizing_half.json"
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["classify", str(path)]) == 0
         assert json.loads(out.getvalue())["kind"] == "CptpNotInvertible"
-        assert validated == [(4, 4)]
+        assert validated == []
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_hermitian_tables_are_not_rechecked(self, monkeypatch, count):

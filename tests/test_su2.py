@@ -8,6 +8,7 @@ import pytest
 
 from blochiso.bloch import bloch_to_density, BlochVector, purity
 from blochiso.errors import DomainError
+from blochiso.isomorphism import phi, phi_inverse
 from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, scale
 from blochiso.sampling import axis_angle as random_axis_angle
 from blochiso.sampling import density as random_density
@@ -45,6 +46,20 @@ class TestTypes:
         fixed = normalize_phase(phased)
         assert abs(det2(fixed.matrix) - 1.0) <= 1e-12
         assert max_abs_diff(fixed.matrix, I2) <= 1e-12
+
+    def test_normalize_phase_lifts_as_phi_does(self):
+        # det 1, then Re tr U >= 0: the SU(2) representative phi lifts the
+        # rotation of U to. The sign ties only at Re tr U = 0.
+        rng = random.Random(11)
+        compared = 0
+        for _ in range(2000):
+            u = su2_haar(rng)
+            phased = scale(u.matrix, cmath.exp(1j * rng.uniform(-pi, pi)))
+            lifted = phi(phi_inverse(u)).matrix
+            if abs((lifted.at(0, 0) + lifted.at(1, 1)).real) > 1e-6:
+                compared += 1
+                assert max_abs_diff(normalize_phase(phased).matrix, lifted) <= 1e-13
+        assert compared >= 1990
 
     def test_normalize_phase_rejects_nonunitary(self):
         for m in (from_rows([[1, 0], [0, 2]]), scale(I2, 2.0)):
