@@ -223,7 +223,9 @@ def _decode_document(doc: Any) -> tuple[str, Any]:
             if not isinstance(raw, list) or len(raw) != 3:
                 raise CliError(2, "malformed_input", "rotation matrix must have 3 rows")
             rows = tuple(_decode_real_vector(r, 3, f"matrix[{i}]") for i, r in enumerate(raw))
-            return kind, Rotation3(rows)
+            if not all(isfinite(x) for r in rows for x in r):
+                raise DomainError("rotation entries must be finite")
+            return kind, Rotation3._built(rows)
         if kind == "unitary":
             m = _decode_cmatrix(_payload_field(payload, "matrix"), 2, 2, "matrix")
             return kind, Unitary2(m)

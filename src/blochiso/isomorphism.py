@@ -1,6 +1,6 @@
 """The two directions between rotations and special unitaries.
 
-A rotation lifts to the unitary of its canonical axis-angle; a unitary drops
+A rotation lifts to the unitary of its quaternion with w >= 0; a unitary drops
 to a rotation through the trace formula R_kj = Tr(U sigma_j U* sigma_k) / 2,
 which is insensitive to the sign of U (the double cover). The Pauli
 coordinate picture of the unitary's adjoint action on anti-Hermitian
@@ -72,12 +72,14 @@ class DiagramReport(Value):
 
 
 def phi(rot: Rotation3) -> Unitary2:
-    """Lift a rotation to SU(2) through its canonical axis-angle.
+    """Lift a rotation to SU(2) through its unit quaternion.
 
-    Of the two preimages this picks the one with angle in [0, pi], the
-    standard continuous-near-identity choice.
+    Of the two preimages this picks the one with w >= 0, Re tr U >= 0,
+    angle in [0, pi]: the standard continuous-near-identity choice and
+    ``su2._pin_phase``'s rule. The two tie only at an exact half turn,
+    where the largest component of the axis is positive.
     """
-    return su2.unitary_from_axis_angle(so3.axis_angle_from_rotation(rot))
+    return su2._from_quaternion(*so3._quaternion(rot))
 
 
 def phi_inverse(u: Unitary2) -> Rotation3:

@@ -15,7 +15,7 @@ from .bloch import BlochVector, DensityOperator, bloch_to_density
 from .channels import KrausSet
 from .matrix import ComplexMatrix, scale
 from .so3 import AxisAngle
-from .su2 import Unitary2
+from .su2 import Unitary2, _from_quaternion
 
 
 def gaussian(rng: random.Random) -> float:
@@ -53,14 +53,7 @@ def su2_haar(rng: random.Random) -> Unitary2:
         nrm = sqrt(w * w + x * x + y * y + z * z)
         if nrm > 1e-12:
             break
-    w, x, y, z = w / nrm, x / nrm, y / nrm, z / nrm
-    return Unitary2(
-        ComplexMatrix(
-            2,
-            2,
-            (complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z)),
-        )
-    )
+    return _from_quaternion(w / nrm, x / nrm, y / nrm, z / nrm)
 
 
 def density(rng: random.Random) -> DensityOperator:

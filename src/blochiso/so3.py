@@ -1,7 +1,8 @@
 """Proper rotations of physical space.
 
-Rodrigues closed form, the axis-angle logarithm with its canonical cell
-(angle in [0, pi]), and rotation action on Bloch vectors.
+Rodrigues closed form, the unit quaternion R shares with its SU(2) lifts,
+the axis-angle logarithm read off it (canonical cell: angle in [0, pi]), and
+rotation action on Bloch vectors.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from .matrix import DEFAULT_TOL
 
 Z_AXIS = (0.0, 0.0, 1.0)
 
-# Below this |sin alpha| the skew part of R no longer resolves the axis and
-# extraction falls back to the symmetric part (only relevant near alpha = pi).
-_SKEW_CUTOFF = 1e-4
+# Below this |v| = sin(angle / 2) the quaternion's vector part no longer
+# resolves the axis, and the logarithm returns z-hat.
+_AXIS_CUTOFF = 1e-12
 _AXIS_NORM_TOL = 1e-12
 
 Matrix3 = tuple[tuple[float, float, float], ...]
@@ -67,9 +68,10 @@ class Rotation3(Value):
 
     @classmethod
     def _built(cls, rows: Matrix3) -> "Rotation3":
-        """A rotation from three 3-tuples of finite floats the library built,
+        """A rotation from three 3-tuples of floats already checked finite,
         without the float rebuild and finiteness pass; the orthogonality and
-        det checks still run. No outside value comes here.
+        det checks still run. The library's own products come here, and the
+        CLI's rotation documents once the decoder has checked them.
         """
         _check_rotation(rows)
         rot = object.__new__(cls)
@@ -127,50 +129,54 @@ def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:
     )
 
 
+def _quaternion(rot: Rotation3) -> tuple[float, float, float, float]:
+    """The unit quaternion q = (w, x, y, z) of a rotation, with w >= 0.
+
+    R is quadratic in q, and its entries give the table 4 q q^T: 1 + tr R
+    and 1 + 2 R_ii - tr R on the diagonal, sums and differences of mirrored
+    entries off it. Shepperd's form (J. Guidance and Control 1, 1978) takes
+    the row with the largest diagonal entry, at least 1, and normalizes it.
+    w is exactly 0 only where the skew part of R is, at a half turn; there
+    the largest component of the axis comes out positive.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rot.matrix
+    tr = m00 + m11 + m22
+    wx, wy, wz = m21 - m12, m02 - m20, m10 - m01
+    xy, xz, yz = m01 + m10, m02 + m20, m12 + m21
+    table = (
+        (1.0 + tr, wx, wy, wz),
+        (wx, 1.0 + 2.0 * m00 - tr, xy, xz),
+        (wy, xy, 1.0 + 2.0 * m11 - tr, yz),
+        (wz, xz, yz, 1.0 + 2.0 * m22 - tr),
+    )
+    w, x, y, z = table[max(range(4), key=lambda i: table[i][i])]
+    nrm = sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        nrm = -nrm
+    return (w / nrm, x / nrm, y / nrm, z / nrm)
+
+
+def _axis_angle(w: float, v1: float, v2: float, v3: float) -> AxisAngle:
+    """Axis-angle of the quaternion w + v: angle 2 atan2(|v|, w), so in
+    [0, 2*pi], and axis v / |v|, or z-hat when |v| <= 1e-12.
+    """
+    vn = sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    angle = 2.0 * atan2(vn, w)
+    if vn <= _AXIS_CUTOFF:
+        return AxisAngle(Z_AXIS, angle)
+    axis = (v1 / vn, v2 / vn, v3 / vn)
+    nrm = sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
+    return AxisAngle((axis[0] / nrm, axis[1] / nrm, axis[2] / nrm), angle)
+
+
 def axis_angle_from_rotation(rot: Rotation3) -> AxisAngle:
     """Canonical axis-angle of a rotation, angle in [0, pi].
 
-    At angle 0 the axis is conventionally z-hat; at angle pi the axis sign is
-    fixed by making its first nonzero component positive.
+    The logarithm of its quaternion with w >= 0: the axis is z-hat at
+    angles up to 2e-12, and at an exact half turn its largest component is
+    positive.
     """
-    m = rot.matrix
-    s1 = (m[2][1] - m[1][2]) / 2.0
-    s2 = (m[0][2] - m[2][0]) / 2.0
-    s3 = (m[1][0] - m[0][1]) / 2.0
-    sn = sqrt(s1 * s1 + s2 * s2 + s3 * s3)
-    tr = m[0][0] + m[1][1] + m[2][2]
-    ca = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
-    angle = atan2(sn, ca)
-
-    if sn >= _SKEW_CUTOFF or ca >= 0.0:
-        if sn <= 1e-15:
-            return AxisAngle(Z_AXIS, angle)
-        axis = (s1 / sn, s2 / sn, s3 / sn)
-    else:
-        # Near angle = pi: recover n n^T from the symmetric part.
-        k = 1.0 - ca
-        diag = [(m[i][i] - ca) / k for i in range(3)]
-        j = max(range(3), key=diag.__getitem__)
-        nj = sqrt(max(diag[j], 0.0))
-        comps = [0.0, 0.0, 0.0]
-        for i in range(3):
-            if i == j:
-                comps[i] = nj
-            else:
-                comps[i] = (m[j][i] + m[i][j]) / (2.0 * k * nj)
-        if sn > 1e-12:
-            if comps[0] * s1 + comps[1] * s2 + comps[2] * s3 < 0.0:
-                comps = [-c for c in comps]
-        else:
-            for c in comps:
-                if abs(c) > 1e-12:
-                    if c < 0.0:
-                        comps = [-x for x in comps]
-                    break
-        axis = (comps[0], comps[1], comps[2])
-
-    nrm = sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
-    return AxisAngle((axis[0] / nrm, axis[1] / nrm, axis[2] / nrm), angle)
+    return _axis_angle(*_quaternion(rot))
 
 
 def _dot3(u, v) -> float:

@@ -1,22 +1,21 @@
 """Special unitaries on one qubit.
 
-Half-angle closed form cos(a/2) I - i sin(a/2) n . sigma, composition,
-state conjugation, and the axis-angle logarithm covering angles in
-[0, 2*pi] (the endpoint is hit only at U = -I, axis defaulting to z-hat).
+U = w I - i v . sigma from a unit quaternion, with w = cos(a/2) and
+v = sin(a/2) n; composition, state conjugation, and so3's axis-angle
+logarithm of (w, v), covering angles in [0, 2*pi] (the endpoint is hit only
+at U = -I, axis defaulting to z-hat).
 """
 
 from __future__ import annotations
 
 import cmath
-from math import atan2, cos, sin, sqrt
+from math import cos, sin
 
 from ._value import Value
 from .bloch import DensityOperator
 from .errors import DomainError
 from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2
-from .so3 import Z_AXIS, AxisAngle
-
-_AXIS_CUTOFF = 1e-12
+from .so3 import AxisAngle, _axis_angle
 
 
 class Unitary2(Value):
@@ -63,23 +62,20 @@ def unitarity_deviation(m: ComplexMatrix) -> float:
     )
 
 
-def unitary_from_axis_angle(aa: AxisAngle) -> Unitary2:
-    """cos(a/2) I - i sin(a/2) n . sigma; det is 1 by construction."""
-    c = cos(aa.angle / 2.0)
-    s = sin(aa.angle / 2.0)
-    n1, n2, n3 = aa.axis
+def _from_quaternion(w: float, x: float, y: float, z: float) -> Unitary2:
+    """w I - i (x, y, z) . sigma, for a unit quaternion: the one layout of U."""
     return Unitary2(
         ComplexMatrix._trusted(
-            2,
-            2,
-            (
-                complex(c, -s * n3),
-                complex(-s * n2, -s * n1),
-                complex(s * n2, -s * n1),
-                complex(c, s * n3),
-            ),
+            2, 2, (complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z))
         )
     )
+
+
+def unitary_from_axis_angle(aa: AxisAngle) -> Unitary2:
+    """cos(a/2) I - i sin(a/2) n . sigma; det is 1 by construction."""
+    s = sin(aa.angle / 2.0)
+    n1, n2, n3 = aa.axis
+    return _from_quaternion(cos(aa.angle / 2.0), s * n1, s * n2, s * n3)
 
 
 def axis_angle_from_unitary(u: Unitary2) -> AxisAngle:
@@ -90,17 +86,12 @@ def axis_angle_from_unitary(u: Unitary2) -> AxisAngle:
     kept visible here and collapsed only by the rotation side).
     """
     m = u.matrix
-    w = (m.at(0, 0) + m.at(1, 1)).real / 2.0
-    v1 = -(m.at(0, 1).imag + m.at(1, 0).imag) / 2.0
-    v2 = (m.at(1, 0).real - m.at(0, 1).real) / 2.0
-    v3 = (m.at(1, 1).imag - m.at(0, 0).imag) / 2.0
-    vn = sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    angle = 2.0 * atan2(vn, w)
-    if vn <= _AXIS_CUTOFF:
-        return AxisAngle(Z_AXIS, angle)
-    axis = (v1 / vn, v2 / vn, v3 / vn)
-    nrm = sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
-    return AxisAngle((axis[0] / nrm, axis[1] / nrm, axis[2] / nrm), angle)
+    return _axis_angle(
+        (m.at(0, 0) + m.at(1, 1)).real / 2.0,
+        -(m.at(0, 1).imag + m.at(1, 0).imag) / 2.0,
+        (m.at(1, 0).real - m.at(0, 1).real) / 2.0,
+        (m.at(1, 1).imag - m.at(0, 0).imag) / 2.0,
+    )
 
 
 def compose(ua: Unitary2, ub: Unitary2) -> Unitary2:

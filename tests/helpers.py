@@ -828,6 +828,14 @@ GOLDEN_CASES = [
         "bloch_action_roundoff_unitary_tol.json",
         ["bloch-action", "--tol", "1e-16", "kraus_roundoff_unitary.json"],
     ),
+    (
+        "convert_rotation_half_turn_to_unitary.json",
+        ["convert", "--to", "unitary", "rotation_half_turn.json"],
+    ),
+    (
+        "convert_rotation_half_turn_to_axis_angle.json",
+        ["convert", "--to", "axis_angle", "rotation_half_turn.json"],
+    ),
 ]
 
 # A two-operator unitary conjugation with TP deviation 3.1e-17 and Choi
@@ -904,6 +912,12 @@ def build_golden_inputs() -> dict[str, str]:
             },
         ),
         "kraus_roundoff_unitary.json": _golden_doc("kraus", {"operators": ROUNDOFF_UNITARY_OPS}),
+        # The exact half turn 2 n n^T - I about n = (0.6, -0.8, 0): the lift
+        # has w = 0, and the axis printed is the one whose largest component
+        # is positive, (-0.6, 0.8, 0).
+        "rotation_half_turn.json": _golden_doc(
+            "rotation", {"matrix": [[-0.28, -0.96, 0], [-0.96, 0.28, 0], [0, 0, -1]]}
+        ),
     }
 
 

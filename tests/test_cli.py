@@ -198,6 +198,23 @@ class TestMalformedInput:
         code, _ = run_cli(["classify", path])
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rotation_entry(self, tmp_path, token):
+        # json.loads reads these tokens as floats; the decoder checks the
+        # nine entries finite once, before the orthogonality check.
+        path = tmp_path / "rot.json"
+        path.write_text(
+            '{"schema_version": "1", "kind": "rotation", "payload": {"matrix": '
+            f"[[1, 0, 0], [0, {token}, 0], [0, 0, 1]]}}}}",
+            encoding="utf-8",
+        )
+        code, out = run_cli(["convert", "--to", "unitary", str(path)])
+        assert code == 2
+        assert json.loads(out, parse_constant=pytest.fail)["error"] == {
+            "code": "malformed_input",
+            "detail": "invalid rotation document: rotation entries must be finite",
+        }
+
     def expect_malformed(self, argv):
         code, out = run_cli(argv)
         assert code == 2

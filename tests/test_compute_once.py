@@ -164,6 +164,24 @@ class TestValueConstructions:
         # build theirs through Rotation3._built.
         assert checked == [inputs[4]]
 
+    def test_cli_rotation_document_is_checked_once(self, monkeypatch, validated):
+        # The decoder checks the nine entries finite and builds the rotation
+        # through Rotation3._built, which keeps the orthogonality and det
+        # checks; the lift builds its unitary trusted.
+        rebuilt = []
+        check = Rotation3.__post_init__
+
+        def counted(self):
+            rebuilt.append(self.matrix)
+            check(self)
+
+        monkeypatch.setattr(Rotation3, "__post_init__", counted)
+        path = GOLDEN_DIR / "inputs" / "rotation_half_turn.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["convert", "--to", "unitary", str(path)]) == 0
+        assert rebuilt == []
+        assert validated == []
+
     def test_cli_classify_validates_nothing_past_the_decoder(self, validated):
         # The decoder checks the four operators itself and builds them
         # trusted; the factorization checks the Choi entries finite, and the

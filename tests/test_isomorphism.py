@@ -83,10 +83,35 @@ class TestPhiInverse:
             assert so3.orthogonality_deviation(rot.matrix) <= 1e-11
 
     def test_round_trip_on_rotations(self):
+        # Angles from 1e-16 to 1e-3 away from 0 and from pi as well: the
+        # lift reads one quaternion off R, with no cutoff between branches.
         rng = random.Random(55)
-        for _ in range(200):
+        rots = [so3.rotation_from_axis_angle(random_axis_angle(rng)) for _ in range(200)]
+        for exponent in range(-16, -2):
+            for angle in (10.0**exponent, pi - 10.0**exponent):
+                rots.append(so3.rotation_from_axis_angle(AxisAngle(unit_vector(rng), angle)))
+        for rot in rots:
+            assert rot_diff(phi_inverse(phi(rot)), rot) <= 2e-15
+
+    def test_round_trip_on_noisy_rotations(self):
+        # Entrywise noise of 4.9e-10 on rotations that Rotation3 accepts
+        # within its 1e-9 bounds: phi normalizes the quaternion, so it
+        # never raises, and the round trip stays within the noise.
+        rng = random.Random(5)
+        accepted = 0
+        for _ in range(2000):
             rot = so3.rotation_from_axis_angle(random_axis_angle(rng))
-            assert rot_diff(phi_inverse(phi(rot)), rot) <= 1e-10
+            rows = tuple(
+                tuple(x + 4.9e-10 * (2.0 * rng.random() - 1.0) for x in row)
+                for row in rot.matrix
+            )
+            try:
+                noisy = Rotation3(rows)
+            except DomainError:
+                continue
+            accepted += 1
+            assert rot_diff(phi_inverse(phi(noisy)), noisy) <= 2e-9
+        assert accepted >= 1500
 
     def test_round_trip_on_unitaries_up_to_sign(self):
         rng = random.Random(56)

@@ -100,12 +100,44 @@ class TestExtraction:
             assert matrix_close(back.matrix, rot.matrix, 1e-10)
 
     def test_round_trip_half_turns(self):
-        # trace = -1 rotations exercise the symmetric-part branch.
+        # trace = -1 rotations: the quaternion's w is 0 up to roundoff, and
+        # Shepperd's form roots the largest axis component instead.
         rng = random.Random(35)
         for _ in range(100):
             rot = rotation_from_axis_angle(AxisAngle(unit_vector(rng), pi))
             back = rotation_from_axis_angle(axis_angle_from_rotation(rot))
             assert matrix_close(back.matrix, rot.matrix, 1e-9)
+
+    def test_exact_half_turn_axis_has_its_largest_component_positive(self):
+        # At an exact half turn the quaternion's w is exactly 0, so n and -n
+        # tie; the rule keeps the axis whose largest component is positive.
+        for n in ((0.6, -0.8, 0.0), (-0.6, 0.8, 0.0), (0.0, 0.0, -1.0), (-0.8, 0.0, 0.6)):
+            rows = tuple(
+                tuple(2.0 * n[i] * n[j] - (i == j) for j in range(3)) for i in range(3)
+            )
+            aa = axis_angle_from_rotation(Rotation3(rows))
+            big = max(range(3), key=lambda i: abs(n[i]))
+            sign = 1.0 if n[big] > 0.0 else -1.0
+            assert aa.angle == pi
+            assert max(abs(a - sign * b) for a, b in zip(aa.axis, n)) <= 1e-15
+
+    def test_rodrigues_half_turn_returns_its_axis(self):
+        # The Rodrigues form at angle pi keeps sin(pi) = 1.2e-16 in its skew
+        # part, which gives w its sign: the axis comes back as it went in.
+        rng = random.Random(39)
+        for _ in range(200):
+            n = unit_vector(rng)
+            aa = axis_angle_from_rotation(rotation_from_axis_angle(AxisAngle(n, pi)))
+            assert max(abs(a - b) for a, b in zip(aa.axis, n)) <= 1e-15
+
+    def test_tiny_angles_read_z_hat(self):
+        # The band of the unitary logarithm: |v| = sin(angle / 2) <= 1e-12.
+        rng = random.Random(40)
+        for angle, zhat in ((1e-15, True), (1e-12, True), (1.9e-12, True), (3e-12, False)):
+            n = unit_vector(rng)
+            aa = axis_angle_from_rotation(rotation_from_axis_angle(AxisAngle(n, angle)))
+            assert (aa.axis == Z) is zhat
+            assert abs(aa.angle - angle) <= 1e-15 * angle + 1e-27
 
     def test_near_half_turns(self):
         rng = random.Random(36)

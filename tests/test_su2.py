@@ -58,7 +58,7 @@ class TestTypes:
             lifted = phi(phi_inverse(u)).matrix
             if abs((lifted.at(0, 0) + lifted.at(1, 1)).real) > 1e-6:
                 compared += 1
-                assert max_abs_diff(normalize_phase(phased).matrix, lifted) <= 1e-13
+                assert max_abs_diff(normalize_phase(phased).matrix, lifted) <= 2e-15
         assert compared >= 1990
 
     def test_normalize_phase_rejects_nonunitary(self):
