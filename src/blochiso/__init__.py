@@ -8,34 +8,23 @@ from .bloch import (
     PAULIS,
     BlochVector,
     DensityOperator,
-    Purity,
-    PurityKind,
-    SphericalAngles,
-    angles_to_bloch,
-    angles_to_pure_state,
     bloch_to_density,
     density_to_bloch,
-    pure_state_to_density,
-    purity,
 )
 from .channels import (
     BlochAffineAction,
     ChannelClassification,
     ChannelKind,
     ChoiMatrix,
-    CptpDiagnostics,
     GramData,
     InversePairReport,
     KrausSet,
-    apply_channel,
     bloch_affine_action,
     choi_of,
     classify,
     extract_unitary_via_gram,
     invert,
-    is_cptp,
     kraus_from_choi,
-    make_depolarizing,
     verify_inverse_pair,
 )
 from .errors import (
@@ -48,12 +37,8 @@ from .errors import (
 )
 from .isomorphism import (
     DiagramReport,
-    Su2AlgebraElement,
-    adjoint_action,
     phi,
     phi_inverse,
-    psi,
-    psi_inverse,
     verify_group_diagram,
     verify_state_diagram,
 )
@@ -62,7 +47,6 @@ from .matrix import (
     ComplexMatrix,
     HermitianEigenResult,
     adjoint,
-    hermitian_eig,
     max_abs_diff,
     scale,
 )

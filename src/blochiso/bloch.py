@@ -1,18 +1,16 @@
-"""Physical-space vectors, pure states, density operators, and purity.
+"""Physical-space vectors and density operators.
 
 The dictionary between a real 3-vector r and the qubit state
-rho = (I + r . sigma) / 2, with the purity dichotomy at the unit sphere.
+rho = (I + r . sigma) / 2.
 """
 
 from __future__ import annotations
 
-import cmath
-from enum import Enum
-from math import cos, isfinite, pi, sin, sqrt
+from math import isfinite, sqrt
 
 from ._value import Value
 from .errors import DomainError, NonStateError
-from .matrix import DEFAULT_TOL, ComplexMatrix, _mul2
+from .matrix import DEFAULT_TOL, ComplexMatrix
 
 PAULI_X = ComplexMatrix(2, 2, (0j, 1 + 0j, 1 + 0j, 0j))
 PAULI_Y = ComplexMatrix(2, 2, (0j, -1j, 1j, 0j))
@@ -21,9 +19,6 @@ PAULI_Z = ComplexMatrix(2, 2, (1 + 0j, 0j, 0j, -1 + 0j))
 #: Fixed basis ordering (sigma_x, sigma_y, sigma_z); every trace formula in
 #: the library depends on this ordering staying put.
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-#: Band around Tr rho^2 = 1 inside which a state counts as pure.
-PURITY_TOL = 1e-9
 
 
 class BlochVector(Value):
@@ -47,36 +42,6 @@ class BlochVector(Value):
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)
-
-
-class SphericalAngles(Value):
-    """Polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
-
-    def __init__(self, theta: float, phi: float) -> None:
-        d = self.__dict__
-        d["theta"], d["phi"] = theta, phi
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        theta = float(self.theta)
-        phi = float(self.phi)
-        if not (isfinite(theta) and 0.0 <= theta <= pi):
-            raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
-        if not (isfinite(phi) and 0.0 <= phi < 2.0 * pi):
-            raise DomainError(f"phi must lie in [0, 2*pi), got {phi!r}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-
-
-class PurityKind(Enum):
-    PURE = "Pure"
-    MIXED = "Mixed"
-
-
-class Purity(Value):
-    def __init__(self, value: float, kind: PurityKind) -> None:
-        d = self.__dict__
-        d["value"], d["kind"] = value, kind
 
 
 def _hermiticity_deviation(m: ComplexMatrix) -> float:
@@ -114,33 +79,6 @@ class DensityOperator(Value):
             raise NonStateError("density operator must be positive semidefinite")
         if a * a + d * d + 2.0 * (b.real * b.real + b.imag * b.imag) > 1.0 + DEFAULT_TOL:
             raise NonStateError("density operator purity exceeds 1")
-
-
-def angles_to_bloch(a: SphericalAngles) -> BlochVector:
-    """Unit Bloch vector (sin t cos p, sin t sin p, cos t)."""
-    st = sin(a.theta)
-    return BlochVector(st * cos(a.phi), st * sin(a.phi), cos(a.theta))
-
-
-def angles_to_pure_state(a: SphericalAngles) -> tuple[complex, complex]:
-    """Pure state amplitudes (cos(t/2), e^{i p} sin(t/2))."""
-    return (complex(cos(a.theta / 2.0), 0.0), cmath.exp(1j * a.phi) * sin(a.theta / 2.0))
-
-
-def pure_state_to_density(state: tuple[complex, complex]) -> DensityOperator:
-    """Outer product |psi><psi| of a unit 2-vector."""
-    v0, v1 = complex(state[0]), complex(state[1])
-    m = ComplexMatrix(
-        2,
-        2,
-        (
-            v0 * v0.conjugate(),
-            v0 * v1.conjugate(),
-            v1 * v0.conjugate(),
-            v1 * v1.conjugate(),
-        ),
-    )
-    return DensityOperator(m)
 
 
 def bloch_to_density(r: BlochVector, tol: float = DEFAULT_TOL) -> DensityOperator:
@@ -186,15 +124,3 @@ def density_to_bloch(rho: DensityOperator) -> BlochVector:
         (0j + (0j + b * y10) + (0j + c * y01)).real,
         (0j + (0j + a * z00) + (0j + d * z11)).real,
     )
-
-
-def purity(rho: DensityOperator) -> Purity:
-    """Tr rho^2 together with the pure/mixed verdict at the unit sphere.
-
-    The diagonal of the closed product, summed from ``0j`` as the generic
-    trace sums it; a state's entries are at most 1 in size, so it is finite.
-    """
-    p0, _, _, p3 = _mul2(rho.matrix.entries, rho.matrix.entries)
-    value = (0j + p0 + p3).real
-    kind = PurityKind.PURE if abs(value - 1.0) <= PURITY_TOL else PurityKind.MIXED
-    return Purity(value, kind)

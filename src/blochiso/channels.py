@@ -1,4 +1,4 @@
-"""Qubit channels: Kraus and Choi forms, CPTP checks, and reversibility.
+"""Qubit channels: Kraus and Choi forms, the CPTP check, and reversibility.
 
 A channel acts as rho -> sum_a A_a rho A_a*. A Kraus set is completely
 positive by construction (its Choi matrix sum_a vec(A_a) vec(A_a)* is PSD),
@@ -23,7 +23,6 @@ from enum import Enum
 from math import sqrt
 
 from ._value import Value
-from .bloch import PAULIS, DensityOperator
 from .errors import (
     DomainError,
     InvalidChannelError,
@@ -35,12 +34,10 @@ from .matrix import (
     ComplexMatrix,
     HermitianEigenResult,
     _adjoint2,
-    _checked_hermitian_eig,
     _hermitian_eig,
     _mul2,
     adjoint,
     max_abs_diff,
-    scale,
 )
 from .so3 import Matrix3
 from .su2 import _pin_phase, unitarity_deviation
@@ -51,8 +48,6 @@ ZERO_OPERATOR_NORM = 1e-12
 
 #: Choi eigenvalues below this fraction of the largest count as rank zero.
 RANK_RELATIVE_THRESHOLD = 1e-7
-
-_I2 = ComplexMatrix.identity(2)
 
 
 # The Kraus-pair products are closed 2x2 forms (``matrix._mul2`` and
@@ -171,11 +166,12 @@ class ChoiMatrix(Value):
         m = self.matrix
         if m.rows != 4 or m.cols != 4:
             raise InvalidChannelError("Choi matrix must be 4x4")
-        # One adjoint serves the Hermiticity check and the factorization.
+        # One adjoint serves the Hermiticity check and the symmetrization.
         m_adjoint = adjoint(m)
         if max_abs_diff(m, m_adjoint) > DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be Hermitian")
-        spectrum = _checked_hermitian_eig(m, m_adjoint)
+        symmetrized = [(a + b) * 0.5 for a, b in zip(m.entries, m_adjoint.entries)]
+        spectrum = _hermitian_eig(4, symmetrized)
         eigenvalues = spectrum.eigenvalues
         if eigenvalues[-1] < -DEFAULT_TOL * max(1.0, eigenvalues[0]):
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
@@ -204,18 +200,6 @@ class ChannelKind(Enum):
     INVERTIBLE_WITH_CPTP_INVERSE = "UnitaryConjugation"
     CPTP_NOT_INVERTIBLE = "CptpNotInvertible"
     NOT_CPTP = "NotCptp"
-
-
-class CptpDiagnostics(Value):
-    """Verdict of :func:`is_cptp`; ``choi_min_eigenvalue`` is shown, not tested."""
-
-    def __init__(self, is_cptp: bool, tp_deviation: float, choi_min_eigenvalue: float) -> None:
-        d = self.__dict__
-        d["is_cptp"], d["tp_deviation"] = is_cptp, tp_deviation
-        d["choi_min_eigenvalue"] = choi_min_eigenvalue
-
-    def __bool__(self) -> bool:
-        return self.is_cptp
 
 
 class ChannelClassification(Value):
@@ -278,20 +262,6 @@ class BlochAffineAction(Value):
         d["matrix"], d["translation"] = matrix, translation
 
 
-def apply_channel(k: KrausSet, rho: DensityOperator, tol: float = DEFAULT_TOL) -> DensityOperator:
-    """sum_a A_a rho A_a* for a trace-preserving set, each entry summed from
-    0j over the operators and checked once for finiteness."""
-    dev = k.tp_deviation()
-    if not dev <= tol:  # negated, so that a NaN tol fails it
-        raise InvalidChannelError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
-    m = rho.matrix.entries
-    s0 = s1 = s2 = s3 = 0j
-    for op in k.operators:
-        p0, p1, p2, p3 = _mul2(_mul2(op.entries, m), _adjoint2(op.entries))
-        s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
-    return DensityOperator(ComplexMatrix(2, 2, (s0, s1, s2, s3)))
-
-
 # Flat index, row and column of each upper Choi entry; each lower entry's
 # flat index and its mirror's.
 _CHOI_UPPER = tuple((r * 4 + c, r, c) for r in range(4) for c in range(r, 4))
@@ -316,14 +286,6 @@ def _choi_entries(k: KrausSet) -> ComplexMatrix:
 def choi_of(k: KrausSet) -> ChoiMatrix:
     """Choi matrix of the channel; its rank is the minimal Kraus count."""
     return ChoiMatrix._of_hermitian(_choi_entries(k))
-
-
-def is_cptp(k: KrausSet, tol: float = DEFAULT_TOL) -> CptpDiagnostics:
-    """Trace preservation within ``tol``: a Kraus set's Choi matrix is PSD by
-    construction, so its least eigenvalue, zero or a roundoff, is only shown.
-    """
-    tp = k.tp_deviation()
-    return CptpDiagnostics(tp <= tol, tp, choi_of(k).eigenvalues()[-1])
 
 
 def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
@@ -504,20 +466,6 @@ def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAct
         )
     *columns, translation = _bloch_columns(k.operators, 4)
     return BlochAffineAction(tuple(zip(*columns)), translation)  # type: ignore[arg-type]
-
-
-def make_depolarizing(p: float) -> KrausSet:
-    """Channel rho -> p rho + (1 - p) I / 2 in its four-operator form."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"depolarizing parameter must lie in [0, 1], got {p!r}")
-    q = 1.0 - p
-    ops = (
-        scale(_I2, sqrt(1.0 - 0.75 * q)),
-        scale(PAULIS[0], sqrt(0.25 * q)),
-        scale(PAULIS[1], sqrt(0.25 * q)),
-        scale(PAULIS[2], sqrt(0.25 * q)),
-    )
-    return KrausSet(ops)
 
 
 def _choi_operator(eig: HermitianEigenResult, k: int) -> ComplexMatrix:

@@ -2,58 +2,24 @@
 
 A rotation lifts to the unitary of its quaternion with w >= 0; a unitary drops
 to a rotation through the trace formula R_kj = Tr(U sigma_j U* sigma_k) / 2,
-which is insensitive to the sign of U (the double cover). The Pauli
-coordinate picture of the unitary's adjoint action on anti-Hermitian
-matrices, and two commuting-diagram verifiers, live here as well.
+which is insensitive to the sign of U (the double cover). Two
+commuting-diagram verifiers live here as well.
 """
 
 from __future__ import annotations
-
-from math import isfinite, sqrt
 
 from . import so3, su2
 from ._value import Value
 from .bloch import BlochVector, bloch_to_density
 from .channels import _bloch_columns
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, max_abs_diff
+from .matrix import DEFAULT_TOL, max_abs_diff
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Sequence
-
-
-class Su2AlgebraElement(Value):
-    """Anti-Hermitian traceless matrix i r . sigma in Pauli coordinates r."""
-
-    def __init__(self, vector: tuple[float, float, float]) -> None:
-        self.__dict__["vector"] = vector
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        vec = tuple(float(c) for c in self.vector)
-        if len(vec) != 3 or not all(isfinite(c) for c in vec):
-            raise DomainError("coordinates must be a finite 3-vector")
-        object.__setattr__(self, "vector", vec)
-
-    def matrix(self) -> ComplexMatrix:
-        r1, r2, r3 = self.vector
-        return ComplexMatrix(
-            2,
-            2,
-            (
-                complex(0.0, r3),
-                complex(r2, r1),
-                complex(-r2, r1),
-                complex(0.0, -r3),
-            ),
-        )
-
-    def norm(self) -> float:
-        r1, r2, r3 = self.vector
-        return sqrt(r1 * r1 + r2 * r2 + r3 * r3)
 
 
 class DiagramReport(Value):
@@ -90,32 +56,6 @@ def phi_inverse(u: Unitary2) -> Rotation3:
     trace formula bit for bit and gives U and -U the identical matrix.
     """
     return Rotation3._built(tuple(zip(*_bloch_columns((u.matrix,), 3))))
-
-
-def psi(u: Su2AlgebraElement) -> BlochVector:
-    """Coordinate map i r . sigma -> r."""
-    return BlochVector(*u.vector)
-
-
-def psi_inverse(r: BlochVector) -> Su2AlgebraElement:
-    """Coordinate map r -> i r . sigma."""
-    return Su2AlgebraElement(r.as_tuple())
-
-
-def adjoint_action(u: Unitary2, elem: Su2AlgebraElement) -> Su2AlgebraElement:
-    """u -> U u U*, expressed back in Pauli coordinates.
-
-    Anti-Hermiticity survives conjugation, so the result decomposes as
-    i r' . sigma again; the coordinate norm is preserved. The closed product
-    is validated once: a product never turns a non-finite entry finite, so
-    it raises exactly where the generic chain does.
-    """
-    ue = u.matrix.entries
-    m = ComplexMatrix(2, 2, _mul2(_mul2(ue, elem.matrix().entries), _adjoint2(ue)))
-    r1 = (m.at(0, 1).imag + m.at(1, 0).imag) / 2.0
-    r2 = (m.at(0, 1).real - m.at(1, 0).real) / 2.0
-    r3 = (m.at(0, 0).imag - m.at(1, 1).imag) / 2.0
-    return Su2AlgebraElement((r1, r2, r3))
 
 
 def verify_state_diagram(

@@ -147,32 +147,15 @@ def _phase_fix_columns(n: int, v: list[complex]) -> list[complex]:
     return v
 
 
-def hermitian_eig(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> HermitianEigenResult:
+def _hermitian_eig(n: int, entries) -> HermitianEigenResult:
     """Spectral decomposition of a Hermitian matrix via cyclic Jacobi.
 
+    ``entries`` are row-major, symmetrized ``(A + A*) / 2`` or Hermitian bit
+    for bit (each lower entry ``0j + conj`` of its mirror, none ``-0.0``),
+    which symmetrizing would not change: only ``A + A*`` can overflow.
     Deterministic: eigenvalues descending (stable order on ties), eigenvector
-    phases pinned. Raises :class:`DomainError` when the input departs from
-    Hermiticity by more than ``tol``.
+    phases pinned.
     """
-    if m.rows != m.cols:
-        raise DimensionError("hermitian_eig needs a square matrix")
-    m_adjoint = adjoint(m)
-    dev = max_abs_diff(m, m_adjoint)
-    if not dev <= tol:  # negated, so that a NaN tol fails it
-        raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
-    return _checked_hermitian_eig(m, m_adjoint)
-
-
-def _checked_hermitian_eig(m: ComplexMatrix, m_adjoint: ComplexMatrix) -> HermitianEigenResult:
-    """:func:`hermitian_eig` of a square ``m`` whose Hermiticity the caller
-    has checked against ``m_adjoint``, its adjoint."""
-    return _hermitian_eig(m.rows, [(a + b) * 0.5 for a, b in zip(m.entries, m_adjoint.entries)])
-
-
-def _hermitian_eig(n: int, entries) -> HermitianEigenResult:
-    """:func:`hermitian_eig` of row-major ``entries``, symmetrized or Hermitian
-    bit for bit (each lower entry ``0j + conj`` of its mirror, none ``-0.0``),
-    which symmetrizing would not change: only ``A + A*`` can overflow."""
     if not all([cmath.isfinite(x + x) for x in entries]):
         raise DomainError("matrix entries must be finite")
     diag, vflat = _kernels.jacobi_hermitian(n, entries)

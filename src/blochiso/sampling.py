@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from math import cos, log, pi, sqrt
 
-from .bloch import BlochVector, DensityOperator, bloch_to_density
+from .bloch import BlochVector
 from .channels import KrausSet
 from .matrix import ComplexMatrix, scale
 from .so3 import AxisAngle
@@ -34,10 +34,10 @@ def unit_vector(rng: random.Random) -> tuple[float, float, float]:
             return (g[0] / nrm, g[1] / nrm, g[2] / nrm)
 
 
-def bloch_in_ball(rng: random.Random, max_norm: float = 1.0) -> BlochVector:
-    """Uniform point of the closed ball of the given radius."""
+def bloch_in_ball(rng: random.Random) -> BlochVector:
+    """Uniform point of the closed unit ball."""
     d = unit_vector(rng)
-    r = max_norm * rng.random() ** (1.0 / 3.0)
+    r = rng.random() ** (1.0 / 3.0)
     return BlochVector(r * d[0], r * d[1], r * d[2])
 
 
@@ -54,10 +54,6 @@ def su2_haar(rng: random.Random) -> Unitary2:
         if nrm > 1e-12:
             break
     return _from_quaternion(w / nrm, x / nrm, y / nrm, z / nrm)
-
-
-def density(rng: random.Random) -> DensityOperator:
-    return bloch_to_density(bloch_in_ball(rng))
 
 
 def probability_vector(rng: random.Random, count: int) -> tuple[float, ...]:

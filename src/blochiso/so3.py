@@ -164,9 +164,7 @@ def _axis_angle(w: float, v1: float, v2: float, v3: float) -> AxisAngle:
     angle = 2.0 * atan2(vn, w)
     if vn <= _AXIS_CUTOFF:
         return AxisAngle(Z_AXIS, angle)
-    axis = (v1 / vn, v2 / vn, v3 / vn)
-    nrm = sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
-    return AxisAngle((axis[0] / nrm, axis[1] / nrm, axis[2] / nrm), angle)
+    return AxisAngle((v1 / vn, v2 / vn, v3 / vn), angle)
 
 
 def axis_angle_from_rotation(rot: Rotation3) -> AxisAngle:

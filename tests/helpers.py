@@ -14,6 +14,7 @@ from pathlib import Path
 
 import blochiso._kernels
 from blochiso._value import Value
+from blochiso.bloch import PAULIS, BlochVector, DensityOperator, bloch_to_density
 from blochiso.channels import (
     RANK_RELATIVE_THRESHOLD,
     BlochAffineAction,
@@ -35,8 +36,8 @@ from blochiso.matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
+    _hermitian_eig,
     adjoint,
-    hermitian_eig,
     max_abs_diff,
     scale,
 )
@@ -116,8 +117,6 @@ def rotation_generator(axis: tuple[float, float, float], angle: float) -> Comple
 
 def pauli_generator(axis: tuple[float, float, float], angle: float) -> ComplexMatrix:
     """The matrix -i * (angle / 2) * (n . sigma); its exponential is the unitary."""
-    from blochiso.bloch import PAULIS
-
     acc = zeros(2, 2)
     for n_l, sigma_l in zip(axis, PAULIS):
         acc = add(acc, scale(sigma_l, n_l))
@@ -142,13 +141,113 @@ def expm_taylor(m: ComplexMatrix, terms: int) -> ComplexMatrix:
     return acc
 
 
+# The paper's state dictionary and the Lie-algebra coordinates of the
+# isomorphism. No library path or CLI command calls them, so they live here,
+# with the samplers the tests draw states from.
+
+
+class SphericalAngles(Value):
+    """Polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
+
+    def __init__(self, theta: float, phi: float) -> None:
+        d = self.__dict__
+        d["theta"], d["phi"] = theta, phi
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        theta = float(self.theta)
+        phi = float(self.phi)
+        if not (isfinite(theta) and 0.0 <= theta <= pi):
+            raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
+        if not (isfinite(phi) and 0.0 <= phi < 2.0 * pi):
+            raise DomainError(f"phi must lie in [0, 2*pi), got {phi!r}")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+
+
+def angles_to_bloch(a: SphericalAngles) -> BlochVector:
+    """Unit Bloch vector (sin t cos p, sin t sin p, cos t)."""
+    st = sin(a.theta)
+    return BlochVector(st * cos(a.phi), st * sin(a.phi), cos(a.theta))
+
+
+def angles_to_pure_state(a: SphericalAngles) -> tuple[complex, complex]:
+    """Pure state amplitudes (cos(t/2), e^{i p} sin(t/2))."""
+    return (complex(cos(a.theta / 2.0), 0.0), cmath.exp(1j * a.phi) * sin(a.theta / 2.0))
+
+
+def pure_state_to_density(state: tuple[complex, complex]) -> DensityOperator:
+    """Outer product |psi><psi| of a unit 2-vector."""
+    v0, v1 = complex(state[0]), complex(state[1])
+    m = ComplexMatrix(
+        2,
+        2,
+        (
+            v0 * v0.conjugate(),
+            v0 * v1.conjugate(),
+            v1 * v0.conjugate(),
+            v1 * v1.conjugate(),
+        ),
+    )
+    return DensityOperator(m)
+
+
+class Su2AlgebraElement(Value):
+    """Anti-Hermitian traceless matrix i r . sigma in Pauli coordinates r."""
+
+    def __init__(self, vector: tuple[float, float, float]) -> None:
+        self.__dict__["vector"] = vector
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        vec = tuple(float(c) for c in self.vector)
+        if len(vec) != 3 or not all(isfinite(c) for c in vec):
+            raise DomainError("coordinates must be a finite 3-vector")
+        object.__setattr__(self, "vector", vec)
+
+    def matrix(self) -> ComplexMatrix:
+        r1, r2, r3 = self.vector
+        return ComplexMatrix(
+            2,
+            2,
+            (
+                complex(0.0, r3),
+                complex(r2, r1),
+                complex(-r2, r1),
+                complex(0.0, -r3),
+            ),
+        )
+
+    def norm(self) -> float:
+        r1, r2, r3 = self.vector
+        return sqrt(r1 * r1 + r2 * r2 + r3 * r3)
+
+
+def psi(u: Su2AlgebraElement) -> BlochVector:
+    """Coordinate map i r . sigma -> r."""
+    return BlochVector(*u.vector)
+
+
+def psi_inverse(r: BlochVector) -> Su2AlgebraElement:
+    """Coordinate map r -> i r . sigma."""
+    return Su2AlgebraElement(r.as_tuple())
+
+
+def random_density(rng: random.Random) -> DensityOperator:
+    """The state of a uniform point of the Bloch ball."""
+    return bloch_to_density(bloch_in_ball(rng))
+
+
+def is_pure(purity: float) -> bool:
+    """The pure/mixed verdict at the unit sphere: Tr rho^2 within 1e-9 of 1."""
+    return abs(purity - 1.0) <= 1e-9
+
+
 # Generic-product oracles for the closed forms in channels, su2 and so3.
 
 
 def phi_inverse_generic(u) -> tuple[tuple[float, ...], ...]:
     """R_kj = Tr(U s_j U* s_k) / 2 through generic matrix products."""
-    from blochiso.bloch import PAULIS
-
     ua = adjoint(u.matrix)
     rows = [[0.0, 0.0, 0.0] for _ in range(3)]
     for j in range(3):
@@ -169,8 +268,6 @@ def apply_to_matrix_generic(k: KrausSet, m: ComplexMatrix) -> ComplexMatrix:
 def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
     """M_kj = Tr(s_k Phi(s_j)) / 2 and t_k = Tr(s_k Phi(I)) / 2 through
     generic matrix products, for a set already known to be CPTP."""
-    from blochiso.bloch import PAULIS
-
     phi_of_identity = apply_to_matrix_generic(k, ComplexMatrix.identity(2))
     translation = tuple(
         0.5 * trace(mul(PAULIS[i], phi_of_identity)).real for i in range(3)
@@ -183,11 +280,9 @@ def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
     return BlochAffineAction(matrix, translation)  # type: ignore[arg-type]
 
 
-def apply_channel_generic(k: KrausSet, rho):
-    """``channels.apply_channel`` through generic matrix products, for a set
-    already known to be trace preserving."""
-    from blochiso.bloch import DensityOperator
-
+def apply_channel_generic(k: KrausSet, rho) -> DensityOperator:
+    """sum_a A_a rho A_a* through generic matrix products, for a set already
+    known to be trace preserving."""
     return DensityOperator(apply_to_matrix_generic(k, rho.matrix))
 
 
@@ -196,10 +291,10 @@ def purity_generic(rho) -> float:
     return trace(mul(rho.matrix, rho.matrix)).real
 
 
-def adjoint_action_generic(u, elem):
-    """``isomorphism.adjoint_action``: U u U* through generic matrix products."""
-    from blochiso.isomorphism import Su2AlgebraElement
-
+def adjoint_action_generic(u, elem: Su2AlgebraElement) -> Su2AlgebraElement:
+    """u -> U u U* in Pauli coordinates, through generic matrix products.
+    Anti-Hermiticity survives conjugation, so the result is i r' . sigma
+    again, with the coordinate norm preserved."""
     m = mul(mul(u.matrix, elem.matrix()), adjoint(u.matrix))
     r1 = (m.at(0, 1).imag + m.at(1, 0).imag) / 2.0
     r2 = (m.at(0, 1).real - m.at(1, 0).real) / 2.0
@@ -209,8 +304,6 @@ def adjoint_action_generic(u, elem):
 
 def density_to_bloch_generic(rho) -> tuple[float, float, float]:
     """x_k = Tr(rho s_k) through generic matrix products."""
-    from blochiso.bloch import PAULIS
-
     return tuple(trace(mul(rho.matrix, p)).real for p in PAULIS)  # type: ignore[return-value]
 
 
@@ -272,7 +365,7 @@ def extract_unitary_via_gram_generic(
         )
 
     beta = ComplexMatrix(count, count, tuple(beta_entries))
-    eig = hermitian_eig(beta, tol)
+    eig = hermitian_eig_reference(beta, tol)
     gamma = eig.eigenvalues
     mixing = eig.eigenvectors
 
@@ -325,7 +418,7 @@ def verify_inverse_pair_generic(
 
 
 # The eigensolver before its pivot table and its trusted values: the kernel
-# and hermitian_eig verbatim, so their results can be compared bit for bit.
+# and the factorization verbatim, so their results can be compared bit for bit.
 # Where the sum of squared entries leaves the float range, the factorization
 # runs the reference kernel on the exactly rescaled copy the kernel sweeps.
 
@@ -475,6 +568,13 @@ def hermitian_eig_reference(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Hermi
             reordered[i * n + new_col] = vflat[i * n + old_col]
     vectors = _phase_fix_columns_reference(n, reordered)
     return HermitianEigenResult(eigenvalues, ComplexMatrix(n, n, tuple(vectors)))
+
+
+def factor_hermitian(m: ComplexMatrix) -> HermitianEigenResult:
+    """The library's factorization of a square ``m``, as ``ChoiMatrix`` runs
+    it on a matrix it has checked Hermitian: symmetrized, then
+    ``matrix._hermitian_eig``."""
+    return _hermitian_eig(m.rows, [(a + b) * 0.5 for a, b in zip(m.entries, adjoint(m).entries)])
 
 
 def fingerprint(value):
@@ -703,7 +803,7 @@ def random_cptp_kraus(rng: random.Random, count: int) -> KrausSet:
     s = zeros(2, 2)
     for g in blocks:
         s = add(s, mul(adjoint(g), g))
-    eig = hermitian_eig(s)
+    eig = hermitian_eig_reference(s)
     inv_root_diag = ComplexMatrix(
         2,
         2,
@@ -715,6 +815,20 @@ def random_cptp_kraus(rng: random.Random, count: int) -> KrausSet:
     )
     s_inv_root = mul(mul(eig.eigenvectors, inv_root_diag), adjoint(eig.eigenvectors))
     return KrausSet(tuple(mul(g, s_inv_root) for g in blocks))
+
+
+def make_depolarizing(p: float) -> KrausSet:
+    """Channel rho -> p rho + (1 - p) I / 2 in its four-operator form."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"depolarizing parameter must lie in [0, 1], got {p!r}")
+    q = 1.0 - p
+    ops = (
+        scale(_I2, sqrt(1.0 - 0.75 * q)),
+        scale(PAULIS[0], sqrt(0.25 * q)),
+        scale(PAULIS[1], sqrt(0.25 * q)),
+        scale(PAULIS[2], sqrt(0.25 * q)),
+    )
+    return KrausSet(ops)
 
 
 def amplitude_damping(g: float) -> KrausSet:
@@ -921,10 +1035,14 @@ def build_golden_inputs() -> dict[str, str]:
     }
 
 
-def run_golden_case(argv: list[str]) -> tuple[int, str]:
+def resolve_golden_argv(argv: list[str]) -> list[str]:
+    """``argv`` with each bare input name made a path into golden/inputs."""
     inputs = GOLDEN_DIR / "inputs"
-    resolved = [str(inputs / a) if (inputs / a).is_file() else a for a in argv]
+    return [str(inputs / a) if (inputs / a).is_file() else a for a in argv]
+
+
+def run_golden_case(argv: list[str]) -> tuple[int, str]:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = cli_main(resolved)
+        code = cli_main(resolve_golden_argv(argv))
     return code, buffer.getvalue()

@@ -26,6 +26,7 @@ from helpers import (
     _decode_cmatrix_reference,
     dumps_reference,
     fingerprint,
+    make_depolarizing,
     outcome,
     run_golden_case as run_case,
 )
@@ -660,7 +661,7 @@ class TestThinDispatcher:
                 assert via_cli[i][j] == direct.matrix[i][j]
 
     def test_classify_matches_library(self):
-        from blochiso.channels import classify, make_depolarizing
+        from blochiso.channels import classify
 
         direct = classify(make_depolarizing(0.5))
         _, out = run_case(["classify", "kraus_depolarizing_half.json"])

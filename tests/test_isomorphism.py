@@ -8,21 +8,13 @@ import pytest
 from blochiso import so3, su2
 from blochiso.bloch import BlochVector, bloch_to_density
 from blochiso.errors import DomainError
-from blochiso.isomorphism import (
-    Su2AlgebraElement,
-    adjoint_action,
-    phi,
-    phi_inverse,
-    psi,
-    psi_inverse,
-    verify_group_diagram,
-    verify_state_diagram,
-)
+from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
 from blochiso.matrix import ComplexMatrix, max_abs_diff
 from blochiso.sampling import axis_angle as random_axis_angle
 from blochiso.sampling import bloch_in_ball, su2_haar, unit_vector
 from blochiso.so3 import AxisAngle, Rotation3
 from blochiso.su2 import Unitary2, conjugate, det2, negate, unitary_from_axis_angle
+from helpers import Su2AlgebraElement, adjoint_action_generic, psi, psi_inverse
 
 IDENTITY_ROTATION = Rotation3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 Z = (0.0, 0.0, 1.0)
@@ -147,7 +139,7 @@ class TestAlgebraPicture:
 
     def test_adjoint_action_identity(self):
         elem = Su2AlgebraElement((0.1, 0.2, 0.3))
-        out = adjoint_action(Unitary2(ComplexMatrix.identity(2)), elem)
+        out = adjoint_action_generic(Unitary2(ComplexMatrix.identity(2)), elem)
         assert out.vector == elem.vector
 
     def test_adjoint_action_is_homomorphism(self):
@@ -155,8 +147,8 @@ class TestAlgebraPicture:
         for _ in range(100):
             u, v = su2_haar(rng), su2_haar(rng)
             elem = Su2AlgebraElement(tuple(rng.gauss(0, 1) for _ in range(3)))
-            seq = adjoint_action(u, adjoint_action(v, elem))
-            direct = adjoint_action(su2.compose(u, v), elem)
+            seq = adjoint_action_generic(u, adjoint_action_generic(v, elem))
+            direct = adjoint_action_generic(su2.compose(u, v), elem)
             assert max(
                 abs(a - b) for a, b in zip(seq.vector, direct.vector)
             ) <= 1e-11
@@ -166,7 +158,7 @@ class TestAlgebraPicture:
         for _ in range(100):
             u = su2_haar(rng)
             r = BlochVector(*(rng.gauss(0, 1) for _ in range(3)))
-            via_algebra = psi(adjoint_action(u, psi_inverse(r)))
+            via_algebra = psi(adjoint_action_generic(u, psi_inverse(r)))
             via_rotation = so3.apply(phi_inverse(u), r)
             assert max(
                 abs(a - b)
@@ -178,7 +170,7 @@ class TestAlgebraPicture:
         for _ in range(100):
             u = su2_haar(rng)
             elem = Su2AlgebraElement(tuple(rng.gauss(0, 1) for _ in range(3)))
-            assert abs(adjoint_action(u, elem).norm() - elem.norm()) <= 1e-12
+            assert abs(adjoint_action_generic(u, elem).norm() - elem.norm()) <= 1e-12
 
 
 class TestDiagrams:

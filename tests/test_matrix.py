@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 import blochiso
 import blochiso._kernels
 import blochiso.matrix
-from blochiso.errors import DimensionError, DomainError
-from blochiso.matrix import ComplexMatrix, adjoint, hermitian_eig, max_abs_diff, scale
+from blochiso.channels import ChoiMatrix
+from blochiso.errors import DimensionError, DomainError, InvalidChannelError
+from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff, scale
 from helpers import (
     add,
     expm_taylor,
+    factor_hermitian,
     from_rows,
     mul,
     random_hermitian,
@@ -91,7 +93,7 @@ def test_one_python_kernel_reached_through_module_attributes(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(blochiso._kernels, "jacobi_hermitian", counted)
-    hermitian_eig(SIGMA_X)
+    factor_hermitian(SIGMA_X)
     assert calls == [2]
     # The library defines no generic product: its products are the closed
     # 2x2 forms, and only the kernels module, whose matmul the test oracles
@@ -107,13 +109,13 @@ def test_one_python_kernel_reached_through_module_attributes(monkeypatch):
 
 class TestHermitianEig:
     def test_already_diagonal(self):
-        result = hermitian_eig(diag(3, 1))
+        result = factor_hermitian(diag(3, 1))
         assert result.eigenvalues == (3.0, 1.0)
         assert result.eigenvectors == ComplexMatrix.identity(2)
 
     def test_sigma_x_spectrum(self):
         # Characteristic polynomial lambda^2 - 1.
-        result = hermitian_eig(SIGMA_X)
+        result = factor_hermitian(SIGMA_X)
         assert abs(result.eigenvalues[0] - 1.0) <= 1e-12
         assert abs(result.eigenvalues[1] + 1.0) <= 1e-12
 
@@ -122,20 +124,20 @@ class TestHermitianEig:
         rng = random.Random(100 + n)
         for _ in range(20):
             h = random_hermitian(rng, n)
-            result = hermitian_eig(h)
+            result = factor_hermitian(h)
             assert max_abs_diff(reconstruct_eig(result), h) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthonormal_columns(self, n):
         rng = random.Random(200 + n)
         h = random_hermitian(rng, n)
-        v = hermitian_eig(h).eigenvectors
+        v = factor_hermitian(h).eigenvectors
         assert max_abs_diff(mul(adjoint(v), v), ComplexMatrix.identity(n)) <= 1e-12
 
     def test_descending_order(self):
         rng = random.Random(7)
         for _ in range(20):
-            evs = hermitian_eig(random_hermitian(rng, 4)).eigenvalues
+            evs = factor_hermitian(random_hermitian(rng, 4)).eigenvalues
             assert all(evs[i] >= evs[i + 1] for i in range(3))
 
     def test_psd_eigenvalues_nonnegative(self):
@@ -143,25 +145,27 @@ class TestHermitianEig:
         for _ in range(20):
             g = random_matrix(rng, 3)
             psd = mul(adjoint(g), g)
-            evs = hermitian_eig(psd).eigenvalues
+            evs = factor_hermitian(psd).eigenvalues
             assert evs[-1] >= -1e-9
 
     def test_phase_convention(self):
         rng = random.Random(9)
-        v = hermitian_eig(random_hermitian(rng, 4)).eigenvectors
+        v = factor_hermitian(random_hermitian(rng, 4)).eigenvectors
         for k in range(4):
             col = [v.at(i, k) for i in range(4)]
             first = next(z for z in col if abs(z) > 1e-12)
             assert first.imag == pytest.approx(0.0, abs=1e-12)
             assert first.real > 0
 
+    # The factorization's one caller with unchecked input, ChoiMatrix,
+    # refuses what is not a Hermitian square before factoring it.
     def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            hermitian_eig(from_rows([[0, 1], [2, 0]]))
+        with pytest.raises(InvalidChannelError, match="^Choi matrix must be Hermitian$"):
+            ChoiMatrix(from_rows([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
 
     def test_rejects_rectangular(self):
-        with pytest.raises(DimensionError):
-            hermitian_eig(zeros(2, 3))
+        with pytest.raises(InvalidChannelError, match="^Choi matrix must be 4x4$"):
+            ChoiMatrix(zeros(4, 3))
 
 
 class TestAgainstLapack:
@@ -173,7 +177,7 @@ class TestAgainstLapack:
         for n in (2, 3, 4):
             for _ in range(10):
                 h = random_hermitian(rng, n)
-                ours = hermitian_eig(h).eigenvalues
+                ours = factor_hermitian(h).eigenvalues
                 theirs = sorted(
                     np.linalg.eigvalsh(np.array(to_rows(h))), reverse=True
                 )

@@ -8,19 +8,18 @@ guard rejects at the default tolerance is rejected at NaN too.
 import pytest
 
 from blochiso.bloch import BlochVector, bloch_to_density
-from blochiso.channels import KrausSet, apply_channel, extract_unitary_via_gram
+from blochiso.channels import KrausSet, bloch_affine_action, extract_unitary_via_gram
 from blochiso.errors import (
     DomainError,
     InvalidChannelError,
     NonStateError,
     NotUnitaryConjugationError,
 )
-from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, hermitian_eig, scale
+from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, scale
 from blochiso.su2 import normalize_phase
 from helpers import amplitude_damping
 
 I2 = ComplexMatrix.identity(2)
-NORTH = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
 
 GUARDS = {
     "bloch_to_density": (
@@ -28,15 +27,10 @@ GUARDS = {
         NonStateError,
         "exceeds 1",
     ),
-    "hermitian_eig": (
-        lambda tol: hermitian_eig(ComplexMatrix(2, 2, (1, 5, 0, 1)), tol),
-        DomainError,
-        "not Hermitian",
-    ),
-    "apply_channel": (
-        lambda tol: apply_channel(KrausSet((scale(I2, 2.0),)), NORTH, tol),
+    "bloch_affine_action": (
+        lambda tol: bloch_affine_action(KrausSet((scale(I2, 2.0),)), tol),
         InvalidChannelError,
-        "not trace preserving",
+        "CPTP sets only",
     ),
     "extract_unitary_via_gram": (
         lambda tol: extract_unitary_via_gram(amplitude_damping(0.3), tol),
