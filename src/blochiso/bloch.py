@@ -31,11 +31,11 @@ class BlochVector(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        d = self.__dict__  # frozen: fill the fields as __init__ does
         for name in ("x1", "x2", "x3"):
-            v = float(getattr(self, name))
+            v = d[name] = float(d[name])
             if not isfinite(v):
                 raise DomainError("Bloch components must be finite")
-            object.__setattr__(self, name, v)
 
     def norm(self) -> float:
         return sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
@@ -69,11 +69,10 @@ class DensityOperator(Value):
             raise NonStateError("density operator must be 2x2")
         if _hermiticity_deviation(m) > DEFAULT_TOL:
             raise NonStateError("density operator must be Hermitian")
-        a = m.at(0, 0).real
-        d = m.at(1, 1).real
+        a, b, _, d = m.entries
+        a, d = a.real, d.real
         if abs(a + d - 1.0) > DEFAULT_TOL:
             raise NonStateError(f"density operator trace must be 1, got {a + d!r}")
-        b = m.at(0, 1)
         disc = sqrt((a - d) * (a - d) + 4.0 * (b.real * b.real + b.imag * b.imag))
         if (a + d - disc) / 2.0 < -DEFAULT_TOL:
             raise NonStateError("density operator must be positive semidefinite")

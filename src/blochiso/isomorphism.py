@@ -91,8 +91,6 @@ def verify_group_diagram(
         r_total = so3.compose(r_total, so3.rotation_from_axis_angle(aa))
     dropped = phi_inverse(u_total)
     dev = max(
-        abs(dropped.matrix[i][j] - r_total.matrix[i][j])
-        for i in range(3)
-        for j in range(3)
+        [abs(x - y) for ra, rb in zip(dropped.matrix, r_total.matrix) for x, y in zip(ra, rb)]
     )
     return DiagramReport(dev, dev <= tol, dropped, r_total)

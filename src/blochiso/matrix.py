@@ -126,7 +126,7 @@ def _mul2(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]
 
 def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
     _require_same_shape(a, b)
-    return max(abs(x - y) for x, y in zip(a.entries, b.entries))
+    return max([abs(x - y) for x, y in zip(a.entries, b.entries)])
 
 
 def _phase_fix_columns(n: int, v: list[complex]) -> list[complex]:

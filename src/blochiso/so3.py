@@ -37,17 +37,17 @@ class AxisAngle(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        ax = tuple(float(c) for c in self.axis)
-        if len(ax) != 3 or not all(isfinite(c) for c in ax):
+        d = self.__dict__  # frozen: fill the fields as __init__ does
+        ax = tuple(map(float, d["axis"]))
+        if len(ax) != 3 or not all(map(isfinite, ax)):
             raise DomainError("axis must be a finite 3-vector")
         nrm = sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2])
         if abs(nrm - 1.0) > _AXIS_NORM_TOL:
             raise DomainError(f"axis must be a unit vector, got norm {nrm!r}")
-        angle = float(self.angle)
+        angle = float(d["angle"])
         if not (isfinite(angle) and 0.0 <= angle <= 2.0 * pi):
             raise DomainError(f"angle must lie in [0, 2*pi], got {angle!r}")
-        object.__setattr__(self, "axis", ax)
-        object.__setattr__(self, "angle", angle)
+        d["axis"], d["angle"] = ax, angle
 
 
 class Rotation3(Value):
@@ -177,24 +177,38 @@ def axis_angle_from_rotation(rot: Rotation3) -> AxisAngle:
     return _axis_angle(*_quaternion(rot))
 
 
-def _dot3(u, v) -> float:
-    """Summed left to right from 0.0, as built-in ``sum`` did before Python
-    3.12 compensated its rounding, so results are the same on every version."""
-    return 0.0 + u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def compose(ra: Rotation3, rb: Rotation3) -> Rotation3:
-    r0, r1, r2 = ra.matrix
-    c0, c1, c2 = zip(*rb.matrix)
+    """ra rb, each entry summed left to right from 0.0 as ``sum`` did before
+    Python 3.12 compensated its rounding: the same bits on every version."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = ra.matrix
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rb.matrix
     return Rotation3._built(
         (
-            (_dot3(r0, c0), _dot3(r0, c1), _dot3(r0, c2)),
-            (_dot3(r1, c0), _dot3(r1, c1), _dot3(r1, c2)),
-            (_dot3(r2, c0), _dot3(r2, c1), _dot3(r2, c2)),
+            (
+                0.0 + a00 * b00 + a01 * b10 + a02 * b20,
+                0.0 + a00 * b01 + a01 * b11 + a02 * b21,
+                0.0 + a00 * b02 + a01 * b12 + a02 * b22,
+            ),
+            (
+                0.0 + a10 * b00 + a11 * b10 + a12 * b20,
+                0.0 + a10 * b01 + a11 * b11 + a12 * b21,
+                0.0 + a10 * b02 + a11 * b12 + a12 * b22,
+            ),
+            (
+                0.0 + a20 * b00 + a21 * b10 + a22 * b20,
+                0.0 + a20 * b01 + a21 * b11 + a22 * b21,
+                0.0 + a20 * b02 + a21 * b12 + a22 * b22,
+            ),
         )
     )
 
 
 def apply(rot: Rotation3, r: BlochVector) -> BlochVector:
-    v = r.as_tuple()
-    return BlochVector(*(_dot3(row, v) for row in rot.matrix))
+    """R r, each component summed as :func:`compose` sums an entry."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rot.matrix
+    x1, x2, x3 = r.x1, r.x2, r.x3
+    return BlochVector(
+        0.0 + m00 * x1 + m01 * x2 + m02 * x3,
+        0.0 + m10 * x1 + m11 * x2 + m12 * x3,
+        0.0 + m20 * x1 + m21 * x2 + m22 * x3,
+    )

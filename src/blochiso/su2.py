@@ -43,7 +43,8 @@ class Unitary2(Value):
 
 
 def det2(m: ComplexMatrix) -> complex:
-    return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0)
+    a, b, c, d = m.entries
+    return a * d - b * c
 
 
 def unitarity_deviation(m: ComplexMatrix) -> float:
@@ -85,12 +86,12 @@ def axis_angle_from_unitary(u: Unitary2) -> AxisAngle:
     [0, 2*pi], so U and -U produce distinct results (the double cover is
     kept visible here and collapsed only by the rotation side).
     """
-    m = u.matrix
+    a, b, c, d = u.matrix.entries
     return _axis_angle(
-        (m.at(0, 0) + m.at(1, 1)).real / 2.0,
-        -(m.at(0, 1).imag + m.at(1, 0).imag) / 2.0,
-        (m.at(1, 0).real - m.at(0, 1).real) / 2.0,
-        (m.at(1, 1).imag - m.at(0, 0).imag) / 2.0,
+        (a + d).real / 2.0,
+        -(b.imag + c.imag) / 2.0,
+        (c.real - b.real) / 2.0,
+        (d.imag - a.imag) / 2.0,
     )
 
 
@@ -108,7 +109,8 @@ def conjugate(u: Unitary2, rho: DensityOperator) -> DensityOperator:
 
 def negate(u: Unitary2) -> Unitary2:
     """The other preimage of the same rotation."""
-    return Unitary2(ComplexMatrix._trusted(2, 2, tuple(e * -1.0 for e in u.matrix.entries)))
+    a, b, c, d = u.matrix.entries
+    return Unitary2(ComplexMatrix._trusted(2, 2, (a * -1.0, b * -1.0, c * -1.0, d * -1.0)))
 
 
 def _pin_phase(m: ComplexMatrix) -> ComplexMatrix | None:

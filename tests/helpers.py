@@ -43,7 +43,13 @@ from blochiso.matrix import (
 )
 from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
 from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar
-from blochiso.so3 import Rotation3, _det3, _dot3, orthogonality_deviation, rotation_from_axis_angle
+from blochiso.so3 import (
+    Rotation3,
+    _axis_angle,
+    _det3,
+    orthogonality_deviation,
+    rotation_from_axis_angle,
+)
 from blochiso.su2 import Unitary2, _pin_phase, negate
 
 
@@ -647,9 +653,20 @@ def rotation_from_axis_angle_reference(aa):
     )
 
 
+def _dot3(u, v) -> float:
+    """Summed left to right from 0.0, as built-in ``sum`` did before Python
+    3.12 compensated its rounding, so results are the same on every version."""
+    return 0.0 + u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def so3_compose_reference(ra, rb):
     columns = tuple(zip(*rb.matrix))
     return rotation_reference(tuple(tuple(_dot3(row, col) for col in columns) for row in ra.matrix))
+
+
+def so3_apply_reference(rot, r) -> BlochVector:
+    v = r.as_tuple()
+    return BlochVector(*(_dot3(row, v) for row in rot.matrix))
 
 
 def phi_inverse_reference(u):
@@ -681,6 +698,21 @@ def su2_compose_reference(ua, ub) -> Unitary2:
 
 def su2_negate_reference(u) -> Unitary2:
     return Unitary2(scale(u.matrix, -1.0))
+
+
+def det2_reference(m: ComplexMatrix) -> complex:
+    return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0)
+
+
+def axis_angle_from_unitary_reference(u):
+    """U = w I - i v . sigma read entry by entry, then so3's logarithm."""
+    m = u.matrix
+    return _axis_angle(
+        (m.at(0, 0) + m.at(1, 1)).real / 2.0,
+        -(m.at(0, 1).imag + m.at(1, 0).imag) / 2.0,
+        (m.at(1, 0).real - m.at(0, 1).real) / 2.0,
+        (m.at(1, 1).imag - m.at(0, 0).imag) / 2.0,
+    )
 
 
 def hermitian_deviation_reference(a: ComplexMatrix) -> float:

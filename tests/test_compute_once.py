@@ -6,6 +6,7 @@ a ``KrausSet`` or ``ChoiMatrix`` keeps never changes an answer, an equality,
 a hash or a repr.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -17,6 +18,9 @@ import pytest
 import blochiso._kernels
 import blochiso.channels
 import blochiso.matrix
+import blochiso.so3
+import blochiso.su2
+from blochiso.bloch import BlochVector, DensityOperator
 from blochiso.channels import (
     ChannelKind,
     ChoiMatrix,
@@ -32,7 +36,7 @@ from blochiso.cli import main
 from blochiso.errors import DomainError, InvalidChannelError
 from blochiso.matrix import ComplexMatrix, adjoint, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
-from blochiso.so3 import Rotation3
+from blochiso.so3 import AxisAngle, Rotation3
 from helpers import (
     GOLDEN_DIR,
     amplitude_damping,
@@ -256,6 +260,74 @@ class TestValueConstructions:
         k = KrausSet((ComplexMatrix(2, 2, (1e160, 0j, 0j, 1e160)),))
         with pytest.raises(DomainError, match="^matrix entries must be finite$"):
             choi_of(k)
+
+
+@pytest.fixture
+def geometry_checks(monkeypatch):
+    """Calls of each check a geometry value runs, by name."""
+    counts = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(blochiso.su2.Unitary2, "__post_init__")
+    count(blochiso.su2, "unitarity_deviation")
+    count(blochiso.su2, "det2")
+    count(blochiso.so3, "_check_rotation")
+    count(DensityOperator, "__post_init__")
+    count(BlochVector, "__post_init__")
+    count(AxisAngle, "__post_init__")
+    return counts
+
+
+class TestGeometryChecks:
+    """Every check of a geometry value runs, however fast its closed form.
+
+    The counts are those of the fully checked path: each unitary, rotation,
+    state and vector the diagrams build is validated once as it is made. The
+    README states them.
+    """
+
+    PER_CASE = {
+        "Unitary2.__post_init__": 9,
+        "blochiso.su2.unitarity_deviation": 9,
+        "blochiso.su2.det2": 9,
+        "blochiso.so3._check_rotation": 10,
+        "DensityOperator.__post_init__": 3,
+        "BlochVector.__post_init__": 1,
+    }
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_geometry_case(self, geometry_checks, seed):
+        inputs = geometry_inputs(random.Random(seed))
+        geometry_checks.clear()
+        run_geometry_case(inputs)
+        # The last: so3.apply's rotated vector. No axis-angle is built.
+        assert geometry_checks == self.PER_CASE
+
+    def test_requests_from_plain_numbers(self, geometry_checks):
+        # As the benchmark's request builds them: the Bloch vector and the
+        # four axis-angles from plain numbers, then the same diagram checks.
+        rng = random.Random(10)
+        plain = []
+        for _ in range(200):
+            r, aa, u_entries, word, lift_rows = geometry_inputs(rng)
+            word = [(w.axis, w.angle) for w in word]
+            plain.append((r.as_tuple(), (aa.axis, aa.angle), u_entries, word, lift_rows))
+        geometry_checks.clear()
+        for r, aa, u_entries, word, lift_rows in plain:
+            inputs = (BlochVector(*r), AxisAngle(*aa), u_entries, [AxisAngle(*w) for w in word])
+            run_geometry_case(inputs + (lift_rows,))
+        expected = collections.Counter({name: 200 * n for name, n in self.PER_CASE.items()})
+        expected.update({"BlochVector.__post_init__": 200, "AxisAngle.__post_init__": 800})
+        assert geometry_checks == expected
 
 
 class TestCacheSafety:

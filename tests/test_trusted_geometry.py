@@ -7,11 +7,14 @@ and the SU(2) products are the closed ``matrix._mul2``; the ``Unitary2`` and
 ``DensityOperator`` checks still run on each. Every result is compared bit
 for bit, zero signs included, with the fully validated generic forms kept
 in ``helpers`` (``*_reference``), and every rejected input must raise the
-same error with the same message.
+same error with the same message. The closed forms that read a matrix's
+entries once (``so3.apply``, ``su2.det2``, ``axis_angle_from_unitary``) are
+compared with the forms that index it entry by entry, on inputs holding exact
+zeros of both signs; the validators' refusals are pinned by type and message.
 """
 
 import random
-from math import pi
+from math import nan, pi
 
 import pytest
 
@@ -20,18 +23,29 @@ from blochiso.errors import DomainError, NonStateError
 from blochiso.isomorphism import phi_inverse
 from blochiso.matrix import ComplexMatrix, adjoint, scale
 from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar, unit_vector
-from blochiso.so3 import AxisAngle, Rotation3, compose, rotation_from_axis_angle
-from blochiso.su2 import Unitary2, conjugate, negate, unitary_from_axis_angle
+from blochiso.so3 import AxisAngle, Rotation3, apply, compose, rotation_from_axis_angle
+from blochiso.su2 import (
+    Unitary2,
+    axis_angle_from_unitary,
+    conjugate,
+    det2,
+    negate,
+    unitary_from_axis_angle,
+)
 from blochiso.su2 import compose as su2_compose
 from helpers import (
+    axis_angle_from_unitary_reference,
     bloch_to_density_reference,
     density_operator_reference,
+    det2_reference,
+    fingerprint,
     hermitian_deviation_reference,
     outcome,
     phi_inverse_reference,
     random_matrix,
     rotation_from_axis_angle_reference,
     rotation_reference,
+    so3_apply_reference,
     so3_compose_reference,
     su2_compose_reference,
     su2_conjugate_reference,
@@ -45,6 +59,9 @@ AXES = [
     tuple(sign * float(i == k) for i in range(3)) for k in range(3) for sign in (1.0, -1.0)
 ]
 EDGE_ANGLES = (0.0, pi, 2.0 * pi)
+# Axis-aligned quarter and half turns: their unitaries hold exact zeros of
+# both signs, their Rodrigues rotations exact positive zeros.
+QUARTER_AND_HALF = [AxisAngle(axis, angle) for axis in AXES for angle in (0.5 * pi, pi)]
 
 
 def axis_angles() -> list[AxisAngle]:
@@ -62,6 +79,18 @@ def unitaries() -> list[Unitary2]:
     minus_i = Unitary2(ComplexMatrix(2, 2, (-1.0 + 0j, 0j, 0j, -1.0 + 0j)))
     lifts = [unitary_from_axis_angle(aa) for aa in axis_angles()[:30]]
     return [plus_i, minus_i, negate(plus_i)] + lifts + [su2_haar(rng) for _ in range(100)]
+
+
+def edge_rotations() -> list[Rotation3]:
+    """The quarter and half turns, then each with its exact zeros negated."""
+    turns = [rotation_from_axis_angle(aa).matrix for aa in QUARTER_AND_HALF]
+    flipped = [tuple(tuple(-0.0 if x == 0.0 else x for x in row) for row in m) for m in turns]
+    return [Rotation3(m) for m in turns + flipped]
+
+
+def edge_unitaries() -> list[Unitary2]:
+    lifts = [unitary_from_axis_angle(aa) for aa in QUARTER_AND_HALF]
+    return lifts + [negate(u) for u in lifts]
 
 
 def rotations() -> list[Rotation3]:
@@ -89,6 +118,12 @@ def test_the_cases_reach_every_edge():
     assert min(norms) == 0.0
     assert sum(1.0 < n <= 1.0 + TOL for n in norms) >= 10
     assert {aa.angle for aa in axis_angles()} >= set(EDGE_ANGLES)
+    zeros = {fingerprint(0.0), fingerprint(-0.0)}
+    rotation_zeros = {fingerprint(x) for rot in edge_rotations() for row in rot.matrix for x in row}
+    entries = [e for u in edge_unitaries() for e in u.matrix.entries]
+    unitary_parts = [p for e in entries for p in (e.real, e.imag)]
+    assert rotation_zeros >= zeros
+    assert {fingerprint(p) for p in unitary_parts} >= zeros
 
 
 class TestRotations:
@@ -118,6 +153,14 @@ class TestRotations:
             got = outcome(lambda a, b: compose(a, b).matrix, ra, rb)
             assert got == outcome(so3_compose_reference, ra, rb)
 
+    def test_apply(self):
+        vectors = bloch_vectors()
+        # Every edge rotation on the origin (both zero signs) and the axes.
+        pairs = [(rot, r) for rot in edge_rotations() for r in vectors[:8]]
+        pairs += list(zip(rotations(), vectors * 3))
+        for rot, r in pairs:
+            assert outcome(apply, rot, r) == outcome(so3_apply_reference, rot, r)
+
     def test_phi_inverse(self):
         for u in unitaries():
             assert outcome(lambda v: phi_inverse(v).matrix, u) == outcome(phi_inverse_reference, u)
@@ -143,6 +186,18 @@ class TestSpecialUnitaries:
     def test_negate(self):
         for u in unitaries():
             assert outcome(negate, u) == outcome(su2_negate_reference, u)
+
+    def test_det2(self):
+        rng = random.Random(SEED + 5)
+        cases = [u.matrix for u in unitaries() + edge_unitaries()]
+        cases += [random_matrix(rng, 2) for _ in range(100)]
+        for m in cases:
+            assert outcome(det2, m) == outcome(det2_reference, m)
+
+    def test_axis_angle_from_unitary(self):
+        for u in unitaries() + edge_unitaries():
+            got = outcome(axis_angle_from_unitary, u)
+            assert got == outcome(axis_angle_from_unitary_reference, u)
 
     def test_conjugate(self):
         states = [bloch_to_density(r) for r in bloch_vectors()]
@@ -175,6 +230,13 @@ class TestStates:
 
 def density(*entries) -> ComplexMatrix:
     return ComplexMatrix(2, 2, entries)
+
+
+def refusal(function, *args) -> tuple[type, str]:
+    """The exact type and message of what ``function(*args)`` raised."""
+    with pytest.raises(Exception) as info:
+        function(*args)
+    return type(info.value), str(info.value)
 
 
 class TestErrorParity:
@@ -227,3 +289,54 @@ class TestErrorParity:
             ComplexMatrix(2, 2, (complex(bad, 0.0), 0j, 0j, 1.0))
         with pytest.raises(DomainError, match="^matrix entries must be finite$"):
             ComplexMatrix(2, 2, (complex(0.0, bad), 0j, 0j, 1.0))
+
+
+class TestValidatorRefusals:
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [nan, float("inf"), float("-inf")])
+    def test_bloch_components_must_be_finite(self, position, bad):
+        components = [0.5, -0.0, 0.25]
+        components[position] = bad
+        assert refusal(BlochVector, *components) == (DomainError, "Bloch components must be finite")
+
+    def test_bloch_fields_are_converted_and_checked_in_order(self):
+        finite = (DomainError, "Bloch components must be finite")
+        assert refusal(BlochVector, nan, "x", 0.0) == finite
+        assert refusal(BlochVector, "x", nan, 0.0) == (
+            ValueError,
+            "could not convert string to float: 'x'",
+        )
+        assert refusal(BlochVector, 0.0, float("inf"), "y") == finite
+
+    @pytest.mark.parametrize(
+        "axis, angle, message",
+        [
+            ((1.0, 0.0), 1.0, "axis must be a finite 3-vector"),
+            ((1.0, 0.0, 0.0, 0.0), 1.0, "axis must be a finite 3-vector"),
+            ((nan, 0.0, 1.0), 1.0, "axis must be a finite 3-vector"),
+            ((1.0, 1.0, 0.0), 1.0, "axis must be a unit vector, got norm 1.4142135623730951"),
+            ((1.0, 0.0, 0.0), -1e-300, "angle must lie in [0, 2*pi], got -1e-300"),
+            (
+                (1.0, 0.0, 0.0),
+                2.0 * pi * (1.0 + 1e-15),
+                "angle must lie in [0, 2*pi], got 6.283185307179593",
+            ),
+            ((1.0, 0.0, 0.0), nan, "angle must lie in [0, 2*pi], got nan"),
+            # Two faults: the axis is checked before the angle is read.
+            ((nan, 0.0), "x", "axis must be a finite 3-vector"),
+            ((2.0, 0.0, 0.0), nan, "axis must be a unit vector, got norm 2.0"),
+        ],
+    )
+    def test_axis_angle_refusals(self, axis, angle, message):
+        assert refusal(AxisAngle, axis, angle) == (DomainError, message)
+
+    def test_axis_angle_conversion_errors(self):
+        assert refusal(AxisAngle, ("x", 0.0, 0.0), 1.0) == (
+            ValueError,
+            "could not convert string to float: 'x'",
+        )
+        assert refusal(AxisAngle, (1.0, 0.0, 0.0), "x") == (
+            ValueError,
+            "could not convert string to float: 'x'",
+        )
+        assert refusal(AxisAngle, 5.0, 1.0) == (TypeError, "'float' object is not iterable")
