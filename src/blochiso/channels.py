@@ -11,9 +11,9 @@ constructive route to the same unitary from any redundant Kraus set; no
 library path calls it. Both pin the unitary's phase as ``normalize_phase``
 does, to det U = 1 with Re tr U >= 0.
 
-The Choi matrix of a Kraus set and the Gram matrix are Hermitian by
-construction: each is built as its upper triangle plus the ``0j + conj``
-mirror, bit for bit the full square, and factored with no Hermiticity check.
+The Choi matrix of a Kraus set (its upper triangle plus the ``0j + conj``
+mirror, bit for bit the full square) and the Gram matrix are Hermitian by
+construction, and factored with no Hermiticity check.
 """
 
 from __future__ import annotations
@@ -63,28 +63,20 @@ def _require_finite(*entries: complex) -> None:
 
 
 def _pair_table(
-    lefts: list[tuple[complex, ...]], rights: list[tuple[complex, ...]], _mirror: bool = False
+    lefts: list[tuple[complex, ...]], rights: list[tuple[complex, ...]]
 ) -> tuple[ComplexMatrix, float, tuple[int, int]]:
     """Coefficients Tr(L R) / 2 of every product L R, row-major, as a matrix;
     the largest max |L R - coeff I|; and the first pair that reaches it.
 
     Sums never turn a non-finite entry finite, so checking the off-diagonal
     entries and coeff covers every value the generic chain checks.
-
-    With ``_mirror`` (the Gram table, ``lefts`` the adjoints of ``rights``)
-    only the upper triangle is computed: each lower coefficient is ``0j +
-    conj`` of its mirror, the bits its own product gives, with the same
-    residual and finiteness, so the first worst pair and raise are unchanged.
     """
-    n = len(rights)
     entries = []
     worst = 0.0
     worst_pair = (0, 0)
     for i, left in enumerate(lefts):
-        start = i if _mirror else 0
-        entries += [0j + entries[j * n + i].conjugate() for j in range(start)]
-        for j in range(start, n):
-            p0, p1, p2, p3 = _mul2(left, rights[j])
+        for j, right in enumerate(rights):
+            p0, p1, p2, p3 = _mul2(left, right)
             coeff = (p0 + p3) / 2.0
             _require_finite(p1, p2, coeff)
             residual = max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
@@ -92,7 +84,7 @@ def _pair_table(
                 worst = residual
                 worst_pair = (i, j)
             entries.append(coeff)
-    return ComplexMatrix._trusted(len(lefts), n, tuple(entries)), worst, worst_pair
+    return ComplexMatrix._trusted(len(lefts), len(rights), tuple(entries)), worst, worst_pair
 
 
 def _rank(eigenvalues: tuple[float, ...]) -> int:
@@ -339,7 +331,7 @@ def extract_unitary_via_gram(
     """
     ops = k.operators
     beta, worst_residual, worst_pair = _pair_table(
-        [_adjoint2(op.entries) for op in ops], [op.entries for op in ops], _mirror=True
+        [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
     )
     # Negated comparisons, so that a NaN tolerance fails every guard.
     if not worst_residual <= tol:
@@ -413,12 +405,10 @@ def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
     return KrausSet((adjoint(classification.extracted_unitary),))
 
 
-def _bloch_columns(
-    operators: tuple[ComplexMatrix, ...], count: int
-) -> list[tuple[float, float, float]]:
+def _bloch_columns(operators: tuple[ComplexMatrix, ...]) -> list[tuple[float, float, float]]:
     """Columns (Tr(s_k Phi(X)) / 2 for k = x, y, z) of Phi(X) = sum_a A X A*.
 
-    X runs through s_x, s_y, s_z and I, the first ``count`` of them. A Pauli
+    X runs through s_x, s_y, s_z and I: the three columns of M, then t. A Pauli
     matrix only permutes, negates or multiplies by +-i, so A X is read off
     the entries of A. The four entries of (A X) A* are added, operator by
     operator, into sums started at 0j, as the generic sum of products does.
@@ -434,7 +424,7 @@ def _bloch_columns(
         times_x = ((b, a, d, c), (b * 1j, a * -1j, d * 1j, c * -1j), (a, -b, c, -d), (a, b, c, d))
         expanded.append((times_x, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()))
     columns = []
-    for j in range(count):
+    for j in range(4):
         m00 = m01 = m10 = m11 = 0j
         for times_x, ac, bc, cc, dc in expanded:
             x0, x1, x2, x3 = times_x[j]
@@ -464,7 +454,7 @@ def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAct
         raise InvalidChannelError(
             f"affine action is defined for CPTP sets only (tp deviation {dev:.3e})"
         )
-    *columns, translation = _bloch_columns(k.operators, 4)
+    *columns, translation = _bloch_columns(k.operators)
     return BlochAffineAction(tuple(zip(*columns)), translation)  # type: ignore[arg-type]
 
 

@@ -1,9 +1,9 @@
 """The two directions between rotations and special unitaries.
 
-A rotation lifts to the unitary of its quaternion with w >= 0; a unitary drops
-to a rotation through the trace formula R_kj = Tr(U sigma_j U* sigma_k) / 2,
-which is insensitive to the sign of U (the double cover). Two
-commuting-diagram verifiers live here as well.
+Both go through the unit quaternion q a rotation shares with its lifts +-q:
+a rotation lifts to the unitary of its q with w >= 0, and a unitary drops to
+the Euler-Rodrigues rotation of its q, quadratic in q and so blind to the
+sign of U (the double cover). Two commuting-diagram verifiers live here too.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from . import so3, su2
 from ._value import Value
 from .bloch import BlochVector, bloch_to_density
-from .channels import _bloch_columns
 from .errors import DomainError
 from .matrix import DEFAULT_TOL, max_abs_diff
 from .so3 import AxisAngle, Rotation3
@@ -49,13 +48,11 @@ def phi(rot: Rotation3) -> Unitary2:
 
 
 def phi_inverse(u: Unitary2) -> Rotation3:
-    """Drop a special unitary to its rotation, R_kj = Tr(s_k U s_j U*) / 2.
-
-    The rotation is the Bloch action of the channel rho -> U rho U*: the
-    one-operator case of the channels' closed form, which is the generic
-    trace formula bit for bit and gives U and -U the identical matrix.
+    """Drop a special unitary to its rotation, the mirror of :func:`phi`: the
+    Euler-Rodrigues form of the q of U = w I - i v . sigma, q = (w, v). It is
+    R_kj = Tr(s_k U s_j U*) / 2 to rounding, and U and -U give the same bits.
     """
-    return Rotation3._built(tuple(zip(*_bloch_columns((u.matrix,), 3))))
+    return so3._from_quaternion(*su2._quaternion(u))
 
 
 def verify_state_diagram(

@@ -1,8 +1,8 @@
 """Proper rotations of physical space.
 
-Rodrigues closed form, the unit quaternion R shares with its SU(2) lifts,
-the axis-angle logarithm read off it (canonical cell: angle in [0, pi]), and
-rotation action on Bloch vectors.
+Rotations built from and read back to the unit quaternion q they share with
+their SU(2) lifts +-q, the axis-angle logarithm of q (canonical cell: angle
+in [0, pi]), and rotation action on Bloch vectors.
 """
 
 from __future__ import annotations
@@ -114,19 +114,31 @@ def orthogonality_deviation(m: Matrix3) -> float:
     )
 
 
-def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:
-    """Rodrigues form: cos a * I + (1 - cos a) n n^T + sin a [n]_x."""
+def _half_angle(aa: AxisAngle) -> tuple[float, float, float, float]:
+    """(cos(a/2), sin(a/2) n): the quaternion both groups build an axis-angle from."""
+    s = sin(aa.angle / 2.0)
     n1, n2, n3 = aa.axis
-    ca = cos(aa.angle)
-    sa = sin(aa.angle)
-    k = 1.0 - ca
+    return (cos(aa.angle / 2.0), s * n1, s * n2, s * n3)
+
+
+def _from_quaternion(w: float, x: float, y: float, z: float) -> Rotation3:
+    """Euler-Rodrigues rotation of q / |q|: orthonormal to rounding even for a q
+    read off a U that is unitary only within tolerance. Quadratic in q, so q and
+    -q give the same bits once ``+ 0.0`` makes each off-diagonal zero +0.0."""
+    xx, yy, zz = x * x, y * y, z * z
+    s = 2.0 / (w * w + xx + yy + zz)
     return Rotation3._built(
         (
-            (ca + n1 * n1 * k, n1 * n2 * k - n3 * sa, n1 * n3 * k + n2 * sa),
-            (n2 * n1 * k + n3 * sa, ca + n2 * n2 * k, n2 * n3 * k - n1 * sa),
-            (n3 * n1 * k - n2 * sa, n3 * n2 * k + n1 * sa, ca + n3 * n3 * k),
+            (1.0 - s * (yy + zz), s * (x * y - w * z) + 0.0, s * (x * z + w * y) + 0.0),
+            (s * (x * y + w * z) + 0.0, 1.0 - s * (xx + zz), s * (y * z - w * x) + 0.0),
+            (s * (x * z - w * y) + 0.0, s * (y * z + w * x) + 0.0, 1.0 - s * (xx + yy)),
         )
     )
+
+
+def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:
+    """The rotation by ``aa.angle`` about ``aa.axis``, through its quaternion."""
+    return _from_quaternion(*_half_angle(aa))
 
 
 def _quaternion(rot: Rotation3) -> tuple[float, float, float, float]:

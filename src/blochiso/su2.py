@@ -9,13 +9,12 @@ at U = -I, axis defaulting to z-hat).
 from __future__ import annotations
 
 import cmath
-from math import cos, sin
 
 from ._value import Value
 from .bloch import DensityOperator
 from .errors import DomainError
 from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2
-from .so3 import AxisAngle, _axis_angle
+from .so3 import AxisAngle, _axis_angle, _half_angle
 
 
 class Unitary2(Value):
@@ -72,27 +71,29 @@ def _from_quaternion(w: float, x: float, y: float, z: float) -> Unitary2:
     )
 
 
-def unitary_from_axis_angle(aa: AxisAngle) -> Unitary2:
-    """cos(a/2) I - i sin(a/2) n . sigma; det is 1 by construction."""
-    s = sin(aa.angle / 2.0)
-    n1, n2, n3 = aa.axis
-    return _from_quaternion(cos(aa.angle / 2.0), s * n1, s * n2, s * n3)
-
-
-def axis_angle_from_unitary(u: Unitary2) -> AxisAngle:
-    """Logarithm of a special unitary.
-
-    Writes U = w I - i v . sigma and returns angle = 2 atan2(||v||, w) in
-    [0, 2*pi], so U and -U produce distinct results (the double cover is
-    kept visible here and collapsed only by the rotation side).
-    """
+def _quaternion(u: Unitary2) -> tuple[float, float, float, float]:
+    """q of U = w I - i (x, y, z) . sigma, each part the mean of its two read-offs."""
     a, b, c, d = u.matrix.entries
-    return _axis_angle(
+    return (
         (a + d).real / 2.0,
         -(b.imag + c.imag) / 2.0,
         (c.real - b.real) / 2.0,
         (d.imag - a.imag) / 2.0,
     )
+
+
+def unitary_from_axis_angle(aa: AxisAngle) -> Unitary2:
+    """cos(a/2) I - i sin(a/2) n . sigma; det is 1 by construction."""
+    return _from_quaternion(*_half_angle(aa))
+
+
+def axis_angle_from_unitary(u: Unitary2) -> AxisAngle:
+    """Logarithm of a special unitary, read off its quaternion (w, v).
+
+    The angle 2 atan2(||v||, w) lies in [0, 2*pi], so U and -U give distinct
+    results: the double cover is collapsed only on the rotation side.
+    """
+    return _axis_angle(*_quaternion(u))
 
 
 def compose(ua: Unitary2, ub: Unitary2) -> Unitary2:

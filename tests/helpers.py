@@ -22,7 +22,6 @@ from blochiso.channels import (
     GramData,
     InversePairReport,
     KrausSet,
-    _bloch_columns,
 )
 from blochiso.cli import CliError, _fmt_float, main as cli_main
 from blochiso.errors import (
@@ -638,18 +637,37 @@ def rotation_reference(matrix):
     return rows
 
 
+def euler_rodrigues_reference(w, x, y, z):
+    """The Euler-Rodrigues rotation of the quaternion (w, x, y, z) / |q|,
+    off-diagonal zeros made +0.0, as ``Rotation3(...)`` keeps it."""
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    s = 2.0 / (ww + xx + yy + zz)
+    return rotation_reference(
+        (
+            (1.0 - s * (yy + zz), s * (x * y - w * z) + 0.0, s * (x * z + w * y) + 0.0),
+            (s * (x * y + w * z) + 0.0, 1.0 - s * (xx + zz), s * (y * z - w * x) + 0.0),
+            (s * (x * z - w * y) + 0.0, s * (y * z + w * x) + 0.0, 1.0 - s * (xx + yy)),
+        )
+    )
+
+
 def rotation_from_axis_angle_reference(aa):
+    """The Euler-Rodrigues rotation of (cos(a/2), sin(a/2) n)."""
+    s = sin(aa.angle / 2.0)
+    n1, n2, n3 = aa.axis
+    return euler_rodrigues_reference(cos(aa.angle / 2.0), s * n1, s * n2, s * n3)
+
+
+def rodrigues_generic(aa) -> tuple[tuple[float, ...], ...]:
     """Rodrigues form: cos a * I + (1 - cos a) n n^T + sin a [n]_x."""
     n1, n2, n3 = aa.axis
     ca = cos(aa.angle)
     sa = sin(aa.angle)
     k = 1.0 - ca
-    return rotation_reference(
-        (
-            (ca + n1 * n1 * k, n1 * n2 * k - n3 * sa, n1 * n3 * k + n2 * sa),
-            (n2 * n1 * k + n3 * sa, ca + n2 * n2 * k, n2 * n3 * k - n1 * sa),
-            (n3 * n1 * k - n2 * sa, n3 * n2 * k + n1 * sa, ca + n3 * n3 * k),
-        )
+    return (
+        (ca + n1 * n1 * k, n1 * n2 * k - n3 * sa, n1 * n3 * k + n2 * sa),
+        (n2 * n1 * k + n3 * sa, ca + n2 * n2 * k, n2 * n3 * k - n1 * sa),
+        (n3 * n1 * k - n2 * sa, n3 * n2 * k + n1 * sa, ca + n3 * n3 * k),
     )
 
 
@@ -670,7 +688,15 @@ def so3_apply_reference(rot, r) -> BlochVector:
 
 
 def phi_inverse_reference(u):
-    return rotation_reference(tuple(zip(*_bloch_columns((u.matrix,), 3))))
+    """The Euler-Rodrigues rotation of U = w I - i (x, y, z) . sigma, each
+    quaternion component the average of its two read-offs."""
+    a, b, c, d = u.matrix.entries
+    return euler_rodrigues_reference(
+        (a + d).real / 2.0,
+        -(b.imag + c.imag) / 2.0,
+        (c.real - b.real) / 2.0,
+        (d.imag - a.imag) / 2.0,
+    )
 
 
 def unitary_from_axis_angle_reference(aa) -> Unitary2:

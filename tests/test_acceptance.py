@@ -84,7 +84,7 @@ def test_criterion_01_state_transport_suite():
 
 
 def test_criterion_02_closed_forms_match_series_exponentials():
-    """Rodrigues form vs exp(-i a n.tau) and half-angle form vs
+    """Quaternion rotation vs exp(-i a n.tau) and half-angle form vs
     exp(-i a/2 n.sigma), 1000 samples each, within 1e-10."""
     rng = random.Random(1002)
     worst_rot = 0.0

@@ -89,6 +89,16 @@ class TestConvert:
             for j in range(3):
                 assert abs(m[i][j] - expected[i][j]) <= 1e-12
 
+    def test_unitary_within_tolerance_converts_to_a_rotation(self, tmp_path):
+        # (1 + 4e-10) I: U* U misses I by 8e-10, inside Unitary2's 1e-9, and
+        # its rotation is the identity, not "not orthogonal".
+        doc = {"matrix": [[[1.0000000004, 0], [0, 0]], [[0, 0], [1.0000000004, 0]]]}
+        path = write_doc(tmp_path, "u.json", "unitary", doc)
+        code, out = run_cli(["convert", "--to", "rotation", path])
+        assert code == 0
+        assert json.loads(out)["payload"]["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert run_cli(["verify", "double-cover", path])[0] == 0
+
     def test_axis_angle_to_unitary_values(self):
         code, out = run_case(["convert", "--to", "unitary", "axis_angle_half_x.json"])
         assert code == 0
@@ -390,9 +400,9 @@ class TestChannelsAtEveryScale:
 
 # SHA-256 of `blochiso verify <mode> --samples 1000 --seed 42` stdout.
 SEEDED_DIGESTS = {
-    "diagram": "b325f42f87d65baee9456ce598377e6225f7e8e959f72af24849ece56b382798",
+    "diagram": "ca23a788d3b973e31460859d3176e5e90f8c6e793fada380473b21b08b7e9781",
     "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
-    "group": "01b75ee0efa33068e81dbeb39a1f9be7870a987322bef4809f63aea9f836ce6d",
+    "group": "d3628f0f7fafd17273e711218a6f2ae4a588be58a9360132156fdd8d864f3bcc",
     "inverse-pair": "c9e984953def627805115d9374e16da593589baee4a65ef263c0bafc69eb5df1",
 }
 

@@ -1,18 +1,20 @@
 """The closed 2x2 and 3x3 forms give the generic products' answers exactly.
 
-``bloch_affine_action`` (and ``phi_inverse``, its one-operator case),
-``density_to_bloch``, ``unitarity_deviation`` and ``orthogonality_deviation``
-perform the IEEE-754
-operations of the generic matmul and sum formulas in ``helpers`` less the
-terms that are exact zeros, so their results equal the oracles' (the Bloch
-action and the Bloch vector of a state bit for bit). The Kraus-pair products of ``KrausSet.tp_deviation``,
-``extract_unitary_via_gram`` and ``verify_inverse_pair`` perform the same
-operations as the generic ones, so every result, and every exception on a
-non-finite product, is the oracle's bit for bit; ``su2.compose`` and
-``su2.conjugate`` take the same closed 2x2 product. The Choi and Gram tables compute their upper
-triangles and mirror them, the bits the full squares hold. The library's
-sums run left to right on every Python version. The matmul counts are
-exact, so they gate regressions without timing noise.
+``bloch_affine_action``, ``density_to_bloch``, ``unitarity_deviation`` and
+``orthogonality_deviation`` perform the IEEE-754 operations of the generic
+matmul and sum formulas in ``helpers`` less the terms that are exact zeros,
+so their results equal the oracles' (the Bloch action and the Bloch vector
+of a state bit for bit). ``phi_inverse`` and ``rotation_from_axis_angle``
+take the Euler-Rodrigues form of a quaternion instead, within 2e-15 of the
+trace formula and of the Rodrigues form. The Kraus-pair products of
+``KrausSet.tp_deviation``, ``extract_unitary_via_gram`` and
+``verify_inverse_pair`` perform the same operations as the generic ones, so
+every result, and every exception on a non-finite product, is the oracle's
+bit for bit; ``su2.compose`` and ``su2.conjugate`` take the same closed 2x2
+product. The Choi table computes its upper triangle and mirrors it, the bits
+the full square holds, and each lower entry of the Gram table has the bits of
+its mirror. The library's sums run left to right on every Python version.
+The matmul counts are exact, so they gate regressions without timing noise.
 """
 
 import contextlib
@@ -87,6 +89,7 @@ from helpers import (
     phi_inverse_generic,
     random_cptp_kraus,
     random_matrix,
+    rodrigues_generic,
     run_geometry_case,
     tp_deviation_generic,
     trace,
@@ -114,6 +117,10 @@ def sampled_unitaries() -> list[Unitary2]:
 
 def bits(rows) -> bytes:
     return struct.pack("9d", *(x for row in rows for x in row))
+
+
+def max_gap(ra, rb) -> float:
+    return max(abs(x - y) for a, b in zip(ra, rb) for x, y in zip(a, b))
 
 
 def channel_sets() -> list[KrausSet]:
@@ -156,9 +163,17 @@ class TestMatchesGenericFormulas:
             assert fingerprint(closed) == fingerprint(density_to_bloch_generic(rho))
 
     def test_phi_inverse(self, unitaries):
+        # The quaternion form and the trace formula round differently; the
+        # largest gap on these cases is 8.9e-16.
         for u in unitaries:
-            # Both sum each trace from 0.0, so even the zeros' signs agree.
-            assert bits(phi_inverse(u).matrix) == bits(phi_inverse_generic(u))
+            assert max_gap(phi_inverse(u).matrix, phi_inverse_generic(u)) <= 2e-15
+
+    def test_rotation_from_axis_angle(self):
+        rng = random.Random(20257)
+        cases = [axis_angle(rng) for _ in range(5000)]
+        cases += [AxisAngle(ax, a) for ax in AXES for a in ANGLES]
+        for aa in cases:
+            assert max_gap(rotation_from_axis_angle(aa).matrix, rodrigues_generic(aa)) <= 2e-15
 
     def test_bloch_affine_action(self):
         sets = channel_sets()
@@ -382,8 +397,9 @@ def mirror_sets() -> list[list[ComplexMatrix]]:
 
 
 class TestHermitianMirror:
-    """The Choi and Gram tables are built as half a matrix plus its mirror,
-    and factored with no Hermiticity check and no symmetrization."""
+    """The Choi table is built as half a matrix plus its mirror, the Gram
+    table in full with each lower entry the bits of its mirror; both are
+    factored with no Hermiticity check and no symmetrization."""
 
     @pytest.fixture(scope="class")
     def sets(self):
@@ -396,12 +412,16 @@ class TestHermitianMirror:
             assert choi == outcome(lambda: ComplexMatrix(4, 4, choi_entries_generic(ops)))
             entries = [op.entries for op in ops]
             lefts = [_adjoint2(e) for e in entries]
-            gram = outcome(_pair_table, lefts, entries, True)
-            assert gram == outcome(_pair_table, lefts, entries)
+            gram = outcome(_pair_table, lefts, entries)
             if not isinstance(gram[0], type):
                 generic = [trace(mul(adjoint(x), y)) / 2.0 for x in ops for y in ops]
                 n = len(ops)
                 assert gram[0] == fingerprint(ComplexMatrix(n, n, tuple(generic)))
+                table = _pair_table(lefts, entries)[0].entries
+                for i in range(n):
+                    for j in range(i):
+                        mirror = 0j + table[j * n + i].conjugate()
+                        assert fingerprint(table[i * n + j]) == fingerprint(mirror)
 
     def test_factoring_equals_hermitian_eig(self, sets):
         refused = []
@@ -409,7 +429,7 @@ class TestHermitianMirror:
             entries = [op.entries for op in ops]
             tables = [_choi_entries(SimpleNamespace(operators=ops))]
             try:
-                tables.append(_pair_table([_adjoint2(e) for e in entries], entries, True)[0])
+                tables.append(_pair_table([_adjoint2(e) for e in entries], entries)[0])
             except DomainError:
                 # Tr(A* A) overflowed: the table itself refuses.
                 pass

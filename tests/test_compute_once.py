@@ -164,7 +164,7 @@ class TestValueConstructions:
 
         monkeypatch.setattr(Rotation3, "__post_init__", counted)
         run_geometry_case(inputs)
-        # The rotation to lift; the Rodrigues form, compose and phi_inverse
+        # The rotation to lift; rotation_from_axis_angle, compose and phi_inverse
         # build theirs through Rotation3._built.
         assert checked == [inputs[4]]
 
@@ -231,8 +231,8 @@ class TestValueConstructions:
         monkeypatch.setattr(blochiso.channels, "_mul2", counted)
         k = redundant_unitary_kraus(random.Random(40 + count), count)[0]
         extract_unitary_via_gram(k)
-        # The Gram table's upper triangle; the rest is its mirror.
-        assert len(products) == count * (count + 1) // 2
+        # Every product of the Gram table.
+        assert len(products) == count * count
         products.clear()
         # B_b A_a is not Hermitian in (b, a): every product is made.
         report = verify_inverse_pair(k, KrausSet(k.operators[:2]))

@@ -1,5 +1,6 @@
 """Unit tests for the rotation/unitary correspondence and its verifiers."""
 
+import itertools
 import random
 from math import pi
 
@@ -11,10 +12,17 @@ from blochiso.errors import DomainError
 from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
 from blochiso.matrix import ComplexMatrix, max_abs_diff
 from blochiso.sampling import axis_angle as random_axis_angle
-from blochiso.sampling import bloch_in_ball, su2_haar, unit_vector
+from blochiso.sampling import bloch_in_ball, gaussian, su2_haar, unit_vector
 from blochiso.so3 import AxisAngle, Rotation3
-from blochiso.su2 import Unitary2, conjugate, det2, negate, unitary_from_axis_angle
-from helpers import Su2AlgebraElement, adjoint_action_generic, psi, psi_inverse
+from blochiso.su2 import (
+    Unitary2,
+    conjugate,
+    det2,
+    negate,
+    unitarity_deviation,
+    unitary_from_axis_angle,
+)
+from helpers import Su2AlgebraElement, adjoint_action_generic, fingerprint, psi, psi_inverse
 
 IDENTITY_ROTATION = Rotation3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 Z = (0.0, 0.0, 1.0)
@@ -113,6 +121,60 @@ class TestPhiInverse:
             direct = max_abs_diff(lifted.matrix, u.matrix)
             flipped = max_abs_diff(lifted.matrix, negate(u).matrix)
             assert min(direct, flipped) <= 1e-10
+
+
+def signed_zero_axes() -> list[tuple[float, float, float]]:
+    """Each of +-x, +-y, +-z with every sign of its two zero components."""
+    axes = []
+    for k in range(3):
+        for unit in (1.0, -1.0):
+            for zeros in itertools.product((0.0, -0.0), repeat=2):
+                rest = iter(zeros)
+                axes.append(tuple(unit if i == k else next(rest) for i in range(3)))
+    return axes
+
+
+class TestOneQuaternion:
+    """Both groups are built from one quaternion: the rotation of an
+    axis-angle and the drop of its unitary are the same bits."""
+
+    def test_both_paths_give_the_same_bits(self):
+        rng = random.Random(2121)
+        cases = [random_axis_angle(rng) for _ in range(20000)]
+        cases += [
+            AxisAngle(axis, angle)
+            for axis in signed_zero_axes()
+            for angle in (0.0, 1e-300, pi, 2.0 * pi)
+        ]
+        for aa in cases:
+            direct = so3.rotation_from_axis_angle(aa).matrix
+            dropped = phi_inverse(unitary_from_axis_angle(aa)).matrix
+            assert fingerprint(direct) == fingerprint(dropped)
+
+    def test_near_unitaries_are_never_refused(self):
+        # Haar unitaries plus complex Gaussian noise of log-uniform size in
+        # [1e-12, 2e-9]: every matrix Unitary2 accepts drops to a rotation,
+        # though its U* U misses I by up to 1e-9 and the trace formula's R^T R
+        # by about twice that.
+        rng = random.Random(2122)
+        accepted = near_edge = 0
+        worst = 0.0
+        for _ in range(10000):
+            eps = 1e-12 * 2000.0 ** rng.random()
+            noisy = [
+                e + eps * complex(gaussian(rng), gaussian(rng))
+                for e in su2_haar(rng).matrix.entries
+            ]
+            try:
+                u = Unitary2(ComplexMatrix(2, 2, tuple(noisy)))
+            except DomainError:
+                continue
+            accepted += 1
+            near_edge += unitarity_deviation(u.matrix) > 5e-10
+            worst = max(worst, so3.orthogonality_deviation(phi_inverse(u).matrix))
+        assert accepted >= 7000 and near_edge >= 500
+        # Dividing by |q|^2 leaves the rows orthonormal to rounding (1.1e-15).
+        assert worst <= 2e-15
 
 
 class TestAlgebraPicture:

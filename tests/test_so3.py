@@ -1,4 +1,4 @@
-"""Unit tests for rotations: Rodrigues form and axis-angle extraction."""
+"""Unit tests for rotations: the quaternion form and axis-angle extraction."""
 
 import random
 from math import pi, sqrt
@@ -122,8 +122,8 @@ class TestExtraction:
             assert max(abs(a - sign * b) for a, b in zip(aa.axis, n)) <= 1e-15
 
     def test_rodrigues_half_turn_returns_its_axis(self):
-        # The Rodrigues form at angle pi keeps sin(pi) = 1.2e-16 in its skew
-        # part, which gives w its sign: the axis comes back as it went in.
+        # The rotation at angle pi keeps 2 w v, w = cos(pi / 2) = 6.1e-17, in
+        # its skew part, which gives w its sign: the axis comes back as it went in.
         rng = random.Random(39)
         for _ in range(200):
             n = unit_vector(rng)

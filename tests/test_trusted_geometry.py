@@ -1,6 +1,6 @@
 """The geometry path trusts the values it builds and keeps their bytes.
 
-Rotations from the Rodrigues form, ``so3.compose`` and ``phi_inverse`` skip
+Rotations from the quaternion form, ``so3.compose`` and ``phi_inverse`` skip
 the float rebuild and the finiteness pass but keep the orthogonality and det
 checks. The 2x2 values of ``su2`` and ``bloch_to_density`` skip validation,
 and the SU(2) products are the closed ``matrix._mul2``; the ``Unitary2`` and
@@ -60,7 +60,7 @@ AXES = [
 ]
 EDGE_ANGLES = (0.0, pi, 2.0 * pi)
 # Axis-aligned quarter and half turns: their unitaries hold exact zeros of
-# both signs, their Rodrigues rotations exact positive zeros.
+# both signs, their rotations exact positive zeros.
 QUARTER_AND_HALF = [AxisAngle(axis, angle) for axis in AXES for angle in (0.5 * pi, pi)]
 
 
