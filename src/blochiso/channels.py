@@ -3,13 +3,11 @@
 A channel acts as rho -> sum_a A_a rho A_a*. A Kraus set is completely
 positive by construction (its Choi matrix sum_a vec(A_a) vec(A_a)* is PSD),
 so only trace preservation, sum_a A_a* A_a = I, is checked. A channel admits
-a CPTP inverse exactly when its Choi rank is 1, i.e. it is conjugation by a
-single unitary. Then J = vec(U) vec(U)*, so :func:`classify` reads U off the
-leading Choi eigenpair, sqrt(lambda_1) v_1, with no second eigensolve. The
-Gram-matrix pipeline, :func:`extract_unitary_via_gram`, is the paper's
-constructive route to the same unitary from any redundant Kraus set; no
-library path calls it. Both pin the unitary's phase as ``normalize_phase``
-does, to det U = 1 with Re tr U >= 0.
+a CPTP inverse exactly when its Choi rank is 1, that is when its Choi purity
+Tr(J^2) / (Tr J)^2 is 1: :func:`classify` decides on the purity, and lifts the
+unitary from the Bloch rotation M as ``phi`` does. The Gram-matrix pipeline,
+:func:`extract_unitary_via_gram`, is the paper's constructive route to the
+same unitary from any redundant Kraus set; no library path calls it.
 
 The Choi matrix of a Kraus set (its upper triangle plus the ``0j + conj``
 mirror, bit for bit the full square) and the Gram matrix are Hermitian by
@@ -39,15 +37,15 @@ from .matrix import (
     adjoint,
     max_abs_diff,
 )
-from .so3 import Matrix3
-from .su2 import _pin_phase, unitarity_deviation
+from .so3 import Matrix3, _quaternion
+from .su2 import _from_quaternion, _pin_phase, unitarity_deviation
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
 #: contribute nothing to the channel and break proportionality diagnostics.
 ZERO_OPERATOR_NORM = 1e-12
 
-#: Choi eigenvalues below this fraction of the largest count as rank zero.
-RANK_RELATIVE_THRESHOLD = 1e-7
+#: The least delta: 9 times the purity deficit's roundoff on unitary sets (1.1e-15).
+_DEFICIT_FLOOR = 1e-14
 
 
 # The Kraus-pair products are closed 2x2 forms (``matrix._mul2`` and
@@ -87,15 +85,19 @@ def _pair_table(
     return ComplexMatrix._trusted(len(lefts), len(rights), tuple(entries)), worst, worst_pair
 
 
-def _rank(eigenvalues: tuple[float, ...]) -> int:
-    """Number of a descending spectrum's eigenvalues above RANK_RELATIVE_THRESHOLD
-    times the largest, 0 if that is not positive: the Choi rank, the Kraus count of
-    :func:`kraus_from_choi` and the Gram rank of the unitary extraction.
-    """
-    top = eigenvalues[0]
-    if top <= 0.0:
-        return 0
-    return sum(1 for ev in eigenvalues if ev > RANK_RELATIVE_THRESHOLD * top)
+def _deficit_bound(tol: float) -> float:
+    """delta(tol), the largest purity deficit of a unitary verdict; NaN at NaN."""
+    return max(2.0 * tol, _DEFICIT_FLOOR)
+
+
+def _rank(eigenvalues: tuple[float, ...], tol: float = DEFAULT_TOL) -> int:
+    """Number of a descending spectrum's eigenvalues above c = delta(tol) / 12
+    times the largest, 0 if that is not positive: the Choi rank, and at
+    DEFAULT_TOL the Kraus count of :func:`kraus_from_choi` and the Gram rank.
+    If every lambda_k <= c lambda_1 for k >= 2, the purity deficit is at most
+    6c + 6c^2 < delta: a channel :func:`classify` refuses never counts rank 1."""
+    floor = _deficit_bound(tol) / 12.0 * eigenvalues[0]
+    return sum(1 for ev in eigenvalues if ev > floor) if floor > 0.0 else 0
 
 
 class KrausSet(Value):
@@ -169,15 +171,6 @@ class ChoiMatrix(Value):
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
         self.__dict__["spectrum"] = spectrum
 
-    @classmethod
-    def _of_hermitian(cls, matrix: ComplexMatrix) -> "ChoiMatrix":
-        """The Choi matrix of a Kraus set, Hermitian bit for bit
-        (``matrix._hermitian_eig``) and positive semidefinite, unchecked."""
-        j = object.__new__(cls)
-        j.__dict__["matrix"] = matrix
-        j.__dict__["spectrum"] = _hermitian_eig(4, matrix.entries)
-        return j
-
     def eigenvalues(self) -> tuple[float, ...]:
         return self.spectrum.eigenvalues
 
@@ -198,12 +191,11 @@ class ChannelClassification(Value):
     """Verdict of :func:`classify`.
 
     ``choi_rank`` is 0 for ``NotCptp``: a set not trace preserving within tol.
-    ``extracted_unitary`` is sqrt(lambda_1) v_1 of the Choi spectrum with its
-    global phase divided out: det U = 1, and the sign gives Re tr U >= 0
-    (rotation angle in [0, pi]). The sign ties only at Re tr U = 0, angle pi.
-    At Choi rank 1 a candidate that is not unitary within max(tol, 1e-7), or
-    whose determinant is zero or not finite, is reported as
-    ``CptpNotInvertible``.
+    Otherwise it is 1 for ``UnitaryConjugation``, a purity deficit at most
+    delta(tol) = max(2 tol, 1e-14), and the rank :func:`_rank` counts under
+    the same delta, never 1, for ``CptpNotInvertible``. ``extracted_unitary``
+    is phi of the Bloch matrix M: w >= 0, so det U = 1 and Re tr U >= 0, and
+    at an exact half turn the largest component of the axis is positive.
     """
 
     def __init__(
@@ -276,16 +268,20 @@ def _choi_entries(k: KrausSet) -> ComplexMatrix:
 
 
 def choi_of(k: KrausSet) -> ChoiMatrix:
-    """Choi matrix of the channel; its rank is the minimal Kraus count."""
-    return ChoiMatrix._of_hermitian(_choi_entries(k))
+    """Choi matrix of the channel; its rank is the minimal Kraus count. Hermitian
+    bit for bit (``matrix._hermitian_eig``) and positive semidefinite, unchecked."""
+    j = object.__new__(ChoiMatrix)
+    j.__dict__["matrix"] = m = _choi_entries(k)
+    j.__dict__["spectrum"] = _hermitian_eig(4, m.entries)
+    return j
 
 
 def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
-    """Decide invertibility: rank-one Choi means conjugation by one unitary.
+    """Decide invertibility: a pure Choi matrix means conjugation by one unitary.
 
-    Trace preservation is the one CPTP check, and it comes first, so a
-    non-TP set needs no Choi matrix. The verdict is kept on ``k`` and
-    returned again for the same ``tol``.
+    Trace preservation is the one CPTP check, and it comes first; the purity
+    decides the rest, and only a refused channel's rank needs an eigensolve.
+    The verdict is kept on ``k`` and returned again for the same ``tol``.
     """
     cached = k._classified
     if cached is not None and cached[0] == tol:
@@ -295,19 +291,30 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     return result
 
 
+def _purity_deficit(j: ComplexMatrix) -> float:
+    """1 - Tr(J^2) / (Tr J)^2 from each |J_ij| / Tr J <= 1, so no square overflows;
+    0 exactly at rank 1. An infinite trace raises as the eigensolver does."""
+    e = j.entries
+    trace = e[0].real + e[5].real + e[10].real + e[15].real
+    _require_finite(trace)
+    inverse = 1.0 / trace
+    square_sum = 0.0
+    for z in e:
+        x = abs(z) * inverse
+        square_sum += x * x
+    return 1.0 - square_sum
+
+
 def _classify(k: KrausSet, tol: float) -> ChannelClassification:
     # Negated comparisons, so that a NaN tolerance fails both checks.
     if not k.tp_deviation() <= tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
-    choi = choi_of(k)
-    rank = choi.rank()
-    if rank == 1:
-        # J = vec(U) vec(U)*: the leading eigenpair is the unitary itself.
-        candidate = _choi_operator(choi.spectrum, 0)
-        if unitarity_deviation(candidate) <= max(tol, 1e-7):
-            unitary = _pin_phase(candidate)
-            if unitary is not None:
-                return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary)
+    j = _choi_entries(k)
+    if _purity_deficit(j) <= _deficit_bound(tol):
+        *columns, _ = _bloch_columns(k.operators)  # phi of M, without Rotation3's check
+        unitary = _from_quaternion(*_quaternion(tuple(zip(*columns))))
+        return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary.matrix)
+    rank = _rank(_hermitian_eig(4, j.entries).eigenvalues, tol)
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
 
 
@@ -323,8 +330,8 @@ def extract_unitary_via_gram(
     the underlying unitary; the channel is that unitary's conjugation exactly
     when the Gram rank, :func:`_rank` of gamma, is 1.
 
-    Returns the unitary, pinned as :func:`classify` pins it (det 1,
-    Re tr U >= 0), and the Gram intermediates. Raises
+    Returns the unitary, pinned to det 1 with Re tr U >= 0 as ``phi``
+    lifts, and the Gram intermediates. Raises
     :class:`NotUnitaryConjugationError`, carrying the worst offending pair,
     when proportionality fails, the leading direction is not unitary (or has
     no phase to pin) or the Gram rank exceeds 1 (residual gamma_1).
@@ -362,7 +369,7 @@ def extract_unitary_via_gram(
     unitary = ComplexMatrix(2, 2, (s0 * norm, s1 * norm, s2 * norm, s3 * norm))
     dev = unitarity_deviation(unitary)
     pinned = _pin_phase(unitary)
-    if not dev <= max(tol, 1e-7) or pinned is None:
+    if not dev <= _deficit_bound(tol) or pinned is None:
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
@@ -458,21 +465,12 @@ def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAct
     return BlochAffineAction(tuple(zip(*columns)), translation)  # type: ignore[arg-type]
 
 
-def _choi_operator(eig: HermitianEigenResult, k: int) -> ComplexMatrix:
-    """sqrt(lambda_k) v_k as a 2x2 operator, v_k read row-major as
-    :func:`_choi_entries` flattens: the k-th Kraus operator of the Choi
-    spectrum, for :func:`classify` and :func:`kraus_from_choi` alike. Finite
-    by construction: the eigenvector entries have modulus at most 1."""
-    root = sqrt(eig.eigenvalues[k])
-    v = eig.eigenvectors.entries
-    entries = (root * v[k], root * v[4 + k], root * v[8 + k], root * v[12 + k])
-    return ComplexMatrix._trusted(2, 2, entries)
-
-
 def kraus_from_choi(j: ChoiMatrix) -> KrausSet:
-    """Minimal Kraus set from the spectral decomposition of the Choi matrix."""
+    """Minimal Kraus set sqrt(lambda_k) v_k, v_k read row-major (finite: |v| <= 1)."""
     eig = j.spectrum
     rank = _rank(eig.eigenvalues)
     if rank == 0:
         raise InvalidChannelError("Choi matrix is zero")
-    return KrausSet(tuple(_choi_operator(eig, k) for k in range(rank)))
+    v, roots = eig.eigenvectors.entries, [sqrt(ev) for ev in eig.eigenvalues[:rank]]
+    ops = (tuple(r * v[i + k] for i in (0, 4, 8, 12)) for k, r in enumerate(roots))
+    return KrausSet(tuple(ComplexMatrix._trusted(2, 2, entries) for entries in ops))

@@ -316,7 +316,7 @@ def _cmd_bloch_action(args: argparse.Namespace) -> dict[str, Any]:
     return {
         "M": _encode_rmatrix(action.matrix),
         "t": list(action.translation),
-        "isometry": dev <= args.tol,
+        "isometry": dev <= channels._deficit_bound(args.tol),  # classify's delta
     }
 
 

@@ -40,11 +40,11 @@ def phi(rot: Rotation3) -> Unitary2:
     """Lift a rotation to SU(2) through its unit quaternion.
 
     Of the two preimages this picks the one with w >= 0, Re tr U >= 0,
-    angle in [0, pi]: the standard continuous-near-identity choice and
-    ``su2._pin_phase``'s rule. The two tie only at an exact half turn,
-    where the largest component of the axis is positive.
+    angle in [0, pi]: the standard continuous-near-identity choice, which
+    ``classify`` prints too. The two tie only at an exact half turn, where
+    the largest component of the axis is positive.
     """
-    return su2._from_quaternion(*so3._quaternion(rot))
+    return su2._from_quaternion(*so3._quaternion(rot.matrix))
 
 
 def phi_inverse(u: Unitary2) -> Rotation3:
@@ -63,8 +63,8 @@ def verify_state_diagram(
     Path A builds the state of the rotated vector; path B conjugates the
     state of the original vector by the corresponding unitary.
     """
-    rot = so3.rotation_from_axis_angle(aa)
-    u = su2.unitary_from_axis_angle(aa)
+    q = so3._half_angle(aa)  # one quaternion builds both group elements
+    rot, u = so3._from_quaternion(*q), su2._from_quaternion(*q)
     path_a = bloch_to_density(so3.apply(rot, r))
     path_b = su2.conjugate(u, bloch_to_density(r))
     dev = max_abs_diff(path_a.matrix, path_b.matrix)
@@ -81,11 +81,11 @@ def verify_group_diagram(
     """
     if not aa_list:
         raise DomainError("need at least one axis-angle")
-    u_total = su2.unitary_from_axis_angle(aa_list[0])
-    r_total = so3.rotation_from_axis_angle(aa_list[0])
-    for aa in aa_list[1:]:
-        u_total = su2.compose(u_total, su2.unitary_from_axis_angle(aa))
-        r_total = so3.compose(r_total, so3.rotation_from_axis_angle(aa))
+    first, *rest = [so3._half_angle(aa) for aa in aa_list]
+    u_total, r_total = su2._from_quaternion(*first), so3._from_quaternion(*first)
+    for q in rest:
+        u_total = su2.compose(u_total, su2._from_quaternion(*q))
+        r_total = so3.compose(r_total, so3._from_quaternion(*q))
     dropped = phi_inverse(u_total)
     dev = max(
         [abs(x - y) for ra, rb in zip(dropped.matrix, r_total.matrix) for x, y in zip(ra, rb)]

@@ -7,7 +7,7 @@ in [0, pi]), and rotation action on Bloch vectors.
 
 from __future__ import annotations
 
-from math import atan2, cos, isfinite, pi, sin, sqrt
+from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
 
 from ._value import Value
 from .bloch import BlochVector
@@ -141,8 +141,8 @@ def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:
     return _from_quaternion(*_half_angle(aa))
 
 
-def _quaternion(rot: Rotation3) -> tuple[float, float, float, float]:
-    """The unit quaternion q = (w, x, y, z) of a rotation, with w >= 0.
+def _quaternion(rows: Matrix3) -> tuple[float, float, float, float]:
+    """The unit quaternion q = (w, x, y, z) of a rotation's rows, with w >= 0.
 
     R is quadratic in q, and its entries give the table 4 q q^T: 1 + tr R
     and 1 + 2 R_ii - tr R on the diagonal, sums and differences of mirrored
@@ -151,7 +151,7 @@ def _quaternion(rot: Rotation3) -> tuple[float, float, float, float]:
     w is exactly 0 only where the skew part of R is, at a half turn; there
     the largest component of the axis comes out positive.
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rot.matrix
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
     tr = m00 + m11 + m22
     wx, wy, wz = m21 - m12, m02 - m20, m10 - m01
     xy, xz, yz = m01 + m10, m02 + m20, m12 + m21
@@ -163,6 +163,8 @@ def _quaternion(rot: Rotation3) -> tuple[float, float, float, float]:
     )
     w, x, y, z = table[max(range(4), key=lambda i: table[i][i])]
     nrm = sqrt(w * w + x * x + y * y + z * z)
+    if nrm == inf:  # squares past the float range: classify's M at a tol above 1e150
+        nrm = hypot(w, x, y, z)
     if w < 0.0:
         nrm = -nrm
     return (w / nrm, x / nrm, y / nrm, z / nrm)
@@ -186,7 +188,7 @@ def axis_angle_from_rotation(rot: Rotation3) -> AxisAngle:
     angles up to 2e-12, and at an exact half turn its largest component is
     positive.
     """
-    return _axis_angle(*_quaternion(rot))
+    return _axis_angle(*_quaternion(rot.matrix))
 
 
 def compose(ra: Rotation3, rb: Rotation3) -> Rotation3:

@@ -34,10 +34,10 @@ class Unitary2(Value):
         if m.rows != 2 or m.cols != 2:
             raise DomainError("unitary must be 2x2")
         dev = unitarity_deviation(m)
-        if dev > DEFAULT_TOL:
+        if not dev <= DEFAULT_TOL:  # negated, so that a NaN entry fails both
             raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")
         d = det2(m)
-        if abs(d - 1.0) > DEFAULT_TOL:
+        if not abs(d - 1.0) <= DEFAULT_TOL:
             raise DomainError(f"special unitary needs det 1, got {d!r}")
 
 

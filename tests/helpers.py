@@ -16,12 +16,12 @@ import blochiso._kernels
 from blochiso._value import Value
 from blochiso.bloch import PAULIS, BlochVector, DensityOperator, bloch_to_density
 from blochiso.channels import (
-    RANK_RELATIVE_THRESHOLD,
     BlochAffineAction,
     ChoiMatrix,
     GramData,
     InversePairReport,
     KrausSet,
+    _deficit_bound,
 )
 from blochiso.cli import CliError, _fmt_float, main as cli_main
 from blochiso.errors import (
@@ -385,13 +385,14 @@ def extract_unitary_via_gram_generic(
     unitary = scale(combo, 1.0 / sqrt(gamma[0]))
     dev = max_abs_diff(mul(adjoint(unitary), unitary), _I2)
     pinned = _pin_phase(unitary)
-    if dev > max(tol, 1e-7) or pinned is None:
+    if dev > _deficit_bound(tol) or pinned is None:
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
     # A second significant Gram direction is a second Kraus operator the
-    # channel needs: the Gram rank, like the Choi rank, must be 1.
-    if len(gamma) > 1 and gamma[1] > RANK_RELATIVE_THRESHOLD * gamma[0]:
+    # channel needs: the Gram rank, like the Choi rank, must be 1. The count
+    # is kraus_from_choi's, at DEFAULT_TOL whatever tol is.
+    if len(gamma) > 1 and gamma[1] > _deficit_bound(DEFAULT_TOL) / 12.0 * gamma[0]:
         raise NotUnitaryConjugationError(
             "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
         )

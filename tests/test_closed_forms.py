@@ -357,12 +357,12 @@ class TestGramRank:
         assert verdicts.count("unitary") > 100
 
     def test_second_direction_is_refused_at_a_loose_tolerance(self):
-        # Two significant Gram directions at tol 1.57: the remix of the second
-        # direction once passed its overlap check by roundoff, and the set
-        # was accepted as a unitary conjugation.
+        # Significant Gram directions past the first at tol 1.57: the remix
+        # of the second direction once passed its overlap check by roundoff,
+        # and the set was accepted as a unitary conjugation.
         k, tol = near_proportional_sets()[286]
         gamma = gram_spectrum(k, tol)
-        assert tol > 1.5 and _rank(gamma) == 2
+        assert tol > 1.5 and _rank(gamma) > 1
         assert gram_verdict(k, tol) == "disagree"
 
 

@@ -82,13 +82,14 @@ class TestEigensolveCounts:
         k = redundant_unitary_kraus(random.Random(5), 3)[0]
         assert classify(k).kind is ChannelKind.UNITARY_CONJUGATION
         assert verify_inverse_pair(k, invert(k)).valid
-        # The Choi matrix only: its leading eigenpair is the unitary.
-        assert eigensolves == [4]
+        # None: the purity decides, and the unitary is the Bloch rotation's.
+        assert eigensolves == []
 
     @pytest.mark.parametrize(
         "k", [make_depolarizing(0.5), amplitude_damping(0.3)], ids=["depolarizing", "damping"]
     )
     def test_non_invertible_channel(self, eigensolves, k):
+        # The Choi matrix once, for the rank a refused channel prints.
         assert classify(k).kind is ChannelKind.CPTP_NOT_INVERTIBLE
         assert eigensolves == [4]
 
@@ -101,7 +102,7 @@ class TestEigensolveCounts:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["classify", path]) == 0
         assert json.loads(out.getvalue())["kind"] == "UnitaryConjugation"
-        assert eigensolves == [4]
+        assert eigensolves == []
 
 
 @pytest.fixture
@@ -137,10 +138,10 @@ class TestValueConstructions:
         k = redundant_unitary_kraus(random.Random(10 + count), count)[0]
         validated.clear()
         assert verify_inverse_pair(k, invert(k)).valid
-        # The phase-pinned unitary only: the Choi entries and the leading
-        # eigenpair's operator are finite by construction, or checked by the
-        # factorization. The README states this count.
-        assert validated == [(2, 2)]
+        # None: the lifted unitary is built from its quaternion, and
+        # Unitary2 checks it; the Choi entries and the pair tables are
+        # finite by construction. The README states this count.
+        assert validated == []
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_geometry_case_validates_only_the_callers_unitary(self, validated, seed):

@@ -68,14 +68,6 @@ class TestPhiInverse:
             u = su2_haar(rng)
             assert phi_inverse(u).matrix == phi_inverse(negate(u)).matrix
 
-    def test_consistent_with_rodrigues(self):
-        rng = random.Random(53)
-        for _ in range(200):
-            aa = random_axis_angle(rng)
-            via_trace = phi_inverse(unitary_from_axis_angle(aa))
-            via_rodrigues = so3.rotation_from_axis_angle(aa)
-            assert rot_diff(via_trace, via_rodrigues) <= 1e-10
-
     def test_output_is_proper_rotation(self):
         rng = random.Random(54)
         for _ in range(200):

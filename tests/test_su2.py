@@ -43,6 +43,13 @@ class TestTypes:
         with pytest.raises(DomainError):
             Unitary2(from_rows([[1, 0], [0, 2]]))
 
+    def test_rejects_a_nan_entry(self):
+        # A value built trusted, as the library builds its own, fails the
+        # unitarity check closed on NaN.
+        nan = float("nan")
+        with pytest.raises(DomainError, match="not unitary"):
+            Unitary2(ComplexMatrix._trusted(2, 2, (complex(nan), 0j, 0j, 1 + 0j)))
+
     def test_rejects_phased_determinant(self):
         phased = scale(I2, cmath.exp(0.3j))
         with pytest.raises(DomainError):

@@ -69,6 +69,6 @@ def test_guard_rejects_at_a_nan_tolerance(guard, tol):
 
 def test_gram_extraction_of_a_unitary_set_fails_at_a_nan_tolerance():
     # The proportionality guard rejects first, before the Gram eigensolve
-    # and the unitarity guards, which compare against max(tol, 1e-7).
+    # and the unitarity guard, which compares against delta(tol), NaN too.
     with pytest.raises(NotUnitaryConjugationError, match="proportionality residual"):
         extract_unitary_via_gram(KrausSet((I2,)), float("nan"))
