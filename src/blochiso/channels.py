@@ -91,11 +91,10 @@ def _deficit_bound(tol: float) -> float:
 
 
 def _rank(eigenvalues: tuple[float, ...], tol: float = DEFAULT_TOL) -> int:
-    """Number of a descending spectrum's eigenvalues above c = delta(tol) / 12
-    times the largest, 0 if that is not positive: the Choi rank, and at
-    DEFAULT_TOL the Kraus count of :func:`kraus_from_choi` and the Gram rank.
-    If every lambda_k <= c lambda_1 for k >= 2, the purity deficit is at most
-    6c + 6c^2 < delta: a channel :func:`classify` refuses never counts rank 1."""
+    """Eigenvalues of a descending spectrum above c = delta(tol) / 12 of the largest
+    (0 if that is not positive): the Choi rank, and at DEFAULT_TOL the Kraus count
+    of :func:`kraus_from_choi` and the Gram rank. If every lambda_k <= c lambda_1
+    (k >= 2), 1 - P <= 6c + 6c^2 < delta: a refused channel never counts rank 1."""
     floor = _deficit_bound(tol) / 12.0 * eigenvalues[0]
     return sum(1 for ev in eigenvalues if ev > floor) if floor > 0.0 else 0
 
@@ -194,8 +193,8 @@ class ChannelClassification(Value):
     Otherwise it is 1 for ``UnitaryConjugation``, a purity deficit at most
     delta(tol) = max(2 tol, 1e-14), and the rank :func:`_rank` counts under
     the same delta, never 1, for ``CptpNotInvertible``. ``extracted_unitary``
-    is phi of the Bloch matrix M: w >= 0, so det U = 1 and Re tr U >= 0, and
-    at an exact half turn the largest component of the axis is positive.
+    is phi of M / (Tr J / 2), M the Bloch matrix: w >= 0, so det U = 1 and
+    Re tr U >= 0, and at an exact half turn the axis's largest component is > 0.
     """
 
     def __init__(
@@ -291,9 +290,9 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     return result
 
 
-def _purity_deficit(j: ComplexMatrix) -> float:
-    """1 - Tr(J^2) / (Tr J)^2 from each |J_ij| / Tr J <= 1, so no square overflows;
-    0 exactly at rank 1. An infinite trace raises as the eigensolver does."""
+def _purity_deficit(j: ComplexMatrix) -> tuple[float, float]:
+    """1 - Tr(J^2) / (Tr J)^2, 0 exactly at rank 1, from each |J_ij| / Tr J <= 1,
+    and Tr J. No square overflows; an infinite trace raises as the eigensolver does."""
     e = j.entries
     trace = e[0].real + e[5].real + e[10].real + e[15].real
     _require_finite(trace)
@@ -302,7 +301,7 @@ def _purity_deficit(j: ComplexMatrix) -> float:
     for z in e:
         x = abs(z) * inverse
         square_sum += x * x
-    return 1.0 - square_sum
+    return 1.0 - square_sum, trace
 
 
 def _classify(k: KrausSet, tol: float) -> ChannelClassification:
@@ -310,9 +309,12 @@ def _classify(k: KrausSet, tol: float) -> ChannelClassification:
     if not k.tp_deviation() <= tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
     j = _choi_entries(k)
-    if _purity_deficit(j) <= _deficit_bound(tol):
-        *columns, _ = _bloch_columns(k.operators)  # phi of M, without Rotation3's check
-        unitary = _from_quaternion(*_quaternion(tuple(zip(*columns))))
+    deficit, trace = _purity_deficit(j)
+    if deficit <= _deficit_bound(tol):
+        # phi of M / (Tr J / 2), without Rotation3's check: blind to scale, as P is.
+        *columns, _ = _bloch_columns(k.operators)
+        rows = [[m / (0.5 * trace) for m in row] for row in zip(*columns)]
+        unitary = _from_quaternion(*_quaternion(rows))
         return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary.matrix)
     rank = _rank(_hermitian_eig(4, j.entries).eigenvalues, tol)
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)

@@ -7,7 +7,7 @@ in [0, pi]), and rotation action on Bloch vectors.
 
 from __future__ import annotations
 
-from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
+from math import atan2, cos, isfinite, pi, sin, sqrt
 
 from ._value import Value
 from .bloch import BlochVector
@@ -163,8 +163,6 @@ def _quaternion(rows: Matrix3) -> tuple[float, float, float, float]:
     )
     w, x, y, z = table[max(range(4), key=lambda i: table[i][i])]
     nrm = sqrt(w * w + x * x + y * y + z * z)
-    if nrm == inf:  # squares past the float range: classify's M at a tol above 1e150
-        nrm = hypot(w, x, y, z)
     if w < 0.0:
         nrm = -nrm
     return (w / nrm, x / nrm, y / nrm, z / nrm)

@@ -390,8 +390,8 @@ class TestChoiEigenpairUnitary:
     def test_singular_rank_one_operator_past_the_tolerance_range(self):
         # At a tolerance this loose the set passes trace preservation, and
         # delta(tol) >= 3/4 exceeds every purity deficit: the verdict is read
-        # off a rank-one Choi matrix, and M = diag(0, 0, 1/2) lifts to I. The
-        # Gram route still checks its candidate's unitarity.
+        # off a rank-one Choi matrix, and M / (Tr J / 2) = diag(0, 0, 1) lifts
+        # to I. The Gram route still checks its candidate's unitarity.
         k = KrausSet((from_rows([[1, 0], [0, 0]]),))
         for tol in (2.0, 1e308):
             result = classify(k, tol)
@@ -399,6 +399,16 @@ class TestChoiEigenpairUnitary:
             assert result.choi_rank == 1 and result.extracted_unitary == I2
             with pytest.raises(NotUnitaryConjugationError, match="not unitary"):
                 extract_unitary_via_gram(k, tol)
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, 7.746e153])
+    def test_scaled_set_lifts_its_unitary(self, factor):
+        # c U is trace preserving within 2e-6 and 6e307: the lift reads M / c^2,
+        # so it prints U to roundoff at any scale the float range holds.
+        rng = random.Random(15)
+        for _ in range(20):
+            u = su2_haar(rng).matrix
+            result = classify(KrausSet((scale(u, factor),)), 1e308)
+            assert phase_aligned_diff(result.extracted_unitary, u) <= 1e-15
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_half_turn_prints_phi_tie(self, axis):

@@ -356,8 +356,8 @@ class TestClassify:
     def test_singular_rank_one_set_past_the_tolerance_range(self, tmp_path, tol):
         # The set passes trace preservation at these tolerances, and
         # delta(tol) >= 3/4 exceeds every purity deficit: a rank-one Choi
-        # matrix is read as a unitary conjugation, and M = diag(0, 0, 1/2)
-        # lifts to I. README gives the meaningful --tol range.
+        # matrix is read as a unitary conjugation, and M / (Tr J / 2) =
+        # diag(0, 0, 1) lifts to I. README gives the meaningful --tol range.
         ops = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]
         path = write_doc(tmp_path, "singular.json", "kraus", {"operators": ops})
         code, out = run_cli(["classify", path, "--tol", tol])
@@ -412,7 +412,7 @@ SEEDED_DIGESTS = {
     "diagram": "ca23a788d3b973e31460859d3176e5e90f8c6e793fada380473b21b08b7e9781",
     "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
     "group": "d3628f0f7fafd17273e711218a6f2ae4a588be58a9360132156fdd8d864f3bcc",
-    "inverse-pair": "fea03b33626b67711d378be782bc0b078e7a246562e370deac423643f55a1fc9",
+    "inverse-pair": "40c87d6def36a53c78a0d6860779ddeaf8e809ef6286bb9b4f19a8efb7c00f71",
 }
 
 

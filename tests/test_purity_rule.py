@@ -187,7 +187,7 @@ def exact_cases():
 
 class TestExactOracle:
     def test_float_deficit_is_the_exact_one_to_roundoff(self, exact_cases):
-        worst = max(abs(_purity_deficit(_choi_entries(k)) - float(d)) for _, k, d, _ in exact_cases)
+        worst = max(abs(_purity_deficit(_choi_entries(k))[0] - float(d)) for _, k, d, _ in exact_cases)
         assert worst <= EXACT_BAND / 4
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-15], ids=["default", "floor"])
@@ -261,7 +261,7 @@ class TestEpsilonSweep:
                 # round trip drops eigenvalues up to delta / 12 of the
                 # largest, up to delta / 2 of deficit, so it may accept a
                 # refused one with deficit in (delta, 3 delta / 2].
-                if delta / 4 < _purity_deficit(_choi_entries(k)) <= 1.5 * delta:
+                if delta / 4 < _purity_deficit(_choi_entries(k))[0] <= 1.5 * delta:
                     in_band += 1
                     continue
                 round_trip = classify(kraus_from_choi(choi_of(k)))
