@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from cmath import isfinite
 from enum import Enum
+from functools import cached_property
 from math import sqrt
 
 from ._value import Value
@@ -145,11 +146,10 @@ class ChoiMatrix(Value):
     relative to roundoff: the least eigenvalue may fall DEFAULT_TOL times
     max(1, the largest) below zero. :func:`choi_of` builds a Kraus set's,
     both by construction, unchecked. The partial trace over the output factor
-    equals I exactly when the source set is trace preserving. ``spectrum``
-    keeps the eigendecomposition; it is not in equality, hash or repr.
+    equals I exactly when the source set is trace preserving. ``spectrum``,
+    the eigendecomposition, is the one the check made, or else factored on
+    first read; it is not in equality, hash or repr.
     """
-
-    spectrum: HermitianEigenResult
 
     def __init__(self, matrix: ComplexMatrix) -> None:
         self.__dict__["matrix"] = matrix
@@ -169,6 +169,11 @@ class ChoiMatrix(Value):
         if eigenvalues[-1] < -DEFAULT_TOL * max(1.0, eigenvalues[0]):
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
         self.__dict__["spectrum"] = spectrum
+
+    @cached_property
+    def spectrum(self) -> HermitianEigenResult:
+        # Hermitian bit for bit: choi_of leaves only its own matrices unfactored.
+        return _hermitian_eig(4, self.matrix.entries)
 
     def eigenvalues(self) -> tuple[float, ...]:
         return self.spectrum.eigenvalues
@@ -268,10 +273,11 @@ def _choi_entries(k: KrausSet) -> ComplexMatrix:
 
 def choi_of(k: KrausSet) -> ChoiMatrix:
     """Choi matrix of the channel; its rank is the minimal Kraus count. Hermitian
-    bit for bit (``matrix._hermitian_eig``) and positive semidefinite, unchecked."""
+    bit for bit (``matrix._hermitian_eig``) and positive semidefinite, unchecked;
+    the entries are checked finite, and factored only when the spectrum is read."""
     j = object.__new__(ChoiMatrix)
     j.__dict__["matrix"] = m = _choi_entries(k)
-    j.__dict__["spectrum"] = _hermitian_eig(4, m.entries)
+    _require_finite(*m.entries)
     return j
 
 

@@ -497,51 +497,75 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(2, "malformed_input", message)
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of the process, built on first use and not at import.
+class _Formatter(argparse.HelpFormatter):
+    """Help wrapped at 78 columns, what the default gives off a tty. The
+    default reads the terminal's width through ``shutil``, whose import
+    (``bz2``, ``lzma``, ``zlib``, ``fnmatch``) every parser build would pay."""
 
-    Building it costs far more than a parse, and ``parse_args`` leaves it
-    unchanged, so every ``main`` call shares it. The subparsers inherit
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=78)
+
+
+@functools.cache
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The one parser of the process and its subcommands' parsers by name,
+    built on first use and not at import.
+
+    Building it costs far more than a parse, and ``parse_known_args`` leaves
+    it unchanged, so every ``main`` call shares it. The subparsers inherit
     ``_Parser`` through ``add_subparsers``.
     """
     parser = _Parser(
         prog="blochiso",
         description="Convert between qubit-state representations and analyze channel reversibility.",
+        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_convert = sub.add_parser("convert", help="convert a document to another kind")
+    add = functools.partial(sub.add_parser, formatter_class=_Formatter)
+
+    p_convert = add("convert", help="convert a document to another kind")
     p_convert.add_argument("--to", required=True, choices=KINDS, help="target kind")
     p_convert.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
     _add_common(p_convert)
 
-    p_classify = sub.add_parser("classify", help="decide invertibility of a Kraus channel")
+    p_classify = add("classify", help="decide invertibility of a Kraus channel")
     p_classify.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
     _add_common(p_classify)
 
-    p_verify = sub.add_parser("verify", help="run a seeded verification suite")
+    p_verify = add("verify", help="run a seeded verification suite")
     p_verify.add_argument("mode", choices=tuple(_VERIFY_MODES))
     p_verify.add_argument("inputs", nargs="*", help="optional input documents")
     p_verify.add_argument("--samples", type=int, default=1000, help="number of random cases")
     p_verify.add_argument("--seed", type=int, default=42, help="random seed")
     _add_common(p_verify)
 
-    p_action = sub.add_parser("bloch-action", help="affine Bloch-vector action of a channel")
+    p_action = add("bloch-action", help="affine Bloch-vector action of a channel")
     p_action.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
     _add_common(p_action)
 
-    return parser
+    return parser, sub.choices
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse a command line, taking ``verify`` documents after options too.
+    """Parse a command line once, with its subcommand's parser, taking
+    ``verify`` documents after options too.
 
-    ``parse_known_args`` returns the documents that follow an option as
-    leftovers and, unlike ``parse_intermixed_args``, leaves the shared
-    parser unchanged.
+    The top-level parser would match the subcommand and then run that
+    parser, so only a line whose first token names no subcommand (none,
+    ``-h``, an unknown name, an option, ``--``) takes the nested parse, which
+    mostly answers with help or a usage error. ``parse_known_args`` returns
+    the documents that follow an option as leftovers and, unlike
+    ``parse_intermixed_args``, leaves the shared parser unchanged.
     """
-    args, extra = _build_parser().parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    subparser = commands.get(argv[0]) if argv else None
+    if subparser is None:
+        args, extra = parser.parse_known_args(argv)
+    else:
+        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
         if args.command != "verify" or any(t.startswith("-") and t != "-" for t in extra):
             raise CliError(2, "malformed_input", "unrecognized arguments: " + " ".join(extra))

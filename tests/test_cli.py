@@ -519,48 +519,44 @@ class TestArguments:
         ["verify", "diagram", "--samples", "3"],
     ]
 
+    BAD_TOLS = ["nan", "inf", "-inf", "-1e-9"]
+    MODES = ["diagram", "double-cover", "group", "inverse-pair"]
+    NO_SAMPLES = ["0", "-3"]
+    USAGE_ERRORS = {
+        "command": ["frobnicate"],
+        "no-command": [],
+        "bare-tol": ["classify", "--tol", "-1e-9", KRAUS],
+        "trailing-input": ["classify", KRAUS, KRAUS],
+        "no-to": ["convert", KRAUS],
+        "samples": ["verify", "diagram", "--samples", "x"],
+        "after-format": ["classify", "--format", "text", "--bogus", KRAUS],
+        "verify-bogus": ["verify", "group", "--seed", "3", "--bogus", "x"],
+        "verify-dashdash": ["verify", "group", "--seed", "3", "--", "x"],
+    }
+    OPTIONS_AROUND = [
+        (["--seed", "3"], []),
+        (["--samples", "2", "--format", "text"], []),
+        (["--seed", "3"], ["--samples", "2"]),
+    ]
+
     def expect_rejected(self, argv):
         code, out = run_cli(argv)
         assert code == 2
         doc = json.loads(out, parse_constant=pytest.fail)
         assert doc["error"]["code"] == "malformed_input"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    @pytest.mark.parametrize("tol", BAD_TOLS)
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_bad_tol(self, argv, tol):
         # The "=" form, since argparse reads "-inf" alone as an option.
         self.expect_rejected(argv + [f"--tol={tol}"])
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    @pytest.mark.parametrize("mode", ["diagram", "double-cover", "group", "inverse-pair"])
+    @pytest.mark.parametrize("samples", NO_SAMPLES)
+    @pytest.mark.parametrize("mode", MODES)
     def test_no_samples(self, mode, samples):
         self.expect_rejected(["verify", mode, "--samples", samples])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["frobnicate"],
-            [],
-            ["classify", "--tol", "-1e-9", KRAUS],
-            ["classify", KRAUS, KRAUS],
-            ["convert", KRAUS],
-            ["verify", "diagram", "--samples", "x"],
-            ["classify", "--format", "text", "--bogus", KRAUS],
-            ["verify", "group", "--seed", "3", "--bogus", "x"],
-            ["verify", "group", "--seed", "3", "--", "x"],
-        ],
-        ids=[
-            "command",
-            "no-command",
-            "bare-tol",
-            "trailing-input",
-            "no-to",
-            "samples",
-            "after-format",
-            "verify-bogus",
-            "verify-dashdash",
-        ],
-    )
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
     def test_usage_error(self, argv, capsys):
         # Before the command line parses, --format is unknown: the error is JSON.
         self.expect_rejected(argv)
@@ -577,15 +573,7 @@ class TestArguments:
         assert code == 0
         assert json.loads(out)["tol"] == 0
 
-    @pytest.mark.parametrize(
-        "before,after",
-        [
-            (["--seed", "3"], []),
-            (["--samples", "2", "--format", "text"], []),
-            (["--seed", "3"], ["--samples", "2"]),
-        ],
-        ids=["seed", "text", "between"],
-    )
+    @pytest.mark.parametrize("before,after", OPTIONS_AROUND, ids=["seed", "text", "between"])
     def test_documents_after_options(self, before, after):
         unitary = str(GOLDEN / "inputs" / "unitary_quarter_z.json")
         first = run_cli(["verify", "double-cover", unitary, *before, *after])
@@ -612,6 +600,88 @@ class TestArguments:
         code, out = run_cli(["verify", "group", path, "--samples", "0"])
         assert code == 0
         assert json.loads(out)["samples"] == 1
+
+
+def _parse_corpus():
+    a = TestArguments
+    k, b = a.KRAUS, str(GOLDEN / "inputs" / "bloch_north.json")
+    u = str(GOLDEN / "inputs" / "unitary_quarter_z.json")
+    k2 = str(GOLDEN / "inputs" / "kraus_depolarizing_half.json")
+    corpus = [
+        ["-h"],
+        ["--help"],
+        ["classify", "-h"],
+        ["classify", "--help"],
+        ["class", k],
+        ["--", "classify", k],
+        ["--tol", "1", "classify", k],
+        ["classify", "--", k],
+        ["convert", "--t", "density", b],  # ambiguous: --to or --tol
+        ["classify", "--form", "text", k],  # an abbreviation
+        ["convert", "--to=density", b],
+        ["convert", "--to", "density", "--", b],
+        ["verify", "group", "--samples", "2", "--", "x"],
+        ["verify", "double-cover", "--samples", "3", "--tol", "0"],
+        ["verify", "inverse-pair", k, "--seed", "3", k2],
+        ["verify", "inverse-pair", k, k2, "--seed", "3"],
+        ["verify", "inverse-pair", k2, k, "--seed", "3"],
+        ["verify", "double-cover", "--seed", "3", "-"],
+        ["verify", "group", u, "--samples", "0"],
+        ["verify", "group", "--seed", "3", u, "--samples", "2", u],
+    ]
+    corpus += [argv + [f"--tol={tol}"] for argv in a.COMMANDS for tol in a.BAD_TOLS]
+    corpus += [["verify", mode, "--samples", n] for mode in a.MODES for n in a.NO_SAMPLES]
+    corpus += a.USAGE_ERRORS.values()
+    for before, after in a.OPTIONS_AROUND:
+        corpus.append(["verify", "double-cover", u, *before, *after])
+        corpus.append(["verify", "double-cover", *before, u, *after])
+    return corpus
+
+
+def _nested_parse(argv):
+    """The parse ``_parse`` replaced: the top-level parser matches the
+    subcommand and runs its parser, then the same leftovers rule."""
+    args, extra = cli._build_parser()[0].parse_known_args(argv)
+    if extra:
+        if args.command != "verify" or any(t.startswith("-") and t != "-" for t in extra):
+            raise CliError(2, "malformed_input", "unrecognized arguments: " + " ".join(extra))
+        args.inputs = [*args.inputs, *extra]
+    return args
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        # Bitwise, so that a NaN --tol equals itself.
+        result = ("parsed", fingerprint(list(vars(parse(argv)).items())))
+    except CliError as exc:
+        result = ("CliError", exc.exit_code, exc.payload)
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    return result, capsys.readouterr()
+
+
+class TestParse:
+    """``_parse`` runs the subcommand's parser alone, with the answers of the
+    two-level parse: the same namespace, or the same error and output."""
+
+    @pytest.mark.parametrize(
+        "argv", _parse_corpus(), ids=lambda argv: " ".join(Path(t).name for t in argv) or "empty"
+    )
+    def test_same_as_the_nested_parse(self, argv, capsys):
+        direct = _parse_outcome(cli._parse, argv, capsys)
+        assert direct == _parse_outcome(_nested_parse, argv, capsys)
+
+    def test_a_named_subcommand_skips_the_top_level_parser(self, monkeypatch):
+        top = cli._build_parser()[0]
+        monkeypatch.setattr(top, "parse_known_args", mock.Mock(side_effect=AssertionError))
+        assert cli._parse(["classify", TestArguments.KRAUS]).command == "classify"
+
+    def test_no_argv_reads_sys_argv(self, capsys):
+        argv = ["verify", "group", "--seed", "3", TestArguments.KRAUS]
+        with mock.patch.object(sys, "argv", ["blochiso", *argv]):
+            direct = _parse_outcome(cli._parse, None, capsys)
+        assert direct == _parse_outcome(_nested_parse, argv, capsys)
+        assert direct[0][0] == "parsed"
 
 
 class TestBlochAction:

@@ -6,7 +6,8 @@ The check runs the interpreter with ``-S``, so that no ``site`` step
 with what the standard-library modules the CLI does need load by
 themselves on the same interpreter: ``dataclasses`` and ``inspect`` may
 appear only if those already bring them, and so may ``typing`` and
-``random``.
+``random``. One command line loads none of the modules argparse's default
+help formatter imports to read the terminal width.
 """
 
 import os
@@ -17,10 +18,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 DEFERRED = ("dataclasses", "inspect", "typing", "random", "blochiso.sampling")
 NEEDED = "import argparse, json, cmath, enum, functools"
+TERMINAL_WIDTH = ("shutil", "bz2", "lzma", "zlib", "fnmatch")
+GOLDEN_KRAUS = Path(__file__).resolve().parent / "golden" / "inputs" / "kraus_unitary_tilted.json"
 
 
-def _loaded_after(statement: str) -> set[str]:
-    code = f"import sys\n{statement}\nprint(*[m for m in {DEFERRED!r} if m in sys.modules])"
+def _loaded_after(statement: str, modules: tuple[str, ...] = DEFERRED) -> set[str]:
+    code = f"import sys\n{statement}\nprint(*[m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -39,3 +42,17 @@ def test_cli_import_defers_what_only_some_commands_need():
 
 def test_the_check_sees_a_deferred_module():
     assert _loaded_after("import blochiso.sampling") >= {"blochiso.sampling", "random"}
+
+
+def test_a_command_line_builds_its_parser_without_the_terminal_width():
+    main = (
+        "import io, blochiso.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        f"assert blochiso.cli.main(['classify', {str(GOLDEN_KRAUS)!r}]) == 0\n"
+        "sys.stdout = sys.__stdout__"
+    )
+    assert _loaded_after(main, TERMINAL_WIDTH) == set()
+
+
+def test_the_check_sees_the_terminal_width_modules():
+    assert _loaded_after("import shutil", TERMINAL_WIDTH) >= {"shutil", "fnmatch"}

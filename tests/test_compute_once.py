@@ -104,6 +104,20 @@ class TestEigensolveCounts:
         assert json.loads(out.getvalue())["kind"] == "UnitaryConjugation"
         assert eigensolves == []
 
+    def test_cli_convert_to_choi(self, eigensolves):
+        # Only the entries are printed, so the spectrum is never read.
+        path = str(GOLDEN_DIR / "inputs" / "kraus_damping.json")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["convert", "--to", "choi", path]) == 0
+        assert json.loads(out.getvalue())["kind"] == "choi"
+        assert eigensolves == []
+
+    def test_choi_of_factors_on_the_first_read_only(self, eigensolves):
+        j = choi_of(amplitude_damping(0.3))
+        assert eigensolves == []
+        assert j.rank() == 2 and j.eigenvalues() is j.spectrum.eigenvalues
+        assert eigensolves == [4]
+
 
 @pytest.fixture
 def validated(monkeypatch):
