@@ -175,18 +175,9 @@ class ChoiMatrix(Value):
         # Hermitian bit for bit: choi_of leaves only its own matrices unfactored.
         return _hermitian_eig(4, self.matrix.entries)
 
-    def eigenvalues(self) -> tuple[float, ...]:
-        return self.spectrum.eigenvalues
-
-    def rank(self) -> int:
-        return _rank(self.spectrum.eigenvalues)
-
 
 class ChannelKind(Enum):
     UNITARY_CONJUGATION = "UnitaryConjugation"
-    # A channel is invertible with CPTP inverse iff it is a unitary
-    # conjugation; the two names are one member.
-    INVERTIBLE_WITH_CPTP_INVERSE = "UnitaryConjugation"
     CPTP_NOT_INVERTIBLE = "CptpNotInvertible"
     NOT_CPTP = "NotCptp"
 
@@ -237,9 +228,6 @@ class InversePairReport(Value):
         d = self.__dict__
         d["valid"], d["alpha"] = valid, alpha
         d["alpha_square_sum"], d["max_residual"] = alpha_square_sum, max_residual
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 class BlochAffineAction(Value):

@@ -36,6 +36,8 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1"
 
+# A JSON number, tested by exact type: ``json.loads`` makes no subclass of
+# int or float, and bool is neither.
 _NUMBER = (int, float)
 
 KINDS = ("kraus", "choi", "rotation", "unitary", "axis_angle", "bloch", "density")
@@ -89,14 +91,14 @@ def dumps(value: Any) -> str:
 
 
 def render_text(value: Any, indent: int = 0) -> str:
-    """Line-oriented rendering for --format text.
+    """Line-oriented rendering for --format text of a dict or a list.
 
     A dict inside a list is a block of its own, its first line marked
     ``- ``, so its values are rendered as every other value is.
     """
     pad = "  " * indent
+    lines = []
     if isinstance(value, dict):
-        lines = []
         for k, v in value.items():
             if isinstance(v, (dict, list, tuple)) and not _is_number_row(v):
                 lines.append(f"{pad}{k}:")
@@ -104,16 +106,13 @@ def render_text(value: Any, indent: int = 0) -> str:
             else:
                 lines.append(f"{pad}{k}: {_inline(v)}")
         return "\n".join(lines)
-    if isinstance(value, (list, tuple)):
-        lines = []
-        for v in value:
-            if isinstance(v, dict):
-                block = render_text(v, indent + 1)
-                lines.append(f"{pad}- {block[len(pad) + 2:]}")
-            else:
-                lines.append(f"{pad}{_inline(v)}")
-        return "\n".join(lines)
-    return f"{pad}{_inline(value)}"
+    for v in value:
+        if isinstance(v, dict):
+            block = render_text(v, indent + 1)
+            lines.append(f"{pad}- {block[len(pad) + 2:]}")
+        else:
+            lines.append(f"{pad}{_inline(v)}")
+    return "\n".join(lines)
 
 
 def _is_number_row(v: Any) -> bool:
@@ -148,9 +147,7 @@ def _encode_rmatrix(rows: Sequence[Sequence[float]]) -> list[list[float]]:
 def _decode_complex(value: Any) -> complex | None:
     """The complex of a number or an ``[re, im]`` pair; None for anything else.
 
-    Exact type tests: ``json.loads`` makes no subclass of int or float, and
-    bool is neither. ``float()`` of an integer beyond the float range raises
-    OverflowError.
+    ``float()`` of an integer beyond the float range raises OverflowError.
     """
     if type(value) in _NUMBER:
         return complex(float(value), 0.0)
@@ -186,7 +183,7 @@ def _decode_real_vector(value: Any, length: int, where: str) -> tuple[float, ...
     if (
         not isinstance(value, list)
         or len(value) != length
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+        or not all(type(x) in _NUMBER for x in value)
     ):
         raise CliError(2, "malformed_input", f"{where}: expected {length} numbers")
     return tuple(float(x) for x in value)
@@ -215,7 +212,7 @@ def _decode_document(doc: Any) -> tuple[str, Any]:
         if kind == "axis_angle":
             axis = _decode_real_vector(_payload_field(payload, "axis"), 3, "axis")
             angle = _payload_field(payload, "angle")
-            if isinstance(angle, bool) or not isinstance(angle, (int, float)):
+            if type(angle) not in _NUMBER:
                 raise CliError(2, "malformed_input", "angle must be a number")
             return kind, AxisAngle(axis, float(angle))
         if kind == "rotation":
@@ -553,13 +550,20 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
 
     The top-level parser would match the subcommand and then run that
     parser, so only a line whose first token names no subcommand (none,
-    ``-h``, an unknown name, an option, ``--``) takes the nested parse, which
+    ``-h``, an unknown name, an option) takes the nested parse, which
     mostly answers with help or a usage error. ``parse_known_args`` returns
     the documents that follow an option as leftovers and, unlike
     ``parse_intermixed_args``, leaves the shared parser unchanged.
+
+    ``--`` means one thing on every Python: a leading one is dropped, and
+    one among the leftovers ends the options, so that the tokens after it
+    are ``verify`` documents. argparse's own handling of both varies across
+    Python releases.
     """
     if argv is None:
         argv = sys.argv[1:]
+    if argv and argv[0] == "--":
+        argv = argv[1:]
     parser, commands = _build_parser()
     subparser = commands.get(argv[0]) if argv else None
     if subparser is None:
@@ -567,9 +571,12 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     else:
         args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
-        if args.command != "verify" or any(t.startswith("-") and t != "-" for t in extra):
-            raise CliError(2, "malformed_input", "unrecognized arguments: " + " ".join(extra))
-        args.inputs = [*args.inputs, *extra]
+        cut = extra.index("--") if "--" in extra else len(extra)
+        head, tail = extra[:cut], extra[cut + 1 :]
+        if args.command == "verify" and not any(t.startswith("-") and t != "-" for t in head):
+            args.inputs = [*args.inputs, *head, *tail]
+        elif head or tail:
+            raise CliError(2, "malformed_input", "unrecognized arguments: " + " ".join(head or tail))
     return args
 
 

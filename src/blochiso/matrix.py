@@ -21,11 +21,6 @@ DEFAULT_TOL = 1e-9
 _PHASE_CUTOFF = 1e-12
 
 
-def _require_positive_shape(rows: int, cols: int) -> None:
-    if rows <= 0 or cols <= 0:
-        raise DimensionError(f"matrix shape must be positive, got {rows}x{cols}")
-
-
 class ComplexMatrix(Value):
     """Immutable row-major complex matrix with finite entries."""
 
@@ -35,7 +30,8 @@ class ComplexMatrix(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _require_positive_shape(self.rows, self.cols)
+        if self.rows <= 0 or self.cols <= 0:
+            raise DimensionError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
         ents = tuple(map(complex, self.entries))
         if len(ents) != self.rows * self.cols:
             raise DimensionError(
@@ -59,12 +55,6 @@ class ComplexMatrix(Value):
         fields["cols"] = cols
         fields["entries"] = entries
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "ComplexMatrix":
-        _require_positive_shape(n, n)
-        ents = tuple(1.0 + 0j if i == j else 0j for i in range(n) for j in range(n))
-        return cls._trusted(n, n, ents)
 
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]
@@ -130,17 +120,13 @@ def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
 
 
 def _phase_fix_columns(n: int, v: list[complex]) -> list[complex]:
+    # A unit column has an entry of modulus at least 1/sqrt(n), so the
+    # search always breaks on a pivot.
     for k in range(n):
-        pivot = 0j
-        prow = -1
         for i in range(n):
-            z = v[i * n + k]
-            if abs(z) > _PHASE_CUTOFF:
-                pivot = z
-                prow = i
+            pivot = v[i * n + k]
+            if abs(pivot) > _PHASE_CUTOFF:
                 break
-        if prow < 0:
-            continue
         w = pivot.conjugate() / abs(pivot)
         for i in range(n):
             v[i * n + k] *= w

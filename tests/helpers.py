@@ -58,6 +58,12 @@ from blochiso.su2 import Unitary2, _pin_phase, negate
 # every call.
 
 
+def identity(n: int) -> ComplexMatrix:
+    return ComplexMatrix._trusted(
+        n, n, tuple(1.0 + 0j if i == j else 0j for i in range(n) for j in range(n))
+    )
+
+
 def zeros(rows: int, cols: int) -> ComplexMatrix:
     return ComplexMatrix(rows, cols, (0j,) * (rows * cols))
 
@@ -138,8 +144,8 @@ def expm_taylor(m: ComplexMatrix, terms: int) -> ComplexMatrix:
         raise DimensionError("expm_taylor needs a square matrix")
     if terms < 1:
         raise DomainError("terms must be >= 1")
-    acc = ComplexMatrix.identity(m.rows)
-    term = ComplexMatrix.identity(m.rows)
+    acc = identity(m.rows)
+    term = identity(m.rows)
     for k in range(1, terms):
         term = scale(mul(term, m), 1.0 / k)
         acc = add(acc, term)
@@ -273,7 +279,7 @@ def apply_to_matrix_generic(k: KrausSet, m: ComplexMatrix) -> ComplexMatrix:
 def bloch_affine_action_generic(k: KrausSet) -> BlochAffineAction:
     """M_kj = Tr(s_k Phi(s_j)) / 2 and t_k = Tr(s_k Phi(I)) / 2 through
     generic matrix products, for a set already known to be CPTP."""
-    phi_of_identity = apply_to_matrix_generic(k, ComplexMatrix.identity(2))
+    phi_of_identity = apply_to_matrix_generic(k, identity(2))
     translation = tuple(
         0.5 * trace(mul(PAULIS[i], phi_of_identity)).real for i in range(3)
     )
@@ -312,7 +318,7 @@ def density_to_bloch_generic(rho) -> tuple[float, float, float]:
     return tuple(trace(mul(rho.matrix, p)).real for p in PAULIS)  # type: ignore[return-value]
 
 
-_I2 = ComplexMatrix.identity(2)
+_I2 = identity(2)
 
 
 def choi_tp_deviation(choi: ChoiMatrix) -> float:
@@ -820,7 +826,7 @@ def run_geometry_case(inputs):
 
 def unitarity_deviation_generic(m: ComplexMatrix) -> float:
     """Largest entrywise deviation of M* M from the identity."""
-    return max_abs_diff(mul(adjoint(m), m), ComplexMatrix.identity(m.rows))
+    return max_abs_diff(mul(adjoint(m), m), identity(m.rows))
 
 
 def orthogonality_deviation_generic(m) -> float:

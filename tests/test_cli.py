@@ -226,6 +226,28 @@ class TestMalformedInput:
             "detail": "invalid rotation document: rotation entries must be finite",
         }
 
+    @pytest.mark.parametrize(
+        "kind, payload, target, detail",
+        [
+            ("choi", {"matrix": [[0] * 4] * 4}, "kraus", "Choi matrix is zero"),
+            # Finite entries whose eigenvalues overflow when scaled back.
+            (
+                "choi",
+                {"matrix": [[8e307] * 4] * 4},
+                "kraus",
+                "invalid choi document: matrix entries must be finite",
+            ),
+            ("unitary", {"matrix": [[1, 0], [0, 1], [0, 0]]}, "rotation", "matrix: expected 2 rows"),
+            ("rotation", {"matrix": [[1, 0, 0], [0, 1, 0]]}, "unitary", "rotation matrix must have 3 rows"),
+        ],
+        ids=["zero-choi", "overflowing-choi", "unitary-rows", "rotation-rows"],
+    )
+    def test_rejected_document(self, tmp_path, kind, payload, target, detail):
+        path = write_doc(tmp_path, "doc.json", kind, payload)
+        code, out = run_cli(["convert", "--to", target, path])
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "malformed_input", "detail": detail}
+
     def expect_malformed(self, argv):
         code, out = run_cli(argv)
         assert code == 2
@@ -531,7 +553,6 @@ class TestArguments:
         "samples": ["verify", "diagram", "--samples", "x"],
         "after-format": ["classify", "--format", "text", "--bogus", KRAUS],
         "verify-bogus": ["verify", "group", "--seed", "3", "--bogus", "x"],
-        "verify-dashdash": ["verify", "group", "--seed", "3", "--", "x"],
     }
     OPTIONS_AROUND = [
         (["--seed", "3"], []),
@@ -613,7 +634,6 @@ def _parse_corpus():
         ["classify", "-h"],
         ["classify", "--help"],
         ["class", k],
-        ["--", "classify", k],
         ["--tol", "1", "classify", k],
         ["classify", "--", k],
         ["convert", "--t", "density", b],  # ambiguous: --to or --tol
@@ -643,9 +663,12 @@ def _nested_parse(argv):
     subcommand and runs its parser, then the same leftovers rule."""
     args, extra = cli._build_parser()[0].parse_known_args(argv)
     if extra:
-        if args.command != "verify" or any(t.startswith("-") and t != "-" for t in extra):
-            raise CliError(2, "malformed_input", "unrecognized arguments: " + " ".join(extra))
-        args.inputs = [*args.inputs, *extra]
+        cut = extra.index("--") if "--" in extra else len(extra)
+        head, tail = extra[:cut], extra[cut + 1 :]
+        if args.command == "verify" and not any(t.startswith("-") and t != "-" for t in head):
+            args.inputs = [*args.inputs, *head, *tail]
+        elif head or tail:
+            raise CliError(2, "malformed_input", "unrecognized arguments: " + " ".join(head or tail))
     return args
 
 
@@ -664,6 +687,10 @@ class TestParse:
     """``_parse`` runs the subcommand's parser alone, with the answers of the
     two-level parse: the same namespace, or the same error and output."""
 
+    K = TestArguments.KRAUS
+    B = str(GOLDEN / "inputs" / "bloch_north.json")
+    D = str(GOLDEN / "inputs" / "axis_angle_half_x.json")
+
     @pytest.mark.parametrize(
         "argv", _parse_corpus(), ids=lambda argv: " ".join(Path(t).name for t in argv) or "empty"
     )
@@ -675,6 +702,43 @@ class TestParse:
         top = cli._build_parser()[0]
         monkeypatch.setattr(top, "parse_known_args", mock.Mock(side_effect=AssertionError))
         assert cli._parse(["classify", TestArguments.KRAUS]).command == "classify"
+
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            (["--", "classify", K], ["classify", K]),
+            (["classify", "--", K], ["classify", K]),
+            (["classify", "--tol", "1e-3", K, "--"], ["classify", "--tol", "1e-3", K]),
+            (["classify", K, "--", K], ["classify", K, K]),
+            (["convert", "--to", "density", "--", B], ["convert", "--to", "density", B]),
+            (["convert", "--to", "density", B, "--"], ["convert", "--to", "density", B]),
+            (["--"], []),
+            (["--", "--"], []),
+            (["--", "-h"], ["-h"]),
+            (["verify", "group", "--", D], ["verify", "group", D]),
+            (["verify", "group", "--samples", "2", "--", D], ["verify", "group", D, "--samples", "2"]),
+            (["verify", "group", "--seed", "3", "--", "x"], ["verify", "group", "x", "--seed", "3"]),
+            (["verify", "group", "--samples", "2", D, "--", D], ["verify", "group", D, D, "--samples", "2"]),
+            (["verify", "group", "--samples", "2", "-x", "--", D], ["verify", "group", "--samples", "2", "-x"]),
+        ],
+        ids=lambda argv: " ".join(Path(t).name for t in argv) or "empty",
+    )
+    def test_dashdash_parses_as_the_line_without_it(self, argv, same, capsys):
+        # A leading "--" is dropped; one after the subcommand ends its
+        # options. Either way the "--" never shows in a usage error.
+        assert _parse_outcome(cli._parse, argv, capsys) == _parse_outcome(cli._parse, same, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (["verify", "group", "--samples", "2", "--", "-weird"], ["-weird"]),
+            (["verify", "group", "--samples", "2", "--", "--", D], ["--", D]),
+            (["verify", "group", "--samples", "2", "--", D, "--seed", "4"], [D, "--seed", "4"]),
+        ],
+    )
+    def test_tokens_after_dashdash_are_documents(self, argv, inputs):
+        args = cli._parse(argv)
+        assert (args.samples, args.seed, args.inputs) == (2, 42, inputs)
 
     def test_no_argv_reads_sys_argv(self, capsys):
         argv = ["verify", "group", "--seed", "3", TestArguments.KRAUS]

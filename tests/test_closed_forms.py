@@ -82,6 +82,7 @@ from helpers import (
     fingerprint,
     geometry_inputs,
     hermitian_eig_reference,
+    identity,
     make_depolarizing,
     mul,
     orthogonality_deviation_generic,
@@ -105,7 +106,7 @@ ANGLES = (0.0, 1.0, pi, 4.0, 2.0 * pi)
 
 
 def edge_unitaries() -> list[Unitary2]:
-    units = [Unitary2(ComplexMatrix.identity(2))]
+    units = [Unitary2(identity(2))]
     units += [unitary_from_axis_angle(AxisAngle(ax, a)) for ax in AXES for a in ANGLES]
     return units + [negate(u) for u in units]
 
@@ -522,7 +523,7 @@ class TestLeftToRightSums:
                 for i in range(2)
                 for j in range(2)
             )
-            want = max_abs_diff(ComplexMatrix(2, 2, reduced), ComplexMatrix.identity(2))
+            want = max_abs_diff(ComplexMatrix(2, 2, reduced), identity(2))
             assert fingerprint(choi_tp_deviation(choi)) == fingerprint(want)
 
 

@@ -22,7 +22,14 @@ from blochiso.su2 import (
     unitarity_deviation,
     unitary_from_axis_angle,
 )
-from helpers import Su2AlgebraElement, adjoint_action_generic, fingerprint, psi, psi_inverse
+from helpers import (
+    Su2AlgebraElement,
+    adjoint_action_generic,
+    fingerprint,
+    identity,
+    psi,
+    psi_inverse,
+)
 
 IDENTITY_ROTATION = Rotation3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 Z = (0.0, 0.0, 1.0)
@@ -37,7 +44,7 @@ def rot_diff(a: Rotation3, b: Rotation3) -> float:
 
 class TestPhi:
     def test_identity(self):
-        assert phi(IDENTITY_ROTATION).matrix == ComplexMatrix.identity(2)
+        assert phi(IDENTITY_ROTATION).matrix == identity(2)
 
     def test_quarter_turn_chained_example(self):
         import cmath
@@ -59,7 +66,7 @@ class TestPhi:
 
 class TestPhiInverse:
     def test_identity(self):
-        rot = phi_inverse(Unitary2(ComplexMatrix.identity(2)))
+        rot = phi_inverse(Unitary2(identity(2)))
         assert rot.matrix == IDENTITY_ROTATION.matrix
 
     def test_double_cover_is_bitwise(self):
@@ -193,7 +200,7 @@ class TestAlgebraPicture:
 
     def test_adjoint_action_identity(self):
         elem = Su2AlgebraElement((0.1, 0.2, 0.3))
-        out = adjoint_action_generic(Unitary2(ComplexMatrix.identity(2)), elem)
+        out = adjoint_action_generic(Unitary2(identity(2)), elem)
         assert out.vector == elem.vector
 
     def test_adjoint_action_is_homomorphism(self):

@@ -18,6 +18,7 @@ from helpers import (
     expm_taylor,
     factor_hermitian,
     from_rows,
+    identity,
     mul,
     random_hermitian,
     random_matrix,
@@ -43,7 +44,7 @@ def reconstruct_eig(result):
 
 class TestAlgebra:
     def test_trace_identity(self):
-        assert trace(ComplexMatrix.identity(2)) == 2 + 0j
+        assert trace(identity(2)) == 2 + 0j
 
     def test_add_sub_scale(self):
         a = from_rows([[1, 2], [3, 4]])
@@ -52,7 +53,7 @@ class TestAlgebra:
         assert scale(a, 2j).at(1, 1) == 8j
 
     def test_mul_known(self):
-        assert to_rows(mul(SIGMA_X, SIGMA_X)) == to_rows(ComplexMatrix.identity(2))
+        assert to_rows(mul(SIGMA_X, SIGMA_X)) == to_rows(identity(2))
 
     def test_adjoint_involution(self):
         rng = random.Random(5)
@@ -60,16 +61,23 @@ class TestAlgebra:
         assert adjoint(adjoint(a)) == a
 
     def test_shape_mismatch(self):
-        a = ComplexMatrix.identity(2)
-        b = ComplexMatrix.identity(3)
+        a = identity(2)
+        b = identity(3)
         with pytest.raises(DimensionError):
             add(a, b)
         with pytest.raises(DimensionError):
             mul(a, b)
+        with pytest.raises(DimensionError):
+            max_abs_diff(a, b)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             ComplexMatrix(1, 1, (complex(float("nan"), 0),))
+
+    @pytest.mark.parametrize("rows, cols, entries", [(0, 2, ()), (2, 2, (1, 2, 3))])
+    def test_rejects_a_bad_shape(self, rows, cols, entries):
+        with pytest.raises(DimensionError):
+            ComplexMatrix(rows, cols, entries)
 
     @given(
         st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
@@ -111,7 +119,7 @@ class TestHermitianEig:
     def test_already_diagonal(self):
         result = factor_hermitian(diag(3, 1))
         assert result.eigenvalues == (3.0, 1.0)
-        assert result.eigenvectors == ComplexMatrix.identity(2)
+        assert result.eigenvectors == identity(2)
 
     def test_sigma_x_spectrum(self):
         # Characteristic polynomial lambda^2 - 1.
@@ -132,7 +140,7 @@ class TestHermitianEig:
         rng = random.Random(200 + n)
         h = random_hermitian(rng, n)
         v = factor_hermitian(h).eigenvectors
-        assert max_abs_diff(mul(adjoint(v), v), ComplexMatrix.identity(n)) <= 1e-12
+        assert max_abs_diff(mul(adjoint(v), v), identity(n)) <= 1e-12
 
     def test_descending_order(self):
         rng = random.Random(7)
@@ -189,11 +197,11 @@ class TestExpmTaylor:
     """The series oracle in ``helpers`` that the closed forms are checked against."""
 
     def test_zero_matrix(self):
-        assert expm_taylor(zeros(2, 2), 30) == ComplexMatrix.identity(2)
+        assert expm_taylor(zeros(2, 2), 30) == identity(2)
 
     def test_needs_at_least_one_term(self):
         with pytest.raises(DomainError):
-            expm_taylor(ComplexMatrix.identity(2), 0)
+            expm_taylor(identity(2), 0)
 
     def test_scalar_case(self):
         from cmath import exp

@@ -9,6 +9,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import blochiso
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +34,18 @@ def test_exports_are_the_kept_rows():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == kept_names()
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (blochiso.ChoiMatrix, "eigenvalues"),
+        (blochiso.ChoiMatrix, "rank"),
+        (blochiso.ChannelKind, "INVERTIBLE_WITH_CPTP_INVERSE"),
+        (blochiso.ComplexMatrix, "identity"),
+        (blochiso.InversePairReport, "__bool__"),
+    ],
+)
+def test_retired_members_are_gone(owner, name):
+    # Only tests called them; README's table names the path each test took instead.
+    assert not hasattr(owner, name)

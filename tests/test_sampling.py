@@ -3,7 +3,7 @@
 import random
 from math import pi
 
-from blochiso.matrix import ComplexMatrix, adjoint, max_abs_diff
+from blochiso.matrix import adjoint, max_abs_diff
 from blochiso.sampling import (
     axis_angle,
     bloch_in_ball,
@@ -14,7 +14,7 @@ from blochiso.sampling import (
     unit_vector,
 )
 from blochiso.su2 import det2
-from helpers import mul
+from helpers import identity, mul
 
 
 def test_streams_are_reproducible():
@@ -62,7 +62,7 @@ def test_mixing_unitary_is_unitary():
     rng = random.Random(6)
     for n in (1, 2, 3, 4):
         w = mixing_unitary(rng, n)
-        assert max_abs_diff(mul(adjoint(w), w), ComplexMatrix.identity(n)) <= 1e-11
+        assert max_abs_diff(mul(adjoint(w), w), identity(n)) <= 1e-11
 
 
 def test_redundant_sets_are_trace_preserving():

@@ -26,6 +26,7 @@ from blochiso.su2 import (
 from helpers import (
     expm_taylor,
     from_rows,
+    identity,
     mul,
     pauli_generator,
     purity_generic,
@@ -35,7 +36,7 @@ from helpers import (
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
-I2 = ComplexMatrix.identity(2)
+I2 = identity(2)
 
 
 class TestTypes:
@@ -79,6 +80,12 @@ class TestTypes:
         for m in (from_rows([[1, 0], [0, 2]]), scale(I2, 2.0)):
             with pytest.raises(DomainError, match="not unitary"):
                 normalize_phase(m)
+
+    def test_rejects_a_matrix_not_2x2(self):
+        with pytest.raises(DomainError, match="^unitary must be 2x2$"):
+            Unitary2(identity(3))
+        with pytest.raises(DomainError, match="^normalize_phase expects a 2x2 matrix$"):
+            normalize_phase(identity(3))
 
 
 class TestClosedForm:

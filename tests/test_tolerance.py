@@ -15,11 +15,11 @@ from blochiso.errors import (
     NonStateError,
     NotUnitaryConjugationError,
 )
-from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, scale
+from blochiso.matrix import DEFAULT_TOL, scale
 from blochiso.su2 import normalize_phase
-from helpers import amplitude_damping
+from helpers import amplitude_damping, identity
 
-I2 = ComplexMatrix.identity(2)
+I2 = identity(2)
 
 GUARDS = {
     "bloch_to_density": (

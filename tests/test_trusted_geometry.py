@@ -40,6 +40,7 @@ from helpers import (
     det2_reference,
     fingerprint,
     hermitian_deviation_reference,
+    identity,
     outcome,
     phi_inverse_reference,
     random_matrix,
@@ -75,7 +76,7 @@ def axis_angles() -> list[AxisAngle]:
 def unitaries() -> list[Unitary2]:
     """+-I (the negated one with signed zeros), the edge lifts, Haar draws."""
     rng = random.Random(SEED + 1)
-    plus_i = Unitary2(ComplexMatrix.identity(2))
+    plus_i = Unitary2(identity(2))
     minus_i = Unitary2(ComplexMatrix(2, 2, (-1.0 + 0j, 0j, 0j, -1.0 + 0j)))
     lifts = [unitary_from_axis_angle(aa) for aa in axis_angles()[:30]]
     return [plus_i, minus_i, negate(plus_i)] + lifts + [su2_haar(rng) for _ in range(100)]
@@ -271,7 +272,7 @@ class TestErrorParity:
             (density(0.6, 0j, 0j, 0.6), r"^density operator trace must be 1, got 1\.2$"),
             (density(1.2, 0j, 0j, -0.2), "^density operator must be positive semidefinite$"),
             (density(1.0 + 9e-10, 0j, 0j, -9e-10), "^density operator purity exceeds 1$"),
-            (ComplexMatrix.identity(3), "^density operator must be 2x2$"),
+            (identity(3), "^density operator must be 2x2$"),
         ],
         ids=["hermitian", "trace", "psd", "purity", "shape"],
     )

@@ -43,12 +43,13 @@ from helpers import (
     Su2AlgebraElement,
     factor_hermitian,
     fingerprint,
+    identity,
     psi_inverse,
     random_density,
     random_hermitian,
 )
 
-I2 = ComplexMatrix.identity(2)
+I2 = identity(2)
 ONE = ComplexMatrix(1, 1, (1,))
 ROT = Rotation3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 I2_REPR = "ComplexMatrix(rows=2, cols=2, entries=((1+0j), 0j, 0j, (1+0j)))"
