@@ -58,8 +58,6 @@ def _children(node: ast.stmt) -> list[ast.stmt]:
         out.extend(getattr(node, field, ()))
     for handler in getattr(node, "handlers", ()):
         out.extend(handler.body)
-    for case in getattr(node, "cases", ()):
-        out.extend(case.body)
     return out
 
 
