@@ -38,8 +38,8 @@ from .matrix import (
     adjoint,
     max_abs_diff,
 )
-from .so3 import Matrix3, _quaternion
-from .su2 import _from_quaternion, _pin_phase, unitarity_deviation
+from .so3 import Matrix3
+from .su2 import _bloch_columns, _half_trace, _lift, unitarity_deviation
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
 #: contribute nothing to the channel and break proportionality diagnostics.
@@ -305,10 +305,7 @@ def _classify(k: KrausSet, tol: float) -> ChannelClassification:
     j = _choi_entries(k)
     deficit, trace = _purity_deficit(j)
     if deficit <= _deficit_bound(tol):
-        # phi of M / (Tr J / 2), without Rotation3's check: blind to scale, as P is.
-        *columns, _ = _bloch_columns(k.operators)
-        rows = [[m / (0.5 * trace) for m in row] for row in zip(*columns)]
-        unitary = _from_quaternion(*_quaternion(rows))
+        unitary = _lift(k.operators, 0.5 * trace)  # blind to scale, as P is
         return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary.matrix)
     rank = _rank(_hermitian_eig(4, j.entries).eigenvalues, tol)
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
@@ -326,11 +323,11 @@ def extract_unitary_via_gram(
     the underlying unitary; the channel is that unitary's conjugation exactly
     when the Gram rank, :func:`_rank` of gamma, is 1.
 
-    Returns the unitary, pinned to det 1 with Re tr U >= 0 as ``phi``
-    lifts, and the Gram intermediates. Raises
-    :class:`NotUnitaryConjugationError`, carrying the worst offending pair,
-    when proportionality fails, the leading direction is not unitary (or has
-    no phase to pin) or the Gram rank exceeds 1 (residual gamma_1).
+    Returns the unitary, lifted from its rotation as ``classify`` lifts, and
+    the Gram intermediates. Raises :class:`NotUnitaryConjugationError`,
+    carrying the worst offending pair, when proportionality fails, the
+    leading direction is not unitary within delta(tol) or the Gram rank
+    exceeds 1 (residual gamma_1).
     """
     ops = k.operators
     beta, worst_residual, worst_pair = _pair_table(
@@ -364,8 +361,7 @@ def extract_unitary_via_gram(
     norm = 1.0 / sqrt(gamma[0])
     unitary = ComplexMatrix(2, 2, (s0 * norm, s1 * norm, s2 * norm, s3 * norm))
     dev = unitarity_deviation(unitary)
-    pinned = _pin_phase(unitary)
-    if not dev <= _deficit_bound(tol) or pinned is None:
+    if not dev <= _deficit_bound(tol):
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
@@ -376,7 +372,7 @@ def extract_unitary_via_gram(
             "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
         )
 
-    return pinned, GramData(beta, gamma, mixing)
+    return _lift((unitary,), _half_trace(unitary)).matrix, GramData(beta, gamma, mixing)
 
 
 def verify_inverse_pair(
@@ -406,43 +402,6 @@ def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
         )
     assert classification.extracted_unitary is not None
     return KrausSet((adjoint(classification.extracted_unitary),))
-
-
-def _bloch_columns(operators: tuple[ComplexMatrix, ...]) -> list[tuple[float, float, float]]:
-    """Columns (Tr(s_k Phi(X)) / 2 for k = x, y, z) of Phi(X) = sum_a A X A*.
-
-    X runs through s_x, s_y, s_z and I: the three columns of M, then t. A Pauli
-    matrix only permutes, negates or multiplies by +-i, so A X is read off
-    the entries of A. The four entries of (A X) A* are added, operator by
-    operator, into sums started at 0j, as the generic sum of products does.
-    Only operations on exact zeros are left out, and the 0j start makes
-    every exact zero +0.0, so each result is the generic one bit for bit,
-    zero signs included. The entries are quadratic in A, so A and -A give
-    the identical columns.
-    """
-    expanded = []
-    for op in operators:
-        a, b, c, d = op.entries
-        # A X for X = s_x, s_y, s_z, I, then the entries of A*.
-        times_x = ((b, a, d, c), (b * 1j, a * -1j, d * 1j, c * -1j), (a, -b, c, -d), (a, b, c, d))
-        expanded.append((times_x, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()))
-    columns = []
-    for j in range(4):
-        m00 = m01 = m10 = m11 = 0j
-        for times_x, ac, bc, cc, dc in expanded:
-            x0, x1, x2, x3 = times_x[j]
-            m00 += x0 * ac + x1 * bc
-            m01 += x0 * cc + x1 * dc
-            m10 += x2 * ac + x3 * bc
-            m11 += x2 * cc + x3 * dc
-        columns.append(
-            (
-                0.5 * (m01.real + m10.real),
-                0.5 * (m10.imag - m01.imag),
-                0.5 * (m00.real - m11.real),
-            )
-        )
-    return columns
 
 
 def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAction:

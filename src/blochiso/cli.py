@@ -549,10 +549,11 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     ``verify`` documents after options too.
 
     The top-level parser would match the subcommand and then run that
-    parser, so only a line whose first token names no subcommand (none,
-    ``-h``, an unknown name, an option) takes the nested parse, which
-    mostly answers with help or a usage error. ``parse_known_args`` returns
-    the documents that follow an option as leftovers and, unlike
+    parser. A first token it would take for an unknown name (no option, or
+    a ``--`` before more) is refused here in Python 3.10-3.13.0's words, so
+    only an empty line or an option (``-h``) takes the nested parse, which
+    answers with help or a usage error. ``parse_known_args`` returns the
+    documents that follow an option as leftovers and, unlike
     ``parse_intermixed_args``, leaves the shared parser unchanged.
 
     ``--`` means one thing on every Python: a leading one is dropped, and
@@ -565,11 +566,16 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     if argv and argv[0] == "--":
         argv = argv[1:]
     parser, commands = _build_parser()
-    subparser = commands.get(argv[0]) if argv else None
-    if subparser is None:
-        args, extra = parser.parse_known_args(argv)
+    first = argv[0] if argv else None
+    subparser = commands.get(first)
+    if subparser is not None:
+        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=first))
+    elif first is not None and (first[:1] != "-" or first == "-" or first == "--" and len(argv) > 1):
+        choices = ", ".join(map(repr, commands))
+        detail = f"argument command: invalid choice: {first!r} (choose from {choices})"
+        raise CliError(2, "malformed_input", detail)
     else:
-        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args, extra = parser.parse_known_args(argv)
     if extra:
         cut = extra.index("--") if "--" in extra else len(extra)
         head, tail = extra[:cut], extra[cut + 1 :]

@@ -3,18 +3,17 @@
 U = w I - i v . sigma from a unit quaternion, with w = cos(a/2) and
 v = sin(a/2) n; composition, state conjugation, and so3's axis-angle
 logarithm of (w, v), covering angles in [0, 2*pi] (the endpoint is hit only
-at U = -I, axis defaulting to z-hat).
+at U = -I, axis defaulting to z-hat). Every unitary read off a matrix is
+one lift: phi of the Bloch rotation of rho -> sum_a A rho A*.
 """
 
 from __future__ import annotations
-
-import cmath
 
 from ._value import Value
 from .bloch import DensityOperator
 from .errors import DomainError
 from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2
-from .so3 import AxisAngle, _axis_angle, _half_angle
+from .so3 import AxisAngle, _axis_angle, _half_angle, _quaternion as _rotation_quaternion
 
 
 class Unitary2(Value):
@@ -114,28 +113,60 @@ def negate(u: Unitary2) -> Unitary2:
     return Unitary2(ComplexMatrix._trusted(2, 2, (a * -1.0, b * -1.0, c * -1.0, d * -1.0)))
 
 
-def _pin_phase(m: ComplexMatrix) -> ComplexMatrix | None:
-    """Divide out the global phase so that det U = 1, then take the sign that
-    makes Re tr U >= 0 (angle in [0, pi]); the sign ties only at Re tr U = 0.
+def _bloch_columns(operators: tuple[ComplexMatrix, ...]) -> list[tuple[float, float, float]]:
+    """Columns (Tr(s_k Phi(X)) / 2 for k = x, y, z) of Phi(X) = sum_a A X A*.
 
-    None when det U is zero or not finite, or a quotient overflows: no
-    unitary has such a matrix as a multiple.
+    X runs through s_x, s_y, s_z and I: the three columns of M, then t. A Pauli
+    matrix only permutes, negates or multiplies by +-i, so A X is read off
+    the entries of A. The four entries of (A X) A* are added, operator by
+    operator, into sums started at 0j, as the generic sum of products does.
+    Only operations on exact zeros are left out, and the 0j start makes
+    every exact zero +0.0, so each result is the generic one bit for bit,
+    zero signs included. The entries are quadratic in A, so A and -A give
+    the identical columns.
     """
-    root = cmath.sqrt(det2(m))
-    if not (root and cmath.isfinite(root)):
-        return None
-    pinned = [e / root for e in m.entries]
-    if (pinned[0] + pinned[3]).real < 0.0:
-        pinned = [-e for e in pinned]
-    try:
-        return ComplexMatrix(2, 2, tuple(pinned))
-    except DomainError:
-        return None
+    expanded = []
+    for op in operators:
+        a, b, c, d = op.entries
+        # A X for X = s_x, s_y, s_z, I, then the entries of A*.
+        times_x = ((b, a, d, c), (b * 1j, a * -1j, d * 1j, c * -1j), (a, -b, c, -d), (a, b, c, d))
+        expanded.append((times_x, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()))
+    columns = []
+    for j in range(4):
+        m00 = m01 = m10 = m11 = 0j
+        for times_x, ac, bc, cc, dc in expanded:
+            x0, x1, x2, x3 = times_x[j]
+            m00 += x0 * ac + x1 * bc
+            m01 += x0 * cc + x1 * dc
+            m10 += x2 * ac + x3 * bc
+            m11 += x2 * cc + x3 * dc
+        columns.append(
+            (
+                0.5 * (m01.real + m10.real),
+                0.5 * (m10.imag - m01.imag),
+                0.5 * (m00.real - m11.real),
+            )
+        )
+    return columns
+
+
+def _lift(operators: tuple[ComplexMatrix, ...], half_trace: float) -> Unitary2:
+    """phi of M / half_trace, M the Bloch matrix of the operators' channel and
+    half_trace = Tr J / 2, which the caller sums. Blind to scale, it skips
+    Rotation3's check; w >= 0 gives det U = 1 and phi's half-turn tie rule."""
+    *columns, _ = _bloch_columns(operators)
+    rows = [[m / half_trace for m in row] for row in zip(*columns)]
+    return _from_quaternion(*_rotation_quaternion(rows))
+
+
+def _half_trace(m: ComplexMatrix) -> float:
+    """Tr(A* A) / 2, summed as the Choi diagonal is: its lift is classify's."""
+    a, b, c, d = ((e * e.conjugate()).real for e in m.entries)
+    return 0.5 * (a + b + c + d)
 
 
 def normalize_phase(m: ComplexMatrix) -> Unitary2:
-    """Divide out the global phase as :func:`_pin_phase` does: det U = 1, then
-    the sign with angle in [0, pi], the lift ``phi`` gives the rotation of U.
+    """The lift of the rotation of U, as ``classify`` prints for its channel.
 
     Accepts a matrix that is unitary within ``DEFAULT_TOL``, the tolerance
     :class:`Unitary2` holds its result to.
@@ -143,9 +174,6 @@ def normalize_phase(m: ComplexMatrix) -> Unitary2:
     if m.rows != 2 or m.cols != 2:
         raise DomainError("normalize_phase expects a 2x2 matrix")
     dev = unitarity_deviation(m)
-    if dev > DEFAULT_TOL:
+    if not dev <= DEFAULT_TOL:  # negated, so that a NaN entry fails it
         raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")
-    pinned = _pin_phase(m)
-    if pinned is None:
-        raise DomainError("matrix determinant vanishes")
-    return Unitary2(pinned)
+    return _lift((m,), _half_trace(m))

@@ -49,7 +49,7 @@ from blochiso.so3 import (
     orthogonality_deviation,
     rotation_from_axis_angle,
 )
-from blochiso.su2 import Unitary2, _pin_phase, negate
+from blochiso.su2 import Unitary2, _half_trace, _lift, negate
 
 
 # The generic operations. The library's products are closed 2x2 forms; these
@@ -390,8 +390,7 @@ def extract_unitary_via_gram_generic(
         combo = add(combo, scale(ops[a], mixing.at(a, 0)))
     unitary = scale(combo, 1.0 / sqrt(gamma[0]))
     dev = max_abs_diff(mul(adjoint(unitary), unitary), _I2)
-    pinned = _pin_phase(unitary)
-    if dev > _deficit_bound(tol) or pinned is None:
+    if dev > _deficit_bound(tol):
         raise NotUnitaryConjugationError(
             f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
         )
@@ -403,7 +402,9 @@ def extract_unitary_via_gram_generic(
             "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
         )
 
-    return pinned, GramData(beta, gamma, mixing)
+    # The library's one lift, so that the comparison stays bitwise: it checks
+    # the pair-product closed forms, not the phase rule.
+    return _lift((unitary,), _half_trace(unitary)).matrix, GramData(beta, gamma, mixing)
 
 
 def verify_inverse_pair_generic(
@@ -1016,6 +1017,13 @@ GOLDEN_CASES = [
         ["convert", "--to", "axis_angle", "rotation_half_turn.json"],
     ),
 ]
+
+# The whole stdout of ``blochiso frobnicate``, in Python 3.10 to 3.13.0's
+# words on every Python (``cli._parse`` builds it).
+FROBNICATE_STDOUT = (
+    b'{"error":{"code":"malformed_input","detail":"argument command: invalid choice: '
+    b"'frobnicate' (choose from 'convert', 'classify', 'verify', 'bloch-action')\"}}\n"
+)
 
 # A two-operator unitary conjugation with TP deviation 3.1e-17 and Choi
 # spectrum (2.0, 0.0, -5.2e-18, -1.57e-16): at --tol 1e-16 its roundoff

@@ -29,9 +29,6 @@ ALLOWED = (
     # Beta is the Gram matrix of nonzero operators, so gamma[0] > 0; the
     # guard keeps a square root of a non-positive number out of the result.
     ("channels.py", '"Gram matrix has no significant direction"'),
-    # A matrix unitary within DEFAULT_TOL has |det| near 1; the guard keeps
-    # the phase division finite.
-    ("su2.py", '"matrix determinant vanishes"'),
 )
 
 _prefix = str(PACKAGE) + "/"

@@ -20,6 +20,7 @@ from blochiso import channels, cli, sampling, so3
 from blochiso.bloch import bloch_to_density
 from blochiso.cli import KINDS, CliError, main
 from helpers import (
+    FROBNICATE_STDOUT,
     GOLDEN_CASES,
     GOLDEN_DIR as GOLDEN,
     ROUNDOFF_UNITARY_OPS,
@@ -583,6 +584,10 @@ class TestArguments:
         self.expect_rejected(argv)
         assert capsys.readouterr().err == ""
 
+    def test_unknown_subcommand_bytes(self):
+        # CI compares the installed console script's stdout with these bytes.
+        assert run_cli(["frobnicate"]) == (2, FROBNICATE_STDOUT.decode())
+
     def test_help_is_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--help"])
@@ -658,10 +663,20 @@ def _parse_corpus():
     return corpus
 
 
+# An invalid choice as Python 3.10 to 3.13.0 word it, and as later releases do.
+CHOICES = "(choose from 'convert', 'classify', 'verify', 'bloch-action')"
+CHOICES_UNQUOTED = "(choose from convert, classify, verify, bloch-action)"
+
+
 def _nested_parse(argv):
     """The parse ``_parse`` replaced: the top-level parser matches the
-    subcommand and runs its parser, then the same leftovers rule."""
-    args, extra = cli._build_parser()[0].parse_known_args(argv)
+    subcommand and runs its parser, then the same leftovers rule. An invalid
+    choice reads in the words ``_parse`` keeps on every Python."""
+    try:
+        args, extra = cli._build_parser()[0].parse_known_args(argv)
+    except CliError as exc:
+        detail = exc.payload["error"]["detail"].replace(CHOICES_UNQUOTED, CHOICES)
+        raise CliError(exc.exit_code, "malformed_input", detail) from None
     if extra:
         cut = extra.index("--") if "--" in extra else len(extra)
         head, tail = extra[:cut], extra[cut + 1 :]
@@ -702,6 +717,33 @@ class TestParse:
         top = cli._build_parser()[0]
         monkeypatch.setattr(top, "parse_known_args", mock.Mock(side_effect=AssertionError))
         assert cli._parse(["classify", TestArguments.KRAUS]).command == "classify"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            ["class", K],
+            ["--", "frobnicate", "-h"],
+            ["--", "--", "classify", K],
+            [""],
+            ["-", K],
+        ],
+        ids=lambda argv: " ".join(Path(t).name for t in argv) or "empty",
+    )
+    def test_an_unknown_subcommand_is_refused_in_one_text(self, argv, monkeypatch):
+        # The first token after a leading "--" names no subcommand, and
+        # argparse would read it as the command's value; its words for that
+        # vary by release, so the top-level parser never sees the line.
+        top = cli._build_parser()[0]
+        monkeypatch.setattr(top, "parse_known_args", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(CliError) as exc:
+            cli._parse(argv)
+        first = argv[1] if argv[0] == "--" else argv[0]
+        detail = f"argument command: invalid choice: {first!r} {CHOICES}"
+        assert (exc.value.exit_code, exc.value.payload["error"]) == (
+            2,
+            {"code": "malformed_input", "detail": detail},
+        )
 
     @pytest.mark.parametrize(
         "argv, same",

@@ -63,8 +63,9 @@ class TestTypes:
         assert max_abs_diff(fixed.matrix, I2) <= 1e-12
 
     def test_normalize_phase_lifts_as_phi_does(self):
-        # det 1, then Re tr U >= 0: the SU(2) representative phi lifts the
-        # rotation of U to. The sign ties only at Re tr U = 0.
+        # The lift of the rotation of U, as phi's of phi_inverse(U); the two
+        # read R by different sums, so near a half turn (Re tr U = 0)
+        # roundoff can give w opposite signs.
         rng = random.Random(11)
         compared = 0
         for _ in range(2000):
@@ -80,6 +81,24 @@ class TestTypes:
         for m in (from_rows([[1, 0], [0, 2]]), scale(I2, 2.0)):
             with pytest.raises(DomainError, match="not unitary"):
                 normalize_phase(m)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1, 0, 0, 0),
+            (0, 1, 0, 0),
+            (1, 1, 1, 1),
+            (float("inf"), 0, 0, 1),
+            (1e150, 1e-160, 1e-160, 0),
+            (float("nan"), 0, 0, 1),
+        ],
+    )
+    def test_normalize_phase_refuses_a_singular_or_infinite_matrix(self, entries):
+        # Built trusted, as the library builds its own values: the guard is
+        # negated, so an infinite or NaN deviation fails it too.
+        m = ComplexMatrix._trusted(2, 2, tuple(complex(e) for e in entries))
+        with pytest.raises(DomainError, match="not unitary"):
+            normalize_phase(m)
 
     def test_rejects_a_matrix_not_2x2(self):
         with pytest.raises(DomainError, match="^unitary must be 2x2$"):
