@@ -488,9 +488,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as a JSON ``malformed_input`` error, not usage text."""
+    """Raises a usage error as a JSON ``malformed_input`` error, not usage text,
+    with an invalid choice's options quoted as Python 3.10-3.13.0 quote them
+    (later releases list them bare), so that the detail is the same on all."""
 
     def error(self, message: str) -> NoReturn:
+        head, sep, choices = message.rpartition(" (choose from ")
+        if sep and not choices.startswith("'"):
+            message = f"{head}{sep}{', '.join(map(repr, choices[:-1].split(', ')))})"
         raise CliError(2, "malformed_input", message)
 
 
@@ -549,33 +554,29 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     ``verify`` documents after options too.
 
     The top-level parser would match the subcommand and then run that
-    parser. A first token it would take for an unknown name (no option, or
-    a ``--`` before more) is refused here in Python 3.10-3.13.0's words, so
-    only an empty line or an option (``-h``) takes the nested parse, which
-    answers with help or a usage error. ``parse_known_args`` returns the
-    documents that follow an option as leftovers and, unlike
+    parser, so only a line whose first token names no subcommand (none,
+    ``-h``, an unknown name, an option) takes the nested parse, which
+    mostly answers with help or a usage error. ``parse_known_args`` returns
+    the documents that follow an option as leftovers and, unlike
     ``parse_intermixed_args``, leaves the shared parser unchanged.
 
-    ``--`` means one thing on every Python: a leading one is dropped, and
-    one among the leftovers ends the options, so that the tokens after it
-    are ``verify`` documents. argparse's own handling of both varies across
-    Python releases.
+    ``--`` means one thing on every Python: a leading one is dropped, a
+    second is an unknown subcommand, and one among the leftovers ends the
+    options, so that the tokens after it are ``verify`` documents.
+    argparse's own handling of all three varies across Python releases.
     """
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "--":
         argv = argv[1:]
     parser, commands = _build_parser()
-    first = argv[0] if argv else None
-    subparser = commands.get(first)
-    if subparser is not None:
-        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=first))
-    elif first is not None and (first[:1] != "-" or first == "-" or first == "--" and len(argv) > 1):
-        choices = ", ".join(map(repr, commands))
-        detail = f"argument command: invalid choice: {first!r} (choose from {choices})"
-        raise CliError(2, "malformed_input", detail)
-    else:
+    subparser = commands.get(argv[0]) if argv else None
+    if len(argv) > 1 and argv[0] == "--":
+        parser.error(f"argument command: invalid choice: '--' (choose from {', '.join(commands)})")
+    if subparser is None:
         args, extra = parser.parse_known_args(argv)
+    else:
+        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
         cut = extra.index("--") if "--" in extra else len(extra)
         head, tail = extra[:cut], extra[cut + 1 :]

@@ -1018,12 +1018,20 @@ GOLDEN_CASES = [
     ),
 ]
 
-# The whole stdout of ``blochiso frobnicate``, in Python 3.10 to 3.13.0's
-# words on every Python (``cli._parse`` builds it).
-FROBNICATE_STDOUT = (
-    b'{"error":{"code":"malformed_input","detail":"argument command: invalid choice: '
-    b"'frobnicate' (choose from 'convert', 'classify', 'verify', 'bloch-action')\"}}\n"
-)
+# The whole stdout of usage errors whose argparse words vary by Python
+# release, in Python 3.10 to 3.13.0's words on every Python: an unknown
+# subcommand, a second ``--`` (3.13.13 runs ``classify``), an invalid choice
+# in a subcommand's parser.
+_COMMANDS = "(choose from 'convert', 'classify', 'verify', 'bloch-action')"
+_MODES = "(choose from 'diagram', 'double-cover', 'group', 'inverse-pair')"
+USAGE_ERROR_STDOUT = {
+    tuple(argv): b'{"error":{"code":"malformed_input","detail":"%s"}}\n' % detail.encode()
+    for argv, detail in [
+        (["frobnicate"], f"argument command: invalid choice: 'frobnicate' {_COMMANDS}"),
+        (["--", "--", "classify"], f"argument command: invalid choice: '--' {_COMMANDS}"),
+        (["verify", "frob"], f"argument mode: invalid choice: 'frob' {_MODES}"),
+    ]
+}
 
 # A two-operator unitary conjugation with TP deviation 3.1e-17 and Choi
 # spectrum (2.0, 0.0, -5.2e-18, -1.57e-16): at --tol 1e-16 its roundoff
