@@ -4,14 +4,17 @@ A channel acts as rho -> sum_a A_a rho A_a*. A Kraus set is completely
 positive by construction (its Choi matrix sum_a vec(A_a) vec(A_a)* is PSD),
 so only trace preservation, sum_a A_a* A_a = I, is checked. A channel admits
 a CPTP inverse exactly when its Choi rank is 1, that is when its Choi purity
-Tr(J^2) / (Tr J)^2 is 1: :func:`classify` decides on the purity, and lifts the
-unitary from the Bloch rotation M as ``phi`` does. The Gram-matrix pipeline,
-:func:`extract_unitary_via_gram`, is the paper's constructive route to the
-same unitary from any redundant Kraus set; no library path calls it.
+Tr(J^2) / (Tr J)^2 is 1. :func:`classify` reads the operators once more, into
+the process matrix chi (``su2._chi``), the Choi matrix in the quaternion
+basis: its purity is J's, a refused channel's rank is its rank, and for a
+unitary U = e^{it} (w I - i v . sigma) it is q q^T, q = (w, v), so the unitary
+is the row of chi that ``phi`` would read off the rotation. The Gram-matrix
+pipeline, :func:`extract_unitary_via_gram`, is the paper's constructive route
+to the same unitary from any redundant Kraus set; no library path calls it.
 
 The Choi matrix of a Kraus set (its upper triangle plus the ``0j + conj``
-mirror, bit for bit the full square) and the Gram matrix are Hermitian by
-construction, and factored with no Hermiticity check.
+mirror, bit for bit the full square), chi and the Gram matrix are Hermitian
+by construction, and factored with no Hermiticity check.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ from .matrix import (
     max_abs_diff,
 )
 from .so3 import Matrix3
-from .su2 import _bloch_columns, _half_trace, _lift, unitarity_deviation
+from .su2 import _chi, _chi_lift, unitarity_deviation
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
 #: contribute nothing to the channel and break proportionality diagnostics.
 ZERO_OPERATOR_NORM = 1e-12
 
-#: The least delta: 9 times the purity deficit's roundoff on unitary sets (1.1e-15).
+#: The least delta: 15 times the purity deficit's roundoff on unitary sets (6.7e-16).
 _DEFICIT_FLOOR = 1e-14
 
 
@@ -63,19 +66,21 @@ def _require_finite(*entries: complex) -> None:
 
 def _pair_table(
     lefts: list[tuple[complex, ...]], rights: list[tuple[complex, ...]]
-) -> tuple[ComplexMatrix, float, tuple[int, int]]:
+) -> tuple[ComplexMatrix, float, tuple[int, int], list[tuple[complex, ...]]]:
     """Coefficients Tr(L R) / 2 of every product L R, row-major, as a matrix;
-    the largest max |L R - coeff I|; and the first pair that reaches it.
+    the largest max |L R - coeff I|; the first pair that reaches it; and the
+    products, row-major.
 
     Sums never turn a non-finite entry finite, so checking the off-diagonal
     entries and coeff covers every value the generic chain checks.
     """
     entries = []
+    products = []
     worst = 0.0
     worst_pair = (0, 0)
     for i, left in enumerate(lefts):
         for j, right in enumerate(rights):
-            p0, p1, p2, p3 = _mul2(left, right)
+            p0, p1, p2, p3 = product = _mul2(left, right)
             coeff = (p0 + p3) / 2.0
             _require_finite(p1, p2, coeff)
             residual = max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
@@ -83,7 +88,9 @@ def _pair_table(
                 worst = residual
                 worst_pair = (i, j)
             entries.append(coeff)
-    return ComplexMatrix._trusted(len(lefts), len(rights), tuple(entries)), worst, worst_pair
+            products.append(product)
+    table = ComplexMatrix._trusted(len(lefts), len(rights), tuple(entries))
+    return table, worst, worst_pair, products
 
 
 def _deficit_bound(tol: float) -> float:
@@ -189,8 +196,9 @@ class ChannelClassification(Value):
     Otherwise it is 1 for ``UnitaryConjugation``, a purity deficit at most
     delta(tol) = max(2 tol, 1e-14), and the rank :func:`_rank` counts under
     the same delta, never 1, for ``CptpNotInvertible``. ``extracted_unitary``
-    is phi of M / (Tr J / 2), M the Bloch matrix: w >= 0, so det U = 1 and
-    Re tr U >= 0, and at an exact half turn the axis's largest component is > 0.
+    is the U of the row of Re chi with the largest diagonal entry, normalized
+    with w >= 0 (``su2._chi_lift``): det U = 1 and Re tr U >= 0, and at an
+    exact half turn the axis's largest component is > 0, as ``phi`` reads it.
     """
 
     def __init__(
@@ -218,16 +226,24 @@ class GramData(Value):
 class InversePairReport(Value):
     """Result of checking that one Kraus set undoes another.
 
-    ``alpha`` tabulates the proportionality constants B_b A_a = alpha_ba I
-    (rows indexed by the inverse candidate's operators).
+    ``alpha`` tabulates the coefficients alpha_ba = Tr(B_b A_a) / 2 (rows
+    indexed by the inverse candidate's operators), ``max_residual`` the
+    largest max |B_b A_a - alpha_ba I|, and ``infidelity`` is 1 - F_e of the
+    composite channel, the number ``valid`` reads against delta(tol).
     """
 
     def __init__(
-        self, valid: bool, alpha: ComplexMatrix, alpha_square_sum: float, max_residual: float
+        self,
+        valid: bool,
+        alpha: ComplexMatrix,
+        alpha_square_sum: float,
+        max_residual: float,
+        infidelity: float,
     ) -> None:
         d = self.__dict__
         d["valid"], d["alpha"] = valid, alpha
         d["alpha_square_sum"], d["max_residual"] = alpha_square_sum, max_residual
+        d["infidelity"] = infidelity
 
 
 class BlochAffineAction(Value):
@@ -242,21 +258,28 @@ class BlochAffineAction(Value):
 # flat index and its mirror's.
 _CHOI_UPPER = tuple((r * 4 + c, r, c) for r in range(4) for c in range(r, 4))
 _CHOI_LOWER = tuple((r * 4 + c, c * 4 + r) for r in range(1, 4) for c in range(r))
+# How often each upper entry appears in the square: once on the diagonal, twice off it.
+_UPPER_WEIGHTS = tuple(1.0 if r == c else 2.0 for _, r, c in _CHOI_UPPER)
+
+
+def _mirrored(ents: list[complex]) -> tuple[complex, ...]:
+    """The entries with each lower one ``0j + conj`` of its mirror: the bits
+    its own sum would have, and Hermitian bit for bit."""
+    for i, j in _CHOI_LOWER:
+        ents[i] = 0j + ents[j].conjugate()
+    return tuple(ents)
 
 
 def _choi_entries(k: KrausSet) -> ComplexMatrix:
-    """J = sum vec(A) vec(A)*: the upper triangle summed from 0j, each lower
-    entry ``0j + conj`` of its mirror, the bits its own sum would have.
-    Unvalidated: the factorization checks every entry finite."""
+    """J = sum vec(A) vec(A)*: the upper triangle summed from 0j, then
+    mirrored. Unvalidated: the factorization checks every entry finite."""
     ents = [0j] * 16
     for op in k.operators:
         w = op.entries  # row-major flattening matches the tensor-product order
         wc = [x.conjugate() for x in w]
         for i, r, c in _CHOI_UPPER:
             ents[i] += w[r] * wc[c]
-    for i, j in _CHOI_LOWER:
-        ents[i] = 0j + ents[j].conjugate()
-    return ComplexMatrix._trusted(4, 4, tuple(ents))
+    return ComplexMatrix._trusted(4, 4, _mirrored(ents))
 
 
 def choi_of(k: KrausSet) -> ChoiMatrix:
@@ -284,30 +307,37 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     return result
 
 
-def _purity_deficit(j: ComplexMatrix) -> tuple[float, float]:
-    """1 - Tr(J^2) / (Tr J)^2, 0 exactly at rank 1, from each |J_ij| / Tr J <= 1,
-    and Tr J. No square overflows; an infinite trace raises as the eigensolver does."""
-    e = j.entries
-    trace = e[0].real + e[5].real + e[10].real + e[15].real
-    _require_finite(trace)
+def _chi_deficit(chi: tuple) -> float:
+    """1 - Tr(chi^2) / (Tr chi)^2, the Choi purity deficit, from each
+    |chi_ij| / Tr chi <= 1, so no square overflows. Tr J = 2 Tr chi is
+    checked finite, as the Choi matrix's factorization checks it."""
+    trace = chi[0] + chi[4] + chi[7] + chi[9]
+    _require_finite(trace + trace)
     inverse = 1.0 / trace
     square_sum = 0.0
-    for z in e:
+    for z, weight in zip(chi, _UPPER_WEIGHTS):
         x = abs(z) * inverse
-        square_sum += x * x
-    return 1.0 - square_sum, trace
+        square_sum += weight * (x * x)
+    return 1.0 - square_sum
+
+
+def _chi_matrix(chi: tuple) -> tuple[complex, ...]:
+    """The 16 entries of chi, row-major, Hermitian bit for bit as J's are."""
+    ents = [0j] * 16
+    for (i, _, _), z in zip(_CHOI_UPPER, chi):
+        ents[i] += z
+    return _mirrored(ents)
 
 
 def _classify(k: KrausSet, tol: float) -> ChannelClassification:
     # Negated comparisons, so that a NaN tolerance fails both checks.
     if not k.tp_deviation() <= tol:
         return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
-    j = _choi_entries(k)
-    deficit, trace = _purity_deficit(j)
-    if deficit <= _deficit_bound(tol):
-        unitary = _lift(k.operators, 0.5 * trace)  # blind to scale, as P is
+    chi = _chi(k.operators)
+    if _chi_deficit(chi) <= _deficit_bound(tol):
+        unitary = _chi_lift(chi)  # blind to scale, as the purity is
         return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary.matrix)
-    rank = _rank(_hermitian_eig(4, j.entries).eigenvalues, tol)
+    rank = _rank(_hermitian_eig(4, _chi_matrix(chi)).eigenvalues, tol)
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
 
 
@@ -330,7 +360,7 @@ def extract_unitary_via_gram(
     exceeds 1 (residual gamma_1).
     """
     ops = k.operators
-    beta, worst_residual, worst_pair = _pair_table(
+    beta, worst_residual, worst_pair, _ = _pair_table(
         [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
     )
     # Negated comparisons, so that a NaN tolerance fails every guard.
@@ -372,25 +402,40 @@ def extract_unitary_via_gram(
             "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
         )
 
-    return _lift((unitary,), _half_trace(unitary)).matrix, GramData(beta, gamma, mixing)
+    return _chi_lift(_chi((unitary,))).matrix, GramData(beta, gamma, mixing)
 
 
 def verify_inverse_pair(
     k_fwd: KrausSet, k_inv: KrausSet, tol: float = DEFAULT_TOL
 ) -> InversePairReport:
-    """Check that composing the sets yields the identity channel.
+    """Check that composing the sets yields the identity channel, on the scale
+    :func:`classify` decides on.
 
-    Every product B_b A_a must be proportional to I with the squared
-    magnitudes of the constants summing to one.
+    The composite {B_b A_a} is the identity channel exactly when it is trace
+    preserving and its entanglement fidelity with the identity is 1: F_e =
+    chi_00 / Tr chi = sum |alpha_ba|^2 / (sum ||B_b A_a||_F^2 / 2), with
+    B_b A_a = alpha_ba I + the residual (Schumacher 1996). The pair is valid
+    when the composite is trace preserving within tol and 1 - F_e is at most
+    delta(tol), the largest purity deficit of a unitary verdict.
     """
-    alpha, max_residual, _ = _pair_table(
+    alpha, max_residual, _, products = _pair_table(
         [op.entries for op in k_inv.operators], [op.entries for op in k_fwd.operators]
     )
     square_sum = 0.0
     for coeff in alpha.entries:
         square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
-    valid = max_residual <= tol and abs(square_sum - 1.0) <= tol
-    return InversePairReport(valid, alpha, square_sum, max_residual)
+    # sum P* P over the composite's operators P: its diagonal, and one entry off it.
+    s0 = s3 = 0.0
+    s1 = 0j
+    for p0, p1, p2, p3 in products:
+        c0, c1, c2, c3 = p0.conjugate(), p1.conjugate(), p2.conjugate(), p3.conjugate()
+        s0 += (c0 * p0 + c2 * p2).real
+        s1 += c0 * p1 + c2 * p3
+        s3 += (c1 * p1 + c3 * p3).real
+    infidelity = 1.0 - square_sum / (0.5 * (s0 + s3))
+    trace_preserving = max(abs(s0 - 1.0), abs(s1), abs(s3 - 1.0)) <= tol
+    valid = trace_preserving and infidelity <= _deficit_bound(tol)
+    return InversePairReport(valid, alpha, square_sum, max_residual, infidelity)
 
 
 def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -402,6 +447,43 @@ def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
         )
     assert classification.extracted_unitary is not None
     return KrausSet((adjoint(classification.extracted_unitary),))
+
+
+def _bloch_columns(operators: tuple[ComplexMatrix, ...]) -> list[tuple[float, float, float]]:
+    """Columns (Tr(s_k Phi(X)) / 2 for k = x, y, z) of Phi(X) = sum_a A X A*.
+
+    X runs through s_x, s_y, s_z and I: the three columns of M, then t. A Pauli
+    matrix only permutes, negates or multiplies by +-i, so A X is read off
+    the entries of A. The four entries of (A X) A* are added, operator by
+    operator, into sums started at 0j, as the generic sum of products does.
+    Only operations on exact zeros are left out, and the 0j start makes
+    every exact zero +0.0, so each result is the generic one bit for bit,
+    zero signs included. The entries are quadratic in A, so A and -A give
+    the identical columns.
+    """
+    expanded = []
+    for op in operators:
+        a, b, c, d = op.entries
+        # A X for X = s_x, s_y, s_z, I, then the entries of A*.
+        times_x = ((b, a, d, c), (b * 1j, a * -1j, d * 1j, c * -1j), (a, -b, c, -d), (a, b, c, d))
+        expanded.append((times_x, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()))
+    columns = []
+    for j in range(4):
+        m00 = m01 = m10 = m11 = 0j
+        for times_x, ac, bc, cc, dc in expanded:
+            x0, x1, x2, x3 = times_x[j]
+            m00 += x0 * ac + x1 * bc
+            m01 += x0 * cc + x1 * dc
+            m10 += x2 * ac + x3 * bc
+            m11 += x2 * cc + x3 * dc
+        columns.append(
+            (
+                0.5 * (m01.real + m10.real),
+                0.5 * (m10.imag - m01.imag),
+                0.5 * (m00.real - m11.real),
+            )
+        )
+    return columns
 
 
 def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAction:

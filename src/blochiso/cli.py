@@ -399,8 +399,9 @@ def _inverse_pair_check(pair: Any, tol: float) -> tuple[float, bool, dict[str, A
         "alpha_square_sum": report.alpha_square_sum,
         "max_residual": report.max_residual,
         "alpha": _encode_cmatrix(report.alpha),
+        "infidelity": report.infidelity,
     }
-    return max(report.max_residual, abs(report.alpha_square_sum - 1.0)), report.valid, fields
+    return max(abs(report.alpha_square_sum - 1.0), report.infidelity), report.valid, fields
 
 
 _VERIFY_MODES = {
@@ -561,9 +562,11 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     ``parse_intermixed_args``, leaves the shared parser unchanged.
 
     ``--`` means one thing on every Python: a leading one is dropped, a
-    second is an unknown subcommand, and one among the leftovers ends the
-    options, so that the tokens after it are ``verify`` documents.
-    argparse's own handling of all three varies across Python releases.
+    second is an unknown subcommand, and one after the subcommand ends the
+    options, so that the tokens after it are ``verify`` documents, a second
+    ``--`` among them too (the first is the mode if none came before).
+    argparse's own handling of all three varies across Python releases, so
+    it never sees ``verify``'s first ``--``.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -573,13 +576,19 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     subparser = commands.get(argv[0]) if argv else None
     if len(argv) > 1 and argv[0] == "--":
         parser.error(f"argument command: invalid choice: '--' (choose from {', '.join(commands)})")
+    rest, documents = argv[1:], []
     if subparser is None:
         args, extra = parser.parse_known_args(argv)
     else:
-        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
+        if argv[0] == "verify" and "--" in rest:
+            cut = rest.index("--")
+            rest, documents = rest[:cut], rest[cut + 1 :]
+            if not any(t in _VERIFY_MODES for t in rest):  # the mode comes after it
+                rest, documents = rest + documents[:1], documents[1:]
+        args, extra = subparser.parse_known_args(rest, argparse.Namespace(command=argv[0]))
+    if extra or documents:
         cut = extra.index("--") if "--" in extra else len(extra)
-        head, tail = extra[:cut], extra[cut + 1 :]
+        head, tail = extra[:cut], extra[cut + 1 :] + documents
         if args.command == "verify" and not any(t.startswith("-") and t != "-" for t in head):
             args.inputs = [*args.inputs, *head, *tail]
         elif head or tail:
@@ -606,9 +615,10 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bloch_action(args)
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         # The library rejected a value built from the input: products of huge
-        # entries overflowing, or a --tol too tight for the sampled
+        # entries overflowing (OverflowError: the modulus of a finite complex
+        # past the float range), or a --tol too tight for the sampled
         # inverse-pair channels to classify as unitary.
         raise CliError(2, "malformed_input", str(exc)) from exc
 

@@ -4,16 +4,20 @@ U = w I - i v . sigma from a unit quaternion, with w = cos(a/2) and
 v = sin(a/2) n; composition, state conjugation, and so3's axis-angle
 logarithm of (w, v), covering angles in [0, 2*pi] (the endpoint is hit only
 at U = -I, axis defaulting to z-hat). Every unitary read off a matrix is
-one lift: phi of the Bloch rotation of rho -> sum_a A rho A*.
+one lift, off the process matrix chi of rho -> sum_a A rho A*: for a unitary
+channel chi = q q^T, and its row with the largest diagonal entry is q as
+``phi`` reads it off the rotation, by Shepperd's rule.
 """
 
 from __future__ import annotations
+
+from math import sqrt
 
 from ._value import Value
 from .bloch import DensityOperator
 from .errors import DomainError
 from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2
-from .so3 import AxisAngle, _axis_angle, _half_angle, _quaternion as _rotation_quaternion
+from .so3 import AxisAngle, _axis_angle, _half_angle
 
 
 class Unitary2(Value):
@@ -113,56 +117,59 @@ def negate(u: Unitary2) -> Unitary2:
     return Unitary2(ComplexMatrix._trusted(2, 2, (a * -1.0, b * -1.0, c * -1.0, d * -1.0)))
 
 
-def _bloch_columns(operators: tuple[ComplexMatrix, ...]) -> list[tuple[float, float, float]]:
-    """Columns (Tr(s_k Phi(X)) / 2 for k = x, y, z) of Phi(X) = sum_a A X A*.
+def _chi(operators: tuple[ComplexMatrix, ...]) -> tuple:
+    """The process matrix chi = sum_A c c*, of rho -> sum_A A rho A*, in the
+    basis (I, -i s_x, -i s_y, -i s_z): A = c_0 I - i (c_1, c_2, c_3) . sigma,
+    so c = ((a+d)/2, i(b+c)/2, (c-b)/2, i(a-d)/2) for A = [[a, b], [c, d]].
 
-    X runs through s_x, s_y, s_z and I: the three columns of M, then t. A Pauli
-    matrix only permutes, negates or multiplies by +-i, so A X is read off
-    the entries of A. The four entries of (A X) A* are added, operator by
-    operator, into sums started at 0j, as the generic sum of products does.
-    Only operations on exact zeros are left out, and the 0j start makes
-    every exact zero +0.0, so each result is the generic one bit for bit,
-    zero signs included. The entries are quadratic in A, so A and -A give
-    the identical columns.
+    Returns the upper triangle, row-major, with the diagonal entries as
+    floats. The products x_i x_j* of x = ((a+d)/2, (b+c)/2, (c-b)/2, (a-d)/2)
+    are summed, and the phases of c, i on x_1 and x_3, are put on the sums
+    exactly. chi is the Choi matrix J in another basis, halved (Wood,
+    Biamonte and Cory, arXiv:1111.6950): Tr chi = Tr J / 2, Tr chi^2 =
+    Tr J^2 / 4, and the spectrum is J's halved. For U = e^{it} (w I - i v .
+    sigma), chi = q q^T, q = (w, v).
     """
-    expanded = []
+    d0 = d1 = d2 = d3 = 0.0
+    x01 = x02 = x03 = x13 = x21 = x23 = 0j
     for op in operators:
         a, b, c, d = op.entries
-        # A X for X = s_x, s_y, s_z, I, then the entries of A*.
-        times_x = ((b, a, d, c), (b * 1j, a * -1j, d * 1j, c * -1j), (a, -b, c, -d), (a, b, c, d))
-        expanded.append((times_x, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()))
-    columns = []
-    for j in range(4):
-        m00 = m01 = m10 = m11 = 0j
-        for times_x, ac, bc, cc, dc in expanded:
-            x0, x1, x2, x3 = times_x[j]
-            m00 += x0 * ac + x1 * bc
-            m01 += x0 * cc + x1 * dc
-            m10 += x2 * ac + x3 * bc
-            m11 += x2 * cc + x3 * dc
-        columns.append(
-            (
-                0.5 * (m01.real + m10.real),
-                0.5 * (m10.imag - m01.imag),
-                0.5 * (m00.real - m11.real),
-            )
-        )
-    return columns
+        s, u, v, t = (a + d) * 0.5, (b + c) * 0.5, (c - b) * 0.5, (a - d) * 0.5
+        sc, uc, vc, tc = s.conjugate(), u.conjugate(), v.conjugate(), t.conjugate()
+        d0 += (s * sc).real
+        d1 += (u * uc).real
+        d2 += (v * vc).real
+        d3 += (t * tc).real
+        x01 += s * uc
+        x02 += s * vc
+        x03 += s * tc
+        x13 += u * tc
+        x21 += v * uc
+        x23 += v * tc
+    return (
+        d0, complex(x01.imag, -x01.real), x02, complex(x03.imag, -x03.real),  # -i x01, -i x03
+        d1, complex(x21.imag, x21.real), x13,  # i conj(x21)
+        d2, complex(x23.imag, -x23.real),  # -i x23
+        d3,
+    )
 
 
-def _lift(operators: tuple[ComplexMatrix, ...], half_trace: float) -> Unitary2:
-    """phi of M / half_trace, M the Bloch matrix of the operators' channel and
-    half_trace = Tr J / 2, which the caller sums. Blind to scale, it skips
-    Rotation3's check; w >= 0 gives det U = 1 and phi's half-turn tie rule."""
-    *columns, _ = _bloch_columns(operators)
-    rows = [[m / half_trace for m in row] for row in zip(*columns)]
-    return _from_quaternion(*_rotation_quaternion(rows))
-
-
-def _half_trace(m: ComplexMatrix) -> float:
-    """Tr(A* A) / 2, summed as the Choi diagonal is: its lift is classify's."""
-    a, b, c, d = ((e * e.conjugate()).real for e in m.entries)
-    return 0.5 * (a + b + c + d)
+def _chi_lift(chi: tuple) -> Unitary2:
+    """phi of the channel's rotation, read off chi as Shepperd reads 4 q q^T
+    off R: the row of Re chi with the largest diagonal entry (the first of
+    equals), over that entry, then normalized with w >= 0. Blind to scale;
+    w >= 0 gives det U = 1 and phi's half-turn tie rule."""
+    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
+    r01, r02, r03, r12, r13, r23 = x01.real, x02.real, x03.real, x12.real, x13.real, x23.real
+    diagonal = (d0, d1, d2, d3)
+    k = diagonal.index(max(diagonal))
+    row = ((d0, r01, r02, r03), (r01, d1, r12, r13), (r02, r12, d2, r23), (r03, r13, r23, d3))[k]
+    p = row[k]
+    w, x, y, z = row[0] / p, row[1] / p, row[2] / p, row[3] / p
+    nrm = sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        nrm = -nrm
+    return _from_quaternion(w / nrm, x / nrm, y / nrm, z / nrm)
 
 
 def normalize_phase(m: ComplexMatrix) -> Unitary2:
@@ -176,4 +183,4 @@ def normalize_phase(m: ComplexMatrix) -> Unitary2:
     dev = unitarity_deviation(m)
     if not dev <= DEFAULT_TOL:  # negated, so that a NaN entry fails it
         raise DomainError(f"matrix is not unitary (deviation {dev:.3e})")
-    return _lift((m,), _half_trace(m))
+    return _chi_lift(_chi((m,)))

@@ -49,7 +49,7 @@ from blochiso.so3 import (
     orthogonality_deviation,
     rotation_from_axis_angle,
 )
-from blochiso.su2 import Unitary2, _half_trace, _lift, negate
+from blochiso.su2 import Unitary2, _chi, _chi_lift, negate
 
 
 # The generic operations. The library's products are closed 2x2 forms; these
@@ -404,18 +404,20 @@ def extract_unitary_via_gram_generic(
 
     # The library's one lift, so that the comparison stays bitwise: it checks
     # the pair-product closed forms, not the phase rule.
-    return _lift((unitary,), _half_trace(unitary)).matrix, GramData(beta, gamma, mixing)
+    return _chi_lift(_chi((unitary,))).matrix, GramData(beta, gamma, mixing)
 
 
 def verify_inverse_pair_generic(
     k_fwd: KrausSet, k_inv: KrausSet, tol: float = DEFAULT_TOL
 ) -> InversePairReport:
-    """``channels.verify_inverse_pair`` through generic matrix products."""
+    """``channels.verify_inverse_pair`` through generic matrix products; the
+    composite's sum P* P is read off each product as the library reads it."""
     n_inv = len(k_inv.operators)
     n_fwd = len(k_fwd.operators)
     alpha_entries = [0j] * (n_inv * n_fwd)
     max_residual = 0.0
     square_sum = 0.0
+    products = []
     for b in range(n_inv):
         for a in range(n_fwd):
             prod = mul(k_inv.operators[b], k_fwd.operators[a])
@@ -423,10 +425,24 @@ def verify_inverse_pair_generic(
             residual = max_abs_diff(prod, scale(_I2, coeff))
             max_residual = max(max_residual, residual)
             alpha_entries[b * n_fwd + a] = coeff
-            square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
-    valid = max_residual <= tol and abs(square_sum - 1.0) <= tol
+            products.append(prod.entries)
+    for coeff in alpha_entries:
+        square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
+    s0 = s3 = 0.0
+    s1 = 0j
+    for p0, p1, p2, p3 in products:
+        s0 += (p0.conjugate() * p0 + p2.conjugate() * p2).real
+        s1 += p0.conjugate() * p1 + p2.conjugate() * p3
+        s3 += (p1.conjugate() * p1 + p3.conjugate() * p3).real
+    infidelity = 1.0 - square_sum / (0.5 * (s0 + s3))
+    trace_preserving = max(abs(s0 - 1.0), abs(s1), abs(s3 - 1.0)) <= tol
+    valid = trace_preserving and infidelity <= _deficit_bound(tol)
     return InversePairReport(
-        valid, ComplexMatrix(n_inv, n_fwd, tuple(alpha_entries)), square_sum, max_residual
+        valid,
+        ComplexMatrix(n_inv, n_fwd, tuple(alpha_entries)),
+        square_sum,
+        max_residual,
+        infidelity,
     )
 
 
@@ -1018,10 +1034,11 @@ GOLDEN_CASES = [
     ),
 ]
 
-# The whole stdout of usage errors whose argparse words vary by Python
-# release, in Python 3.10 to 3.13.0's words on every Python: an unknown
-# subcommand, a second ``--`` (3.13.13 runs ``classify``), an invalid choice
-# in a subcommand's parser.
+# The whole stdout of usage errors whose argparse words or meaning vary by
+# Python release, the same on every Python: an unknown subcommand, a second
+# ``--`` (3.13.13 runs ``classify``), an invalid choice in a subcommand's
+# parser, each in Python 3.10 to 3.13.0's words; and a second ``--`` after
+# ``verify``'s mode, a document as on 3.13.13 (3.10 to 3.13.0 dropped it).
 _COMMANDS = "(choose from 'convert', 'classify', 'verify', 'bloch-action')"
 _MODES = "(choose from 'diagram', 'double-cover', 'group', 'inverse-pair')"
 USAGE_ERROR_STDOUT = {
@@ -1030,6 +1047,7 @@ USAGE_ERROR_STDOUT = {
         (["frobnicate"], f"argument command: invalid choice: 'frobnicate' {_COMMANDS}"),
         (["--", "--", "classify"], f"argument command: invalid choice: '--' {_COMMANDS}"),
         (["verify", "frob"], f"argument mode: invalid choice: 'frob' {_MODES}"),
+        (["verify", "group", "--", "--", "D"], "cannot read --: No such file or directory"),
     ]
 }
 

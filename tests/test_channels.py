@@ -489,6 +489,36 @@ class TestInversePair:
             assert report.valid
             assert abs(report.alpha_square_sum - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "eps, infidelity",
+        [(1e-9, 7.5e-10), (1e-10, 7.5e-11), (1e-12, 7.5e-13), (1e-14, 7.7e-15), (1e-16, 0.0)],
+    )
+    def test_classify_and_invert_build_a_valid_pair(self, eps, infidelity):
+        # The pair residual grows as sqrt(eps) / 2, up to 1.5e-5 here, far
+        # above tol; the composite's 1 - F_e grows as 3 eps / 4, as the
+        # deficit 1 - P ~ 3 eps / 2 classify accepts on does.
+        k = near_unitary(eps)
+        assert classify(k).kind is ChannelKind.UNITARY_CONJUGATION
+        report = verify_inverse_pair(k, invert(k))
+        assert report.valid
+        assert report.max_residual > DEFAULT_TOL
+        assert abs(report.infidelity - infidelity) <= 0.02 * infidelity + 1e-16
+
+    def test_wrong_inverses_fail(self):
+        k = near_unitary(1e-10)
+        (inverse,) = invert(k).operators
+        other = adjoint(unitary_from_axis_angle(AxisAngle((0.0, 0.6, 0.8), 1.1)).matrix)
+        wrong = {
+            "another unitary's adjoint": KrausSet((other,)),
+            "not trace preserving": KrausSet((scale(inverse, 1.0 + 1e-6),)),
+            "doubled": KrausSet((inverse, inverse)),
+            "the forward set": k,
+        }
+        for label, candidate in wrong.items():
+            assert not verify_inverse_pair(k, candidate).valid, label
+        # Swapped, the pair is the same channel's inverse on the other side.
+        assert verify_inverse_pair(invert(k), k).valid
+
 
 class TestInvert:
     def test_identity(self):

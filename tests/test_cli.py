@@ -435,7 +435,7 @@ SEEDED_DIGESTS = {
     "diagram": "ca23a788d3b973e31460859d3176e5e90f8c6e793fada380473b21b08b7e9781",
     "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
     "group": "d3628f0f7fafd17273e711218a6f2ae4a588be58a9360132156fdd8d864f3bcc",
-    "inverse-pair": "40c87d6def36a53c78a0d6860779ddeaf8e809ef6286bb9b4f19a8efb7c00f71",
+    "inverse-pair": "6efd6ed8270417aa0ac5ff836acefb2d9294960f2cd7611233cd487a9e74305e",
 }
 
 
@@ -514,6 +514,18 @@ class TestVerify:
         code, out = run_cli(["verify", "inverse-pair", path, path])
         assert code == 2
         assert json.loads(out, parse_constant=pytest.fail)["error"]["code"] == "malformed_input"
+
+    def test_inverse_pair_modulus_overflow_exits_2(self, tmp_path):
+        # A residual's parts are finite, but its modulus is past the float
+        # range: abs() raises OverflowError, once printed as a traceback.
+        ops = [[[[0, 0], [1e154, 0]], [[0, 0], [0, 0]]], [[[1.3e154, 1.3e154], [0, 0]], [[0, 0], [0, 0]]]]
+        path = write_doc(tmp_path, "big.json", "kraus", {"operators": ops})
+        code, out = run_cli(["verify", "inverse-pair", path, path])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "malformed_input",
+            "detail": "absolute value too large",
+        }
 
     def test_seeded_determinism(self):
         argv = ["verify", "diagram", "--samples", "25", "--seed", "11"]
@@ -779,6 +791,8 @@ class TestParse:
             (["verify", "group", "--seed", "3", "--", "x"], ["verify", "group", "x", "--seed", "3"]),
             (["verify", "group", "--samples", "2", D, "--", D], ["verify", "group", D, D, "--samples", "2"]),
             (["verify", "group", "--samples", "2", "-x", "--", D], ["verify", "group", "--samples", "2", "-x"]),
+            (["verify", "--", "group", D], ["verify", "group", D]),
+            (["verify", "--seed", "3", "--", "group", D], ["verify", "group", D, "--seed", "3"]),
         ],
         ids=lambda argv: " ".join(Path(t).name for t in argv) or "empty",
     )
@@ -798,6 +812,34 @@ class TestParse:
     def test_tokens_after_dashdash_are_documents(self, argv, inputs):
         args = cli._parse(argv)
         assert (args.samples, args.seed, args.inputs) == (2, 42, inputs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 3.10 to 3.13.0 dropped the second "--" here, and 3.13.13 kept it.
+            ["verify", "group", "--", "--", D],
+            ["verify", "--", "group", "--", D],
+            ["verify", "--seed", "3", "--", "group", "--", D],
+        ],
+        ids=["after the mode", "before the mode", "after an option"],
+    )
+    def test_a_second_dashdash_after_verify_is_a_document(self, argv):
+        args = cli._parse(argv)
+        assert (args.mode, args.inputs) == ("group", ["--", self.D])
+
+    def test_argparse_never_sees_the_dashdash_after_verify(self, monkeypatch):
+        verify = cli._build_parser()[1]["verify"]
+        seen = []
+        parse = verify.parse_known_args
+
+        def spy(args, namespace):
+            seen.append(list(args))
+            return parse(args, namespace)
+
+        monkeypatch.setattr(verify, "parse_known_args", spy)
+        args = cli._parse(["verify", "group", "--", "--", self.D])
+        assert seen == [["group"]]
+        assert args.inputs == ["--", self.D]
 
     def test_no_argv_reads_sys_argv(self, capsys):
         argv = ["verify", "group", "--seed", "3", TestArguments.KRAUS]

@@ -1,7 +1,7 @@
 """Each channel fact is computed once per value.
 
-The eigensolve, adjoint and validated-construction counts are exact, so
-they gate regressions without timing noise. The cache tests check that what
+The eigensolve, Choi-table, adjoint and validated-construction counts are
+exact, so they gate regressions without timing noise. The cache tests check that what
 a ``KrausSet`` or ``ChoiMatrix`` keeps never changes an answer, an equality,
 a hash or a repr.
 """
@@ -25,6 +25,8 @@ from blochiso.channels import (
     ChannelKind,
     ChoiMatrix,
     KrausSet,
+    _chi_matrix,
+    _choi_entries,
     _rank,
     choi_of,
     classify,
@@ -35,9 +37,10 @@ from blochiso.channels import (
 )
 from blochiso.cli import main
 from blochiso.errors import DomainError, InvalidChannelError
-from blochiso.matrix import ComplexMatrix, adjoint, scale
+from blochiso.matrix import ComplexMatrix, _hermitian_eig, adjoint, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
 from blochiso.so3 import AxisAngle, Rotation3
+from blochiso.su2 import _chi
 from helpers import (
     GOLDEN_DIR,
     amplitude_damping,
@@ -48,6 +51,7 @@ from helpers import (
     random_cptp_kraus,
     run_geometry_case,
 )
+from test_closed_forms import channel_sets
 
 I2 = identity(2)
 
@@ -119,6 +123,73 @@ class TestEigensolveCounts:
         assert eigensolves == []
         assert _rank(j.spectrum.eigenvalues) == 2
         assert eigensolves == [4]
+
+
+@pytest.fixture
+def choi_tables(monkeypatch):
+    """Calls of ``channels._choi_entries``, the Choi matrix's table."""
+    calls = []
+    build = blochiso.channels._choi_entries
+
+    def counted(k):
+        calls.append(len(k.operators))
+        return build(k)
+
+    monkeypatch.setattr(blochiso.channels, "_choi_entries", counted)
+    return calls
+
+
+# A channel of each verdict; TestEigensolveCounts counts their eigensolves.
+VERDICTS = {
+    "unitary": (redundant_unitary_kraus(random.Random(50), 3)[0], ChannelKind.UNITARY_CONJUGATION),
+    "depolarizing": (make_depolarizing(0.5), ChannelKind.CPTP_NOT_INVERTIBLE),
+    "damping": (amplitude_damping(0.3), ChannelKind.CPTP_NOT_INVERTIBLE),
+    "not-tp": (KrausSet((scale(I2, 2.0),)), ChannelKind.NOT_CPTP),
+}
+
+
+class TestChoiTableCounts:
+    """classify reads every fact off one chi matrix: the purity, the lift
+    and a refused channel's rank. The Choi table is choi_of's alone."""
+
+    @pytest.mark.parametrize("k, kind", VERDICTS.values(), ids=VERDICTS)
+    def test_classify_builds_none(self, choi_tables, k, kind):
+        assert classify(KrausSet(k.operators)).kind is kind  # a copy keeps no verdict
+        assert choi_tables == []
+
+    def test_invert_and_verify_build_none(self, choi_tables):
+        k = KrausSet(VERDICTS["unitary"][0].operators)
+        assert verify_inverse_pair(k, invert(k)).valid
+        assert choi_tables == []
+
+    @pytest.mark.parametrize("k", [k for k, _ in VERDICTS.values()], ids=VERDICTS)
+    def test_choi_of_builds_one(self, choi_tables, k):
+        choi_of(k)
+        assert choi_tables == [len(k.operators)]
+
+
+class TestChiIsTheChoiMatrixInAnotherBasis:
+    """chi = (B x I) J (B x I)* / 2 for a unitary basis change B (Wood,
+    Biamonte and Cory, arXiv:1111.6950), so Tr chi = Tr J / 2, Tr chi^2 =
+    Tr J^2 / 4 and the spectrum is J's halved. On channel_sets() the float
+    forms agree to 2.2e-16, 1.9e-16 and 1.04e-15, relative to Tr J, Tr J^2
+    and J's largest eigenvalue; the bounds leave a factor of 2 to 4."""
+
+    def test_traces_and_spectrum(self):
+        sets = channel_sets()
+        assert len(sets) == 3069
+        for k in sets:
+            chi, j = _chi_matrix(_chi(k.operators)), _choi_entries(k).entries
+            trace_chi = sum(chi[i].real for i in (0, 5, 10, 15))
+            trace_j = sum(j[i].real for i in (0, 5, 10, 15))
+            assert abs(trace_chi - trace_j / 2.0) <= 4.5e-16 * trace_j
+            square_chi = sum(abs(z) ** 2 for z in chi)
+            square_j = sum(abs(z) ** 2 for z in j)
+            assert abs(square_chi - square_j / 4.0) <= 4.5e-16 * square_j
+            spectrum_chi = _hermitian_eig(4, chi).eigenvalues
+            spectrum_j = _hermitian_eig(4, j).eigenvalues
+            gap = max(abs(x - y / 2.0) for x, y in zip(spectrum_chi, spectrum_j))
+            assert gap <= 4e-15 * spectrum_j[0]
 
 
 @pytest.fixture

@@ -4,9 +4,11 @@ A trace-preserving Kraus set is a unitary conjugation when its Choi purity
 deficit 1 - Tr(J^2) / (Tr J)^2 is at most delta(tol) = max(2 tol, 1e-14).
 The exact oracle builds channels whose Kraus entries are Gaussian rationals
 and decides them with ``fractions.Fraction``; the float code sees the same
-entries rounded once. The sweep crosses the threshold with random unitary
-mixtures and compares classify with the Choi round trip and the CLI's
-isometry flag.
+entries rounded once. The same oracle bounds the unitary classify prints
+against the exact quaternion, and decides inverse pairs by the composite
+channel's exact entanglement fidelity. The sweep crosses the threshold with
+random unitary mixtures and compares classify with the Choi round trip and
+the CLI's isometry flag.
 """
 
 import contextlib
@@ -22,16 +24,17 @@ import pytest
 from blochiso.channels import (
     ChannelKind,
     KrausSet,
-    _choi_entries,
+    _chi_deficit,
     _deficit_bound,
-    _purity_deficit,
     choi_of,
     classify,
     kraus_from_choi,
+    verify_inverse_pair,
 )
 from blochiso.cli import main
 from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, scale
 from blochiso.sampling import su2_haar
+from blochiso.su2 import _chi
 
 # The float deficit of a rounded rational channel differs from the exact
 # deficit by at most 6.9e-16 over 400 seeded near-unitary channels; the band
@@ -84,12 +87,40 @@ QUATERNIONS = [
 ]
 
 
-def rational_unitary(rng):
-    """w I - i (x, y, z) . sigma for a rational unit quaternion."""
+def rational_quaternion(rng):
+    """A rational unit quaternion (w, x, y, z)."""
     q = rng.choice(QUATERNIONS)
     n = math.isqrt(sum(v * v for v in q))
-    w, x, y, z = (Fraction(v, n) for v in q)
+    return tuple(Fraction(v, n) for v in q)
+
+
+def unitary_of(q):
+    """w I - i (x, y, z) . sigma."""
+    w, x, y, z = q
     return ((w, -z), (-y, -x), (y, -x), (w, z))
+
+
+def rational_unitary(rng):
+    return unitary_of(rational_quaternion(rng))
+
+
+def adjoint(a):
+    return tuple((a[i][0], -a[i][1]) for i in (0, 2, 1, 3))
+
+
+def times(c, a):
+    """c a for a Gaussian rational c."""
+    return tuple(cmul(c, e) for e in a)
+
+
+# Gaussian rationals of modulus 1: global phases a channel cannot see.
+PHASES = [
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(-5, 13), Fraction(12, 13)),
+    (Fraction(0), Fraction(-1)),
+    (Fraction(-1), Fraction(0)),
+    ONE,
+]
 
 
 def pythagorean(t):
@@ -185,9 +216,59 @@ def exact_cases():
     return cases
 
 
+def printed_quaternion(q):
+    """The q of U that phi prints: w > 0, or at w = 0 the largest axis
+    component positive; None there when two components tie for largest, as
+    roundoff may then pick either sign."""
+    if q[0] != 0:
+        return q if q[0] > 0 else tuple(-v for v in q)
+    top = max(abs(v) for v in q)
+    if sum(abs(v) == top for v in q) > 1:
+        return None
+    return q if max(q) == top else tuple(-v for v in q)
+
+
+def exact_infidelity(fwd, inv):
+    """1 - F_e of the composite {B A}: 1 - sum |Tr(B A) / 2|^2 / (sum ||B A||^2 / 2)."""
+    fidelity = norm = Fraction(0)
+    for b in inv:
+        for a in fwd:
+            p = mul2(b, a)
+            re, im = p[0][0] + p[3][0], p[0][1] + p[3][1]
+            fidelity += (re * re + im * im) / 4
+            norm += sum(x * x + y * y for x, y in p) / 2
+    return 1 - fidelity / norm
+
+
+def exact_pairs(rng):
+    """Rational pairs (forward set, inverse candidate), each labelled."""
+    pairs = []
+    for _ in range(40):
+        u = rational_unitary(rng)
+        w1, w2 = rng.choice(PHASES), rng.choice(PHASES)
+        redundant = [times(w1, scaled(Fraction(3, 5), u)), times(w2, scaled(Fraction(4, 5), u))]
+        pairs.append(("inverse", [u], [adjoint(u)]))
+        pairs.append(("redundant inverse", redundant, [times(w1, adjoint(u))]))
+        v = rational_unitary(rng)
+        pairs.append(("another unitary's adjoint", [u], [adjoint(v)]))
+        pairs.append(("not trace preserving", [u], [scaled(Fraction(5, 4), adjoint(u))]))
+        pairs.append(("doubled inverse", [u], [adjoint(u), adjoint(u)]))
+        pairs.append(("transposed, not conjugated", [u], [tuple(u[i] for i in (0, 2, 1, 3))]))
+    for _ in range(100):
+        eps = 10.0 ** rng.uniform(-16.0, -2.0)
+        r, s = pythagorean(Fraction(1, max(1, round(4.0 / math.sqrt(eps)))))
+        u = rational_unitary(rng)
+        near = [scaled(r, u)] + [scaled(s, mul2(p, u)) for p in PAULIS]
+        pairs.append(("near-unitary", near, [adjoint(u)]))
+    for _ in range(20):
+        u, v = rational_unitary(rng), rational_unitary(rng)
+        pairs.append(("mixture", [scaled(Fraction(3, 5), u), scaled(Fraction(4, 5), v)], [adjoint(u)]))
+    return pairs
+
+
 class TestExactOracle:
     def test_float_deficit_is_the_exact_one_to_roundoff(self, exact_cases):
-        worst = max(abs(_purity_deficit(_choi_entries(k))[0] - float(d)) for _, k, d, _ in exact_cases)
+        worst = max(abs(_chi_deficit(_chi(k.operators)) - float(d)) for _, k, d, _ in exact_cases)
         assert worst <= EXACT_BAND / 4
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-15], ids=["default", "floor"])
@@ -204,6 +285,71 @@ class TestExactOracle:
             assert result.choi_rank == (1 if unitary else rank), label
             compared += 1
         assert compared >= 200 and len(exact_cases) - compared <= 2
+
+
+class TestExactLift:
+    """classify prints phi of the rotation: on rational unitaries, and
+    redundant sets of them with Gaussian-rational phases, it is within 3.4e-16
+    of the U of the exact quaternion with w >= 0 (worst 1.6e-16 here). The
+    54 of 800 sets at a half turn with two largest axis components tied are
+    not compared."""
+
+    def test_printed_unitary_is_the_exact_quaternions(self):
+        rng = random.Random(2509)
+        compared = 0
+        for _ in range(400):
+            q = rational_quaternion(rng)
+            u = unitary_of(q)
+            w1, w2 = rng.choice(PHASES), rng.choice(PHASES)
+            sets = [
+                [times(w1, u)],
+                [times(w1, scaled(Fraction(3, 5), u)), times(w2, scaled(Fraction(4, 5), u))],
+            ]
+            expected = printed_quaternion(q)
+            for ops in sets:
+                printed = classify(rounded(ops)).extracted_unitary
+                if expected is None:
+                    continue
+                exact = [complex(float(re), float(im)) for re, im in unitary_of(expected)]
+                assert max(abs(x - y) for x, y in zip(printed.entries, exact)) <= 3.4e-16
+                compared += 1
+        assert compared == 746
+
+
+class TestExactInversePair:
+    """verify_inverse_pair's verdict is the exact composite's: trace
+    preserving, and 1 - F_e <= delta(tol), outside |1 - F_e - delta| <= EXACT_BAND.
+    The float infidelity is within 2.2e-16 of the exact one here."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-15], ids=["default", "floor"])
+    def test_verdict_is_the_exact_one(self, tol):
+        delta = _deficit_bound(tol)
+        seen = set()
+        compared = 0
+        for label, fwd, inv in exact_pairs(random.Random(2510)):
+            infidelity = exact_infidelity(fwd, inv)
+            if abs(infidelity - Fraction(delta)) <= EXACT_BAND:
+                continue
+            composite = [mul2(b, a) for b in inv for a in fwd]
+            valid = exact_tp(composite) and infidelity <= Fraction(delta)
+            report = verify_inverse_pair(rounded(fwd), rounded(inv), tol)
+            assert report.valid is valid, label
+            assert abs(report.infidelity - float(infidelity)) <= EXACT_BAND / 4, label
+            seen.add((label, valid))
+            compared += 1
+        assert compared >= 340
+        # Each wrong inverse is refused, and the near-unitary family crosses.
+        assert seen >= {
+            ("inverse", True),
+            ("redundant inverse", True),
+            ("another unitary's adjoint", False),
+            ("not trace preserving", False),
+            ("doubled inverse", False),
+            ("transposed, not conjugated", False),
+            ("near-unitary", True),
+            ("near-unitary", False),
+            ("mixture", False),
+        }
 
 
 def mixture(rng, count):
@@ -261,7 +407,7 @@ class TestEpsilonSweep:
                 # round trip drops eigenvalues up to delta / 12 of the
                 # largest, up to delta / 2 of deficit, so it may accept a
                 # refused one with deficit in (delta, 3 delta / 2].
-                if delta / 4 < _purity_deficit(_choi_entries(k))[0] <= 1.5 * delta:
+                if delta / 4 < _chi_deficit(_chi(k.operators)) <= 1.5 * delta:
                     in_band += 1
                     continue
                 round_trip = classify(kraus_from_choi(choi_of(k)))
