@@ -228,8 +228,9 @@ class InversePairReport(Value):
 
     ``alpha`` tabulates the coefficients alpha_ba = Tr(B_b A_a) / 2 (rows
     indexed by the inverse candidate's operators), ``max_residual`` the
-    largest max |B_b A_a - alpha_ba I|, and ``infidelity`` is 1 - F_e of the
-    composite channel, the number ``valid`` reads against delta(tol).
+    largest max |B_b A_a - alpha_ba I|, ``infidelity`` is 1 - F_e of the
+    composite channel, the number ``valid`` reads against delta(tol), and
+    ``tp_deviation`` the composite's max |sum P* P - I|, read against tol.
     """
 
     def __init__(
@@ -239,11 +240,12 @@ class InversePairReport(Value):
         alpha_square_sum: float,
         max_residual: float,
         infidelity: float,
+        tp_deviation: float,
     ) -> None:
         d = self.__dict__
         d["valid"], d["alpha"] = valid, alpha
         d["alpha_square_sum"], d["max_residual"] = alpha_square_sum, max_residual
-        d["infidelity"] = infidelity
+        d["infidelity"], d["tp_deviation"] = infidelity, tp_deviation
 
 
 class BlochAffineAction(Value):
@@ -416,7 +418,9 @@ def verify_inverse_pair(
     chi_00 / Tr chi = sum |alpha_ba|^2 / (sum ||B_b A_a||_F^2 / 2), with
     B_b A_a = alpha_ba I + the residual (Schumacher 1996). The pair is valid
     when the composite is trace preserving within tol and 1 - F_e is at most
-    delta(tol), the largest purity deficit of a unitary verdict.
+    delta(tol), the largest purity deficit of a unitary verdict. A composite
+    with no weight (every product zero, or its squares underflowing) is not
+    the identity: its infidelity is 1.
     """
     alpha, max_residual, _, products = _pair_table(
         [op.entries for op in k_inv.operators], [op.entries for op in k_fwd.operators]
@@ -432,10 +436,11 @@ def verify_inverse_pair(
         s0 += (c0 * p0 + c2 * p2).real
         s1 += c0 * p1 + c2 * p3
         s3 += (c1 * p1 + c3 * p3).real
-    infidelity = 1.0 - square_sum / (0.5 * (s0 + s3))
-    trace_preserving = max(abs(s0 - 1.0), abs(s1), abs(s3 - 1.0)) <= tol
-    valid = trace_preserving and infidelity <= _deficit_bound(tol)
-    return InversePairReport(valid, alpha, square_sum, max_residual, infidelity)
+    half_weight = 0.5 * (s0 + s3)
+    infidelity = 1.0 - square_sum / half_weight if half_weight > 0.0 else 1.0
+    tp_deviation = max(abs(s0 - 1.0), abs(s1), abs(s3 - 1.0))
+    valid = tp_deviation <= tol and infidelity <= _deficit_bound(tol)
+    return InversePairReport(valid, alpha, square_sum, max_residual, infidelity, tp_deviation)
 
 
 def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:

@@ -400,8 +400,10 @@ def _inverse_pair_check(pair: Any, tol: float) -> tuple[float, bool, dict[str, A
         "max_residual": report.max_residual,
         "alpha": _encode_cmatrix(report.alpha),
         "infidelity": report.infidelity,
+        "tp_deviation": report.tp_deviation,
     }
-    return max(abs(report.alpha_square_sum - 1.0), report.infidelity), report.valid, fields
+    dev = max(abs(report.alpha_square_sum - 1.0), report.infidelity, report.tp_deviation)
+    return dev, report.valid, fields
 
 
 _VERIFY_MODES = {

@@ -410,14 +410,15 @@ def extract_unitary_via_gram_generic(
 def verify_inverse_pair_generic(
     k_fwd: KrausSet, k_inv: KrausSet, tol: float = DEFAULT_TOL
 ) -> InversePairReport:
-    """``channels.verify_inverse_pair`` through generic matrix products; the
-    composite's sum P* P is read off each product as the library reads it."""
+    """``channels.verify_inverse_pair`` through generic matrix products: the
+    composite's sum P* P is summed entrywise from the kernel's P* P products,
+    unchecked, as the library keeps an overflowing sum, and compared with I."""
     n_inv = len(k_inv.operators)
     n_fwd = len(k_fwd.operators)
     alpha_entries = [0j] * (n_inv * n_fwd)
     max_residual = 0.0
     square_sum = 0.0
-    products = []
+    gram = [0j] * 4
     for b in range(n_inv):
         for a in range(n_fwd):
             prod = mul(k_inv.operators[b], k_fwd.operators[a])
@@ -425,24 +426,21 @@ def verify_inverse_pair_generic(
             residual = max_abs_diff(prod, scale(_I2, coeff))
             max_residual = max(max_residual, residual)
             alpha_entries[b * n_fwd + a] = coeff
-            products.append(prod.entries)
+            gram_term = blochiso._kernels.matmul(2, 2, adjoint(prod).entries, 2, prod.entries)
+            gram = [x + y for x, y in zip(gram, gram_term)]
     for coeff in alpha_entries:
         square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
-    s0 = s3 = 0.0
-    s1 = 0j
-    for p0, p1, p2, p3 in products:
-        s0 += (p0.conjugate() * p0 + p2.conjugate() * p2).real
-        s1 += p0.conjugate() * p1 + p2.conjugate() * p3
-        s3 += (p1.conjugate() * p1 + p3.conjugate() * p3).real
-    infidelity = 1.0 - square_sum / (0.5 * (s0 + s3))
-    trace_preserving = max(abs(s0 - 1.0), abs(s1), abs(s3 - 1.0)) <= tol
-    valid = trace_preserving and infidelity <= _deficit_bound(tol)
+    half_weight = (gram[0] + gram[3]).real / 2.0
+    infidelity = 1.0 - square_sum / half_weight if half_weight > 0.0 else 1.0
+    tp_deviation = max(abs(x - y) for x, y in zip(gram, _I2.entries))
+    valid = tp_deviation <= tol and infidelity <= _deficit_bound(tol)
     return InversePairReport(
         valid,
         ComplexMatrix(n_inv, n_fwd, tuple(alpha_entries)),
         square_sum,
         max_residual,
         infidelity,
+        tp_deviation,
     )
 
 

@@ -51,6 +51,7 @@ from helpers import (
     random_density,
     remix_kraus,
     trace,
+    verify_inverse_pair_generic,
     zeros,
 )
 
@@ -518,6 +519,29 @@ class TestInversePair:
             assert not verify_inverse_pair(k, candidate).valid, label
         # Swapped, the pair is the same channel's inverse on the other side.
         assert verify_inverse_pair(invert(k), k).valid
+
+    @pytest.mark.parametrize("corner", [0.0, 1e-170])
+    def test_a_composite_with_no_weight_fails(self, corner):
+        # Orthogonal supports make every product zero; at 1e-170 the product
+        # is not zero, but its square underflows. Either way F_e is 0 / 0.
+        forward = KrausSet((ComplexMatrix(2, 2, (1.0 + 0j, 0j, 0j, 0j)),))
+        candidate = KrausSet((ComplexMatrix(2, 2, (corner + 0j, 0j, 0j, 1.0 + 0j)),))
+        report = verify_inverse_pair(forward, candidate)
+        assert not report.valid
+        assert report.infidelity == 1.0
+        assert report.tp_deviation == 1.0
+        assert report == verify_inverse_pair_generic(forward, candidate)
+
+    def test_a_non_trace_preserving_composite_reports_why(self):
+        # sqrt(1 +- 1e-6) on the diagonal: alpha is 1 - 1.25e-13, so
+        # |sum |alpha|^2 - 1| and 1 - F_e both stay far below tol, and only
+        # the composite's trace preservation, off by 1e-6, fails it.
+        candidate = ComplexMatrix(2, 2, (sqrt(1.0 + 1e-6) + 0j, 0j, 0j, sqrt(1.0 - 1e-6) + 0j))
+        report = verify_inverse_pair(IDENTITY_SET, KrausSet((candidate,)))
+        assert not report.valid
+        assert abs(report.alpha_square_sum - 1.0) <= 1e-12
+        assert report.infidelity <= 1e-12
+        assert abs(report.tp_deviation - 1e-6) <= 1e-15
 
 
 class TestInvert:

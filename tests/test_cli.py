@@ -435,7 +435,7 @@ SEEDED_DIGESTS = {
     "diagram": "ca23a788d3b973e31460859d3176e5e90f8c6e793fada380473b21b08b7e9781",
     "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
     "group": "d3628f0f7fafd17273e711218a6f2ae4a588be58a9360132156fdd8d864f3bcc",
-    "inverse-pair": "6efd6ed8270417aa0ac5ff836acefb2d9294960f2cd7611233cd487a9e74305e",
+    "inverse-pair": "0b3ba133ebbe9e59bbf684146914d2fd1f7838add80297d27e8ab610459dc202",
 }
 
 
@@ -498,6 +498,39 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["pass"] is False
         assert doc["cases"][0]["alpha"]  # diagnostics present
+
+    def test_inverse_pair_with_no_weight_exits_1(self, tmp_path):
+        # Orthogonal rank-one operators: every product is zero, so the
+        # composite's F_e is 0 / 0, once a ZeroDivisionError traceback.
+        fwd = write_doc(
+            tmp_path, "fwd.json", "kraus", {"operators": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}
+        )
+        inv = write_doc(
+            tmp_path, "inv.json", "kraus", {"operators": [[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+        )
+        code, out = run_cli(["verify", "inverse-pair", fwd, inv])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        (case,) = doc["cases"]
+        assert case["infidelity"] == case["tp_deviation"] == doc["max_deviation"] == 1.0
+
+    def test_inverse_pair_prints_the_trace_deviation_it_fails_on(self, tmp_path):
+        # Only the composite's trace preservation, off by 1e-6, fails this
+        # pair; the case's deviation shows it, above tol.
+        fwd = write_doc(
+            tmp_path, "fwd.json", "kraus", {"operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+        )
+        diag = [[[sqrt(1 + 1e-6), 0], [0, 0]], [[0, 0], [sqrt(1 - 1e-6), 0]]]
+        inv = write_doc(tmp_path, "inv.json", "kraus", {"operators": [diag]})
+        code, out = run_cli(["verify", "inverse-pair", fwd, inv])
+        assert code == 1
+        doc = json.loads(out)
+        (case,) = doc["cases"]
+        assert case["pass"] is False
+        assert case["infidelity"] <= 1e-12
+        assert abs(case["tp_deviation"] - 1e-6) <= 1e-15
+        assert doc["max_deviation"] == case["tp_deviation"] > doc["tol"]
 
     def test_inverse_pair_tol_too_tight_exits_2(self):
         # At --tol 0 the sampled channels' roundoff fails trace preservation,

@@ -156,11 +156,11 @@ VALUES = {
         f"GramData(beta={ONE_REPR}, gamma=(1.0,), mixing={ONE_REPR})",
     ),
     InversePairReport: (
-        ("valid", "alpha", "alpha_square_sum", "max_residual", "infidelity"),
+        ("valid", "alpha", "alpha_square_sum", "max_residual", "infidelity", "tp_deviation"),
         _inverse_pair,
-        lambda: InversePairReport(True, ONE, 1.0, 0.0, 0.0),
+        lambda: InversePairReport(True, ONE, 1.0, 0.0, 0.0, 0.0),
         f"InversePairReport(valid=True, alpha={ONE_REPR}, alpha_square_sum=1.0, max_residual=0.0, "
-        "infidelity=0.0)",
+        "infidelity=0.0, tp_deviation=0.0)",
     ),
     BlochAffineAction: (
         ("matrix", "translation"),
