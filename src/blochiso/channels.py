@@ -8,7 +8,11 @@ Tr(J^2) / (Tr J)^2 is 1. :func:`classify` reads the operators once more, into
 the process matrix chi (``su2._chi``), the Choi matrix in the quaternion
 basis: its purity is J's, a refused channel's rank is its rank, and for a
 unitary U = e^{it} (w I - i v . sigma) it is q q^T, q = (w, v), so the unitary
-is the row of chi that ``phi`` would read off the rotation. The Gram-matrix
+is the row of chi that ``phi`` would read off the rotation.
+:func:`bloch_affine_action` reads the channel's action on Bloch vectors off
+the same chi, linear in it: for that unitary, the Euler-Rodrigues rotation of
+q, which ``phi_inverse`` drops U to. So the lift and the rotation come from
+one matrix. The Gram-matrix
 pipeline, :func:`extract_unitary_via_gram`, is the paper's constructive route
 to the same unitary from any redundant Kraus set; no library path calls it.
 
@@ -454,57 +458,36 @@ def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
     return KrausSet((adjoint(classification.extracted_unitary),))
 
 
-def _bloch_columns(operators: tuple[ComplexMatrix, ...]) -> list[tuple[float, float, float]]:
-    """Columns (Tr(s_k Phi(X)) / 2 for k = x, y, z) of Phi(X) = sum_a A X A*.
-
-    X runs through s_x, s_y, s_z and I: the three columns of M, then t. A Pauli
-    matrix only permutes, negates or multiplies by +-i, so A X is read off
-    the entries of A. The four entries of (A X) A* are added, operator by
-    operator, into sums started at 0j, as the generic sum of products does.
-    Only operations on exact zeros are left out, and the 0j start makes
-    every exact zero +0.0, so each result is the generic one bit for bit,
-    zero signs included. The entries are quadratic in A, so A and -A give
-    the identical columns.
-    """
-    expanded = []
-    for op in operators:
-        a, b, c, d = op.entries
-        # A X for X = s_x, s_y, s_z, I, then the entries of A*.
-        times_x = ((b, a, d, c), (b * 1j, a * -1j, d * 1j, c * -1j), (a, -b, c, -d), (a, b, c, d))
-        expanded.append((times_x, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()))
-    columns = []
-    for j in range(4):
-        m00 = m01 = m10 = m11 = 0j
-        for times_x, ac, bc, cc, dc in expanded:
-            x0, x1, x2, x3 = times_x[j]
-            m00 += x0 * ac + x1 * bc
-            m01 += x0 * cc + x1 * dc
-            m10 += x2 * ac + x3 * bc
-            m11 += x2 * cc + x3 * dc
-        columns.append(
-            (
-                0.5 * (m01.real + m10.real),
-                0.5 * (m10.imag - m01.imag),
-                0.5 * (m00.real - m11.real),
-            )
-        )
-    return columns
-
-
 def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAction:
     """Affine description r -> M r + t of a channel on Bloch vectors.
 
-    M_kj = Tr(sigma_k Phi(sigma_j)) / 2 and t_k = Tr(sigma_k Phi(I)) / 2.
-    Unitary channels give orthogonal M and zero t; the fully depolarizing
-    limit contracts everything to the origin.
+    M_kj = Tr(sigma_k Phi(sigma_j)) / 2 and t_k = Tr(sigma_k Phi(I)) / 2, both
+    linear in chi (``su2._chi``). With (j, k, l) cyclic, M_jj = (chi_00 +
+    chi_jj) - (chi_kk + chi_ll), M_jk = 2 Re chi_jk - 2 Re chi_0l, M_kj =
+    2 Re chi_jk + 2 Re chi_0l and t_j = -2 (Im chi_0j + Im chi_kl). For a
+    unitary chi = q q^T is real, so M is the Euler-Rodrigues rotation of q
+    (``phi_inverse``) and t is zero; the fully depolarizing limit contracts
+    everything to the origin.
     """
     dev = k.tp_deviation()
     if not dev <= tol:  # negated, so that a NaN tol fails it
         raise InvalidChannelError(
             f"affine action is defined for CPTP sets only (tp deviation {dev:.3e})"
         )
-    *columns, translation = _bloch_columns(k.operators)
-    return BlochAffineAction(tuple(zip(*columns)), translation)  # type: ignore[arg-type]
+    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = _chi(k.operators)
+    r01, r02, r03, r12, r13, r23 = x01.real, x02.real, x03.real, x12.real, x13.real, x23.real
+    # The diagonal sums in pairs: half depolarizing gives 0.5, not 0.5 + 1 ulp.
+    matrix = (
+        ((d0 + d1) - (d2 + d3), 2.0 * (r12 - r03), 2.0 * (r13 + r02)),
+        (2.0 * (r12 + r03), (d0 + d2) - (d3 + d1), 2.0 * (r23 - r01)),
+        (2.0 * (r13 - r02), 2.0 * (r23 + r01), (d0 + d3) - (d1 + d2)),
+    )
+    translation = (
+        -2.0 * (x01.imag + x23.imag),
+        2.0 * (x13.imag - x02.imag),
+        -2.0 * (x03.imag + x12.imag),
+    )
+    return BlochAffineAction(matrix, translation)
 
 
 def kraus_from_choi(j: ChoiMatrix) -> KrausSet:

@@ -540,7 +540,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_verify = add("verify", help="run a seeded verification suite")
     p_verify.add_argument("mode", choices=tuple(_VERIFY_MODES))
-    p_verify.add_argument("inputs", nargs="*", help="optional input documents")
+    # A default, so that argparse does not count the documents as required.
+    p_verify.add_argument("inputs", nargs="*", default=(), help="optional input documents")
     p_verify.add_argument("--samples", type=int, default=1000, help="number of random cases")
     p_verify.add_argument("--seed", type=int, default=42, help="random seed")
     _add_common(p_verify)

@@ -128,7 +128,8 @@ def _chi(operators: tuple[ComplexMatrix, ...]) -> tuple:
     exactly. chi is the Choi matrix J in another basis, halved (Wood,
     Biamonte and Cory, arXiv:1111.6950): Tr chi = Tr J / 2, Tr chi^2 =
     Tr J^2 / 4, and the spectrum is J's halved. For U = e^{it} (w I - i v .
-    sigma), chi = q q^T, q = (w, v).
+    sigma), chi = q q^T, q = (w, v). The channel's action on Bloch vectors
+    is linear in chi (``channels.bloch_affine_action``).
     """
     d0 = d1 = d2 = d3 = 0.0
     x01 = x02 = x03 = x13 = x21 = x23 = 0j

@@ -1044,6 +1044,7 @@ USAGE_ERROR_STDOUT = {
     for argv, detail in [
         (["frobnicate"], f"argument command: invalid choice: 'frobnicate' {_COMMANDS}"),
         (["--", "--", "classify"], f"argument command: invalid choice: '--' {_COMMANDS}"),
+        (["verify"], "the following arguments are required: mode"),
         (["verify", "frob"], f"argument mode: invalid choice: 'frob' {_MODES}"),
         (["verify", "group", "--", "--", "D"], "cannot read --: No such file or directory"),
     ]

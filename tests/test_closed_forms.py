@@ -1,14 +1,16 @@
 """The closed 2x2 and 3x3 forms give the generic products' answers exactly.
 
-``bloch_affine_action``, ``density_to_bloch``, ``unitarity_deviation`` and
-``orthogonality_deviation`` perform the IEEE-754 operations of the generic
-matmul and sum formulas in ``helpers`` less the terms that are exact zeros,
-so their results equal the oracles' (the Bloch action and the Bloch vector
-of a state bit for bit). ``phi_inverse`` and ``rotation_from_axis_angle``
-take the Euler-Rodrigues form of a quaternion instead, within 2e-15 of the
-trace formula and of the Rodrigues form. The Kraus-pair products of
-``KrausSet.tp_deviation``, ``extract_unitary_via_gram`` and
-``verify_inverse_pair`` perform the same operations as the generic ones, so
+``density_to_bloch``, ``unitarity_deviation`` and ``orthogonality_deviation``
+perform the IEEE-754 operations of the generic matmul and sum formulas in
+``helpers`` less the terms that are exact zeros, so their results equal the
+oracles' (the Bloch vector of a state bit for bit). ``phi_inverse`` and
+``rotation_from_axis_angle`` take the Euler-Rodrigues form of a quaternion
+instead, within 2e-15 of the trace formula and of the Rodrigues form, and
+``bloch_affine_action`` reads M and t off the process matrix chi, within
+1e-15 of the generic chain; on a unitary it is ``phi_inverse`` to 2e-15,
+and ``tests/test_purity_rule.py`` bounds it against exact arithmetic. The
+Kraus-pair products of ``KrausSet.tp_deviation``, ``extract_unitary_via_gram``
+and ``verify_inverse_pair`` perform the same operations as the generic ones, so
 every result, and every exception on a non-finite product, is the oracle's
 bit for bit; ``su2.compose`` and ``su2.conjugate`` take the same closed 2x2
 product. The Choi table computes its upper triangle and mirrors it, the bits
@@ -29,6 +31,7 @@ from types import SimpleNamespace
 import pytest
 
 import blochiso._kernels
+import blochiso.channels
 from blochiso.bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from blochiso.channels import (
     KrausSet,
@@ -177,12 +180,22 @@ class TestMatchesGenericFormulas:
             assert max_gap(rotation_from_axis_angle(aa).matrix, rodrigues_generic(aa)) <= 2e-15
 
     def test_bloch_affine_action(self):
+        # chi's sums and the Pauli images round differently; the largest gap
+        # on these sets is 3.3e-16.
         sets = channel_sets()
         assert len(sets) == 3069
         for k in sets:
             got, want = bloch_affine_action(k), bloch_affine_action_generic(k)
-            assert bits(got.matrix) == bits(want.matrix)
-            assert struct.pack("3d", *got.translation) == struct.pack("3d", *want.translation)
+            assert max_gap(got.matrix, want.matrix) <= 1e-15
+            assert max_gap((got.translation,), (want.translation,)) <= 1e-15
+
+    def test_bloch_affine_action_of_a_unitary_is_phi_inverse(self, unitaries):
+        # The paper's map, read off the channel: M is the rotation of U (the
+        # largest gap here is 8.9e-16) and nothing is translated.
+        for u in unitaries:
+            action = bloch_affine_action(KrausSet((u.matrix,)))
+            assert max_gap(action.matrix, phi_inverse(u).matrix) <= 2e-15
+            assert action.translation == (0.0, 0.0, 0.0)
 
     def test_unitarity_deviation_on_unitaries(self, unitaries):
         for u in unitaries:
@@ -578,21 +591,28 @@ class TestMatmulCounts:
         assert matmuls == []
 
     def test_bloch_affine_action_makes_only_the_tp_check(self, matmuls, monkeypatch):
-        eigensolves = []
-        kernel = blochiso._kernels.jacobi_hermitian
+        eigensolves, chis = [], []
+        kernel, chi = blochiso._kernels.jacobi_hermitian, blochiso.channels._chi
 
         def counted(n, a):
             eigensolves.append(n)
             return kernel(n, a)
 
+        def counted_chi(operators):
+            chis.append(len(operators))
+            return chi(operators)
+
         monkeypatch.setattr(blochiso._kernels, "jacobi_hermitian", counted)
+        monkeypatch.setattr(blochiso.channels, "_chi", counted_chi)
         k = make_depolarizing(0.5)
         matmuls.clear()
         bloch_affine_action(k)
         # The trace-preservation check is a closed form too, and the only
         # check: a Kraus set is completely positive, so no Choi spectrum.
+        # M and t are read off one chi of the four operators.
         assert matmuls == []
         assert eigensolves == []
+        assert chis == [4]
 
     def test_classify_invert_verify_make_none(self, matmuls):
         k = redundant_unitary_kraus(random.Random(6), 3)[0]

@@ -5,10 +5,10 @@ deficit 1 - Tr(J^2) / (Tr J)^2 is at most delta(tol) = max(2 tol, 1e-14).
 The exact oracle builds channels whose Kraus entries are Gaussian rationals
 and decides them with ``fractions.Fraction``; the float code sees the same
 entries rounded once. The same oracle bounds the unitary classify prints
-against the exact quaternion, and decides inverse pairs by the composite
-channel's exact entanglement fidelity. The sweep crosses the threshold with
-random unitary mixtures and compares classify with the Choi round trip and
-the CLI's isometry flag.
+against the exact quaternion and the Bloch action against sum A s_j A*,
+and decides inverse pairs by the composite channel's exact entanglement
+fidelity. The sweep crosses the threshold with random unitary mixtures and
+compares classify with the Choi round trip and the CLI's isometry flag.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ from blochiso.channels import (
     KrausSet,
     _chi_deficit,
     _deficit_bound,
+    bloch_affine_action,
     choi_of,
     classify,
     kraus_from_choi,
@@ -35,6 +36,12 @@ from blochiso.cli import main
 from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, scale
 from blochiso.sampling import su2_haar
 from blochiso.su2 import _chi
+from test_closed_forms import channel_sets
+
+# The Bloch action's M and t are within 2.7e-16 of the exact values of the
+# float operators of channel_sets(), and within 2.9e-16 of the exact rational
+# channels' values, their rounded inputs included.
+BLOCH_BAND = 1e-15
 
 # The float deficit of a rounded rational channel differs from the exact
 # deficit by at most 6.9e-16 over 400 seeded near-unitary channels; the band
@@ -228,6 +235,40 @@ def printed_quaternion(q):
     return q if max(q) == top else tuple(-v for v in q)
 
 
+def exactly(k: KrausSet):
+    """The float operators of k as Gaussian rationals, each entry exactly."""
+    return [tuple((Fraction(z.real), Fraction(z.imag)) for z in op.entries) for op in k.operators]
+
+
+def exact_bloch_action(ops):
+    """M_kj = Tr(s_k Phi(s_j)) / 2 and t_k = Tr(s_k Phi(I)) / 2 of Phi(X) =
+    sum A X A*, exactly: the operators are put over one denominator, so the
+    products and sums run on integers."""
+    den = math.lcm(*(part.denominator for op in ops for z in op for part in z))
+    ints = [tuple((int(re * den), int(im * den)) for re, im in op) for op in ops]
+    basis = [tuple((int(re), int(im)) for re, im in m) for m in (*PAULIS, IDENTITY)]
+
+    def coordinates(x):
+        image = [(0, 0)] * 4
+        for a in ints:
+            p = mul2(mul2(a, x), adjoint(a))
+            image = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(image, p)]
+        traces = (mul2(s, image) for s in basis[:3])
+        return [Fraction(m[0][0] + m[3][0], 2 * den * den) for m in traces]
+
+    *columns, translation = [coordinates(x) for x in basis]
+    return [[column[i] for column in columns] for i in range(3)], translation
+
+
+def bloch_gap(k: KrausSet, ops) -> float:
+    """The largest |entry - exact| of k's M and t, against the action of ops."""
+    action = bloch_affine_action(k)
+    matrix, translation = exact_bloch_action(ops)
+    got = [x for row in action.matrix for x in row] + list(action.translation)
+    want = [x for row in matrix for x in row] + translation
+    return float(max(abs(Fraction(x) - y) for x, y in zip(got, want)))
+
+
 def exact_infidelity(fwd, inv):
     """1 - F_e of the composite {B A}: 1 - sum |Tr(B A) / 2|^2 / (sum ||B A||^2 / 2)."""
     fidelity = norm = Fraction(0)
@@ -314,6 +355,21 @@ class TestExactLift:
                 assert max(abs(x - y) for x, y in zip(printed.entries, exact)) <= 3.4e-16
                 compared += 1
         assert compared == 746
+
+
+class TestExactBlochAction:
+    """bloch_affine_action reads M and t off chi; both are within BLOCH_BAND
+    of the exact M_kj = Tr(s_k Phi(s_j)) / 2 and t_k = Tr(s_k Phi(I)) / 2."""
+
+    def test_float_sets_are_the_exact_action(self):
+        sets = channel_sets()
+        assert len(sets) == 3069
+        assert max(bloch_gap(k, exactly(k)) for k in sets) <= BLOCH_BAND
+
+    def test_rational_channels_are_the_exact_action(self):
+        cases = exact_channels(random.Random(2508))
+        assert len(cases) == 240
+        assert max(bloch_gap(rounded(ops), ops) for _, ops in cases) <= BLOCH_BAND
 
 
 class TestExactInversePair:
