@@ -12,7 +12,10 @@ is the row of chi that ``phi`` would read off the rotation.
 :func:`bloch_affine_action` reads the channel's action on Bloch vectors off
 the same chi, linear in it: for that unitary, the Euler-Rodrigues rotation of
 q, which ``phi_inverse`` drops U to. So the lift and the rotation come from
-one matrix. The Gram-matrix
+one matrix. :func:`invert` returns that lift's adjoint in closed form, and
+:func:`verify_inverse_pair` forms each product B_b A_a of the composite channel
+once, reading its coefficients, residuals, fidelity and trace preservation off
+that one pass (``_pair_table``). The Gram-matrix
 pipeline, :func:`extract_unitary_via_gram`, is the paper's constructive route
 to the same unitary from any redundant Kraus set; no library path calls it.
 
@@ -70,31 +73,43 @@ def _require_finite(*entries: complex) -> None:
 
 def _pair_table(
     lefts: list[tuple[complex, ...]], rights: list[tuple[complex, ...]]
-) -> tuple[ComplexMatrix, float, tuple[int, int], list[tuple[complex, ...]]]:
-    """Coefficients Tr(L R) / 2 of every product L R, row-major, as a matrix;
-    the largest max |L R - coeff I|; the first pair that reaches it; and the
-    products, row-major.
+) -> tuple[ComplexMatrix, float, tuple[int, int], float, float, float]:
+    """One pass over every product P = L R, row-major: the coefficients
+    Tr(P) / 2 as a matrix; the largest max |P - coeff I| and the first pair
+    that reaches it; and, of the composite channel {P}, sum |coeff|^2, its
+    weight sum ||P||_F^2 / 2 and max |sum P* P - I|.
 
     Sums never turn a non-finite entry finite, so checking the off-diagonal
-    entries and coeff covers every value the generic chain checks.
+    entries and coeff covers every value the generic chain checks. A modulus
+    past the float range raises DomainError, as a non-finite entry does.
     """
     entries = []
-    products = []
     worst = 0.0
     worst_pair = (0, 0)
-    for i, left in enumerate(lefts):
-        for j, right in enumerate(rights):
-            p0, p1, p2, p3 = product = _mul2(left, right)
-            coeff = (p0 + p3) / 2.0
-            _require_finite(p1, p2, coeff)
-            residual = max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
-            if residual > worst:
-                worst = residual
-                worst_pair = (i, j)
-            entries.append(coeff)
-            products.append(product)
+    square_sum = 0.0
+    s0 = s3 = 0.0  # sum P* P: its diagonal, and one entry off it
+    s1 = 0j
+    try:
+        for i, left in enumerate(lefts):
+            for j, right in enumerate(rights):
+                p0, p1, p2, p3 = _mul2(left, right)
+                coeff = (p0 + p3) / 2.0
+                _require_finite(p1, p2, coeff)
+                residual = max(abs(p0 - coeff), abs(p1), abs(p2), abs(p3 - coeff))
+                if residual > worst:
+                    worst = residual
+                    worst_pair = (i, j)
+                entries.append(coeff)
+                square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
+                c0, c1, c2, c3 = p0.conjugate(), p1.conjugate(), p2.conjugate(), p3.conjugate()
+                s0 += (c0 * p0 + c2 * p2).real
+                s1 += c0 * p1 + c2 * p3
+                s3 += (c1 * p1 + c3 * p3).real
+        tp_deviation = max(abs(s0 - 1.0), abs(s1), abs(s3 - 1.0))
+    except OverflowError as exc:  # abs() of a finite complex past the float range
+        raise DomainError("matrix entries must be finite") from exc
     table = ComplexMatrix._trusted(len(lefts), len(rights), tuple(entries))
-    return table, worst, worst_pair, products
+    return table, worst, worst_pair, square_sum, 0.5 * (s0 + s3), tp_deviation
 
 
 def _deficit_bound(tol: float) -> float:
@@ -136,15 +151,19 @@ class KrausSet(Value):
                 kept.append(op)
         if not kept:
             raise InvalidChannelError("Kraus set has no nonzero operators")
-        object.__setattr__(self, "operators", tuple(kept))
-        object.__setattr__(self, "_classified", None)
+        d = self.__dict__
+        d["operators"], d["_classified"] = tuple(kept), None
 
     def tp_deviation(self) -> float:
         """Largest entrywise deviation of sum A* A from the identity."""
         s0 = s1 = s2 = s3 = 0j
-        for op in self.operators:
-            p0, p1, p2, p3 = _mul2(_adjoint2(op.entries), op.entries)
-            s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
+        for op in self.operators:  # each A* A as _mul2(_adjoint2(A), A) forms it
+            a, b, c, d = op.entries
+            ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+            s0 += 0j + ac * a + cc * c
+            s1 += 0j + ac * b + cc * d
+            s2 += 0j + bc * a + dc * c
+            s3 += 0j + bc * b + dc * d
         _require_finite(s0, s1, s2, s3)
         return max(abs(s0 - 1.0), abs(s1), abs(s2), abs(s3 - 1.0))
 
@@ -264,8 +283,6 @@ class BlochAffineAction(Value):
 # flat index and its mirror's.
 _CHOI_UPPER = tuple((r * 4 + c, r, c) for r in range(4) for c in range(r, 4))
 _CHOI_LOWER = tuple((r * 4 + c, c * 4 + r) for r in range(1, 4) for c in range(r))
-# How often each upper entry appears in the square: once on the diagonal, twice off it.
-_UPPER_WEIGHTS = tuple(1.0 if r == c else 2.0 for _, r, c in _CHOI_UPPER)
 
 
 def _mirrored(ents: list[complex]) -> tuple[complex, ...]:
@@ -309,7 +326,7 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     if cached is not None and cached[0] == tol:
         return cached[1]
     result = _classify(k, tol)
-    object.__setattr__(k, "_classified", (tol, result))
+    k.__dict__["_classified"] = (tol, result)
     return result
 
 
@@ -317,13 +334,21 @@ def _chi_deficit(chi: tuple) -> float:
     """1 - Tr(chi^2) / (Tr chi)^2, the Choi purity deficit, from each
     |chi_ij| / Tr chi <= 1, so no square overflows. Tr J = 2 Tr chi is
     checked finite, as the Choi matrix's factorization checks it."""
-    trace = chi[0] + chi[4] + chi[7] + chi[9]
+    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
+    trace = d0 + d1 + d2 + d3
     _require_finite(trace + trace)
     inverse = 1.0 / trace
-    square_sum = 0.0
-    for z, weight in zip(chi, _UPPER_WEIGHTS):
-        x = abs(z) * inverse
-        square_sum += weight * (x * x)
+    # Each |chi_ij| / Tr chi squared, off the diagonal twice, summed row-major;
+    # the diagonal entries are sums of squares, so they are their own moduli.
+    y0, y1, y2, y3 = d0 * inverse, d1 * inverse, d2 * inverse, d3 * inverse
+    y01, y02, y03 = abs(x01) * inverse, abs(x02) * inverse, abs(x03) * inverse
+    y12, y13, y23 = abs(x12) * inverse, abs(x13) * inverse, abs(x23) * inverse
+    square_sum = (
+        y0 * y0 + 2.0 * (y01 * y01) + 2.0 * (y02 * y02) + 2.0 * (y03 * y03)
+        + y1 * y1 + 2.0 * (y12 * y12) + 2.0 * (y13 * y13)
+        + y2 * y2 + 2.0 * (y23 * y23)
+        + y3 * y3
+    )
     return 1.0 - square_sum
 
 
@@ -366,7 +391,7 @@ def extract_unitary_via_gram(
     exceeds 1 (residual gamma_1).
     """
     ops = k.operators
-    beta, worst_residual, worst_pair, _ = _pair_table(
+    beta, worst_residual, worst_pair, _, _, _ = _pair_table(
         [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
     )
     # Negated comparisons, so that a NaN tolerance fails every guard.
@@ -426,23 +451,10 @@ def verify_inverse_pair(
     with no weight (every product zero, or its squares underflowing) is not
     the identity: its infidelity is 1.
     """
-    alpha, max_residual, _, products = _pair_table(
+    alpha, max_residual, _, square_sum, half_weight, tp_deviation = _pair_table(
         [op.entries for op in k_inv.operators], [op.entries for op in k_fwd.operators]
     )
-    square_sum = 0.0
-    for coeff in alpha.entries:
-        square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
-    # sum P* P over the composite's operators P: its diagonal, and one entry off it.
-    s0 = s3 = 0.0
-    s1 = 0j
-    for p0, p1, p2, p3 in products:
-        c0, c1, c2, c3 = p0.conjugate(), p1.conjugate(), p2.conjugate(), p3.conjugate()
-        s0 += (c0 * p0 + c2 * p2).real
-        s1 += c0 * p1 + c2 * p3
-        s3 += (c1 * p1 + c3 * p3).real
-    half_weight = 0.5 * (s0 + s3)
     infidelity = 1.0 - square_sum / half_weight if half_weight > 0.0 else 1.0
-    tp_deviation = max(abs(s0 - 1.0), abs(s1), abs(s3 - 1.0))
     valid = tp_deviation <= tol and infidelity <= _deficit_bound(tol)
     return InversePairReport(valid, alpha, square_sum, max_residual, infidelity, tp_deviation)
 
@@ -454,8 +466,9 @@ def invert(k: KrausSet, tol: float = DEFAULT_TOL) -> KrausSet:
         raise NotInvertibleError(
             f"channel of kind {classification.kind.value} has no CPTP inverse"
         )
-    assert classification.extracted_unitary is not None
-    return KrausSet((adjoint(classification.extracted_unitary),))
+    u = classification.extracted_unitary
+    assert u is not None
+    return KrausSet((ComplexMatrix._trusted(2, 2, _adjoint2(u.entries)),))
 
 
 def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAction:

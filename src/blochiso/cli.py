@@ -620,9 +620,11 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
         return _cmd_bloch_action(args)
     except (DomainError, OverflowError) as exc:
         # The library rejected a value built from the input: products of huge
-        # entries overflowing (OverflowError: the modulus of a finite complex
-        # past the float range), or a --tol too tight for the sampled
-        # inverse-pair channels to classify as unitary.
+        # entries overflowing, or a --tol too tight for the sampled
+        # inverse-pair channels to classify as unitary. OverflowError (abs()
+        # of a finite complex past the float range) stays caught: the checked
+        # diagonal of tp_deviation's sum bounds its off-diagonal moduli only
+        # to within rounding.
         raise CliError(2, "malformed_input", str(exc)) from exc
 
 

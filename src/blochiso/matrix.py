@@ -40,7 +40,7 @@ class ComplexMatrix(Value):
             )
         if not all(map(cmath.isfinite, ents)):
             raise DomainError("matrix entries must be finite")
-        object.__setattr__(self, "entries", ents)
+        self.__dict__["entries"] = ents
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple[complex, ...]) -> "ComplexMatrix":

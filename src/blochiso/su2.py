@@ -161,11 +161,14 @@ def _chi_lift(chi: tuple) -> Unitary2:
     equals), over that entry, then normalized with w >= 0. Blind to scale;
     w >= 0 gives det U = 1 and phi's half-turn tie rule."""
     d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
-    r01, r02, r03, r12, r13, r23 = x01.real, x02.real, x03.real, x12.real, x13.real, x23.real
-    diagonal = (d0, d1, d2, d3)
-    k = diagonal.index(max(diagonal))
-    row = ((d0, r01, r02, r03), (r01, d1, r12, r13), (r02, r12, d2, r23), (r03, r13, r23, d3))[k]
-    p = row[k]
+    if d0 >= d1 and d0 >= d2 and d0 >= d3:
+        p, row = d0, (d0, x01.real, x02.real, x03.real)
+    elif d1 >= d2 and d1 >= d3:
+        p, row = d1, (x01.real, d1, x12.real, x13.real)
+    elif d2 >= d3:
+        p, row = d2, (x02.real, x12.real, d2, x23.real)
+    else:
+        p, row = d3, (x03.real, x13.real, x23.real, d3)
     w, x, y, z = row[0] / p, row[1] / p, row[2] / p, row[3] / p
     nrm = sqrt(w * w + x * x + y * y + z * z)
     if w < 0.0:

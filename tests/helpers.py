@@ -22,6 +22,7 @@ from blochiso.channels import (
     InversePairReport,
     KrausSet,
     _deficit_bound,
+    _require_finite,
 )
 from blochiso.cli import CliError, _fmt_float, main as cli_main
 from blochiso.errors import (
@@ -35,7 +36,9 @@ from blochiso.matrix import (
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
+    _adjoint2,
     _hermitian_eig,
+    _mul2,
     adjoint,
     max_abs_diff,
     scale,
@@ -49,7 +52,7 @@ from blochiso.so3 import (
     orthogonality_deviation,
     rotation_from_axis_angle,
 )
-from blochiso.su2 import Unitary2, _chi, _chi_lift, negate
+from blochiso.su2 import Unitary2, _chi, _chi_lift, _from_quaternion, negate
 
 
 # The generic operations. The library's products are closed 2x2 forms; these
@@ -348,6 +351,50 @@ def tp_deviation_generic(k: KrausSet) -> float:
     return max_abs_diff(acc, _I2)
 
 
+def tp_deviation_loop(k: KrausSet) -> float:
+    """``KrausSet.tp_deviation`` as a loop over the closed 2x2 forms: each
+    A* A is ``_mul2(_adjoint2(A), A)``, added entrywise."""
+    s0 = s1 = s2 = s3 = 0j
+    for op in k.operators:
+        p0, p1, p2, p3 = _mul2(_adjoint2(op.entries), op.entries)
+        s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
+    _require_finite(s0, s1, s2, s3)
+    return max(abs(s0 - 1.0), abs(s1), abs(s2), abs(s3 - 1.0))
+
+
+# How often each upper chi entry appears in the square: once on the diagonal,
+# twice off it.
+_CHI_UPPER_WEIGHTS = (1.0, 2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0)
+
+
+def chi_deficit_loop(chi: tuple) -> float:
+    """``channels._chi_deficit`` as a loop over the 10 upper entries of chi,
+    each weighted by how often it appears in the square."""
+    trace = chi[0] + chi[4] + chi[7] + chi[9]
+    _require_finite(trace + trace)
+    inverse = 1.0 / trace
+    square_sum = 0.0
+    for z, weight in zip(chi, _CHI_UPPER_WEIGHTS):
+        x = abs(z) * inverse
+        square_sum += weight * (x * x)
+    return 1.0 - square_sum
+
+
+def chi_lift_index_max(chi: tuple) -> Unitary2:
+    """``su2._chi_lift`` with its row picked as ``index(max)`` of the diagonal."""
+    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
+    r01, r02, r03, r12, r13, r23 = x01.real, x02.real, x03.real, x12.real, x13.real, x23.real
+    diagonal = (d0, d1, d2, d3)
+    k = diagonal.index(max(diagonal))
+    row = ((d0, r01, r02, r03), (r01, d1, r12, r13), (r02, r12, d2, r23), (r03, r13, r23, d3))[k]
+    p = row[k]
+    w, x, y, z = row[0] / p, row[1] / p, row[2] / p, row[3] / p
+    nrm = sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        nrm = -nrm
+    return _from_quaternion(w / nrm, x / nrm, y / nrm, z / nrm)
+
+
 def extract_unitary_via_gram_generic(
     k: KrausSet, tol: float = DEFAULT_TOL
 ) -> tuple[ComplexMatrix, GramData]:
@@ -357,16 +404,19 @@ def extract_unitary_via_gram_generic(
     beta_entries = [0j] * (count * count)
     worst_pair = (0, 0)
     worst_residual = 0.0
-    for a_prime in range(count):
-        left = adjoint(ops[a_prime])
-        for a in range(count):
-            prod = mul(left, ops[a])
-            coeff = trace(prod) / 2.0
-            residual = max_abs_diff(prod, scale(_I2, coeff))
-            if residual > worst_residual:
-                worst_residual = residual
-                worst_pair = (a_prime, a)
-            beta_entries[a_prime * count + a] = coeff
+    try:
+        for a_prime in range(count):
+            left = adjoint(ops[a_prime])
+            for a in range(count):
+                prod = mul(left, ops[a])
+                coeff = trace(prod) / 2.0
+                residual = max_abs_diff(prod, scale(_I2, coeff))
+                if residual > worst_residual:
+                    worst_residual = residual
+                    worst_pair = (a_prime, a)
+                beta_entries[a_prime * count + a] = coeff
+    except OverflowError as exc:  # a residual's modulus past the float range
+        raise DomainError("matrix entries must be finite") from exc
     if worst_residual > tol:
         raise NotUnitaryConjugationError(
             "channel is not a unitary conjugation: operator pair "
@@ -412,27 +462,31 @@ def verify_inverse_pair_generic(
 ) -> InversePairReport:
     """``channels.verify_inverse_pair`` through generic matrix products: the
     composite's sum P* P is summed entrywise from the kernel's P* P products,
-    unchecked, as the library keeps an overflowing sum, and compared with I."""
+    unchecked, as the library keeps an overflowing sum, and compared with I.
+    A modulus past the float range is a DomainError, as a non-finite entry is."""
     n_inv = len(k_inv.operators)
     n_fwd = len(k_fwd.operators)
     alpha_entries = [0j] * (n_inv * n_fwd)
     max_residual = 0.0
     square_sum = 0.0
     gram = [0j] * 4
-    for b in range(n_inv):
-        for a in range(n_fwd):
-            prod = mul(k_inv.operators[b], k_fwd.operators[a])
-            coeff = trace(prod) / 2.0
-            residual = max_abs_diff(prod, scale(_I2, coeff))
-            max_residual = max(max_residual, residual)
-            alpha_entries[b * n_fwd + a] = coeff
-            gram_term = blochiso._kernels.matmul(2, 2, adjoint(prod).entries, 2, prod.entries)
-            gram = [x + y for x, y in zip(gram, gram_term)]
+    try:
+        for b in range(n_inv):
+            for a in range(n_fwd):
+                prod = mul(k_inv.operators[b], k_fwd.operators[a])
+                coeff = trace(prod) / 2.0
+                residual = max_abs_diff(prod, scale(_I2, coeff))
+                max_residual = max(max_residual, residual)
+                alpha_entries[b * n_fwd + a] = coeff
+                gram_term = blochiso._kernels.matmul(2, 2, adjoint(prod).entries, 2, prod.entries)
+                gram = [x + y for x, y in zip(gram, gram_term)]
+        tp_deviation = max(abs(x - y) for x, y in zip(gram, _I2.entries))
+    except OverflowError as exc:
+        raise DomainError("matrix entries must be finite") from exc
     for coeff in alpha_entries:
         square_sum += coeff.real * coeff.real + coeff.imag * coeff.imag
     half_weight = (gram[0] + gram[3]).real / 2.0
     infidelity = 1.0 - square_sum / half_weight if half_weight > 0.0 else 1.0
-    tp_deviation = max(abs(x - y) for x, y in zip(gram, _I2.entries))
     valid = tp_deviation <= tol and infidelity <= _deficit_bound(tol)
     return InversePairReport(
         valid,

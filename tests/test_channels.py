@@ -543,6 +543,24 @@ class TestInversePair:
         assert report.infidelity <= 1e-12
         assert abs(report.tp_deviation - 1e-6) <= 1e-15
 
+    def test_a_modulus_past_the_float_range_is_a_domain_error(self):
+        # Every entry is finite, but a modulus is not: |P - coeff I| of
+        # A_1 A_0 = 1.3e308 (1 + i) in the pair pass, and |sum P* P - I| of
+        # P = A = [[1.15e154, 1.15e154 (1 + i)], [0, 0]] after it. Both were a
+        # bare OverflowError from abs().
+        big = KrausSet(
+            (
+                ComplexMatrix(2, 2, (0j, 1e154 + 0j, 0j, 0j)),
+                ComplexMatrix(2, 2, (1.3e154 + 1.3e154j, 0j, 0j, 0j)),
+            )
+        )
+        wide = KrausSet((ComplexMatrix(2, 2, (1.15e154 + 0j, 1.15e154 + 1.15e154j, 0j, 0j)),))
+        for forward, candidate in ((big, big), (wide, IDENTITY_SET)):
+            with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+                verify_inverse_pair(forward, candidate)
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            extract_unitary_via_gram(big)
+
 
 class TestInvert:
     def test_identity(self):

@@ -550,14 +550,15 @@ class TestVerify:
 
     def test_inverse_pair_modulus_overflow_exits_2(self, tmp_path):
         # A residual's parts are finite, but its modulus is past the float
-        # range: abs() raises OverflowError, once printed as a traceback.
+        # range: the pair pass raises DomainError, as for a non-finite entry
+        # (abs() raised a bare OverflowError, once printed as a traceback).
         ops = [[[[0, 0], [1e154, 0]], [[0, 0], [0, 0]]], [[[1.3e154, 1.3e154], [0, 0]], [[0, 0], [0, 0]]]]
         path = write_doc(tmp_path, "big.json", "kraus", {"operators": ops})
         code, out = run_cli(["verify", "inverse-pair", path, path])
         assert code == 2
         assert json.loads(out)["error"] == {
             "code": "malformed_input",
-            "detail": "absolute value too large",
+            "detail": "matrix entries must be finite",
         }
 
     def test_seeded_determinism(self):

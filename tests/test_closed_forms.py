@@ -35,6 +35,7 @@ import blochiso.channels
 from blochiso.bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from blochiso.channels import (
     KrausSet,
+    _chi_deficit,
     _choi_entries,
     _pair_table,
     _rank,
@@ -74,10 +75,20 @@ from blochiso.so3 import (
     orthogonality_deviation,
     rotation_from_axis_angle,
 )
-from blochiso.su2 import Unitary2, negate, unitarity_deviation, unitary_from_axis_angle
+from blochiso.su2 import (
+    Unitary2,
+    _chi,
+    _chi_lift,
+    _from_quaternion,
+    negate,
+    unitarity_deviation,
+    unitary_from_axis_angle,
+)
 from helpers import (
     amplitude_damping,
     bloch_affine_action_generic,
+    chi_deficit_loop,
+    chi_lift_index_max,
     choi_entries_generic,
     choi_tp_deviation,
     density_to_bloch_generic,
@@ -96,10 +107,12 @@ from helpers import (
     rodrigues_generic,
     run_geometry_case,
     tp_deviation_generic,
+    tp_deviation_loop,
     trace,
     unitarity_deviation_generic,
     verify_inverse_pair_generic,
 )
+from test_channels import near_unitary
 
 HAAR_DRAWS = 10_000
 AXES = [
@@ -292,16 +305,22 @@ class TestKrausPairProducts:
                 assert got == outcome(verify_inverse_pair_generic, k, k_inv)
 
     def test_every_branch_is_reached(self, pair_sets):
-        def branch(result, success):
-            if not isinstance(result[0], type):
-                return success
-            return result[1].split(" (")[0].split(":")[0]
+        def branch(success, function, *args):
+            # A modulus past the float range raises DomainError from abs()'s
+            # OverflowError, a branch of its own.
+            try:
+                function(*args)
+            except Exception as exc:
+                cause = exc.__cause__
+                raised = cause if isinstance(cause, OverflowError) else exc
+                return str(raised).split(" (")[0].split(":")[0]
+            return success
 
         gram, pair = set(), set()
         for k in pair_sets:
             for tol in (1e-9, 0.3, 0.6):
-                gram.add(branch(outcome(extract_unitary_via_gram_generic, k, tol), "unitary"))
-            pair.add(branch(outcome(verify_inverse_pair_generic, k, k), "report"))
+                gram.add(branch("unitary", extract_unitary_via_gram_generic, k, tol))
+            pair.add(branch("report", verify_inverse_pair_generic, k, k))
         finite, overflow = "matrix entries must be finite", "absolute value too large"
         assert gram == {
             "unitary",
@@ -312,6 +331,40 @@ class TestKrausPairProducts:
             overflow,
         }
         assert pair == {"report", finite, overflow}
+
+
+class TestUnrolledForms:
+    """tp_deviation sums each A* A inline and _chi_deficit unrolls its ten
+    weighted squares: the loop forms' operations in their order, so the
+    same bits, or the same exception, on every set."""
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        family = [near_unitary(10.0 ** (-i / 4.0)) for i in range(65)]  # eps 1 to 1e-16
+        return channel_sets() + family + kraus_pair_sets()
+
+    def test_tp_deviation(self, sets):
+        assert len(sets) == 3069 + 65 + len(kraus_pair_sets())
+        for k in sets:
+            assert outcome(k.tp_deviation) == outcome(tp_deviation_loop, k)
+
+    def test_chi_deficit(self, sets):
+        for k in sets:
+            chi = _chi(k.operators)
+            assert outcome(_chi_deficit, chi) == outcome(chi_deficit_loop, chi)
+
+    def test_chi_lift_picks_the_first_of_equal_rows(self, sets):
+        # Half turns about (+-1, +-1, 0) / sqrt(2) and the like tie two or
+        # more diagonal entries of chi; every phase of U keeps chi.
+        ties = []
+        for q in itertools.product((-1.0, 0.0, 1.0), repeat=4):
+            norm = sqrt(sum(v * v for v in q))
+            if norm:
+                u = _from_quaternion(*(v / norm for v in q)).matrix
+                ties += [KrausSet((scale(u, phase),)) for phase in (1.0, 1j, -1.0, -1j)]
+        for k in sets + ties:
+            chi = _chi(k.operators)
+            assert outcome(_chi_lift, chi) == outcome(chi_lift_index_max, chi)
 
 
 def near_proportional_sets() -> list[tuple[KrausSet, float]]:

@@ -327,6 +327,37 @@ class TestValueConstructions:
         assert len(products) == count * min(count, 2)
         assert report.alpha.rows == min(count, 2)
 
+    @pytest.mark.parametrize("k, kind", VERDICTS.values(), ids=VERDICTS)
+    def test_classify_forms_no_pair_product(self, monkeypatch, k, kind):
+        # Trace preservation sums each A* A inline, and chi reads the entries.
+        calls = []
+        for name in ("_mul2", "_adjoint2"):
+            original = getattr(blochiso.channels, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(blochiso.channels, name, counted)
+        assert classify(KrausSet(k.operators)).kind is kind
+        assert calls == []
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_invert_makes_no_generic_adjoint(self, monkeypatch, count):
+        # U* is the closed 2x2 form of the lifted unitary.
+        k = redundant_unitary_kraus(random.Random(60 + count), count)[0]
+        calls = []
+
+        def counted(a):
+            calls.append((a.rows, a.cols))
+            return adjoint(a)
+
+        monkeypatch.setattr(blochiso.matrix, "adjoint", counted)
+        monkeypatch.setattr(blochiso.channels, "adjoint", counted)
+        (inverse,) = invert(k).operators
+        assert calls == []
+        assert repr(inverse) == repr(adjoint(classify(k).extracted_unitary))
+
     def test_non_hermitian_input_is_still_refused(self, tmp_path):
         skewed = [[1.0 + 0j if r == c else 0j for c in range(4)] for r in range(4)]
         skewed[0][1] = 1e-3j

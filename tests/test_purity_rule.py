@@ -35,7 +35,7 @@ from blochiso.channels import (
 from blochiso.cli import main
 from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, scale
 from blochiso.sampling import su2_haar
-from blochiso.su2 import _chi
+from blochiso.su2 import _chi, normalize_phase
 from test_closed_forms import channel_sets
 
 # The Bloch action's M and t are within 2.7e-16 of the exact values of the
@@ -331,13 +331,13 @@ class TestExactOracle:
 class TestExactLift:
     """classify prints phi of the rotation: on rational unitaries, and
     redundant sets of them with Gaussian-rational phases, it is within 3.4e-16
-    of the U of the exact quaternion with w >= 0 (worst 1.6e-16 here). The
-    54 of 800 sets at a half turn with two largest axis components tied are
-    not compared."""
+    of the U of the exact quaternion with w >= 0 (worst 1.6e-16 here), and so
+    is normalize_phase of each phased unitary. The 54 of 800 sets at a half
+    turn with two largest axis components tied are not compared."""
 
     def test_printed_unitary_is_the_exact_quaternions(self):
         rng = random.Random(2509)
-        compared = 0
+        compared = phased = 0
         for _ in range(400):
             q = rational_quaternion(rng)
             u = unitary_of(q)
@@ -354,7 +354,14 @@ class TestExactLift:
                 exact = [complex(float(re), float(im)) for re, im in unitary_of(expected)]
                 assert max(abs(x - y) for x, y in zip(printed.entries, exact)) <= 3.4e-16
                 compared += 1
+            if expected is None:
+                continue
+            (m,) = rounded(sets[0]).operators
+            lifted = normalize_phase(m).matrix
+            assert max(abs(x - y) for x, y in zip(lifted.entries, exact)) <= 3.4e-16
+            phased += 1
         assert compared == 746
+        assert phased == 373
 
 
 class TestExactBlochAction:
