@@ -17,7 +17,8 @@ one matrix. :func:`invert` returns that lift's adjoint in closed form, and
 once, reading its coefficients, residuals, fidelity and trace preservation off
 that one pass (``_pair_table``). The Gram-matrix
 pipeline, :func:`extract_unitary_via_gram`, is the paper's constructive route
-to the same unitary from any redundant Kraus set; no library path calls it.
+to the same unitary from any redundant Kraus set, decided by the same purity
+rule; no library path calls it.
 
 The Choi matrix of a Kraus set (its upper triangle plus the ``0j + conj``
 mirror, bit for bit the full square), chi and the Gram matrix are Hermitian
@@ -49,7 +50,7 @@ from .matrix import (
     max_abs_diff,
 )
 from .so3 import Matrix3
-from .su2 import _chi, _chi_lift, unitarity_deviation
+from .su2 import _chi, _chi_lift
 
 #: Kraus operators below this Frobenius norm are dropped on ingestion; they
 #: contribute nothing to the channel and break proportionality diagnostics.
@@ -120,7 +121,7 @@ def _deficit_bound(tol: float) -> float:
 def _rank(eigenvalues: tuple[float, ...], tol: float = DEFAULT_TOL) -> int:
     """Eigenvalues of a descending spectrum above c = delta(tol) / 12 of the largest
     (0 if that is not positive): the Choi rank, and at DEFAULT_TOL the Kraus count
-    of :func:`kraus_from_choi` and the Gram rank. If every lambda_k <= c lambda_1
+    of :func:`kraus_from_choi`. If every lambda_k <= c lambda_1
     (k >= 2), 1 - P <= 6c + 6c^2 < delta: a refused channel never counts rank 1."""
     floor = _deficit_bound(tol) / 12.0 * eigenvalues[0]
     return sum(1 for ev in eigenvalues if ev > floor) if floor > 0.0 else 0
@@ -234,9 +235,10 @@ class ChannelClassification(Value):
 class GramData(Value):
     """Intermediates of the unitary extraction.
 
-    ``beta`` is the Hermitian PSD unit-trace matrix of proportionality
-    constants A_a'* A_a = beta_{a'a} I, ``gamma`` its eigenvalues in
-    descending order, ``mixing`` the unitary whose columns diagonalize it.
+    ``beta`` is the Hermitian PSD Gram matrix Tr(A_a'* A_a) / 2, the
+    proportionality constants A_a'* A_a = beta_{a'a} I of a reversible
+    channel, ``gamma`` its eigenvalues in descending order, ``mixing`` the
+    unitary whose columns diagonalize it.
     """
 
     def __init__(
@@ -377,63 +379,43 @@ def extract_unitary_via_gram(
 ) -> tuple[ComplexMatrix, GramData]:
     """Reduce a redundant Kraus representation of a reversible channel.
 
-    Every pairwise product A_a'* A_a must be proportional to the identity;
-    the proportionality constants form the Gram matrix beta. Diagonalizing
-    beta remixes the set into operators C_c = sum_a V[a][c] A_a satisfying
-    C_c'* C_c = gamma_c delta I. The leading one, divided by sqrt(gamma_0), is
-    the underlying unitary; the channel is that unitary's conjugation exactly
-    when the Gram rank, :func:`_rank` of gamma, is 1.
+    The paper's criterion A_a'* A_a = beta_{a'a} I holds exactly when the
+    Gram matrix beta has rank 1. With c_a the coefficients of A_a
+    (``su2._chi``), beta = C* C and chi = C C*, so that is Choi purity 1, and
+    the route decides on :func:`classify`'s rule: the purity deficit of chi
+    at most delta(tol). Diagonalizing beta remixes the set into operators
+    C_c = sum_a V[a][c] A_a with C_c'* C_c = gamma_c delta I; the leading
+    one is the underlying unitary up to scale.
 
     Returns the unitary, lifted from its rotation as ``classify`` lifts, and
     the Gram intermediates. Raises :class:`NotUnitaryConjugationError`,
-    carrying the worst offending pair, when proportionality fails, the
-    leading direction is not unitary within delta(tol) or the Gram rank
-    exceeds 1 (residual gamma_1).
+    carrying the worst pair of the proportionality test and its residual,
+    when the deficit exceeds delta(tol).
     """
     ops = k.operators
     beta, worst_residual, worst_pair, _, _, _ = _pair_table(
         [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
     )
-    # Negated comparisons, so that a NaN tolerance fails every guard.
-    if not worst_residual <= tol:
+    deficit = _chi_deficit(_chi(ops))
+    if not deficit <= _deficit_bound(tol):  # negated, so that a NaN tol fails it
         raise NotUnitaryConjugationError(
-            "channel is not a unitary conjugation: operator pair "
-            f"{worst_pair} has proportionality residual {worst_residual:.3e}",
+            f"channel is not a unitary conjugation: Choi purity deficit {deficit:.3e}; "
+            f"operator pair {worst_pair} has proportionality residual {worst_residual:.3e}",
             worst_pair,
             worst_residual,
         )
 
     eig = _hermitian_eig(len(ops), beta.entries)
-    gamma = eig.eigenvalues
     mixing = eig.eigenvectors
-
-    # Beta is the Gram matrix of nonzero operators, so gamma[0] is positive;
-    # the check guards the square root and does not depend on tol.
-    if not gamma[0] > 0.0:
-        raise NotUnitaryConjugationError(
-            "Gram matrix has no significant direction", (0, 0), gamma[0]
-        )
-
     s0 = s1 = s2 = s3 = 0j
     for a, op in enumerate(ops):
         x0, x1, x2, x3 = op.entries
         v = mixing.at(a, 0)
         s0, s1, s2, s3 = s0 + x0 * v, s1 + x1 * v, s2 + x2 * v, s3 + x3 * v
-    norm = 1.0 / sqrt(gamma[0])
-    unitary = ComplexMatrix(2, 2, (s0 * norm, s1 * norm, s2 * norm, s3 * norm))
-    dev = unitarity_deviation(unitary)
-    if not dev <= _deficit_bound(tol):
-        raise NotUnitaryConjugationError(
-            f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
-        )
-    # The Gram rank is the minimal Kraus count, as the Choi rank is: a second
-    # significant direction is a second operator the channel cannot do without.
-    if _rank(gamma) > 1:
-        raise NotUnitaryConjugationError(
-            "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
-        )
-
-    return _chi_lift(_chi((unitary,))).matrix, GramData(beta, gamma, mixing)
+    # Unvalidated: the leading direction's chi entries are at most Tr chi
+    # (Cauchy-Schwarz with the unit column V[:, 0]), checked finite above.
+    leading = ComplexMatrix._trusted(2, 2, (s0, s1, s2, s3))
+    return _chi_lift(_chi((leading,))).matrix, GramData(beta, eig.eigenvalues, mixing)
 
 
 def verify_inverse_pair(

@@ -22,7 +22,8 @@ class InvalidChannelError(DomainError):
 class NotUnitaryConjugationError(InvalidChannelError):
     """Channel is not a unitary conjugation, so no single operator exists.
 
-    Carries the worst offending operator pair and its residual from the
+    Raised when the Choi purity deficit exceeds delta(tol). Carries, as a
+    diagnostic, the worst operator pair and its residual from the
     proportionality test A_a'* A_a = beta * I.
     """
 

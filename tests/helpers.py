@@ -417,44 +417,24 @@ def extract_unitary_via_gram_generic(
                 beta_entries[a_prime * count + a] = coeff
     except OverflowError as exc:  # a residual's modulus past the float range
         raise DomainError("matrix entries must be finite") from exc
-    if worst_residual > tol:
+    deficit = chi_deficit_loop(_chi(ops))
+    if not deficit <= _deficit_bound(tol):
         raise NotUnitaryConjugationError(
-            "channel is not a unitary conjugation: operator pair "
-            f"{worst_pair} has proportionality residual {worst_residual:.3e}",
+            f"channel is not a unitary conjugation: Choi purity deficit {deficit:.3e}; "
+            f"operator pair {worst_pair} has proportionality residual {worst_residual:.3e}",
             worst_pair,
             worst_residual,
         )
 
     beta = ComplexMatrix(count, count, tuple(beta_entries))
     eig = hermitian_eig_reference(beta, tol)
-    gamma = eig.eigenvalues
     mixing = eig.eigenvectors
-
-    if not gamma[0] > 0.0:
-        raise NotUnitaryConjugationError(
-            "Gram matrix has no significant direction", (0, 0), gamma[0]
-        )
-
     combo = zeros(2, 2)
     for a in range(count):
         combo = add(combo, scale(ops[a], mixing.at(a, 0)))
-    unitary = scale(combo, 1.0 / sqrt(gamma[0]))
-    dev = max_abs_diff(mul(adjoint(unitary), unitary), _I2)
-    if dev > _deficit_bound(tol):
-        raise NotUnitaryConjugationError(
-            f"leading Gram direction is not unitary (deviation {dev:.3e})", (0, 0), dev
-        )
-    # A second significant Gram direction is a second Kraus operator the
-    # channel needs: the Gram rank, like the Choi rank, must be 1. The count
-    # is kraus_from_choi's, at DEFAULT_TOL whatever tol is.
-    if len(gamma) > 1 and gamma[1] > _deficit_bound(DEFAULT_TOL) / 12.0 * gamma[0]:
-        raise NotUnitaryConjugationError(
-            "Gram directions disagree on the underlying unitary", (0, 0), gamma[1]
-        )
-
     # The library's one lift, so that the comparison stays bitwise: it checks
     # the pair-product closed forms, not the phase rule.
-    return _chi_lift(_chi((unitary,))).matrix, GramData(beta, gamma, mixing)
+    return _chi_lift(_chi((combo,))).matrix, GramData(beta, eig.eigenvalues, mixing)
 
 
 def verify_inverse_pair_generic(

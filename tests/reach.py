@@ -26,9 +26,6 @@ PACKAGE = ROOT / "src" / "blochiso"
 ALLOWED = (
     # Only a spawned ``python -m blochiso.cli`` runs the entry point.
     ("cli.py", "sys.exit(main())"),
-    # Beta is the Gram matrix of nonzero operators, so gamma[0] > 0; the
-    # guard keeps a square root of a non-positive number out of the result.
-    ("channels.py", '"Gram matrix has no significant direction"'),
 )
 
 _prefix = str(PACKAGE) + "/"

@@ -381,8 +381,8 @@ class TestChoiEigenpairUnitary:
         # At a tolerance this loose the set passes trace preservation, and
         # delta(tol) >= 3/4 exceeds every purity deficit: the verdict is read
         # off a rank-one Choi matrix, and M / (Tr J / 2) = diag(0, 0, 1) lifts
-        # to I. The Gram route's candidate, diag(sqrt 2, 0), is unitary
-        # within delta(tol) >= 4 (deviation 1), and its lift is I as well.
+        # to I. The Gram route decides by the same rule and lifts its one
+        # operator, unscaled, to I as well.
         k = KrausSet((from_rows([[1, 0], [0, 0]]),))
         for tol in (2.0, 1e308):
             result = classify(k, tol)
@@ -413,7 +413,7 @@ class TestChoiEigenpairUnitary:
         # normalize_phase, classify and the Gram route print phi of the
         # rotation of m, half turns e^{i theta}(-i s_k) included. The first
         # two sum Tr J alike, so they agree bit for bit; the Gram candidate
-        # m / sqrt(gamma_0) differs from m by roundoff.
+        # V[0][0] m, a unit phase times m, differs from m by roundoff.
         ops = [
             scale(PAULIS[k], -1j * cmath.exp(2j * pi * j / 64)) for k in range(3) for j in range(64)
         ]
@@ -444,11 +444,25 @@ class TestChoiEigenpairUnitary:
             assert max_abs_diff(classify(k).extracted_unitary, lifted) <= 1e-15 + eps
 
     def test_gram_route_agrees(self):
+        # The Gram route decides by classify's rule, so it accepts the
+        # near-unitary channels classify accepts, and its unitary is about
+        # 0.13 eps from classify's there.
         rng = random.Random(14)
-        for i in range(300):
-            k = redundant_unitary_kraus(rng, 1 + i % 4)[0]
-            via_gram, _ = extract_unitary_via_gram(k)
-            assert max_abs_diff(via_gram, classify(k).extracted_unitary) <= 1e-14
+        sets = [(redundant_unitary_kraus(rng, 1 + i % 4)[0], 1e-14) for i in range(300)]
+        epsilons = (1e-8, 1e-9, 1e-10, 1e-12, 1e-14, 1e-16)
+        sets += [(near_unitary(eps), 1e-15 + eps) for eps in epsilons]
+        accepted = 0
+        for k, bound in sets:
+            result = classify(k)
+            try:
+                via_gram, _ = extract_unitary_via_gram(k)
+            except NotUnitaryConjugationError:
+                assert result.kind is not ChannelKind.UNITARY_CONJUGATION
+                continue
+            assert result.kind is ChannelKind.UNITARY_CONJUGATION
+            assert max_abs_diff(via_gram, result.extracted_unitary) <= bound
+            accepted += 1
+        assert accepted == 305
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-16])
     def test_near_unitary_channel_at_rank_one_is_unitary(self, eps):

@@ -3,6 +3,8 @@
 Every name in the table's "kept" rows must be a public attribute of
 ``blochiso`` and every public attribute must be in those rows, so an export
 added without a caller or a reason changes this test and the table together.
+README's reach paragraph likewise counts and names the statements
+``tests/reach.py`` allows to go unreached.
 """
 
 import inspect
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import blochiso
+import reach
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,3 +52,15 @@ def test_exports_are_the_kept_rows():
 def test_retired_members_are_gone(owner, name):
     # Only tests called them; README's table names the path each test took instead.
     assert not hasattr(owner, name)
+
+
+NUMBERS = {"one": 1, "two": 2, "three": 3, "four": 4}
+
+
+def test_reach_paragraph_names_the_allowlist():
+    text = README.read_text("utf-8")
+    lead = "Every statement in `src/blochiso` runs under the suite, except "
+    paragraph = text.split(lead, 1)[1].split("\n\n", 1)[0]
+    assert NUMBERS[paragraph.split()[0]] == len(reach.ALLOWED)
+    named = re.findall(r"`([^`]+)` in `(\w+\.py)`", paragraph)
+    assert sorted((name, needle) for needle, name in named) == sorted(reach.ALLOWED)

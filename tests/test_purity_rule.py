@@ -4,8 +4,9 @@ A trace-preserving Kraus set is a unitary conjugation when its Choi purity
 deficit 1 - Tr(J^2) / (Tr J)^2 is at most delta(tol) = max(2 tol, 1e-14).
 The exact oracle builds channels whose Kraus entries are Gaussian rationals
 and decides them with ``fractions.Fraction``; the float code sees the same
-entries rounded once. The same oracle bounds the unitary classify prints
-against the exact quaternion and the Bloch action against sum A s_j A*,
+entries rounded once, and classify and the Gram route reach the exact
+verdict. The same oracle bounds the unitary both print against the exact
+quaternion and the Bloch action against sum A s_j A*,
 and decides inverse pairs by the composite channel's exact entanglement
 fidelity. The sweep crosses the threshold with random unitary mixtures and
 compares classify with the Choi round trip and the CLI's isometry flag.
@@ -29,6 +30,7 @@ from blochiso.channels import (
     bloch_affine_action,
     choi_of,
     classify,
+    extract_unitary_via_gram,
     kraus_from_choi,
     verify_inverse_pair,
 )
@@ -36,7 +38,7 @@ from blochiso.cli import main
 from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, scale
 from blochiso.sampling import su2_haar
 from blochiso.su2 import _chi, normalize_phase
-from test_closed_forms import channel_sets
+from test_closed_forms import channel_sets, gram_verdict
 
 # The Bloch action's M and t are within 2.7e-16 of the exact values of the
 # float operators of channel_sets(), and within 2.9e-16 of the exact rational
@@ -324,6 +326,7 @@ class TestExactOracle:
             assert (result.kind is ChannelKind.UNITARY_CONJUGATION) is unitary, label
             # A refused channel prints its exact rank.
             assert result.choi_rank == (1 if unitary else rank), label
+            assert gram_verdict(k, tol) is unitary, label
             compared += 1
         assert compared >= 200 and len(exact_cases) - compared <= 2
 
@@ -332,8 +335,9 @@ class TestExactLift:
     """classify prints phi of the rotation: on rational unitaries, and
     redundant sets of them with Gaussian-rational phases, it is within 3.4e-16
     of the U of the exact quaternion with w >= 0 (worst 1.6e-16 here), and so
-    is normalize_phase of each phased unitary. The 54 of 800 sets at a half
-    turn with two largest axis components tied are not compared."""
+    are the Gram route's unitary of each set and normalize_phase of each
+    phased unitary. The 54 of 800 sets at a half turn with two largest axis
+    components tied are not compared."""
 
     def test_printed_unitary_is_the_exact_quaternions(self):
         rng = random.Random(2509)
@@ -348,11 +352,13 @@ class TestExactLift:
             ]
             expected = printed_quaternion(q)
             for ops in sets:
-                printed = classify(rounded(ops)).extracted_unitary
+                k = rounded(ops)
+                printed = classify(k).extracted_unitary
                 if expected is None:
                     continue
                 exact = [complex(float(re), float(im)) for re, im in unitary_of(expected)]
-                assert max(abs(x - y) for x, y in zip(printed.entries, exact)) <= 3.4e-16
+                for u in (printed, extract_unitary_via_gram(k)[0]):
+                    assert max(abs(x - y) for x, y in zip(u.entries, exact)) <= 3.4e-16
                 compared += 1
             if expected is None:
                 continue
