@@ -17,8 +17,8 @@ one matrix. :func:`invert` returns that lift's adjoint in closed form, and
 once, reading its coefficients, residuals, fidelity and trace preservation off
 that one pass (``_pair_table``). The Gram-matrix
 pipeline, :func:`extract_unitary_via_gram`, is the paper's constructive route
-to the same unitary from any redundant Kraus set, decided by the same purity
-rule; no library path calls it.
+to the same unitary from any redundant Kraus set, decided by the same trace
+gate and purity rule; no library path calls it.
 
 The Choi matrix of a Kraus set (its upper triangle plus the ``0j + conj``
 mirror, bit for bit the full square), chi and the Gram matrix are Hermitian
@@ -380,26 +380,32 @@ def extract_unitary_via_gram(
     """Reduce a redundant Kraus representation of a reversible channel.
 
     The paper's criterion A_a'* A_a = beta_{a'a} I holds exactly when the
-    Gram matrix beta has rank 1. With c_a the coefficients of A_a
-    (``su2._chi``), beta = C* C and chi = C C*, so that is Choi purity 1, and
-    the route decides on :func:`classify`'s rule: the purity deficit of chi
-    at most delta(tol). Diagonalizing beta remixes the set into operators
-    C_c = sum_a V[a][c] A_a with C_c'* C_c = gamma_c delta I; the leading
-    one is the underlying unitary up to scale.
+    set is trace preserving and the Gram matrix beta has rank 1: rank 1
+    alone makes every A_a a multiple of one operator C, and only trace
+    preservation makes C* C a multiple of I. With c_a the coefficients of
+    A_a (``su2._chi``), beta = C* C and chi = C C*, so rank 1 is Choi purity
+    1, and the route decides on :func:`classify`'s rule: tp deviation at
+    most tol and the purity deficit of chi at most delta(tol).
+    Diagonalizing beta remixes the set into operators C_c = sum_a V[a][c] A_a
+    with C_c'* C_c = gamma_c delta I; the leading one is the underlying
+    unitary up to scale.
 
     Returns the unitary, lifted from its rotation as ``classify`` lifts, and
     the Gram intermediates. Raises :class:`NotUnitaryConjugationError`,
     carrying the worst pair of the proportionality test and its residual,
-    when the deficit exceeds delta(tol).
+    when either bound is exceeded.
     """
     ops = k.operators
     beta, worst_residual, worst_pair, _, _, _ = _pair_table(
         [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
     )
+    dev = k.tp_deviation()
     deficit = _chi_deficit(_chi(ops))
-    if not deficit <= _deficit_bound(tol):  # negated, so that a NaN tol fails it
+    # Negated, so that a NaN tol fails it, as in classify.
+    if not (dev <= tol and deficit <= _deficit_bound(tol)):
         raise NotUnitaryConjugationError(
-            f"channel is not a unitary conjugation: Choi purity deficit {deficit:.3e}; "
+            f"channel is not a unitary conjugation: tp deviation {dev:.3e}, "
+            f"Choi purity deficit {deficit:.3e}; "
             f"operator pair {worst_pair} has proportionality residual {worst_residual:.3e}",
             worst_pair,
             worst_residual,

@@ -22,7 +22,8 @@ class InvalidChannelError(DomainError):
 class NotUnitaryConjugationError(InvalidChannelError):
     """Channel is not a unitary conjugation, so no single operator exists.
 
-    Raised when the Choi purity deficit exceeds delta(tol). Carries, as a
+    Raised when the set is not trace preserving within tol or its Choi
+    purity deficit exceeds delta(tol). Carries, as a
     diagnostic, the worst operator pair and its residual from the
     proportionality test A_a'* A_a = beta * I.
     """

@@ -417,10 +417,12 @@ def extract_unitary_via_gram_generic(
                 beta_entries[a_prime * count + a] = coeff
     except OverflowError as exc:  # a residual's modulus past the float range
         raise DomainError("matrix entries must be finite") from exc
+    dev = tp_deviation_generic(k)
     deficit = chi_deficit_loop(_chi(ops))
-    if not deficit <= _deficit_bound(tol):
+    if not (dev <= tol and deficit <= _deficit_bound(tol)):
         raise NotUnitaryConjugationError(
-            f"channel is not a unitary conjugation: Choi purity deficit {deficit:.3e}; "
+            f"channel is not a unitary conjugation: tp deviation {dev:.3e}, "
+            f"Choi purity deficit {deficit:.3e}; "
             f"operator pair {worst_pair} has proportionality residual {worst_residual:.3e}",
             worst_pair,
             worst_residual,

@@ -381,8 +381,8 @@ class TestChoiEigenpairUnitary:
         # At a tolerance this loose the set passes trace preservation, and
         # delta(tol) >= 3/4 exceeds every purity deficit: the verdict is read
         # off a rank-one Choi matrix, and M / (Tr J / 2) = diag(0, 0, 1) lifts
-        # to I. The Gram route decides by the same rule and lifts its one
-        # operator, unscaled, to I as well.
+        # to I. The Gram route decides by the same two gates and lifts its
+        # one operator, unscaled, to I as well.
         k = KrausSet((from_rows([[1, 0], [0, 0]]),))
         for tol in (2.0, 1e308):
             result = classify(k, tol)

@@ -34,6 +34,8 @@ import blochiso._kernels
 import blochiso.channels
 from blochiso.bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from blochiso.channels import (
+    DEFAULT_TOL,
+    ChannelKind,
     KrausSet,
     _chi_deficit,
     _choi_entries,
@@ -381,27 +383,30 @@ def near_proportional_sets() -> list[tuple[KrausSet, float]]:
 
 def gram_verdict(k: KrausSet, tol: float) -> bool | None:
     """Whether the Gram route accepts k at tol; None when it raises
-    DomainError. A refusal is the purity rule's."""
+    DomainError."""
     try:
         extract_unitary_via_gram(k, tol)
     except NotUnitaryConjugationError as exc:
-        assert str(exc).startswith("channel is not a unitary conjugation: Choi purity deficit")
+        assert str(exc).startswith("channel is not a unitary conjugation: tp deviation")
         return False
     except DomainError:
         return None
     return True
 
 
-def purity_verdict(k: KrausSet, tol: float) -> bool:
-    return _chi_deficit(_chi(k.operators)) <= _deficit_bound(tol)
+def classify_verdict(k: KrausSet, tol: float) -> bool | None:
+    try:
+        return classify(k, tol).kind is ChannelKind.UNITARY_CONJUGATION
+    except DomainError:
+        return None
 
 
 class TestGramRank:
-    """The Gram rank is 1 exactly when the Choi purity is 1, so the Gram
-    route decides by classify's rule, the purity deficit of chi against
-    delta(tol), at every tolerance. Past tol = 3/8, delta >= 3/4 exceeds
-    every deficit and the route accepts every set, as classify accepts
-    every trace-preserving one."""
+    """The Gram rank is 1 exactly when the Choi purity is 1, and together
+    with trace preservation that is the paper's criterion, so the Gram route
+    gives classify's verdict at every tolerance. Past tol = 3/8, delta >= 3/4
+    exceeds every deficit and the route accepts every set that is trace
+    preserving within tol, as classify does."""
 
     @pytest.mark.parametrize("tol", [1e-9, 0.3, 0.6, 2.0, 1e3])
     def test_pair_sets(self, pair_sets, tol):
@@ -409,20 +414,33 @@ class TestGramRank:
         for k in pair_sets:
             verdict = gram_verdict(k, tol)
             if verdict is not None:
-                assert verdict is purity_verdict(k, tol)
+                assert verdict is classify_verdict(k, tol)
             verdicts.append(verdict)
         assert verdicts.count(None) == 6  # past the float range
-        assert (False in verdicts) is (tol < 0.375)
+        # Past tol = 3/8 only the trace gate refuses.
+        refused = [k for k, verdict in zip(pair_sets, verdicts) if verdict is False]
+        assert refused
+        if tol >= 0.375:
+            assert all(k.tp_deviation() > tol for k in refused)
         assert verdicts.count(True) >= 600
 
     def test_near_proportional_sets(self):
         verdicts = []
         for k, tol in near_proportional_sets():
             verdict = gram_verdict(k, tol)
-            assert verdict is purity_verdict(k, tol)
+            assert verdict is classify_verdict(k, tol)
             verdicts.append(verdict)
         assert verdicts.count(False) > 100
         assert verdicts.count(True) > 100
+
+    @pytest.mark.parametrize("entries", [(1, 0, 0, 0), (0, 1, 0, 0)])
+    def test_a_single_operator_that_is_not_trace_preserving_is_refused(self, entries):
+        # chi of one operator is pure, so only the trace gate refuses it.
+        k = KrausSet((ComplexMatrix(2, 2, tuple(complex(x) for x in entries)),))
+        assert _chi_deficit(_chi(k.operators)) <= _deficit_bound(DEFAULT_TOL)
+        with pytest.raises(NotUnitaryConjugationError, match="^channel is not a unitary conjugation"):
+            extract_unitary_via_gram(k)
+        assert classify(k).kind is ChannelKind.NOT_CPTP
 
 
 MIRROR_SCALES = (1e-160, 1e-30, 1.0, 1e30, 1e150, 3e153)

@@ -68,7 +68,8 @@ def test_guard_rejects_at_a_nan_tolerance(guard, tol):
 
 
 def test_gram_extraction_of_a_unitary_set_fails_at_a_nan_tolerance():
-    # The purity rule reads the deficit against delta(tol), NaN at a NaN
-    # tol, so even a unitary set is refused, before the Gram eigensolve.
+    # The trace gate and the purity rule compare against tol and delta(tol),
+    # NaN at a NaN tol, so even a unitary set is refused, before the Gram
+    # eigensolve.
     with pytest.raises(NotUnitaryConjugationError, match="proportionality residual"):
         extract_unitary_via_gram(KrausSet((I2,)), float("nan"))
