@@ -1,13 +1,18 @@
-"""The matrix layer's one kernel, the cyclic Jacobi eigensolver, and the
-reference product.
+"""The matrix layer's kernels, the cyclic Jacobi eigensolver in two parts,
+and the reference product.
 
-The library calls ``jacobi_hermitian`` as a module attribute
-(``_kernels.jacobi_hermitian(...)``), so a test or profiler that replaces
-the attribute sees every call. Its results are pinned bit for bit by the
-golden CLI fixtures and the seeded ``verify`` reports: a change here must
-keep each IEEE-754 operation and its order. A matrix whose sum of squared
-entries leaves the float range is diagonalized as a copy scaled by a power
-of two, so its results are those of the scaled copy, eigenvalues scaled back.
+``jacobi_hermitian`` sweeps a Hermitian matrix to diagonal form and returns
+its eigenvalues with a log of the rotations it applied; ``jacobi_vectors``
+replays that log on the identity to give the eigenvectors, so a caller that
+reads eigenvalues alone never forms them. The library calls both as module
+attributes (``_kernels.jacobi_hermitian(...)``), so a test or profiler that
+replaces an attribute sees every call. Their results are pinned bit for bit
+by the golden CLI fixtures and the seeded ``verify`` reports: a change here
+must keep each IEEE-754 operation and its order. The eigenvector updates
+never feed back into the sweep, so splitting them out changes no bit. A
+matrix whose sum of squared entries leaves the float range is diagonalized
+as a copy scaled by a power of two, so its results are those of the scaled
+copy, eigenvalues scaled back.
 
 ``matmul`` is the generic product. No library code calls it: every product
 is a closed 2x2 form in :mod:`blochiso.matrix`. The test oracles call it
@@ -61,14 +66,13 @@ def _sweep(n: int):
 def jacobi_hermitian(n: int, a):
     """Cyclic Jacobi diagonalization of a Hermitian matrix.
 
-    Returns ``(diag, v)``: unsorted real eigenvalues and the accumulated
-    unitary as a row-major flat list (columns are eigenvectors). Ordering
-    and phase conventions belong to the caller.
+    Returns ``(diag, rotations)``: unsorted real eigenvalues, and the
+    rotations applied, in order, as ``(col_p, col_q, c, s, sc)`` rows for
+    :func:`jacobi_vectors`. Ordering and phase conventions belong to the
+    caller.
     """
     A = [complex(x) for x in a]
-    V = [0j] * (n * n)
-    for i in range(n):
-        V[i * n + i] = 1.0 + 0j
+    rotations = []
 
     anorm = _frobenius(A)
     shift = 0
@@ -86,7 +90,7 @@ def jacobi_hermitian(n: int, a):
         A = [complex(x.real * factor, x.imag * factor) for x in A]
         anorm = _frobenius(A)
     if anorm == 0.0:
-        return [0.0] * n, V
+        return [0.0] * n, rotations
 
     thresh = _JACOBI_EPS * anorm
     sweep = _sweep(n)
@@ -108,16 +112,13 @@ def jacobi_hermitian(n: int, a):
             c = 1.0 / sqrt(1.0 + t * t)
             s = apq * (t * c / r)
             sc = s.conjugate()
-            # Right-multiply columns p, q of A and V by the rotation.
+            rotations.append((col_p, col_q, c, s, sc))
+            # Right-multiply columns p, q of A by the rotation.
             for ip, iq in zip(col_p, col_q):
                 aip = A[ip]
                 aiq = A[iq]
                 A[ip] = aip * c - aiq * sc
                 A[iq] = aip * s + aiq * c
-                vip = V[ip]
-                viq = V[iq]
-                V[ip] = vip * c - viq * sc
-                V[iq] = vip * s + viq * c
             # Left-multiply rows p, q of A by the adjoint rotation.
             for pj, qj in zip(row_p, row_q):
                 apj = A[pj]
@@ -138,7 +139,23 @@ def jacobi_hermitian(n: int, a):
             diag = [ldexp(d, shift) for d in diag]
         except OverflowError:
             raise DomainError("matrix entries must be finite") from None
-    return diag, V
+    return diag, rotations
+
+
+def jacobi_vectors(n: int, rotations):
+    """The accumulated unitary of :func:`jacobi_hermitian`'s rotations, as a
+    row-major flat list (columns are eigenvectors): each rotation
+    right-multiplies columns p, q of the identity in turn."""
+    V = [0j] * (n * n)
+    for i in range(n):
+        V[i * n + i] = 1.0 + 0j
+    for col_p, col_q, c, s, sc in rotations:
+        for ip, iq in zip(col_p, col_q):
+            vip = V[ip]
+            viq = V[iq]
+            V[ip] = vip * c - viq * sc
+            V[iq] = vip * s + viq * c
+    return V
 
 
 def _frobenius(A) -> float:

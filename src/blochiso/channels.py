@@ -45,6 +45,7 @@ from .matrix import (
     HermitianEigenResult,
     _adjoint2,
     _hermitian_eig,
+    _hermitian_eigenvalues,
     _mul2,
     adjoint,
     max_abs_diff,
@@ -321,7 +322,8 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     """Decide invertibility: a pure Choi matrix means conjugation by one unitary.
 
     Trace preservation is the one CPTP check, and it comes first; the purity
-    decides the rest, and only a refused channel's rank needs an eigensolve.
+    decides the rest, and only a refused channel's rank needs an eigensolve,
+    of its eigenvalues alone.
     The verdict is kept on ``k`` and returned again for the same ``tol``.
     """
     cached = k._classified
@@ -370,7 +372,7 @@ def _classify(k: KrausSet, tol: float) -> ChannelClassification:
     if _chi_deficit(chi) <= _deficit_bound(tol):
         unitary = _chi_lift(chi)  # blind to scale, as the purity is
         return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary.matrix)
-    rank = _rank(_hermitian_eig(4, _chi_matrix(chi)).eigenvalues, tol)
+    rank = _rank(_hermitian_eigenvalues(4, _chi_matrix(chi)), tol)
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
 
 

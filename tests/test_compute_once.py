@@ -168,6 +168,52 @@ class TestChoiTableCounts:
         assert choi_tables == [len(k.operators)]
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The Jacobi kernels called, in order: ("sweep", n) and ("replay", n)."""
+    calls = []
+    sweep, replay = blochiso._kernels.jacobi_hermitian, blochiso._kernels.jacobi_vectors
+
+    def counted_sweep(n, a):
+        calls.append(("sweep", n))
+        return sweep(n, a)
+
+    def counted_replay(n, rotations):
+        calls.append(("replay", n))
+        return replay(n, rotations)
+
+    monkeypatch.setattr(blochiso._kernels, "jacobi_hermitian", counted_sweep)
+    monkeypatch.setattr(blochiso._kernels, "jacobi_vectors", counted_replay)
+    return calls
+
+
+class TestSweepAndReplayCounts:
+    """A refused verdict's rank counts eigenvalues, so its sweep's rotations
+    are never replayed; the eigenvectors are formed once, only by the callers
+    that read them."""
+
+    @pytest.mark.parametrize("k, kind", VERDICTS.values(), ids=VERDICTS)
+    def test_classify(self, kernel_calls, k, kind):
+        assert classify(KrausSet(k.operators)).kind is kind
+        refused = kind is ChannelKind.CPTP_NOT_INVERTIBLE
+        assert kernel_calls == ([("sweep", 4)] if refused else [])
+
+    def test_checked_choi_matrix(self, kernel_calls):
+        m = choi_of(amplitude_damping(0.3)).matrix
+        j = ChoiMatrix(m)
+        assert kraus_from_choi(j).operators
+        assert kernel_calls == [("sweep", 4), ("replay", 4)]
+
+    def test_kraus_from_choi(self, kernel_calls):
+        assert len(kraus_from_choi(choi_of(make_depolarizing(0.5))).operators) == 4
+        assert kernel_calls == [("sweep", 4), ("replay", 4)]
+
+    def test_gram_route(self, kernel_calls):
+        k = redundant_unitary_kraus(random.Random(51), 3)[0]
+        extract_unitary_via_gram(k)
+        assert kernel_calls == [("sweep", 3), ("replay", 3)]
+
+
 class TestChiIsTheChoiMatrixInAnotherBasis:
     """chi = (B x I) J (B x I)* / 2 for a unitary basis change B (Wood,
     Biamonte and Cory, arXiv:1111.6950), so Tr chi = Tr J / 2, Tr chi^2 =

@@ -7,7 +7,10 @@ the same order, so on every Hermitian input each eigenvalue and eigenvector
 entry is the reference's bit for bit, and every such input the reference
 rejects raises the same exception with the same message. A matrix whose sum of squared
 entries over- or underflows is compared against the reference run on the
-copy scaled by the same exact power of two, eigenvalues scaled back.
+copy scaled by the same exact power of two, eigenvalues scaled back. The
+kernel is compared as its sweep's eigenvalues with the eigenvectors its
+rotation log replays, and the eigenvalues-only factorization with the full
+one.
 """
 
 import random
@@ -16,9 +19,10 @@ import struct
 import pytest
 
 from blochiso import _kernels
-from blochiso.channels import ChoiMatrix
+from blochiso.channels import ChoiMatrix, _chi_matrix, _choi_entries
 from blochiso.errors import DomainError, InvalidChannelError
-from blochiso.matrix import ComplexMatrix
+from blochiso.matrix import ComplexMatrix, _hermitian_eig, _hermitian_eigenvalues
+from blochiso.su2 import _chi
 from helpers import (
     factor_hermitian,
     hermitian_eig_reference,
@@ -26,6 +30,9 @@ from helpers import (
     jacobi_hermitian_rescaled_reference,
     rescale_shift,
 )
+from test_channels import near_unitary
+from test_closed_forms import channel_sets
+from test_purity_rule import exact_channels, rounded
 
 SIZES = (1, 2, 3, 4, 5, 6)
 SCALES = (1e-160, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e150)
@@ -88,6 +95,12 @@ def edges(n: int) -> list[ComplexMatrix]:
     ]
 
 
+def kernel(n: int, entries):
+    """The sweep's eigenvalues and the eigenvectors its rotation log replays."""
+    diag, rotations = _kernels.jacobi_hermitian(n, entries)
+    return diag, _kernels.jacobi_vectors(n, rotations)
+
+
 def kernel_bits(result) -> bytes:
     diag, v = result
     flat = [x for z in v for x in (z.real, z.imag)]
@@ -109,7 +122,7 @@ def eig_outcome(function, m: ComplexMatrix):
 @pytest.mark.parametrize("n", SIZES)
 def test_kernel_matches_reference(n):
     for entries in cases(n):
-        got = _kernels.jacobi_hermitian(n, entries)
+        got = kernel(n, entries)
         assert kernel_bits(got) == kernel_bits(jacobi_hermitian_rescaled_reference(n, entries))
 
 
@@ -121,7 +134,7 @@ def test_out_of_range_cases_are_rescaled():
     assert sum(s > 0 for s in shifts) == 20
     assert sum(s < 0 for s in shifts) == 2
     changed = sum(
-        kernel_bits(_kernels.jacobi_hermitian(n, e)) != kernel_bits(jacobi_hermitian_reference(n, e))
+        kernel_bits(kernel(n, e)) != kernel_bits(jacobi_hermitian_reference(n, e))
         for n in SIZES
         for e in cases(n)
         if rescale_shift(e)
@@ -152,6 +165,47 @@ def test_hermitian_eig_matches_reference(n):
         assert eig_outcome(factor_hermitian, m) == want
         refused += isinstance(want[0], type)
     assert refused == 1
+
+
+def values_outcome(function, n: int, entries):
+    try:
+        values = function(n, entries)
+    except Exception as exc:  # compared, type included, with _hermitian_eig's
+        return type(exc), str(exc)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def factored_values(n: int, entries):
+    return _hermitian_eig(n, entries).eigenvalues
+
+
+def test_eigenvalues_alone_are_the_factorizations():
+    # The chi and Choi matrices of every channel family the verdict tests
+    # use, and diagonals whose zeros of either sign tie: the sweep's values,
+    # sorted as _hermitian_eig sorts them, bits and tie order included.
+    sets = channel_sets() + [near_unitary(10.0 ** (-i / 4.0)) for i in range(65)]
+    sets += [rounded(ops) for _, ops in exact_channels(random.Random(2508))]
+    assert len(sets) == 3069 + 65 + 240
+    matrices = [m for k in sets for m in (_chi_matrix(_chi(k.operators)), _choi_entries(k).entries)]
+    for signs in ((0.0, -0.0, 1.0, -0.0), (-0.0, 0.0, 0.0, -1.0), (-0.0, 2.0, -0.0, 0.0)):
+        matrices.append([complex(signs[i]) if i == j else 0j for i in range(4) for j in range(4)])
+    ties = 0
+    for entries in matrices:
+        got = values_outcome(_hermitian_eigenvalues, 4, entries)
+        assert got == values_outcome(factored_values, 4, entries)
+        ties += len(set(struct.unpack("4d", got))) < 4
+    assert ties == 466 + 3
+
+
+@pytest.mark.parametrize("n, x", [(2, 1e308), (4, 8e307)], ids=["entry", "eigenvalue"])
+def test_eigenvalues_alone_raise_as_the_factorization(n, x):
+    # Every entry x: A + A overflows at 1e308. At 8e307 it is finite and the
+    # kernel sweeps the rescaled copy, but the eigenvalue 4 x is past the
+    # float range.
+    entries = [complex(x)] * (n * n)
+    want = values_outcome(factored_values, n, entries)
+    assert want == (DomainError, "matrix entries must be finite")
+    assert values_outcome(_hermitian_eigenvalues, n, entries) == want
 
 
 def test_choi_spectrum_matches_reference():

@@ -2,8 +2,9 @@
 
 A trace-preserving Kraus set is a unitary conjugation when its Choi purity
 deficit 1 - Tr(J^2) / (Tr J)^2 is at most delta(tol) = max(2 tol, 1e-14).
-The exact oracle builds channels whose Kraus entries are Gaussian rationals
-and decides them with ``fractions.Fraction``; the float code sees the same
+The exact oracle builds channels whose Kraus entries are Gaussian rationals,
+seeded and drawn by a derandomized Hypothesis strategy, and decides them
+with ``fractions.Fraction``; the float code sees the same
 entries rounded once, and classify and the Gram route reach the exact
 verdict. The same oracle bounds the unitary both print against the exact
 quaternion and the Bloch action against sum A s_j A*,
@@ -21,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochiso.channels import (
     ChannelKind,
@@ -96,11 +98,15 @@ QUATERNIONS = [
 ]
 
 
-def rational_quaternion(rng):
-    """A rational unit quaternion (w, x, y, z)."""
-    q = rng.choice(QUATERNIONS)
+def unit_quaternion(q):
+    """The integer quaternion q over its norm, a rational unit quaternion."""
     n = math.isqrt(sum(v * v for v in q))
     return tuple(Fraction(v, n) for v in q)
+
+
+def rational_quaternion(rng):
+    """A rational unit quaternion (w, x, y, z)."""
+    return unit_quaternion(rng.choice(QUATERNIONS))
 
 
 def unitary_of(q):
@@ -329,6 +335,99 @@ class TestExactOracle:
             assert gram_verdict(k, tol) is unitary, label
             compared += 1
         assert compared >= 200 and len(exact_cases) - compared <= 2
+
+
+# A rational parameter a / (m 10^e): from 0 and 1e-9 up to 3.
+PARAMETERS = st.builds(
+    lambda a, m, e: Fraction(a, m * 10**e),
+    st.integers(-3, 3),
+    st.integers(1, 9),
+    st.integers(0, 9),
+)
+RATIONAL_UNITARIES = st.sampled_from(QUATERNIONS).map(unit_quaternion).map(unitary_of)
+
+
+@st.composite
+def sphere_points(draw, n):
+    """A rational unit vector in n dimensions: the inverse stereographic
+    projection of a rational t, so for a small t the last coordinate is
+    about 1 and the others about 2 t."""
+    t = [draw(PARAMETERS) for _ in range(n - 1)]
+    s = sum(x * x for x in t)
+    return [2 * x / (1 + s) for x in t] + [(1 - s) / (1 + s)]
+
+
+@st.composite
+def rational_channels(draw):
+    """(operators, spectrum): a Gaussian-rational Kraus set, exactly trace
+    preserving, and its Choi matrix's exact eigenvalues.
+
+    The set starts Hilbert-Schmidt orthogonal, so J's eigenvalues are the
+    operators' squared norms: a weighted mixture of P U, P in {I, X, Y, Z}
+    (unital), or U K V of the amplitude-damping pair K = (diag(1, r),
+    sqrt(1 - r^2) |0><1|) (not unital). Remixing pairs of operators by a
+    rational rotation, splitting one in two, or giving one a phase keeps
+    the channel and J.
+    """
+    u = draw(RATIONAL_UNITARIES)
+    if draw(st.booleans()):
+        weights = draw(sphere_points(4))
+        paulis = [IDENTITY, *PAULIS]
+        order = draw(st.permutations(range(4)))
+        ops = [scaled(w, mul2(paulis[i], u)) for w, i in zip(weights, order)]
+        spectrum = [2 * w * w for w in weights]
+    else:
+        g, r = draw(sphere_points(2))
+        v = draw(RATIONAL_UNITARIES)
+        pair = ((ONE, ZERO, ZERO, (r, Fraction(0))), (ZERO, (g, Fraction(0)), ZERO, ZERO))
+        ops = [mul2(mul2(u, k), v) for k in pair]
+        spectrum = [1 + r * r, g * g]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(ops) - 1))
+        c, s = draw(sphere_points(2))
+        if draw(st.booleans()):
+            ops[i : i + 1] = [scaled(c, ops[i]), scaled(s, ops[i])]
+        else:
+            j = (i + 1) % len(ops)
+            a, b = ops[i], ops[j]
+            ops[i] = tuple((c * x - s * y, c * xi - s * yi) for (x, xi), (y, yi) in zip(a, b))
+            ops[j] = tuple((s * x + c * y, s * xi + c * yi) for (x, xi), (y, yi) in zip(a, b))
+    i = draw(st.integers(0, len(ops) - 1))
+    ops[i] = times(draw(st.sampled_from(PHASES)), ops[i])
+    return ops, spectrum
+
+
+class TestRationalChannelStrategy:
+    """classify on Hypothesis-drawn rational channels, beside the seeded 240:
+    its verdict and the Gram route's are the exact one outside EXACT_BAND,
+    and a refused channel prints the number of exact Choi eigenvalues above
+    the floor delta / 12 of the largest, exact_rank when no weight lies
+    below it. An eigenvalue within a factor of 2 of the floor is not
+    compared."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(channel=rational_channels(), tol=st.sampled_from([DEFAULT_TOL, 1e-15]))
+    def test_verdict_and_rank_are_the_exact_ones(self, channel, tol):
+        ops, spectrum = channel
+        assert exact_tp(ops)
+        j = choi(ops)
+        deficit, rank = exact_deficit(j), exact_rank(j)
+        assert rank == sum(1 for ev in spectrum if ev)
+        delta = Fraction(_deficit_bound(tol))
+        if abs(deficit - delta) <= EXACT_BAND:
+            return
+        k = rounded(ops)
+        result = classify(k, tol)
+        unitary = deficit <= delta
+        assert (result.kind is ChannelKind.UNITARY_CONJUGATION) is unitary
+        assert gram_verdict(k, tol) is unitary
+        if unitary:
+            assert result.choi_rank == 1
+            return
+        assert result.kind is ChannelKind.CPTP_NOT_INVERTIBLE
+        floor = delta / 12 * max(spectrum)
+        if all(not ev or not floor / 2 <= ev <= 2 * floor for ev in spectrum):
+            assert result.choi_rank == sum(1 for ev in spectrum if ev > floor)
 
 
 class TestExactLift:
