@@ -6,9 +6,11 @@ so only trace preservation, sum_a A_a* A_a = I, is checked. A channel admits
 a CPTP inverse exactly when its Choi rank is 1, that is when its Choi purity
 Tr(J^2) / (Tr J)^2 is 1. :func:`classify` reads the operators once more, into
 the process matrix chi (``su2._chi``), the Choi matrix in the quaternion
-basis: its purity is J's, a refused channel's rank is its rank, and for a
-unitary U = e^{it} (w I - i v . sigma) it is q q^T, q = (w, v), so the unitary
-is the row of chi that ``phi`` would read off the rotation.
+basis: its purity is J's, a refused channel's rank is the number of its
+eigenvalues above delta(tol) / 12 of Tr chi, counted by inertia with no
+eigensolve (``_chi_rank``), and for a unitary U = e^{it} (w I - i v . sigma)
+it is q q^T, q = (w, v), so the unitary is the row of chi that ``phi`` would
+read off the rotation.
 :func:`bloch_affine_action` reads the channel's action on Bloch vectors off
 the same chi, linear in it: for that unitary, the Euler-Rodrigues rotation of
 q, which ``phi_inverse`` drops U to. So the lift and the rotation come from
@@ -30,7 +32,8 @@ from __future__ import annotations
 from cmath import isfinite
 from enum import Enum
 from functools import cached_property
-from math import sqrt
+from math import hypot, sqrt
+from sys import float_info
 
 from ._value import Value
 from .errors import (
@@ -45,7 +48,6 @@ from .matrix import (
     HermitianEigenResult,
     _adjoint2,
     _hermitian_eig,
-    _hermitian_eigenvalues,
     _mul2,
     adjoint,
     max_abs_diff,
@@ -59,6 +61,11 @@ ZERO_OPERATOR_NORM = 1e-12
 
 #: The least delta: 15 times the purity deficit's roundoff on unitary sets (6.7e-16).
 _DEFICIT_FLOOR = 1e-14
+
+#: The least normal float: ``_chi_rank`` drops a reflection of smaller scale,
+#: and takes a Sturm pivot of smaller modulus as -_TINY, as LAPACK's dstebz
+#: takes one below its pivmin.
+_TINY = float_info.min
 
 
 # The Kraus-pair products are closed 2x2 forms (``matrix._mul2`` and
@@ -119,12 +126,22 @@ def _deficit_bound(tol: float) -> float:
     return max(2.0 * tol, _DEFICIT_FLOOR)
 
 
+def _rank_floor(diagonal, tol: float) -> float:
+    """c Tr, c = delta(tol) / 12, the trace summed left to right from chi's
+    diagonal or J's spectrum: the floor a numerical rank counts eigenvalues
+    above. If every lambda_k <= c Tr (k >= 2), then lambda_1 >= (1 - 3c) Tr,
+    so 1 - P <= 1 - (1 - 3c)^2 <= 6c = delta / 2 < delta: a refused channel
+    never counts rank 1."""
+    trace = 0.0
+    for x in diagonal:
+        trace += x
+    return _deficit_bound(tol) / 12.0 * trace
+
+
 def _rank(eigenvalues: tuple[float, ...], tol: float = DEFAULT_TOL) -> int:
-    """Eigenvalues of a descending spectrum above c = delta(tol) / 12 of the largest
-    (0 if that is not positive): the Choi rank, and at DEFAULT_TOL the Kraus count
-    of :func:`kraus_from_choi`. If every lambda_k <= c lambda_1
-    (k >= 2), 1 - P <= 6c + 6c^2 < delta: a refused channel never counts rank 1."""
-    floor = _deficit_bound(tol) / 12.0 * eigenvalues[0]
+    """Eigenvalues of a spectrum above its :func:`_rank_floor` (0 if that is
+    not positive): at DEFAULT_TOL the Kraus count of :func:`kraus_from_choi`."""
+    floor = _rank_floor(eigenvalues, tol)
     return sum(1 for ev in eigenvalues if ev > floor) if floor > 0.0 else 0
 
 
@@ -219,8 +236,9 @@ class ChannelClassification(Value):
 
     ``choi_rank`` is 0 for ``NotCptp``: a set not trace preserving within tol.
     Otherwise it is 1 for ``UnitaryConjugation``, a purity deficit at most
-    delta(tol) = max(2 tol, 1e-14), and the rank :func:`_rank` counts under
-    the same delta, never 1, for ``CptpNotInvertible``. ``extracted_unitary``
+    delta(tol) = max(2 tol, 1e-14), and for ``CptpNotInvertible`` the
+    numerical rank: the eigenvalues of chi (J's, halved) above delta(tol) / 12
+    of Tr chi (:func:`_rank_floor`), never 1. ``extracted_unitary``
     is the U of the row of Re chi with the largest diagonal entry, normalized
     with w >= 0 (``su2._chi_lift``): det U = 1 and Re tr U >= 0, and at an
     exact half turn the axis's largest component is > 0, as ``phi`` reads it.
@@ -288,24 +306,20 @@ _CHOI_UPPER = tuple((r * 4 + c, r, c) for r in range(4) for c in range(r, 4))
 _CHOI_LOWER = tuple((r * 4 + c, c * 4 + r) for r in range(1, 4) for c in range(r))
 
 
-def _mirrored(ents: list[complex]) -> tuple[complex, ...]:
-    """The entries with each lower one ``0j + conj`` of its mirror: the bits
-    its own sum would have, and Hermitian bit for bit."""
-    for i, j in _CHOI_LOWER:
-        ents[i] = 0j + ents[j].conjugate()
-    return tuple(ents)
-
-
 def _choi_entries(k: KrausSet) -> ComplexMatrix:
     """J = sum vec(A) vec(A)*: the upper triangle summed from 0j, then
-    mirrored. Unvalidated: the factorization checks every entry finite."""
+    mirrored, each lower entry ``0j + conj`` of its mirror: the bits its own
+    sum would have, and Hermitian bit for bit. Unvalidated: the
+    factorization checks every entry finite."""
     ents = [0j] * 16
     for op in k.operators:
         w = op.entries  # row-major flattening matches the tensor-product order
         wc = [x.conjugate() for x in w]
         for i, r, c in _CHOI_UPPER:
             ents[i] += w[r] * wc[c]
-    return ComplexMatrix._trusted(4, 4, _mirrored(ents))
+    for i, j in _CHOI_LOWER:
+        ents[i] = 0j + ents[j].conjugate()
+    return ComplexMatrix._trusted(4, 4, tuple(ents))
 
 
 def choi_of(k: KrausSet) -> ChoiMatrix:
@@ -322,8 +336,8 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     """Decide invertibility: a pure Choi matrix means conjugation by one unitary.
 
     Trace preservation is the one CPTP check, and it comes first; the purity
-    decides the rest, and only a refused channel's rank needs an eigensolve,
-    of its eigenvalues alone.
+    decides the rest, and a refused channel's rank is an inertia count: no
+    verdict makes an eigensolve.
     The verdict is kept on ``k`` and returned again for the same ``tol``.
     """
     cached = k._classified
@@ -356,12 +370,97 @@ def _chi_deficit(chi: tuple) -> float:
     return 1.0 - square_sum
 
 
-def _chi_matrix(chi: tuple) -> tuple[complex, ...]:
-    """The 16 entries of chi, row-major, Hermitian bit for bit as J's are."""
-    ents = [0j] * 16
-    for (i, _, _), z in zip(_CHOI_UPPER, chi):
-        ents[i] += z
-    return _mirrored(ents)
+def _reflection(y0: complex, sigma: float) -> tuple[complex, float] | None:
+    """(w0 g, g) of the Householder reflection I - u u* that takes a column
+    (y0, y1, ...) of norm sigma to a multiple of e_1: u = (w0, y1, ...) g,
+    w0 = y0 + phase sigma, g = 1 / sqrt(sigma (sigma + |y0|)), so |u|^2 = 2.
+    The phase is y0's own, so nothing cancels in w0, or 1 where |y0| is below
+    the normal range, off by |y0| / sigma < 1e-150 there. None where
+    sigma (sigma + |y0|) is below the normal range, the column then dropped:
+    a change of norm sigma < 1.1e-154, far below any rank floor."""
+    a = abs(y0)
+    h = sigma * (sigma + a)
+    if h < _TINY:
+        return None
+    g = 1.0 / sqrt(h)
+    if a < _TINY:
+        return (y0 + sigma) * g, g
+    return y0 * ((a + sigma) * g / a), g
+
+
+def _chi_rank(chi: tuple, floor: float) -> int:
+    """The number of eigenvalues of chi above floor, with no eigensolve.
+
+    Two Householder reflections, each applied to the trailing block only,
+    take the Hermitian 4x4 chi (its upper triangle, as ``su2._chi`` returns
+    it) to a tridiagonal T; the moduli of T's off-diagonal make it real.
+    By Sylvester's law of inertia the count is the number of positive
+    pivots of the Sturm recurrence of T - floor I, each pivot of modulus
+    below the normal range taken as -_TINY, as LAPACK's dstebz does. Both
+    steps are backward stable (Golub and Van Loan, Matrix Computations,
+    sec. 8.4; Demmel, Applied Numerical Linear Algebra, sec. 5.3).
+
+    No range scaling is needed on a refused verdict's chi. Refusing needs
+    2 tol < deficit <= 3/4, so tol < 3/8, and the trace gate puts Tr chi =
+    (s_0 + s_3) / 2 of sum A* A in (5/8, 11/8). chi is positive semidefinite,
+    so every |chi_ij| and every entry of T is at most Tr chi: no square or
+    quotient overflows (a guarded pivot's e^2 / _TINY < 1e308). An entry
+    whose square underflows moves an eigenvalue by less than 1.1e-154 (a
+    dropped column is the largest such change), while the floor is at least
+    1e-14 / 12 * 5/8 > 5e-16.
+    """
+    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
+    # conj(chi) = chi^T has chi's spectrum, (x01, x02, x03) below its first
+    # diagonal entry, and (x12, x13, x23) below its trailing block's diagonal.
+    b12, b13, b23 = x12.conjugate(), x13.conjugate(), x23.conjugate()
+    sigma = hypot(x01.real, x01.imag, x02.real, x02.imag, x03.real, x03.imag)
+    reflection = _reflection(x01, sigma)
+    if reflection is None:
+        e0 = 0.0
+    else:
+        u1, g = reflection
+        u2, u3 = x02 * g, x03 * g
+        e0 = sigma * sigma
+        # B - u q* - q u*, q = B u - (u* B u / 2) u: P B P with P = I - u u*.
+        p1 = d1 * u1 + b12 * u2 + b13 * u3
+        p2 = x12 * u1 + d2 * u2 + b23 * u3
+        p3 = x13 * u1 + x23 * u2 + d3 * u3
+        c = 0.5 * (u1.conjugate() * p1 + u2.conjugate() * p2 + u3.conjugate() * p3).real
+        q1, q2, q3 = p1 - c * u1, p2 - c * u2, p3 - c * u3
+        r1, r2, r3 = q1.conjugate(), q2.conjugate(), q3.conjugate()
+        d1 -= 2.0 * (u1 * r1).real
+        d2 -= 2.0 * (u2 * r2).real
+        d3 -= 2.0 * (u3 * r3).real
+        b12 -= u1 * r2 + q1 * u2.conjugate()
+        b13 -= u1 * r3 + q1 * u3.conjugate()
+        b23 -= u2 * r3 + q2 * u3.conjugate()
+    # The trailing block's conjugate has (b12, b13) below its first diagonal
+    # entry, and b23 below the diagonal of its own trailing 2x2.
+    sigma = hypot(b12.real, b12.imag, b13.real, b13.imag)
+    reflection = _reflection(b12, sigma)
+    if reflection is None:
+        e1 = 0.0
+    else:
+        u2, g = reflection
+        u3 = b13 * g
+        e1 = sigma * sigma
+        c23 = b23.conjugate()
+        p2 = d2 * u2 + c23 * u3
+        p3 = b23 * u2 + d3 * u3
+        c = 0.5 * (u2.conjugate() * p2 + u3.conjugate() * p3).real
+        q2, q3 = p2 - c * u2, p3 - c * u3
+        r2, r3 = q2.conjugate(), q3.conjugate()
+        d2 -= 2.0 * (u2 * r2).real
+        d3 -= 2.0 * (u3 * r3).real
+        b23 = c23 - (u2 * r3 + q2 * u3.conjugate())
+    e2 = b23.real * b23.real + b23.imag * b23.imag
+    count, pivot = 0, 1.0
+    for t, e in ((d0, 0.0), (d1, e0), (d2, e1), (d3, e2)):
+        pivot = (t - floor) - e / pivot
+        if abs(pivot) < _TINY:
+            pivot = -_TINY
+        count += pivot > 0.0
+    return count
 
 
 def _classify(k: KrausSet, tol: float) -> ChannelClassification:
@@ -372,7 +471,7 @@ def _classify(k: KrausSet, tol: float) -> ChannelClassification:
     if _chi_deficit(chi) <= _deficit_bound(tol):
         unitary = _chi_lift(chi)  # blind to scale, as the purity is
         return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary.matrix)
-    rank = _rank(_hermitian_eigenvalues(4, _chi_matrix(chi)), tol)
+    rank = _chi_rank(chi, _rank_floor((chi[0], chi[4], chi[7], chi[9]), tol))
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
 
 

@@ -3,10 +3,10 @@
 Matrices are immutable, row-major, and small (everything downstream is 2x2
 to 4x4 plus Gram matrices of Kraus sets). Every product is the closed 2x2
 form ``_mul2``; the library has no generic product. The cyclic Jacobi
-eigensolver lives in :mod:`blochiso._kernels` as two kernels, the sweep and
-the eigenvector replay: ``_hermitian_eig`` calls both, and
-``_hermitian_eigenvalues``, for a caller that reads eigenvalues alone, only
-the sweep.
+eigensolver, the one kernel, lives in :mod:`blochiso._kernels`;
+``_hermitian_eig`` is its one caller, and every caller of that reads the
+eigenvectors. A count of eigenvalues above a floor needs no eigensolve
+(``channels._chi_rank``).
 """
 
 from __future__ import annotations
@@ -136,20 +136,6 @@ def _phase_fix_columns(n: int, v: list[complex]) -> list[complex]:
     return v
 
 
-def _sweep_hermitian(n: int, entries) -> tuple[list[float], list]:
-    """The Jacobi sweep of entries checked finite: unsorted eigenvalues and
-    the rotation log."""
-    if not all([cmath.isfinite(x + x) for x in entries]):
-        raise DomainError("matrix entries must be finite")
-    return _kernels.jacobi_hermitian(n, entries)
-
-
-def _hermitian_eigenvalues(n: int, entries) -> tuple[float, ...]:
-    """``_hermitian_eig(n, entries).eigenvalues`` bit for bit, from the sweep
-    alone: no eigenvector is formed."""
-    return tuple(sorted(_sweep_hermitian(n, entries)[0], reverse=True))
-
-
 def _hermitian_eig(n: int, entries) -> HermitianEigenResult:
     """Spectral decomposition of a Hermitian matrix via cyclic Jacobi.
 
@@ -159,8 +145,9 @@ def _hermitian_eig(n: int, entries) -> HermitianEigenResult:
     Deterministic: eigenvalues descending (stable order on ties), eigenvector
     phases pinned.
     """
-    diag, rotations = _sweep_hermitian(n, entries)
-    vflat = _kernels.jacobi_vectors(n, rotations)
+    if not all([cmath.isfinite(x + x) for x in entries]):
+        raise DomainError("matrix entries must be finite")
+    diag, vflat = _kernels.jacobi_hermitian(n, entries)
     order = sorted(range(n), key=diag.__getitem__, reverse=True)
     eigenvalues = tuple([diag[k] for k in order])
     reordered = [vflat[row + k] for row in range(0, n * n, n) for k in order]

@@ -395,6 +395,23 @@ def chi_lift_index_max(chi: tuple) -> Unitary2:
     return _from_quaternion(w / nrm, x / nrm, y / nrm, z / nrm)
 
 
+# Flat index of each upper entry of a 4x4, row-major, as su2._chi lists them.
+_UPPER4 = tuple(r * 4 + c for r in range(4) for c in range(r, 4))
+
+
+def chi_matrix(chi: tuple) -> tuple[complex, ...]:
+    """The 16 entries of chi, row-major: its upper triangle, each diagonal
+    entry complex, and below it ``0j + conj`` of each mirror, Hermitian bit
+    for bit as the Choi matrix's entries are."""
+    ents = [0j] * 16
+    for i, z in zip(_UPPER4, chi):
+        ents[i] += z
+    for r in range(1, 4):
+        for c in range(r):
+            ents[r * 4 + c] = 0j + ents[c * 4 + r].conjugate()
+    return tuple(ents)
+
+
 def extract_unitary_via_gram_generic(
     k: KrausSet, tol: float = DEFAULT_TOL
 ) -> tuple[ComplexMatrix, GramData]:

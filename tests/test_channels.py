@@ -1,6 +1,7 @@
 """Unit tests for channel representations, classification, and inversion."""
 
 import cmath
+import hashlib
 import random
 from math import pi, sqrt
 
@@ -46,6 +47,7 @@ from helpers import (
     identity,
     make_depolarizing,
     mul,
+    outcome,
     phase_aligned_diff,
     random_cptp_kraus,
     random_density,
@@ -139,8 +141,10 @@ class TestChoi:
             assert choi_rank(choi_of(make_depolarizing(p))) == 4
 
     def test_eigenvalue_on_the_threshold_counts_as_zero(self):
-        # 2e-9 / 12 is delta(DEFAULT_TOL) / 12 times the largest eigenvalue 1:
-        # the Choi rank and the Kraus count both keep only eigenvalues above it.
+        # The floor is delta(DEFAULT_TOL) / 12 = 2e-9 / 12 times the trace,
+        # 1 + second: an eigenvalue of 2e-9 / 12 lies on it to 2e-10 of its
+        # size. The numerical rank and the Kraus count both keep only
+        # eigenvalues above it.
         for second, rank in ((2e-9 / 12, 1), (4e-9 / 12, 2)):
             j = ChoiMatrix(
                 from_rows([[1, 0, 0, 0], [0, second, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
@@ -241,7 +245,87 @@ class TestRoundoffVerdict:
         assert checked[0.0] >= 500 and checked[1e-9] == 2100
 
 
+def nudged(k: KrausSet, entry: complex) -> KrausSet:
+    """k with entry added to the |0><1| entry of its first operator."""
+    first, *rest = k.operators
+    a, b, c, d = first.entries
+    return KrausSet((ComplexMatrix(2, 2, (a, b + entry, c, d)), *rest))
+
+
+def edge_sets() -> dict[str, KrausSet]:
+    """The edge sets of this module, and refused sets at the edges of the
+    rank count's domain: tiny and subnormal entries, and a trace off by
+    0.36."""
+    corner = KrausSet((from_rows([[1, 0], [0, 0]]),))
+    u = su2_haar(random.Random(15)).matrix
+    big = KrausSet(
+        (
+            ComplexMatrix(2, 2, (0j, 1e154 + 0j, 0j, 0j)),
+            ComplexMatrix(2, 2, (1.3e154 + 1.3e154j, 0j, 0j, 0j)),
+        )
+    )
+    sets = {f"large-non-tp-{i}": k for i, k in enumerate(large_non_tp_sets())}
+    sets.update(
+        {
+            "identity": IDENTITY_SET,
+            "bit-flip": BIT_FLIP,
+            "projector": corner,
+            "no-weight-1e-170": KrausSet((from_rows([[1e-170, 0], [0, 1]]),)),
+            "scaled-1e-6": KrausSet((scale(u, 1.0 + 1e-6),)),
+            "scaled-7.746e153": KrausSet((scale(u, 7.746e153),)),
+            "big": big,
+            "wide": KrausSet((ComplexMatrix(2, 2, (1.15e154 + 0j, 1.15e154 + 1.15e154j, 0j, 0j)),)),
+            "damping-1e-170": nudged(amplitude_damping(0.3), 1e-170),
+            "damping-subnormal": nudged(amplitude_damping(0.3), 1e-310),
+            "depolarizing-1e-170": nudged(make_depolarizing(0.5), 1e-170),
+            "depolarizing-1.36": KrausSet(
+                tuple(scale(op, sqrt(1.36)) for op in make_depolarizing(0.01).operators)
+            ),
+        }
+    )
+    return sets
+
+
+EDGE_TOLS = (DEFAULT_TOL, 1e-15, 0.0, 0.37, 2.0, 1e308, -1.0, float("nan"))
+
+
 class TestClassify:
+    def test_edge_sets_classify_as_before(self):
+        # Each verdict, rank and unitary's bits, or the exception raised, as
+        # classify gave them when a refused rank came from the Jacobi sweep.
+        outcomes = {
+            (name, tol): outcome(classify, KrausSet(k.operators), tol)
+            for name, k in edge_sets().items()
+            for tol in EDGE_TOLS
+        }
+        # One letter per tolerance of EDGE_TOLS: NotCptp, Unitary, Refused at
+        # the rank after it, or DomainError("matrix entries must be finite").
+        codes = {"NotCptp": "N", "UnitaryConjugation": "U", "CptpNotInvertible": "R"}
+        summary = {}
+        for (name, _), got in outcomes.items():
+            if got[0] is DomainError:
+                assert got[1] == "matrix entries must be finite"
+                code = "D"
+            else:
+                code = codes[got[0].value] + (str(got[1]) if got[1] > 1 else "")
+            summary[name] = summary.get(name, "") + code
+        non_tp = {f"large-non-tp-{i}": "NNNNNUNN" for i in range(5)}
+        assert summary == non_tp | {
+            "identity": "UUUUUUNN",
+            "bit-flip": "R2R2NUUUNN",
+            "projector": "NNNNUUNN",
+            "no-weight-1e-170": "NNNNUUNN",
+            "scaled-1e-6": "NNNUUUNN",
+            "scaled-7.746e153": "NNNNNUNN",
+            "big": "DDDDDDDD",
+            "wide": "DDDDDDDD",
+            "damping-1e-170": "R2R2NUUUNN",
+            "damping-subnormal": "R2R2NUUUNN",
+            "depolarizing-1e-170": "R4R4NUUUNN",
+            "depolarizing-1.36": "NNNR4UUNN",
+        }
+        digest = hashlib.sha256(repr(list(outcomes.values())).encode()).hexdigest()
+        assert digest == "da59cf72d65ba1b21378e4407b8c59ce280cbe40d1bb54c5b44aa9a7800aeb32"
     def test_large_non_tp_set_is_not_cptp(self):
         for big in large_non_tp_sets():
             result = classify(big)
@@ -473,7 +557,7 @@ class TestChoiEigenpairUnitary:
         assert result.choi_rank == (1 if unitary else 4)
         assert (result.kind is ChannelKind.UNITARY_CONJUGATION) is unitary
         # The Choi round trip keeps the operators above delta / 12 of the
-        # largest eigenvalue: all four at 1e-8, one below, where the 3 eps / 4
+        # trace: all four at 1e-8, one below, where the 3 eps / 4
         # of trace it drops is within tol. Either way its verdict is classify's.
         round_trip = classify(kraus_from_choi(choi_of(near_unitary(eps))))
         assert (round_trip.kind, round_trip.choi_rank) == (result.kind, result.choi_rank)

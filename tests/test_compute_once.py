@@ -25,7 +25,6 @@ from blochiso.channels import (
     ChannelKind,
     ChoiMatrix,
     KrausSet,
-    _chi_matrix,
     _choi_entries,
     _rank,
     choi_of,
@@ -44,6 +43,7 @@ from blochiso.su2 import _chi
 from helpers import (
     GOLDEN_DIR,
     amplitude_damping,
+    chi_matrix,
     geometry_inputs,
     hermitian_eig_reference,
     identity,
@@ -95,9 +95,10 @@ class TestEigensolveCounts:
         "k", [make_depolarizing(0.5), amplitude_damping(0.3)], ids=["depolarizing", "damping"]
     )
     def test_non_invertible_channel(self, eigensolves, k):
-        # The Choi matrix once, for the rank a refused channel prints.
+        # None (was 1, chi's): the rank a refused channel prints is an
+        # inertia count.
         assert classify(k).kind is ChannelKind.CPTP_NOT_INVERTIBLE
-        assert eigensolves == [4]
+        assert eigensolves == []
 
     def test_non_trace_preserving_set(self, eigensolves):
         assert classify(KrausSet((scale(I2, 2.0),))).kind is ChannelKind.NOT_CPTP
@@ -139,7 +140,8 @@ def choi_tables(monkeypatch):
     return calls
 
 
-# A channel of each verdict; TestEigensolveCounts counts their eigensolves.
+# A channel of each verdict; TestSweepAndReplayCounts counts their sweeps and
+# inertia counts.
 VERDICTS = {
     "unitary": (redundant_unitary_kraus(random.Random(50), 3)[0], ChannelKind.UNITARY_CONJUGATION),
     "depolarizing": (make_depolarizing(0.5), ChannelKind.CPTP_NOT_INVERTIBLE),
@@ -170,48 +172,51 @@ class TestChoiTableCounts:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The Jacobi kernels called, in order: ("sweep", n) and ("replay", n)."""
+    """The Jacobi sweeps, ("sweep", n), and the inertia counts of chi,
+    ("count",), in the order they are called."""
     calls = []
-    sweep, replay = blochiso._kernels.jacobi_hermitian, blochiso._kernels.jacobi_vectors
+    sweep, count = blochiso._kernels.jacobi_hermitian, blochiso.channels._chi_rank
 
     def counted_sweep(n, a):
         calls.append(("sweep", n))
         return sweep(n, a)
 
-    def counted_replay(n, rotations):
-        calls.append(("replay", n))
-        return replay(n, rotations)
+    def counted_count(chi, floor):
+        calls.append(("count",))
+        return count(chi, floor)
 
     monkeypatch.setattr(blochiso._kernels, "jacobi_hermitian", counted_sweep)
-    monkeypatch.setattr(blochiso._kernels, "jacobi_vectors", counted_replay)
+    monkeypatch.setattr(blochiso.channels, "_chi_rank", counted_count)
     return calls
 
 
 class TestSweepAndReplayCounts:
-    """A refused verdict's rank counts eigenvalues, so its sweep's rotations
-    are never replayed; the eigenvectors are formed once, only by the callers
-    that read them."""
+    """A sweep-only count, named for the split of the sweep and the
+    eigenvector replay it once gated; the replay is folded back into the
+    sweep. A refused verdict's rank is one inertia count and no sweep (was
+    one sweep); each caller that reads eigenvectors makes one sweep (was one
+    sweep and one replay)."""
 
     @pytest.mark.parametrize("k, kind", VERDICTS.values(), ids=VERDICTS)
     def test_classify(self, kernel_calls, k, kind):
         assert classify(KrausSet(k.operators)).kind is kind
         refused = kind is ChannelKind.CPTP_NOT_INVERTIBLE
-        assert kernel_calls == ([("sweep", 4)] if refused else [])
+        assert kernel_calls == ([("count",)] if refused else [])
 
     def test_checked_choi_matrix(self, kernel_calls):
         m = choi_of(amplitude_damping(0.3)).matrix
         j = ChoiMatrix(m)
         assert kraus_from_choi(j).operators
-        assert kernel_calls == [("sweep", 4), ("replay", 4)]
+        assert kernel_calls == [("sweep", 4)]
 
     def test_kraus_from_choi(self, kernel_calls):
         assert len(kraus_from_choi(choi_of(make_depolarizing(0.5))).operators) == 4
-        assert kernel_calls == [("sweep", 4), ("replay", 4)]
+        assert kernel_calls == [("sweep", 4)]
 
     def test_gram_route(self, kernel_calls):
         k = redundant_unitary_kraus(random.Random(51), 3)[0]
         extract_unitary_via_gram(k)
-        assert kernel_calls == [("sweep", 3), ("replay", 3)]
+        assert kernel_calls == [("sweep", 3)]
 
 
 class TestChiIsTheChoiMatrixInAnotherBasis:
@@ -225,7 +230,7 @@ class TestChiIsTheChoiMatrixInAnotherBasis:
         sets = channel_sets()
         assert len(sets) == 3069
         for k in sets:
-            chi, j = _chi_matrix(_chi(k.operators)), _choi_entries(k).entries
+            chi, j = chi_matrix(_chi(k.operators)), _choi_entries(k).entries
             trace_chi = sum(chi[i].real for i in (0, 5, 10, 15))
             trace_j = sum(j[i].real for i in (0, 5, 10, 15))
             assert abs(trace_chi - trace_j / 2.0) <= 4.5e-16 * trace_j

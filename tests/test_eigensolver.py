@@ -7,10 +7,13 @@ the same order, so on every Hermitian input each eigenvalue and eigenvector
 entry is the reference's bit for bit, and every such input the reference
 rejects raises the same exception with the same message. A matrix whose sum of squared
 entries over- or underflows is compared against the reference run on the
-copy scaled by the same exact power of two, eigenvalues scaled back. The
-kernel is compared as its sweep's eigenvalues with the eigenvectors its
-rotation log replays, and the eigenvalues-only factorization with the full
-one.
+copy scaled by the same exact power of two, eigenvalues scaled back.
+
+``channels._chi_rank``, the inertia count a refused ``classify`` prints,
+counts the eigenvalues of chi above a floor with no eigensolve: it is
+checked against the count of the factorization's eigenvalues above the same
+floor, on the channel families the verdict tests use and at the edges of
+its domain, where it needs no range scaling.
 """
 
 import random
@@ -19,20 +22,35 @@ import struct
 import pytest
 
 from blochiso import _kernels
-from blochiso.channels import ChoiMatrix, _chi_matrix, _choi_entries
+from blochiso.bloch import PAULIS
+from blochiso.channels import (
+    ChannelKind,
+    ChoiMatrix,
+    KrausSet,
+    _chi_deficit,
+    _chi_rank,
+    _deficit_bound,
+    _rank_floor,
+    classify,
+)
 from blochiso.errors import DomainError, InvalidChannelError
-from blochiso.matrix import ComplexMatrix, _hermitian_eig, _hermitian_eigenvalues
+from blochiso.matrix import ComplexMatrix, _hermitian_eig, adjoint, scale
+from blochiso.sampling import su2_haar
 from blochiso.su2 import _chi
 from helpers import (
+    amplitude_damping,
+    chi_matrix,
     factor_hermitian,
     hermitian_eig_reference,
+    identity,
     jacobi_hermitian_reference,
     jacobi_hermitian_rescaled_reference,
+    make_depolarizing,
+    mul,
     rescale_shift,
 )
 from test_channels import near_unitary
 from test_closed_forms import channel_sets
-from test_purity_rule import exact_channels, rounded
 
 SIZES = (1, 2, 3, 4, 5, 6)
 SCALES = (1e-160, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e150)
@@ -95,12 +113,6 @@ def edges(n: int) -> list[ComplexMatrix]:
     ]
 
 
-def kernel(n: int, entries):
-    """The sweep's eigenvalues and the eigenvectors its rotation log replays."""
-    diag, rotations = _kernels.jacobi_hermitian(n, entries)
-    return diag, _kernels.jacobi_vectors(n, rotations)
-
-
 def kernel_bits(result) -> bytes:
     diag, v = result
     flat = [x for z in v for x in (z.real, z.imag)]
@@ -122,7 +134,7 @@ def eig_outcome(function, m: ComplexMatrix):
 @pytest.mark.parametrize("n", SIZES)
 def test_kernel_matches_reference(n):
     for entries in cases(n):
-        got = kernel(n, entries)
+        got = _kernels.jacobi_hermitian(n, entries)
         assert kernel_bits(got) == kernel_bits(jacobi_hermitian_rescaled_reference(n, entries))
 
 
@@ -134,7 +146,7 @@ def test_out_of_range_cases_are_rescaled():
     assert sum(s > 0 for s in shifts) == 20
     assert sum(s < 0 for s in shifts) == 2
     changed = sum(
-        kernel_bits(kernel(n, e)) != kernel_bits(jacobi_hermitian_reference(n, e))
+        kernel_bits(_kernels.jacobi_hermitian(n, e)) != kernel_bits(jacobi_hermitian_reference(n, e))
         for n in SIZES
         for e in cases(n)
         if rescale_shift(e)
@@ -151,9 +163,21 @@ def test_spectrum_at_every_scale(s):
     assert abs(bottom) <= 1e-15 * s
 
 
-def test_eigenvalue_beyond_the_float_range_raises_domain_error():
-    with pytest.raises(DomainError, match="matrix entries must be finite"):
-        factor_hermitian(ComplexMatrix(2, 2, (1e308, 1e308, 1e308, 1e308)))
+def test_eigenvalue_beyond_the_float_range_raises_domain_error(monkeypatch):
+    # Every entry 8e307: each is finite and so is A + A, so the kernel sweeps
+    # the copy scaled by a power of two, and the eigenvalue 3 x = 2.4e308 is
+    # past the float range as it is scaled back.
+    calls = []
+    kernel = _kernels.jacobi_hermitian
+
+    def counted(n, a):
+        calls.append(n)
+        return kernel(n, a)
+
+    monkeypatch.setattr(_kernels, "jacobi_hermitian", counted)
+    with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+        factor_hermitian(ComplexMatrix(3, 3, (8e307 + 0j,) * 9))
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -167,45 +191,134 @@ def test_hermitian_eig_matches_reference(n):
     assert refused == 1
 
 
-def values_outcome(function, n: int, entries):
-    try:
-        values = function(n, entries)
-    except Exception as exc:  # compared, type included, with _hermitian_eig's
-        return type(exc), str(exc)
-    return struct.pack(f"{len(values)}d", *values)
-
-
-def factored_values(n: int, entries):
-    return _hermitian_eig(n, entries).eigenvalues
-
-
-def test_eigenvalues_alone_are_the_factorizations():
-    # The chi and Choi matrices of every channel family the verdict tests
-    # use, and diagonals whose zeros of either sign tie: the sweep's values,
-    # sorted as _hermitian_eig sorts them, bits and tie order included.
-    sets = channel_sets() + [near_unitary(10.0 ** (-i / 4.0)) for i in range(65)]
-    sets += [rounded(ops) for _, ops in exact_channels(random.Random(2508))]
-    assert len(sets) == 3069 + 65 + 240
-    matrices = [m for k in sets for m in (_chi_matrix(_chi(k.operators)), _choi_entries(k).entries)]
-    for signs in ((0.0, -0.0, 1.0, -0.0), (-0.0, 0.0, 0.0, -1.0), (-0.0, 2.0, -0.0, 0.0)):
-        matrices.append([complex(signs[i]) if i == j else 0j for i in range(4) for j in range(4)])
-    ties = 0
-    for entries in matrices:
-        got = values_outcome(_hermitian_eigenvalues, 4, entries)
-        assert got == values_outcome(factored_values, 4, entries)
-        ties += len(set(struct.unpack("4d", got))) < 4
-    assert ties == 466 + 3
-
-
 @pytest.mark.parametrize("n, x", [(2, 1e308), (4, 8e307)], ids=["entry", "eigenvalue"])
 def test_eigenvalues_alone_raise_as_the_factorization(n, x):
-    # Every entry x: A + A overflows at 1e308. At 8e307 it is finite and the
-    # kernel sweeps the rescaled copy, but the eigenvalue 4 x is past the
+    # Named for the eigenvalues-only factorization it once compared with this
+    # one. Every entry x: A + A overflows at 1e308. At 8e307 it is finite and
+    # the kernel sweeps the rescaled copy, but the eigenvalue 4 x is past the
     # float range.
-    entries = [complex(x)] * (n * n)
-    want = values_outcome(factored_values, n, entries)
-    assert want == (DomainError, "matrix entries must be finite")
-    assert values_outcome(_hermitian_eigenvalues, n, entries) == want
+    with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+        _hermitian_eig(n, [complex(x)] * (n * n))
+
+
+def eigenvalue_count(chi: tuple, floor: float) -> int:
+    """The factorization's eigenvalues of chi above floor."""
+    return sum(1 for ev in _hermitian_eig(4, chi_matrix(chi)).eigenvalues if ev > floor)
+
+
+def largest_floor_count(chi: tuple, tol: float) -> int:
+    """The count above delta(tol) / 12 of the largest eigenvalue, the floor
+    the printed rank was measured against before it moved to the trace."""
+    spectrum = _hermitian_eig(4, chi_matrix(chi)).eigenvalues
+    floor = _deficit_bound(tol) / 12.0 * spectrum[0]
+    return sum(1 for ev in spectrum if ev > floor)
+
+
+def rotated_channels(rng: random.Random, count: int) -> list[KrausSet]:
+    """Amplitude damping turned by a Haar unitary V, {V K V*}, and
+    depolarizing sets, in turn: the refused classes of a seeded mix."""
+    sets = []
+    for i in range(count):
+        if i % 2:
+            sets.append(make_depolarizing(0.95 * rng.random()))
+            continue
+        v = su2_haar(rng).matrix
+        k = amplitude_damping(0.05 + 0.9 * rng.random())
+        sets.append(KrausSet(tuple(mul(mul(v, op), adjoint(v)) for op in k.operators)))
+    return sets
+
+
+def refused_chis(sets: list[KrausSet], tol: float) -> list[tuple]:
+    """chi of each set classify refuses at tol, by its own two gates."""
+    out = []
+    for k in sets:
+        if k.tp_deviation() <= tol:
+            chi = _chi(k.operators)
+            if _chi_deficit(chi) > _deficit_bound(tol):
+                out.append(chi)
+    return out
+
+
+def diagonal_chi(d0: float, d1: float, d2: float, d3: float) -> tuple:
+    return (d0, 0j, 0j, 0j, d1, 0j, 0j, d2, 0j, d3)
+
+
+class TestInertiaCount:
+    """The count equals the factorization's count above the same floor, so
+    the printed rank has one meaning whichever way it is computed."""
+
+    def test_is_the_eigenvalue_count(self):
+        sets = channel_sets() + [near_unitary(10.0 ** (-i / 4.0)) for i in range(65)]
+        sets += rotated_channels(random.Random(99), 1000)
+        refused, moved = {}, {}
+        for tol in (1e-9, 1e-15, 1e-3, 0.3):
+            chis = refused_chis(sets, tol)
+            refused[tol], moved[tol] = len(chis), 0
+            for chi in chis:
+                floor = _rank_floor((chi[0], chi[4], chi[7], chi[9]), tol)
+                count = _chi_rank(chi, floor)
+                assert count == eigenvalue_count(chi, floor)
+                # The floor moved from the largest eigenvalue to the trace.
+                moved[tol] += count != largest_floor_count(chi, tol)
+        assert refused == {1e-9: 1423, 1e-15: 1439, 1e-3: 1399, 0.3: 297}
+        assert moved == {1e-9: 0, 1e-15: 0, 1e-3: 0, 0.3: 16}
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [(0.0, -0.0, 1.0, -0.0), (-0.0, 0.0, 0.0, -1.0), (-0.0, 2.0, -0.0, 0.0)],
+        ids=["one", "minus-one", "two"],
+    )
+    def test_signed_zero_diagonals(self, diagonal):
+        # Zeros of either sign tie, and the floor is delta / 12 of a trace
+        # of either sign.
+        chi = diagonal_chi(*diagonal)
+        floor = _rank_floor(diagonal, 1e-9)
+        assert _chi_rank(chi, floor) == eigenvalue_count(chi, floor)
+
+    @pytest.mark.parametrize(
+        "chi, floor, count",
+        [
+            # A diagonal entry on the floor makes the pivot after it 0 / 0
+            # unguarded; an off-diagonal entry makes it e^2 / 0.
+            (diagonal_chi(0.5, 0.25, 0.125, 0.125), 0.25, 1),
+            ((0.25, 0.125 + 0.0625j, 0j, 0j, 0.5, 0j, 0j, 0.125, 0j, 0.125), 0.25, 1),
+        ],
+        ids=["zero-pivot", "zero-pivot-off-diagonal"],
+    )
+    def test_a_pivot_on_the_floor_counts_as_below_it(self, chi, floor, count):
+        assert _chi_rank(chi, floor) == count == eigenvalue_count(chi, floor)
+
+    def test_loosest_refusing_tolerance(self):
+        # Refusing needs 2 tol < deficit <= 3/4, so tol < 3/8; at 0.37 the
+        # trace gate lets Tr chi reach 1 +- 0.36, and every refused chi is
+        # rank 4 (an eigenvalue at the floor 0.74 / 12 Tr caps the deficit
+        # at 0.71).
+        depolarizing = make_depolarizing(0.01).operators
+        for weight in (1.36, 0.64, 1.0):
+            k = KrausSet(tuple(scale(op, weight**0.5) for op in depolarizing))
+            result = classify(k, 0.37)
+            assert result.kind is ChannelKind.CPTP_NOT_INVERTIBLE
+            assert result.choi_rank == 4
+            (chi,) = refused_chis([k], 0.37)
+            floor = _rank_floor((chi[0], chi[4], chi[7], chi[9]), 0.37)
+            assert _chi_rank(chi, floor) == eigenvalue_count(chi, floor) == 4
+
+    @pytest.mark.parametrize("tiny", [1e-170, 1e-310], ids=["1e-170", "subnormal"])
+    def test_tiny_entries_need_no_scaling(self, tiny):
+        # A damping pair whose |0><1| entry of K0 is tiny puts tiny entries
+        # before chi's largest off-diagonal one: at 1e-310 the reflection's
+        # leading entry is subnormal. A depolarizing set with that entry has
+        # a column of tiny entries only, whose reflection drops it.
+        k0, k1 = amplitude_damping(0.3).operators
+        a, b, c, d = k0.entries
+        nudged = ComplexMatrix(2, 2, (a, b + tiny, c, d))
+        i, *paulis = make_depolarizing(0.5).operators
+        a, b, c, d = i.entries
+        lifted = ComplexMatrix(2, 2, (a, b + tiny, c, d))
+        for k in (KrausSet((nudged, k1)), KrausSet((lifted, *paulis))):
+            (chi,) = refused_chis([k], 1e-9)
+            floor = _rank_floor((chi[0], chi[4], chi[7], chi[9]), 1e-9)
+            assert _chi_rank(chi, floor) == eigenvalue_count(chi, floor)
 
 
 def test_choi_spectrum_matches_reference():

@@ -59,6 +59,10 @@ def cmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
+def cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
 def csub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
@@ -173,6 +177,48 @@ def exact_rank(j):
             rows[r] = [csub(a, cmul(f, b)) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def exact_count_above(j, floor):
+    """The number of eigenvalues of the Hermitian j above floor, exactly and
+    with no eigenvalue: the positive inertia of j - floor I from a rational
+    LDL*, which Sylvester's law of inertia keeps. A nonzero diagonal entry
+    is the next pivot; where every diagonal entry left is zero, a nonzero
+    entry b off it makes a 2x2 pivot [[0, b], [b*, 0]], one eigenvalue of
+    each sign, and a block of zeros has none above."""
+    n = len(j)
+    a = [[csub(j[r][c], (floor, Fraction(0))) if r == c else j[r][c] for c in range(n)] for r in range(n)]
+    positive = 0
+    while a:
+        n = len(a)
+        k = next((i for i in range(n) if a[i][i][0] != 0), None)
+        if k is not None:
+            d = a[k][k]
+            positive += d[0] > 0
+            rest = [i for i in range(n) if i != k]
+            a = [[csub(a[r][c], cdiv(cmul(a[r][k], a[k][c]), d)) for c in rest] for r in rest]
+            continue
+        pair = next(((r, c) for r in range(n) for c in range(r + 1, n) if a[r][c] != ZERO), None)
+        if pair is None:
+            break
+        r0, c0 = pair
+        positive += 1
+        # The Schur complement of the 2x2 pivot: its inverse is
+        # [[0, 1 / conj(b)], [1 / b, 0]].
+        b = a[r0][c0]
+        to_r0, to_c0 = cdiv(ONE, (b[0], -b[1])), cdiv(ONE, b)
+        rest = [i for i in range(n) if i not in pair]
+        a = [
+            [
+                csub(
+                    a[r][c],
+                    cadd(cmul(cmul(a[r][r0], to_r0), a[c0][c]), cmul(cmul(a[r][c0], to_c0), a[r0][c])),
+                )
+                for c in rest
+            ]
+            for r in rest
+        ]
+    return positive
 
 
 def exact_tp(ops):
@@ -397,16 +443,28 @@ def rational_channels(draw):
     return ops, spectrum
 
 
+# The printed rank is compared unless an exact eigenvalue lies in
+# (floor (1 - RANK_BAND), floor (1 + RANK_BAND)], a band inside the factor
+# of 2 it once was. Over 10000 drawn channels at these four tolerances, one
+# rank was off by one: an eigenvalue 8% from the floor at tol 1e-15, where
+# the floor, 1.7e-15 of Tr J = 2, is a few ulps of the trace.
+RANK_BAND = Fraction(1, 4)
+
+
 class TestRationalChannelStrategy:
     """classify on Hypothesis-drawn rational channels, beside the seeded 240:
     its verdict and the Gram route's are the exact one outside EXACT_BAND,
     and a refused channel prints the number of exact Choi eigenvalues above
-    the floor delta / 12 of the largest, exact_rank when no weight lies
-    below it. An eigenvalue within a factor of 2 of the floor is not
-    compared."""
+    the exact floor delta / 12 of Tr J, exact_rank when no weight lies below
+    it. That number is the exact inertia count of J - floor I
+    (exact_count_above), and a channel with an eigenvalue within RANK_BAND
+    of the floor, found by the counts at its two ends, is not compared."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(channel=rational_channels(), tol=st.sampled_from([DEFAULT_TOL, 1e-15]))
+    @given(
+        channel=rational_channels(),
+        tol=st.sampled_from([DEFAULT_TOL, 1e-15, 1e-3, 0.3]),
+    )
     def test_verdict_and_rank_are_the_exact_ones(self, channel, tol):
         ops, spectrum = channel
         assert exact_tp(ops)
@@ -425,9 +483,12 @@ class TestRationalChannelStrategy:
             assert result.choi_rank == 1
             return
         assert result.kind is ChannelKind.CPTP_NOT_INVERTIBLE
-        floor = delta / 12 * max(spectrum)
-        if all(not ev or not floor / 2 <= ev <= 2 * floor for ev in spectrum):
-            assert result.choi_rank == sum(1 for ev in spectrum if ev > floor)
+        floor = delta / 12 * sum(j[i][i][0] for i in range(4))
+        count = exact_count_above(j, floor)
+        assert count == sum(1 for ev in spectrum if ev > floor)
+        low, high = (exact_count_above(j, floor * (1 + side)) for side in (-RANK_BAND, RANK_BAND))
+        if low == high:
+            assert result.choi_rank == count
 
 
 class TestExactLift:
