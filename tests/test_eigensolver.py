@@ -22,7 +22,6 @@ import struct
 import pytest
 
 from blochiso import _kernels
-from blochiso.bloch import PAULIS
 from blochiso.channels import (
     ChannelKind,
     ChoiMatrix,
@@ -42,14 +41,13 @@ from helpers import (
     chi_matrix,
     factor_hermitian,
     hermitian_eig_reference,
-    identity,
     jacobi_hermitian_reference,
     jacobi_hermitian_rescaled_reference,
     make_depolarizing,
     mul,
     rescale_shift,
 )
-from test_channels import near_unitary
+from test_channels import near_unitary, nudged
 from test_closed_forms import channel_sets
 
 SIZES = (1, 2, 3, 4, 5, 6)
@@ -309,13 +307,7 @@ class TestInertiaCount:
         # before chi's largest off-diagonal one: at 1e-310 the reflection's
         # leading entry is subnormal. A depolarizing set with that entry has
         # a column of tiny entries only, whose reflection drops it.
-        k0, k1 = amplitude_damping(0.3).operators
-        a, b, c, d = k0.entries
-        nudged = ComplexMatrix(2, 2, (a, b + tiny, c, d))
-        i, *paulis = make_depolarizing(0.5).operators
-        a, b, c, d = i.entries
-        lifted = ComplexMatrix(2, 2, (a, b + tiny, c, d))
-        for k in (KrausSet((nudged, k1)), KrausSet((lifted, *paulis))):
+        for k in (nudged(amplitude_damping(0.3), tiny), nudged(make_depolarizing(0.5), tiny)):
             (chi,) = refused_chis([k], 1e-9)
             floor = _rank_floor((chi[0], chi[4], chi[7], chi[9]), 1e-9)
             assert _chi_rank(chi, floor) == eigenvalue_count(chi, floor)
