@@ -8,8 +8,8 @@ golden CLI fixtures and the seeded ``verify`` reports: a change here must
 keep each IEEE-754 operation and its order. A matrix whose sum of squared
 entries leaves the float range is diagonalized as a copy scaled by a power
 of two, so its results are those of the scaled copy, eigenvalues scaled back.
-Its callers read eigenvectors: a checked Choi matrix, ``kraus_from_choi``
-and the Gram route. ``classify`` calls it for no verdict, since a refused
+Its callers keep or read eigenvectors: a checked Choi matrix,
+``kraus_from_choi`` and the Gram route. ``classify`` calls it for no verdict, since a refused
 channel's rank is an inertia count (``channels._chi_rank``).
 
 ``matmul`` is the generic product. No library code calls it: every product

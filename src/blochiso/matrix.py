@@ -4,8 +4,8 @@ Matrices are immutable, row-major, and small (everything downstream is 2x2
 to 4x4 plus Gram matrices of Kraus sets). Every product is the closed 2x2
 form ``_mul2``; the library has no generic product. The cyclic Jacobi
 eigensolver, the one kernel, lives in :mod:`blochiso._kernels`;
-``_hermitian_eig`` is its one caller, and every caller of that reads the
-eigenvectors. A count of eigenvalues above a floor needs no eigensolve
+``_hermitian_eig`` is its one caller, and every caller of that keeps or
+reads the eigenvectors. A count of eigenvalues above a floor needs no eigensolve
 (``channels._chi_rank``).
 """
 
