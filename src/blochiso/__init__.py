@@ -51,13 +51,7 @@ from .matrix import (
     scale,
 )
 from .so3 import AxisAngle, Rotation3, axis_angle_from_rotation, rotation_from_axis_angle
-from .su2 import (
-    Unitary2,
-    axis_angle_from_unitary,
-    conjugate,
-    normalize_phase,
-    unitary_from_axis_angle,
-)
+from .su2 import Unitary2, axis_angle_from_unitary, normalize_phase, unitary_from_axis_angle
 
 __version__ = "0.1.0"
 

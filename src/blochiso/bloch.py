@@ -87,24 +87,27 @@ def bloch_to_density(r: BlochVector, tol: float = DEFAULT_TOL) -> DensityOperato
     rounding from upstream rotations does not raise; anything beyond is a
     :class:`NonStateError`.
     """
-    nrm = r.norm()
+    entries = _density_entries((r.x1, r.x2, r.x3), tol)
+    return DensityOperator(ComplexMatrix._trusted(2, 2, entries))
+
+
+def _density_entries(
+    v: tuple[float, float, float], tol: float = DEFAULT_TOL
+) -> tuple[complex, ...]:
+    """The entries of :func:`bloch_to_density` for the components of a vector."""
+    x1, x2, x3 = v
+    nrm = sqrt(x1 * x1 + x2 * x2 + x3 * x3)
     if not nrm <= 1.0 + tol:  # negated, so that a NaN tol fails it
         raise NonStateError(f"Bloch vector norm {nrm!r} exceeds 1")
-    x1, x2, x3 = r.x1, r.x2, r.x3
     if nrm > 1.0:
         x1, x2, x3 = x1 / nrm, x2 / nrm, x3 / nrm
     # Finite: each component is at most 1 in size once pulled back.
-    m = ComplexMatrix._trusted(
-        2,
-        2,
-        (
-            complex(0.5 * (1.0 + x3), 0.0),
-            complex(0.5 * x1, -0.5 * x2),
-            complex(0.5 * x1, 0.5 * x2),
-            complex(0.5 * (1.0 - x3), 0.0),
-        ),
+    return (
+        complex(0.5 * (1.0 + x3), 0.0),
+        complex(0.5 * x1, -0.5 * x2),
+        complex(0.5 * x1, 0.5 * x2),
+        complex(0.5 * (1.0 - x3), 0.0),
     )
-    return DensityOperator(m)
 
 
 def density_to_bloch(rho: DensityOperator) -> BlochVector:

@@ -4,15 +4,18 @@ Both go through the unit quaternion q a rotation shares with its lifts +-q:
 a rotation lifts to the unitary of its q with w >= 0, and a unitary drops to
 the Euler-Rodrigues rotation of its q, quadratic in q and so blind to the
 sign of U (the double cover). Two commuting-diagram verifiers live here too.
+They compose in the private tuple forms of ``su2``, ``so3`` and ``bloch``, the
+ones the public functions call, and check only the values they return:
+the deviation between the two paths is the check on every product inside.
 """
 
 from __future__ import annotations
 
 from . import so3, su2
 from ._value import Value
-from .bloch import BlochVector, bloch_to_density
+from .bloch import BlochVector, DensityOperator, _density_entries
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, max_abs_diff
+from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, max_abs_diff
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
@@ -52,7 +55,7 @@ def phi_inverse(u: Unitary2) -> Rotation3:
     Euler-Rodrigues form of the q of U = w I - i v . sigma, q = (w, v). It is
     R_kj = Tr(s_k U s_j U*) / 2 to rounding, and U and -U give the same bits.
     """
-    return so3._from_quaternion(*su2._quaternion(u))
+    return Rotation3._built(so3._rows(*su2._quaternion(u.matrix.entries)))
 
 
 def verify_state_diagram(
@@ -63,10 +66,11 @@ def verify_state_diagram(
     Path A builds the state of the rotated vector; path B conjugates the
     state of the original vector by the corresponding unitary.
     """
-    q = so3._half_angle(aa)  # one quaternion builds both group elements
-    rot, u = so3._from_quaternion(*q), su2._from_quaternion(*q)
-    path_a = bloch_to_density(so3.apply(rot, r))
-    path_b = su2.conjugate(u, bloch_to_density(r))
+    q, v = so3._half_angle(aa), (r.x1, r.x2, r.x3)  # one q gives both group elements
+    rotated = _density_entries(so3._apply(so3._rows(*q), v))
+    path_a = DensityOperator(ComplexMatrix._trusted(2, 2, rotated))
+    ue, rho = su2._entries(*q), _density_entries(v)
+    path_b = DensityOperator(ComplexMatrix._trusted(2, 2, _mul2(_mul2(ue, rho), _adjoint2(ue))))
     dev = max_abs_diff(path_a.matrix, path_b.matrix)
     return DiagramReport(dev, dev <= tol, path_a, path_b)
 
@@ -82,11 +86,12 @@ def verify_group_diagram(
     if not aa_list:
         raise DomainError("need at least one axis-angle")
     first, *rest = [so3._half_angle(aa) for aa in aa_list]
-    u_total, r_total = su2._from_quaternion(*first), so3._from_quaternion(*first)
+    u_total, r_total = su2._entries(*first), so3._rows(*first)
     for q in rest:
-        u_total = su2.compose(u_total, su2._from_quaternion(*q))
-        r_total = so3.compose(r_total, so3._from_quaternion(*q))
-    dropped = phi_inverse(u_total)
+        u_total = _mul2(u_total, su2._entries(*q))
+        r_total = so3._mul3(r_total, so3._rows(*q))
+    dropped = Rotation3._built(so3._rows(*su2._quaternion(u_total)))
+    r_total = Rotation3._built(r_total)
     dev = max(
         [abs(x - y) for ra, rb in zip(dropped.matrix, r_total.matrix) for x, y in zip(ra, rb)]
     )

@@ -1,8 +1,10 @@
 """Proper rotations of physical space.
 
 Rotations built from and read back to the unit quaternion q they share with
-their SU(2) lifts +-q, the axis-angle logarithm of q (canonical cell: angle
-in [0, pi]), and rotation action on Bloch vectors.
+their SU(2) lifts +-q, and the axis-angle logarithm of q (canonical cell:
+angle in [0, pi]). The product of two rotations' rows and their action on
+a vector are private tuple forms (``_mul3``, ``_apply``), which the diagram
+checks in ``isomorphism`` use.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from math import atan2, cos, isfinite, pi, sin, sqrt
 
 from ._value import Value
-from .bloch import BlochVector
 from .errors import DomainError
 from .matrix import DEFAULT_TOL
 
@@ -70,8 +71,9 @@ class Rotation3(Value):
     def _built(cls, rows: Matrix3) -> "Rotation3":
         """A rotation from three 3-tuples of floats already checked finite,
         without the float rebuild and finiteness pass; the orthogonality and
-        det checks still run. The library's own products come here, and the
-        CLI's rotation documents once the decoder has checked them.
+        det checks still run. Each rotation a library function returns is
+        checked here once, on the rows it returns, and so is each CLI
+        rotation document once the decoder has checked it finite.
         """
         _check_rotation(rows)
         rot = object.__new__(cls)
@@ -121,24 +123,22 @@ def _half_angle(aa: AxisAngle) -> tuple[float, float, float, float]:
     return (cos(aa.angle / 2.0), s * n1, s * n2, s * n3)
 
 
-def _from_quaternion(w: float, x: float, y: float, z: float) -> Rotation3:
-    """Euler-Rodrigues rotation of q / |q|: orthonormal to rounding even for a q
+def _rows(w: float, x: float, y: float, z: float) -> Matrix3:
+    """Euler-Rodrigues rows of q / |q|: orthonormal to rounding even for a q
     read off a U that is unitary only within tolerance. Quadratic in q, so q and
     -q give the same bits once ``+ 0.0`` makes each off-diagonal zero +0.0."""
     xx, yy, zz = x * x, y * y, z * z
     s = 2.0 / (w * w + xx + yy + zz)
-    return Rotation3._built(
-        (
-            (1.0 - s * (yy + zz), s * (x * y - w * z) + 0.0, s * (x * z + w * y) + 0.0),
-            (s * (x * y + w * z) + 0.0, 1.0 - s * (xx + zz), s * (y * z - w * x) + 0.0),
-            (s * (x * z - w * y) + 0.0, s * (y * z + w * x) + 0.0, 1.0 - s * (xx + yy)),
-        )
+    return (
+        (1.0 - s * (yy + zz), s * (x * y - w * z) + 0.0, s * (x * z + w * y) + 0.0),
+        (s * (x * y + w * z) + 0.0, 1.0 - s * (xx + zz), s * (y * z - w * x) + 0.0),
+        (s * (x * z - w * y) + 0.0, s * (y * z + w * x) + 0.0, 1.0 - s * (xx + yy)),
     )
 
 
 def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:
     """The rotation by ``aa.angle`` about ``aa.axis``, through its quaternion."""
-    return _from_quaternion(*_half_angle(aa))
+    return Rotation3._built(_rows(*_half_angle(aa)))
 
 
 def _quaternion(rows: Matrix3) -> tuple[float, float, float, float]:
@@ -189,37 +189,35 @@ def axis_angle_from_rotation(rot: Rotation3) -> AxisAngle:
     return _axis_angle(*_quaternion(rot.matrix))
 
 
-def compose(ra: Rotation3, rb: Rotation3) -> Rotation3:
-    """ra rb, each entry summed left to right from 0.0 as ``sum`` did before
+def _mul3(a: Matrix3, b: Matrix3) -> Matrix3:
+    """a b, each entry summed left to right from 0.0 as ``sum`` did before
     Python 3.12 compensated its rounding: the same bits on every version."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = ra.matrix
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rb.matrix
-    return Rotation3._built(
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
         (
-            (
-                0.0 + a00 * b00 + a01 * b10 + a02 * b20,
-                0.0 + a00 * b01 + a01 * b11 + a02 * b21,
-                0.0 + a00 * b02 + a01 * b12 + a02 * b22,
-            ),
-            (
-                0.0 + a10 * b00 + a11 * b10 + a12 * b20,
-                0.0 + a10 * b01 + a11 * b11 + a12 * b21,
-                0.0 + a10 * b02 + a11 * b12 + a12 * b22,
-            ),
-            (
-                0.0 + a20 * b00 + a21 * b10 + a22 * b20,
-                0.0 + a20 * b01 + a21 * b11 + a22 * b21,
-                0.0 + a20 * b02 + a21 * b12 + a22 * b22,
-            ),
-        )
+            0.0 + a00 * b00 + a01 * b10 + a02 * b20,
+            0.0 + a00 * b01 + a01 * b11 + a02 * b21,
+            0.0 + a00 * b02 + a01 * b12 + a02 * b22,
+        ),
+        (
+            0.0 + a10 * b00 + a11 * b10 + a12 * b20,
+            0.0 + a10 * b01 + a11 * b11 + a12 * b21,
+            0.0 + a10 * b02 + a11 * b12 + a12 * b22,
+        ),
+        (
+            0.0 + a20 * b00 + a21 * b10 + a22 * b20,
+            0.0 + a20 * b01 + a21 * b11 + a22 * b21,
+            0.0 + a20 * b02 + a21 * b12 + a22 * b22,
+        ),
     )
 
 
-def apply(rot: Rotation3, r: BlochVector) -> BlochVector:
-    """R r, each component summed as :func:`compose` sums an entry."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rot.matrix
-    x1, x2, x3 = r.x1, r.x2, r.x3
-    return BlochVector(
+def _apply(m: Matrix3, v: tuple[float, float, float]) -> tuple[float, float, float]:
+    """m v, each component summed as :func:`_mul3` sums an entry."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    x1, x2, x3 = v
+    return (
         0.0 + m00 * x1 + m01 * x2 + m02 * x3,
         0.0 + m10 * x1 + m11 * x2 + m12 * x3,
         0.0 + m20 * x1 + m21 * x2 + m22 * x3,

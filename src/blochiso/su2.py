@@ -1,12 +1,13 @@
 """Special unitaries on one qubit.
 
 U = w I - i v . sigma from a unit quaternion, with w = cos(a/2) and
-v = sin(a/2) n; composition, state conjugation, and so3's axis-angle
-logarithm of (w, v), covering angles in [0, 2*pi] (the endpoint is hit only
-at U = -I, axis defaulting to z-hat). Every unitary read off a matrix is
-one lift, off the process matrix chi of rho -> sum_a A rho A*: for a unitary
-channel chi = q q^T, and its row with the largest diagonal entry is q as
-``phi`` reads it off the rotation, by Shepperd's rule.
+v = sin(a/2) n: its entries (``_entries``), the quaternion read back off
+them, and so3's axis-angle logarithm of (w, v), covering angles in
+[0, 2*pi] (the endpoint is hit only at U = -I, axis defaulting to z-hat).
+Every unitary read off a matrix is one lift, off the process matrix chi of
+rho -> sum_a A rho A*: for a unitary channel chi = q q^T, and its row with
+the largest diagonal entry is q as ``phi`` reads it off the rotation, by
+Shepperd's rule.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from math import sqrt
 
 from ._value import Value
-from .bloch import DensityOperator
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2
+from .matrix import DEFAULT_TOL, ComplexMatrix
 from .so3 import AxisAngle, _axis_angle, _half_angle
 
 
@@ -65,18 +65,18 @@ def unitarity_deviation(m: ComplexMatrix) -> float:
     )
 
 
-def _from_quaternion(w: float, x: float, y: float, z: float) -> Unitary2:
+def _entries(w: float, x: float, y: float, z: float) -> tuple[complex, ...]:
     """w I - i (x, y, z) . sigma, for a unit quaternion: the one layout of U."""
-    return Unitary2(
-        ComplexMatrix._trusted(
-            2, 2, (complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z))
-        )
-    )
+    return (complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z))
 
 
-def _quaternion(u: Unitary2) -> tuple[float, float, float, float]:
+def _from_quaternion(w: float, x: float, y: float, z: float) -> Unitary2:
+    return Unitary2(ComplexMatrix._trusted(2, 2, _entries(w, x, y, z)))
+
+
+def _quaternion(entries: tuple[complex, ...]) -> tuple[float, float, float, float]:
     """q of U = w I - i (x, y, z) . sigma, each part the mean of its two read-offs."""
-    a, b, c, d = u.matrix.entries
+    a, b, c, d = entries
     return (
         (a + d).real / 2.0,
         -(b.imag + c.imag) / 2.0,
@@ -96,19 +96,7 @@ def axis_angle_from_unitary(u: Unitary2) -> AxisAngle:
     The angle 2 atan2(||v||, w) lies in [0, 2*pi], so U and -U give distinct
     results: the double cover is collapsed only on the rotation side.
     """
-    return _axis_angle(*_quaternion(u))
-
-
-def compose(ua: Unitary2, ub: Unitary2) -> Unitary2:
-    return Unitary2(ComplexMatrix._trusted(2, 2, _mul2(ua.matrix.entries, ub.matrix.entries)))
-
-
-def conjugate(u: Unitary2, rho: DensityOperator) -> DensityOperator:
-    """U rho U*; preserves trace, Hermiticity, positivity, and purity."""
-    ue = u.matrix.entries
-    return DensityOperator(
-        ComplexMatrix._trusted(2, 2, _mul2(_mul2(ue, rho.matrix.entries), _adjoint2(ue)))
-    )
+    return _axis_angle(*_quaternion(u.matrix.entries))
 
 
 def negate(u: Unitary2) -> Unitary2:

@@ -43,7 +43,13 @@ from blochiso.matrix import (
     max_abs_diff,
     scale,
 )
-from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
+from blochiso.isomorphism import (
+    DiagramReport,
+    phi,
+    phi_inverse,
+    verify_group_diagram,
+    verify_state_diagram,
+)
 from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar
 from blochiso.so3 import (
     Rotation3,
@@ -691,9 +697,9 @@ def outcome(function, *args):
 
 # The geometry path as it was before it trusted the values it builds: every
 # rotation and 2x2 value validated in full, every 2x2 product through the
-# matmul kernel. Rotations come back as their validated rows and density
-# operators as their validated matrix; tests/test_trusted_geometry.py
-# compares the library with these bit for bit.
+# matmul kernel, and each diagram a chain of such values. Rotations come back
+# as their validated rows and density operators as their validated matrix;
+# tests/test_trusted_geometry.py compares the library with these bit for bit.
 
 
 def rotation_reference(matrix):
@@ -867,6 +873,36 @@ def bloch_to_density_reference(r, tol: float = DEFAULT_TOL) -> ComplexMatrix:
     return density_operator_reference(m)
 
 
+def verify_state_diagram_reference(r, aa, tol: float = DEFAULT_TOL) -> DiagramReport:
+    """The state diagram as a chain of fully checked values: the rotated
+    vector, both states and the conjugated state are each validated."""
+    rot = Rotation3(rotation_from_axis_angle_reference(aa))
+    u = unitary_from_axis_angle_reference(aa)
+    path_a = DensityOperator(bloch_to_density_reference(so3_apply_reference(rot, r)))
+    rho = DensityOperator(bloch_to_density_reference(r))
+    path_b = DensityOperator(su2_conjugate_reference(u, rho))
+    dev = max_abs_diff(path_a.matrix, path_b.matrix)
+    return DiagramReport(dev, dev <= tol, path_a, path_b)
+
+
+def verify_group_diagram_reference(aa_list, tol: float = DEFAULT_TOL) -> DiagramReport:
+    """The group diagram as a chain of fully checked values: every partial
+    product of the word is a validated unitary and a validated rotation."""
+    if not aa_list:
+        raise DomainError("need at least one axis-angle")
+    u_total = unitary_from_axis_angle_reference(aa_list[0])
+    r_total = Rotation3(rotation_from_axis_angle_reference(aa_list[0]))
+    for aa in aa_list[1:]:
+        u_total = su2_compose_reference(u_total, unitary_from_axis_angle_reference(aa))
+        rot = Rotation3(rotation_from_axis_angle_reference(aa))
+        r_total = Rotation3(so3_compose_reference(r_total, rot))
+    dropped = Rotation3(phi_inverse_reference(u_total))
+    dev = max(
+        abs(x - y) for ra, rb in zip(dropped.matrix, r_total.matrix) for x, y in zip(ra, rb)
+    )
+    return DiagramReport(dev, dev <= tol, dropped, r_total)
+
+
 def geometry_inputs(rng: random.Random):
     """Seeded inputs of one geometry case: a Bloch vector and an axis-angle
     for the state diagram, the entries of a special unitary, a word of three
@@ -882,14 +918,16 @@ def geometry_inputs(rng: random.Random):
 
 def run_geometry_case(inputs):
     """The diagram checks of one geometry case, as a caller makes them: the
-    caller builds the unitary and the rotation to lift from plain values."""
+    caller builds the unitary and the rotation to lift from plain values.
+    Returns every value the library hands back, ``negate(u)`` last."""
     r, aa, u_entries, word, lift_rows = inputs
     state = verify_state_diagram(r, aa)
     u = Unitary2(ComplexMatrix(2, 2, u_entries))
-    plus, minus = phi_inverse(u), phi_inverse(negate(u))
+    negated = negate(u)
+    plus, minus = phi_inverse(u), phi_inverse(negated)
     group = verify_group_diagram(word)
     lift = phi(Rotation3(lift_rows))
-    return state, plus, minus, group, lift
+    return state, plus, minus, group, lift, negated
 
 
 def unitarity_deviation_generic(m: ComplexMatrix) -> float:

@@ -460,6 +460,19 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_group_word_of_near_unit_axes_passes(self, tmp_path):
+        # A valid document: the axis norm is within the 1e-12 AxisAngle
+        # allows. A word of 1000 of them once exited 2, "matrix is not
+        # unitary", when a partial product of the word was checked.
+        axis = {"axis": [0, 0, 1.0000000000009], "angle": 2.5}
+        path = write_doc(tmp_path, "near_unit.json", "axis_angle", axis)
+        code, out = run_cli(["verify", "group"] + [path] * 1000)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["cases"][0]["word_length"] == 1000
+        assert doc["max_deviation"] < 1e-12
+
     def test_inverse_pair_sampled(self):
         code, out = run_cli(["verify", "inverse-pair", "--samples", "10"])
         assert code == 0

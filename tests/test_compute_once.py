@@ -39,7 +39,7 @@ from blochiso.errors import DomainError, InvalidChannelError
 from blochiso.matrix import ComplexMatrix, _hermitian_eig, adjoint, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
 from blochiso.so3 import AxisAngle, Rotation3
-from blochiso.su2 import _chi
+from blochiso.su2 import Unitary2, _chi
 from helpers import (
     GOLDEN_DIR,
     amplitude_damping,
@@ -457,21 +457,44 @@ def geometry_checks(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def checked_values(monkeypatch):
+    """What each value check ran on, in call order: the ``Unitary2`` or
+    ``DensityOperator`` itself, or the rows of a rotation."""
+    seen = []
+
+    def record(owner, name):
+        original = getattr(owner, name)
+
+        def recorded(value):
+            seen.append(value)
+            return original(value)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(blochiso.su2.Unitary2, "__post_init__")
+    record(DensityOperator, "__post_init__")
+    record(blochiso.so3, "_check_rotation")
+    return seen
+
+
 class TestGeometryChecks:
     """Every check of a geometry value runs, however fast its closed form.
 
-    The counts are those of the fully checked path: each unitary, rotation,
-    state and vector the diagrams build is validated once as it is made. The
-    README states them.
+    The rule: each value a public function returns is validated once, and
+    so is each value a caller builds. The products inside the diagram
+    checks are plain tuples, checked by the diagram's own deviation. The
+    README states these counts.
     """
 
+    # No BlochVector: the diagrams build none. No AxisAngle: the case's
+    # inputs are built beforehand.
     PER_CASE = {
-        "Unitary2.__post_init__": 9,
-        "blochiso.su2.unitarity_deviation": 9,
-        "blochiso.su2.det2": 9,
-        "blochiso.so3._check_rotation": 10,
-        "DensityOperator.__post_init__": 3,
-        "BlochVector.__post_init__": 1,
+        "Unitary2.__post_init__": 3,
+        "blochiso.su2.unitarity_deviation": 3,
+        "blochiso.su2.det2": 3,
+        "blochiso.so3._check_rotation": 5,
+        "DensityOperator.__post_init__": 2,
     }
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -479,8 +502,33 @@ class TestGeometryChecks:
         inputs = geometry_inputs(random.Random(seed))
         geometry_checks.clear()
         run_geometry_case(inputs)
-        # The last: so3.apply's rotated vector. No axis-angle is built.
         assert geometry_checks == self.PER_CASE
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_each_returned_value_is_checked_once(self, checked_values, seed):
+        inputs = geometry_inputs(random.Random(seed))
+        checked_values.clear()
+        state, plus, minus, group, lift, negated = run_geometry_case(inputs)
+        returned = [
+            state.path_a_result,
+            state.path_b_result,
+            plus.matrix,
+            minus.matrix,
+            negated,
+            group.path_a_result.matrix,
+            group.path_b_result.matrix,
+            lift,
+        ]
+        for value in returned:
+            assert [seen for seen in checked_values if seen is value] == [value]
+        # The rest are the caller's two inputs, its unitary and its rotation.
+        callers = [seen for seen in checked_values if not any(seen is v for v in returned)]
+        assert [type(callers[0]), callers[0].matrix.entries, callers[1]] == [
+            Unitary2,
+            inputs[2],
+            inputs[4],
+        ]
+        assert len(checked_values) == len(returned) + 2
 
     def test_requests_from_plain_numbers(self, geometry_checks):
         # As the benchmark's request builds them: the Bloch vector and the

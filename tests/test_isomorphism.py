@@ -6,7 +6,7 @@ from math import pi
 
 import pytest
 
-from blochiso import so3, su2
+from blochiso import so3
 from blochiso.bloch import BlochVector, bloch_to_density
 from blochiso.errors import DomainError
 from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
@@ -16,7 +16,6 @@ from blochiso.sampling import bloch_in_ball, gaussian, su2_haar, unit_vector
 from blochiso.so3 import AxisAngle, Rotation3
 from blochiso.su2 import (
     Unitary2,
-    conjugate,
     det2,
     negate,
     unitarity_deviation,
@@ -29,6 +28,9 @@ from helpers import (
     identity,
     psi,
     psi_inverse,
+    so3_apply_reference,
+    su2_compose_reference,
+    su2_conjugate_reference,
 )
 
 IDENTITY_ROTATION = Rotation3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -59,9 +61,9 @@ class TestPhi:
         for _ in range(200):
             rot = so3.rotation_from_axis_angle(random_axis_angle(rng))
             r = bloch_in_ball(rng)
-            lhs = conjugate(phi(rot), bloch_to_density(r))
-            rhs = bloch_to_density(so3.apply(rot, r))
-            assert max_abs_diff(lhs.matrix, rhs.matrix) <= 1e-10
+            lhs = su2_conjugate_reference(phi(rot), bloch_to_density(r))
+            rhs = bloch_to_density(so3_apply_reference(rot, r))
+            assert max_abs_diff(lhs, rhs.matrix) <= 1e-10
 
 
 class TestPhiInverse:
@@ -209,7 +211,7 @@ class TestAlgebraPicture:
             u, v = su2_haar(rng), su2_haar(rng)
             elem = Su2AlgebraElement(tuple(rng.gauss(0, 1) for _ in range(3)))
             seq = adjoint_action_generic(u, adjoint_action_generic(v, elem))
-            direct = adjoint_action_generic(su2.compose(u, v), elem)
+            direct = adjoint_action_generic(su2_compose_reference(u, v), elem)
             assert max(
                 abs(a - b) for a, b in zip(seq.vector, direct.vector)
             ) <= 1e-11
@@ -220,7 +222,7 @@ class TestAlgebraPicture:
             u = su2_haar(rng)
             r = BlochVector(*(rng.gauss(0, 1) for _ in range(3)))
             via_algebra = psi(adjoint_action_generic(u, psi_inverse(r)))
-            via_rotation = so3.apply(phi_inverse(u), r)
+            via_rotation = so3_apply_reference(phi_inverse(u), r)
             assert max(
                 abs(a - b)
                 for a, b in zip(via_algebra.as_tuple(), via_rotation.as_tuple())

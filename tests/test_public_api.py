@@ -47,10 +47,16 @@ def test_exports_are_the_kept_rows():
         (blochiso.ChannelKind, "INVERTIBLE_WITH_CPTP_INVERSE"),
         (blochiso.ComplexMatrix, "identity"),
         (blochiso.InversePairReport, "__bool__"),
+        (blochiso, "conjugate"),
+        (blochiso.su2, "conjugate"),
+        (blochiso.su2, "compose"),
+        (blochiso.so3, "compose"),
+        (blochiso.so3, "apply"),
     ],
 )
 def test_retired_members_are_gone(owner, name):
-    # Only tests called them; README's table names the path each test took instead.
+    # Only tests, or the diagram checks' old chains, called them; README's
+    # table names the path each caller took instead.
     assert not hasattr(owner, name)
 
 

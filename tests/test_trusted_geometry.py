@@ -1,16 +1,20 @@
 """The geometry path trusts the values it builds and keeps their bytes.
 
-Rotations from the quaternion form, ``so3.compose`` and ``phi_inverse`` skip
-the float rebuild and the finiteness pass but keep the orthogonality and det
-checks. The 2x2 values of ``su2`` and ``bloch_to_density`` skip validation,
-and the SU(2) products are the closed ``matrix._mul2``; the ``Unitary2`` and
-``DensityOperator`` checks still run on each. Every result is compared bit
-for bit, zero signs included, with the fully validated generic forms kept
-in ``helpers`` (``*_reference``), and every rejected input must raise the
-same error with the same message. The closed forms that read a matrix's
-entries once (``so3.apply``, ``su2.det2``, ``axis_angle_from_unitary``) are
-compared with the forms that index it entry by entry, on inputs holding exact
-zeros of both signs; the validators' refusals are pinned by type and message.
+Rotations from the quaternion form and ``phi_inverse`` skip the float
+rebuild and the finiteness pass but keep the orthogonality and det checks.
+The 2x2 values of ``su2`` and ``bloch_to_density`` skip validation, and the
+SU(2) products are the closed ``matrix._mul2``; the ``Unitary2`` and
+``DensityOperator`` checks still run on each value a public function returns.
+The diagram checks compose in the private tuple forms (``so3._mul3``,
+``so3._apply``, ``su2._entries``, ``bloch._density_entries``) and check only
+the values they return. Every result is compared bit for bit, zero signs
+included, with the fully validated generic forms kept in ``helpers``
+(``*_reference``), the diagrams with the chains of such forms, and every
+rejected input must raise the same error with the same message. The closed
+forms that read a matrix's entries once (``so3._apply``, ``su2.det2``,
+``axis_angle_from_unitary``) are compared with the forms that index it entry
+by entry, on inputs holding exact zeros of both signs; the validators'
+refusals are pinned by type and message.
 """
 
 import random
@@ -20,19 +24,25 @@ import pytest
 
 from blochiso.bloch import BlochVector, DensityOperator, _hermiticity_deviation, bloch_to_density
 from blochiso.errors import DomainError, NonStateError
-from blochiso.isomorphism import phi_inverse
-from blochiso.matrix import ComplexMatrix, adjoint, scale
+from blochiso.isomorphism import phi_inverse, verify_group_diagram, verify_state_diagram
+from blochiso.matrix import ComplexMatrix, _adjoint2, _mul2, adjoint, scale
 from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar, unit_vector
-from blochiso.so3 import AxisAngle, Rotation3, apply, compose, rotation_from_axis_angle
+from blochiso.so3 import (
+    AxisAngle,
+    Rotation3,
+    _apply,
+    _mul3,
+    orthogonality_deviation,
+    rotation_from_axis_angle,
+)
 from blochiso.su2 import (
     Unitary2,
     axis_angle_from_unitary,
-    conjugate,
     det2,
     negate,
+    unitarity_deviation,
     unitary_from_axis_angle,
 )
-from blochiso.su2 import compose as su2_compose
 from helpers import (
     axis_angle_from_unitary_reference,
     bloch_to_density_reference,
@@ -52,6 +62,8 @@ from helpers import (
     su2_conjugate_reference,
     su2_negate_reference,
     unitary_from_axis_angle_reference,
+    verify_group_diagram_reference,
+    verify_state_diagram_reference,
 )
 
 SEED = 9090
@@ -114,6 +126,29 @@ def bloch_vectors() -> list[BlochVector]:
     return points
 
 
+# The tuple forms the diagrams compose in, each result checked as a public
+# function checks the value it returns.
+
+
+def composed_rotation(ra: Rotation3, rb: Rotation3) -> Rotation3:
+    return Rotation3._built(_mul3(ra.matrix, rb.matrix))
+
+
+def applied(rot: Rotation3, r: BlochVector) -> BlochVector:
+    return BlochVector(*_apply(rot.matrix, r.as_tuple()))
+
+
+def composed_unitary(ua: Unitary2, ub: Unitary2) -> Unitary2:
+    return Unitary2(ComplexMatrix._trusted(2, 2, _mul2(ua.matrix.entries, ub.matrix.entries)))
+
+
+def conjugated(u: Unitary2, rho: DensityOperator) -> DensityOperator:
+    """U rho U*, as the state diagram's path B forms it."""
+    ue = u.matrix.entries
+    rho_u = _mul2(_mul2(ue, rho.matrix.entries), _adjoint2(ue))
+    return DensityOperator(ComplexMatrix._trusted(2, 2, rho_u))
+
+
 def test_the_cases_reach_every_edge():
     norms = [r.norm() for r in bloch_vectors()]
     assert min(norms) == 0.0
@@ -151,7 +186,7 @@ class TestRotations:
         rots = rotations()
         pairs = list(zip(rots, rots[1:])) + [(r, r) for r in rots[:30]]
         for ra, rb in pairs:
-            got = outcome(lambda a, b: compose(a, b).matrix, ra, rb)
+            got = outcome(lambda a, b: composed_rotation(a, b).matrix, ra, rb)
             assert got == outcome(so3_compose_reference, ra, rb)
 
     def test_apply(self):
@@ -160,7 +195,7 @@ class TestRotations:
         pairs = [(rot, r) for rot in edge_rotations() for r in vectors[:8]]
         pairs += list(zip(rotations(), vectors * 3))
         for rot, r in pairs:
-            assert outcome(apply, rot, r) == outcome(so3_apply_reference, rot, r)
+            assert outcome(applied, rot, r) == outcome(so3_apply_reference, rot, r)
 
     def test_phi_inverse(self):
         for u in unitaries():
@@ -182,7 +217,7 @@ class TestSpecialUnitaries:
         us = unitaries()
         pairs = list(zip(us, us[1:])) + [(u, u) for u in us[:30]]
         for ua, ub in pairs:
-            assert outcome(su2_compose, ua, ub) == outcome(su2_compose_reference, ua, ub)
+            assert outcome(composed_unitary, ua, ub) == outcome(su2_compose_reference, ua, ub)
 
     def test_negate(self):
         for u in unitaries():
@@ -203,7 +238,7 @@ class TestSpecialUnitaries:
     def test_conjugate(self):
         states = [bloch_to_density(r) for r in bloch_vectors()]
         for u, rho in zip(unitaries() * 2, states):
-            got = outcome(lambda v, s: conjugate(v, s).matrix, u, rho)
+            got = outcome(lambda v, s: conjugated(v, s).matrix, u, rho)
             assert got == outcome(su2_conjugate_reference, u, rho)
 
 
@@ -341,3 +376,110 @@ class TestValidatorRefusals:
             "could not convert string to float: 'x'",
         )
         assert refusal(AxisAngle, 5.0, 1.0) == (TypeError, "'float' object is not iterable")
+
+
+def diagram_words() -> list[list[AxisAngle]]:
+    """Seeded 3-words, one-element words at every edge angle, and words of
+    identities, half turns and quarter turns."""
+    rng = random.Random(SEED + 6)
+    words = [[axis_angle(rng) for _ in range(3)] for _ in range(2000)]
+    words += [[aa] for aa in axis_angles()]
+    identity_turn = AxisAngle(AXES[4], 0.0)
+    words += [[identity_turn] * k for k in (1, 2, 5)]
+    words += [[aa] * k for aa in QUARTER_AND_HALF for k in (2, 3, 4)]
+    return words
+
+
+def state_cases() -> list[tuple[BlochVector, AxisAngle]]:
+    """Seeded pairs, then every edge vector (norms in (1, 1 + tol] too)
+    under the edge axis-angles."""
+    rng = random.Random(SEED + 7)
+    cases = [(bloch_in_ball(rng), axis_angle(rng)) for _ in range(2000)]
+    edges = axis_angles()[: len(AXES) * len(EDGE_ANGLES)] + QUARTER_AND_HALF
+    return cases + [(r, aa) for r in bloch_vectors() for aa in edges[::3]]
+
+
+class TestDiagramParity:
+    """The diagrams equal the chains of fully checked values they replaced,
+    under ``==`` and bit for bit, and refuse the same inputs alike."""
+
+    def test_state_diagram(self):
+        for r, aa in state_cases():
+            got = verify_state_diagram(r, aa)
+            want = verify_state_diagram_reference(r, aa)
+            assert got == want and fingerprint(got) == fingerprint(want)
+
+    def test_group_diagram(self):
+        for word in diagram_words():
+            got = verify_group_diagram(word)
+            want = verify_group_diagram_reference(word)
+            assert got == want and fingerprint(got) == fingerprint(want)
+
+    @pytest.mark.parametrize(
+        "r",
+        [BlochVector(0.0, 0.0, 1.0 + 2e-9), BlochVector(2.0, 0.0, 0.0), BlochVector(0.6, 0.6, 0.6)],
+    )
+    def test_out_of_ball_vectors_are_refused_alike(self, r):
+        aa = AxisAngle(AXES[0], 1.0)
+        got = refusal(verify_state_diagram, r, aa)
+        assert got == refusal(verify_state_diagram_reference, r, aa)
+        assert got[0] is NonStateError and got[1].endswith(" exceeds 1")
+
+    def test_a_rotation_past_the_float_range_is_refused_by_the_norm_check(self):
+        # The one refusal that differs from the checked chain, which built
+        # the rotated vector as a BlochVector and refused it as not finite.
+        r, aa = BlochVector(1.7e308, 1.7e308, 0.0), AxisAngle(AXES[4], 0.25 * pi)
+        assert refusal(verify_state_diagram, r, aa) == (
+            NonStateError,
+            "Bloch vector norm inf exceeds 1",
+        )
+        assert refusal(verify_state_diagram_reference, r, aa) == (
+            DomainError,
+            "Bloch components must be finite",
+        )
+
+    def test_empty_words_are_refused_alike(self):
+        expected = (DomainError, "need at least one axis-angle")
+        assert refusal(verify_group_diagram, []) == expected
+        assert refusal(verify_group_diagram_reference, []) == expected
+
+
+class TestLongWords:
+    """The diagrams check only what they return, so a long word's partial
+    products are never checked on their own. These words show what that
+    leaves: the returned rotations are the checks that can bind."""
+
+    def test_near_unit_axes_commute(self):
+        # AxisAngle accepts an axis norm within 1e-12 of 1, and each such
+        # factor adds about 1.8e-12 to the SU(2) product's unitarity
+        # deviation. The chain that checked each partial product refused
+        # the word after about 560 factors; the dropped rotation is
+        # normalized, so the diagram itself is far inside its tolerance.
+        word = [AxisAngle((0.0, 0.0, 1.0000000000009), 2.5)] * 1000
+        report = verify_group_diagram(word)
+        assert report.commutes and report.max_deviation < 1e-12
+        refused = (DomainError, "matrix is not unitary (deviation 1.000e-09)")
+        assert refusal(verify_group_diagram_reference, word) == refused
+
+    def test_unit_axes_drift_far_under_the_tolerance(self):
+        # The checked chain, step by step: no partial product comes near
+        # DEFAULT_TOL, so the checks the diagram dropped could not fire.
+        # The rotation side drifts faster than the unitary side (about 20
+        # times here, 150 times over 2e5 factors), so the check on the
+        # returned r_total is the one that binds.
+        rng = random.Random(SEED + 8)
+        word = [axis_angle(rng) for _ in range(10_000)]
+        u = unitary_from_axis_angle_reference(word[0])
+        rot = Rotation3(rotation_from_axis_angle_reference(word[0]))
+        worst_u = worst_r = 0.0
+        for aa in word[1:]:
+            u = su2_compose_reference(u, unitary_from_axis_angle_reference(aa))
+            factor = Rotation3(rotation_from_axis_angle_reference(aa))
+            rot = Rotation3(so3_compose_reference(rot, factor))
+            worst_u = max(worst_u, unitarity_deviation(u.matrix))
+            worst_r = max(worst_r, orthogonality_deviation(rot.matrix))
+        assert worst_u < 1e-11 and worst_r < 1e-11
+        report = verify_group_diagram(word)
+        assert report.commutes
+        assert fingerprint(report.path_a_result.matrix) == fingerprint(phi_inverse_reference(u))
+        assert fingerprint(report.path_b_result) == fingerprint(rot)
