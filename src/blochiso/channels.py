@@ -4,13 +4,13 @@ A channel acts as rho -> sum_a A_a rho A_a*. A Kraus set is completely
 positive by construction (its Choi matrix sum_a vec(A_a) vec(A_a)* is PSD),
 so only trace preservation, sum_a A_a* A_a = I, is checked. A channel admits
 a CPTP inverse exactly when its Choi rank is 1, that is when its Choi purity
-Tr(J^2) / (Tr J)^2 is 1. :func:`classify` reads the operators once more, into
+Tr(J^2) / (Tr J)^2 is 1. :func:`classify` reads the operators once, into
 the process matrix chi (``su2._chi``), the Choi matrix in the quaternion
-basis: its purity is J's, a refused channel's rank is the number of its
-eigenvalues above delta(tol) / 12 of Tr chi, counted by inertia with no
-eigensolve (``_chi_rank``), and for a unitary U = e^{it} (w I - i v . sigma)
-it is q q^T, q = (w, v), so the unitary is the row of chi that ``phi`` would
-read off the rotation.
+basis: sum A* A is linear in it (``_trace_gate``), its purity is J's, a
+refused channel's rank is the number of its eigenvalues above delta(tol) /
+12 of Tr chi, counted by inertia with no eigensolve (``_chi_rank``), and for
+a unitary U = e^{it} (w I - i v . sigma) it is q q^T, q = (w, v), so the
+unitary is the row of chi that ``phi`` would read off the rotation.
 :func:`bloch_affine_action` reads the channel's action on Bloch vectors off
 the same chi, linear in it: for that unitary, the Euler-Rodrigues rotation of
 q, which ``phi_inverse`` drops U to. So the lift and the rotation come from
@@ -126,23 +126,33 @@ def _deficit_bound(tol: float) -> float:
     return max(2.0 * tol, _DEFICIT_FLOOR)
 
 
-def _rank_floor(diagonal, tol: float) -> float:
-    """c Tr, c = delta(tol) / 12, the trace summed left to right from chi's
-    diagonal or J's spectrum: the floor a numerical rank counts eigenvalues
-    above. If every lambda_k <= c Tr (k >= 2), then lambda_1 >= (1 - 3c) Tr,
-    so 1 - P <= 1 - (1 - 3c)^2 <= 6c = delta / 2 < delta: a refused channel
-    never counts rank 1."""
-    trace = 0.0
-    for x in diagonal:
-        trace += x
+def _rank_floor(trace: float, tol: float) -> float:
+    """c Tr, c = delta(tol) / 12, the trace summed left to right: the floor a
+    numerical rank counts eigenvalues above. If every lambda_k <= c Tr
+    (k >= 2), then lambda_1 >= (1 - 3c) Tr, so 1 - P <= 1 - (1 - 3c)^2 <=
+    6c = delta / 2 < delta: a refused channel never counts rank 1."""
     return _deficit_bound(tol) / 12.0 * trace
 
 
 def _rank(eigenvalues: tuple[float, ...], tol: float = DEFAULT_TOL) -> int:
-    """Eigenvalues of a spectrum above its :func:`_rank_floor` (0 if that is
-    not positive): at DEFAULT_TOL the Kraus count of :func:`kraus_from_choi`."""
-    floor = _rank_floor(eigenvalues, tol)
+    """J's eigenvalues above the :func:`_rank_floor` of their trace (0 if that
+    is not positive): at DEFAULT_TOL the Kraus count of kraus_from_choi."""
+    e0, e1, e2, e3 = eigenvalues
+    floor = _rank_floor(0.0 + e0 + e1 + e2 + e3, tol)
     return sum(1 for ev in eigenvalues if ev > floor) if floor > 0.0 else 0
+
+
+def _trace_gate(chi: tuple) -> tuple[float, float]:
+    """(Tr chi, max |sum A* A - I|) read off chi: with A = c_0 I - i c . sigma,
+    sum A* A = Tr chi I + v . sigma, v_k = 2 (Im chi_lm - Im chi_0k) for
+    (k, l, m) cyclic. Tr chi is summed once per verdict, left to right, and
+    Tr J = 2 Tr chi checked finite, which bounds |v_k| <= Tr chi as well."""
+    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
+    trace = 0.0 + d0 + d1 + d2 + d3
+    _require_finite(trace + trace)
+    shift, vz = trace - 1.0, 2.0 * (x12.imag - x03.imag)
+    off = hypot(2.0 * (x23.imag - x01.imag), 2.0 * (x02.imag + x13.imag))
+    return trace, max(abs(shift + vz), abs(shift - vz), off)
 
 
 class KrausSet(Value):
@@ -174,17 +184,8 @@ class KrausSet(Value):
         d["operators"], d["_classified"] = tuple(kept), None
 
     def tp_deviation(self) -> float:
-        """Largest entrywise deviation of sum A* A from the identity."""
-        s0 = s1 = s2 = s3 = 0j
-        for op in self.operators:  # each A* A as _mul2(_adjoint2(A), A) forms it
-            a, b, c, d = op.entries
-            ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-            s0 += 0j + ac * a + cc * c
-            s1 += 0j + ac * b + cc * d
-            s2 += 0j + bc * a + dc * c
-            s3 += 0j + bc * b + dc * d
-        _require_finite(s0, s1, s2, s3)
-        return max(abs(s0 - 1.0), abs(s1), abs(s2), abs(s3 - 1.0))
+        """Largest entrywise deviation of sum A* A from I, read off chi."""
+        return _trace_gate(_chi(self.operators))[1]
 
 
 class ChoiMatrix(Value):
@@ -348,13 +349,10 @@ def classify(k: KrausSet, tol: float = DEFAULT_TOL) -> ChannelClassification:
     return result
 
 
-def _chi_deficit(chi: tuple) -> float:
-    """1 - Tr(chi^2) / (Tr chi)^2, the Choi purity deficit, from each
-    |chi_ij| / Tr chi <= 1, so no square overflows. Tr J = 2 Tr chi is
-    checked finite, as the Choi matrix's factorization checks it."""
+def _chi_deficit(chi: tuple, trace: float) -> float:
+    """1 - Tr(chi^2) / (Tr chi)^2, the Choi purity deficit, at the trace
+    _trace_gate checks: each |chi_ij| / Tr chi <= 1, so no square overflows."""
     d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
-    trace = d0 + d1 + d2 + d3
-    _require_finite(trace + trace)
     inverse = 1.0 / trace
     # Each |chi_ij| / Tr chi squared, off the diagonal twice, summed row-major;
     # the diagonal entries are sums of squares, so they are their own moduli.
@@ -401,13 +399,12 @@ def _chi_rank(chi: tuple, floor: float) -> int:
     sec. 8.4; Demmel, Applied Numerical Linear Algebra, sec. 5.3).
 
     No range scaling is needed on a refused verdict's chi. Refusing needs
-    2 tol < deficit <= 3/4, so tol < 3/8, and the trace gate puts Tr chi =
-    (s_0 + s_3) / 2 of sum A* A in (5/8, 11/8). chi is positive semidefinite,
-    so every |chi_ij| and every entry of T is at most Tr chi: no square or
-    quotient overflows (a guarded pivot's e^2 / _TINY < 1e308). An entry
-    whose square underflows moves an eigenvalue by less than 1.1e-154 (a
-    dropped column is the largest such change), while the floor is at least
-    1e-14 / 12 * 5/8 > 5e-16.
+    2 tol < deficit <= 3/4, so tol < 3/8, and the trace gate puts Tr chi in
+    (5/8, 11/8). chi is positive semidefinite, so every |chi_ij| and every
+    entry of T is at most Tr chi: no square or quotient overflows (a guarded
+    pivot's e^2 / _TINY < 1e308). An entry whose square underflows moves an
+    eigenvalue by less than 1.1e-154 (a dropped column is the largest such
+    change), while the floor is at least 1e-14 / 12 * 5/8 > 5e-16.
     """
     d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
     # conj(chi) = chi^T has chi's spectrum, (x01, x02, x03) below its first
@@ -464,14 +461,15 @@ def _chi_rank(chi: tuple, floor: float) -> int:
 
 
 def _classify(k: KrausSet, tol: float) -> ChannelClassification:
-    # Negated comparisons, so that a NaN tolerance fails both checks.
-    if not k.tp_deviation() <= tol:
-        return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
     chi = _chi(k.operators)
-    if _chi_deficit(chi) <= _deficit_bound(tol):
+    trace, dev = _trace_gate(chi)
+    # Negated comparisons, so that a NaN tolerance fails both checks.
+    if not dev <= tol:
+        return ChannelClassification(ChannelKind.NOT_CPTP, 0, None)
+    if _chi_deficit(chi, trace) <= _deficit_bound(tol):
         unitary = _chi_lift(chi)  # blind to scale, as the purity is
         return ChannelClassification(ChannelKind.UNITARY_CONJUGATION, 1, unitary.matrix)
-    rank = _chi_rank(chi, _rank_floor((chi[0], chi[4], chi[7], chi[9]), tol))
+    rank = _chi_rank(chi, _rank_floor(trace, tol))
     return ChannelClassification(ChannelKind.CPTP_NOT_INVERTIBLE, rank, None)
 
 
@@ -500,8 +498,9 @@ def extract_unitary_via_gram(
     beta, worst_residual, worst_pair, _, _, _ = _pair_table(
         [_adjoint2(op.entries) for op in ops], [op.entries for op in ops]
     )
-    dev = k.tp_deviation()
-    deficit = _chi_deficit(_chi(ops))
+    chi = _chi(ops)
+    trace, dev = _trace_gate(chi)
+    deficit = _chi_deficit(chi, trace)
     # Negated, so that a NaN tol fails it, as in classify.
     if not (dev <= tol and deficit <= _deficit_bound(tol)):
         raise NotUnitaryConjugationError(
@@ -571,12 +570,13 @@ def bloch_affine_action(k: KrausSet, tol: float = DEFAULT_TOL) -> BlochAffineAct
     (``phi_inverse``) and t is zero; the fully depolarizing limit contracts
     everything to the origin.
     """
-    dev = k.tp_deviation()
+    chi = _chi(k.operators)
+    dev = _trace_gate(chi)[1]
     if not dev <= tol:  # negated, so that a NaN tol fails it
         raise InvalidChannelError(
             f"affine action is defined for CPTP sets only (tp deviation {dev:.3e})"
         )
-    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = _chi(k.operators)
+    d0, x01, x02, x03, d1, x12, x13, d2, x23, d3 = chi
     r01, r02, r03, r12, r13, r23 = x01.real, x02.real, x03.real, x12.real, x13.real, x23.real
     # The diagonal sums in pairs: half depolarizing gives 0.5, not 0.5 + 1 ulp.
     matrix = (

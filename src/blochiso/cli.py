@@ -618,13 +618,12 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bloch_action(args)
-    except (DomainError, OverflowError) as exc:
+    except DomainError as exc:
         # The library rejected a value built from the input: products of huge
-        # entries overflowing, or a --tol too tight for the sampled
-        # inverse-pair channels to classify as unitary. OverflowError (abs()
-        # of a finite complex past the float range) stays caught: the checked
-        # diagonal of tp_deviation's sum bounds its off-diagonal moduli only
-        # to within rounding.
+        # entries overflowing, or a --tol too tight for the sampled inverse-pair
+        # channels to classify as unitary. No OverflowError gets here: the
+        # decoder catches its own, the trace gate's Tr J check bounds
+        # _chi_deficit's abs(), and verify_inverse_pair converts its own.
         raise CliError(2, "malformed_input", str(exc)) from exc
 
 

@@ -68,6 +68,7 @@ class ComplexMatrix(Value):
             total += e.real * e.real + e.imag * e.imag
         return sqrt(total)
 
+
 class HermitianEigenResult(Value):
     """Spectral factorization A = V diag(eigenvalues) V*.
 

@@ -21,8 +21,10 @@ from blochiso.channels import (
     GramData,
     InversePairReport,
     KrausSet,
+    _chi_deficit,
     _deficit_bound,
     _require_finite,
+    _trace_gate,
 )
 from blochiso.cli import CliError, _fmt_float, main as cli_main
 from blochiso.errors import (
@@ -349,6 +351,12 @@ def choi_entries_generic(operators) -> tuple[complex, ...]:
     return tuple(ents)
 
 
+def chi_deficit(chi: tuple) -> float:
+    """``channels._chi_deficit`` at the trace ``channels._trace_gate`` sums
+    and checks, as the library hands it over."""
+    return _chi_deficit(chi, _trace_gate(chi)[0])
+
+
 def tp_deviation_generic(k: KrausSet) -> float:
     """Largest entrywise deviation of sum A* A from the identity."""
     acc = zeros(2, 2)
@@ -358,8 +366,9 @@ def tp_deviation_generic(k: KrausSet) -> float:
 
 
 def tp_deviation_loop(k: KrausSet) -> float:
-    """``KrausSet.tp_deviation`` as a loop over the closed 2x2 forms: each
-    A* A is ``_mul2(_adjoint2(A), A)``, added entrywise."""
+    """Largest entrywise deviation of sum A* A from the identity, as a loop
+    over the closed 2x2 forms: each A* A is ``_mul2(_adjoint2(A), A)``,
+    added entrywise. ``KrausSet.tp_deviation`` reads the same sum off chi."""
     s0 = s1 = s2 = s3 = 0j
     for op in k.operators:
         p0, p1, p2, p3 = _mul2(_adjoint2(op.entries), op.entries)
@@ -440,8 +449,11 @@ def extract_unitary_via_gram_generic(
                 beta_entries[a_prime * count + a] = coeff
     except OverflowError as exc:  # a residual's modulus past the float range
         raise DomainError("matrix entries must be finite") from exc
-    dev = tp_deviation_generic(k)
-    deficit = chi_deficit_loop(_chi(ops))
+    # The library's trace gate, as its lift below: the comparison checks the
+    # pair-product closed forms, not the gate (see test_tp_deviation).
+    chi = _chi(ops)
+    dev = _trace_gate(chi)[1]
+    deficit = chi_deficit_loop(chi)
     if not (dev <= tol and deficit <= _deficit_bound(tol)):
         raise NotUnitaryConjugationError(
             f"channel is not a unitary conjugation: tp deviation {dev:.3e}, "

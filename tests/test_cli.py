@@ -429,6 +429,37 @@ class TestChannelsAtEveryScale:
         assert abs(op[1][1][0] - root) <= 1e-15 * root
         assert op[0][1] == op[1][0] == [0, 0]
 
+    @pytest.mark.parametrize("command", ["classify", "bloch-action"])
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [[[[0, 0], [1e154, 0]], [[0, 0], [0, 0]]], [[[1.3e154, 1.3e154], [0, 0]], [[0, 0], [0, 0]]]],
+            [[[[1.15e154, 0], [1.15e154, 1.15e154]], [[0, 0], [0, 0]]]],
+            # sum A* A = 1.69e308 I is finite, but Tr J, twice its trace, is
+            # not. Before the trace gate read chi, classify printed NotCptp
+            # and bloch-action refused the set as not CPTP.
+            [[[[1.3e154, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1.3e154, 0]]]],
+        ],
+        ids=["pair", "wide", "trace-past-the-range"],
+    )
+    def test_trace_gate_past_the_float_range_exits_2(self, tmp_path, command, ops):
+        # A fresh process, so that a traceback on stderr would show.
+        path = write_doc(tmp_path, "big.json", "kraus", {"operators": ops})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blochiso.cli", command, path],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout, parse_constant=pytest.fail)["error"] == {
+            "code": "malformed_input",
+            "detail": "matrix entries must be finite",
+        }
+
 
 # SHA-256 of `blochiso verify <mode> --samples 1000 --seed 42` stdout.
 SEEDED_DIGESTS = {

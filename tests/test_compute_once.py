@@ -1,7 +1,7 @@
 """Each channel fact is computed once per value.
 
-The eigensolve, Choi-table, adjoint and validated-construction counts are
-exact, so they gate regressions without timing noise. The cache tests check that what
+The eigensolve, Choi-table, chi-pass, adjoint and validated-construction
+counts are exact, so they gate regressions without timing noise. The cache tests check that what
 a ``KrausSet`` or ``ChoiMatrix`` keeps never changes an answer, an equality,
 a hash or a repr.
 """
@@ -27,6 +27,7 @@ from blochiso.channels import (
     KrausSet,
     _choi_entries,
     _rank,
+    bloch_affine_action,
     choi_of,
     classify,
     extract_unitary_via_gram,
@@ -35,7 +36,7 @@ from blochiso.channels import (
     verify_inverse_pair,
 )
 from blochiso.cli import main
-from blochiso.errors import DomainError, InvalidChannelError
+from blochiso.errors import DomainError, InvalidChannelError, NotUnitaryConjugationError
 from blochiso.matrix import ComplexMatrix, _hermitian_eig, adjoint, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
 from blochiso.so3 import AxisAngle, Rotation3
@@ -217,6 +218,90 @@ class TestSweepAndReplayCounts:
         k = redundant_unitary_kraus(random.Random(51), 3)[0]
         extract_unitary_via_gram(k)
         assert kernel_calls == [("sweep", 3)]
+
+
+class CountedOperators(tuple):
+    """A Kraus set's operators that count the passes made over them."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def counted_copy(k: KrausSet) -> KrausSet:
+    """A copy of k, with no verdict kept, whose operators count their passes."""
+    copy = KrausSet(k.operators)
+    ops = CountedOperators(copy.operators)
+    ops.passes = 0
+    copy.__dict__["operators"] = ops
+    return copy
+
+
+@pytest.fixture
+def chi_passes(monkeypatch):
+    """The operators of each ``su2._chi`` pass ``channels`` makes."""
+    calls = []
+
+    def counted(operators):
+        calls.append(operators)
+        return _chi(operators)
+
+    monkeypatch.setattr(blochiso.channels, "_chi", counted)
+    return calls
+
+
+class TestOperatorPasses:
+    """Trace preservation and the purity are both read off chi: a verdict,
+    the affine action and tp_deviation each make one pass over the
+    operators, su2._chi's, whatever they decide (two before sum A* A was
+    read off chi). No function of channels sums A* A in a loop of its own."""
+
+    @pytest.mark.parametrize("k, kind", VERDICTS.values(), ids=VERDICTS)
+    def test_classify(self, chi_passes, k, kind):
+        k = counted_copy(k)
+        assert classify(k).kind is kind
+        assert chi_passes == [k.operators] and k.operators.passes == 1
+
+    @pytest.mark.parametrize("k, kind", VERDICTS.values(), ids=VERDICTS)
+    def test_bloch_affine_action(self, chi_passes, k, kind):
+        k = counted_copy(k)
+        if kind is ChannelKind.NOT_CPTP:
+            with pytest.raises(InvalidChannelError, match="CPTP sets only"):
+                bloch_affine_action(k)
+        else:
+            bloch_affine_action(k)
+        assert chi_passes == [k.operators] and k.operators.passes == 1
+
+    @pytest.mark.parametrize("k", [k for k, _ in VERDICTS.values()], ids=VERDICTS)
+    def test_tp_deviation(self, chi_passes, k):
+        k = counted_copy(k)
+        k.tp_deviation()
+        assert chi_passes == [k.operators] and k.operators.passes == 1
+
+    @pytest.mark.parametrize("k, kind", VERDICTS.values(), ids=VERDICTS)
+    def test_gram_route(self, chi_passes, k, kind):
+        # One chi pass decides; an accepted set adds the Gram table's two
+        # argument lists, the remix, and the chi of the one remixed operator.
+        k = counted_copy(k)
+        if kind is ChannelKind.UNITARY_CONJUGATION:
+            extract_unitary_via_gram(k)
+            first, (remixed,) = chi_passes
+            assert remixed.rows == remixed.cols == 2
+            assert k.operators.passes == 4
+        else:
+            with pytest.raises(NotUnitaryConjugationError):
+                extract_unitary_via_gram(k)
+            (first,) = chi_passes
+            assert k.operators.passes == 3
+        assert first is k.operators
+
+    def test_the_rest_of_channels_makes_no_chi_pass(self, chi_passes):
+        k = counted_copy(VERDICTS["unitary"][0])
+        inverse = invert(k)  # the kept verdict: no pass of its own
+        assert k.operators.passes == 1
+        verify_inverse_pair(k, inverse)
+        choi_of(k)
+        assert len(chi_passes) == 1 and k.operators.passes == 3
 
 
 class TestChiIsTheChoiMatrixInAnotherBasis:

@@ -30,6 +30,7 @@ from blochiso.channels import (
     _chi_rank,
     _deficit_bound,
     _rank_floor,
+    _trace_gate,
     classify,
 )
 from blochiso.errors import DomainError, InvalidChannelError
@@ -230,11 +231,17 @@ def refused_chis(sets: list[KrausSet], tol: float) -> list[tuple]:
     """chi of each set classify refuses at tol, by its own two gates."""
     out = []
     for k in sets:
-        if k.tp_deviation() <= tol:
-            chi = _chi(k.operators)
-            if _chi_deficit(chi) > _deficit_bound(tol):
-                out.append(chi)
+        chi = _chi(k.operators)
+        trace, dev = _trace_gate(chi)
+        if dev <= tol and _chi_deficit(chi, trace) > _deficit_bound(tol):
+            out.append(chi)
     return out
+
+
+def chi_floor(chi: tuple, tol: float) -> float:
+    """The floor classify counts chi's eigenvalues above, at the trace the
+    trace gate sums."""
+    return _rank_floor(_trace_gate(chi)[0], tol)
 
 
 def diagonal_chi(d0: float, d1: float, d2: float, d3: float) -> tuple:
@@ -253,12 +260,14 @@ class TestInertiaCount:
             chis = refused_chis(sets, tol)
             refused[tol], moved[tol] = len(chis), 0
             for chi in chis:
-                floor = _rank_floor((chi[0], chi[4], chi[7], chi[9]), tol)
+                floor = chi_floor(chi, tol)
                 count = _chi_rank(chi, floor)
                 assert count == eigenvalue_count(chi, floor)
                 # The floor moved from the largest eigenvalue to the trace.
                 moved[tol] += count != largest_floor_count(chi, tol)
-        assert refused == {1e-9: 1423, 1e-15: 1439, 1e-3: 1399, 0.3: 297}
+        # At 1e-15 the trace gate decides on roundoff: read off chi, it moved
+        # seven sets across, and one refused set fewer passes it (was 1439).
+        assert refused == {1e-9: 1423, 1e-15: 1438, 1e-3: 1399, 0.3: 297}
         assert moved == {1e-9: 0, 1e-15: 0, 1e-3: 0, 0.3: 16}
 
     @pytest.mark.parametrize(
@@ -270,7 +279,7 @@ class TestInertiaCount:
         # Zeros of either sign tie, and the floor is delta / 12 of a trace
         # of either sign.
         chi = diagonal_chi(*diagonal)
-        floor = _rank_floor(diagonal, 1e-9)
+        floor = chi_floor(chi, 1e-9)
         assert _chi_rank(chi, floor) == eigenvalue_count(chi, floor)
 
     @pytest.mark.parametrize(
@@ -298,7 +307,7 @@ class TestInertiaCount:
             assert result.kind is ChannelKind.CPTP_NOT_INVERTIBLE
             assert result.choi_rank == 4
             (chi,) = refused_chis([k], 0.37)
-            floor = _rank_floor((chi[0], chi[4], chi[7], chi[9]), 0.37)
+            floor = chi_floor(chi, 0.37)
             assert _chi_rank(chi, floor) == eigenvalue_count(chi, floor) == 4
 
     @pytest.mark.parametrize("tiny", [1e-170, 1e-310], ids=["1e-170", "subnormal"])
@@ -309,7 +318,7 @@ class TestInertiaCount:
         # a column of tiny entries only, whose reflection drops it.
         for k in (nudged(amplitude_damping(0.3), tiny), nudged(make_depolarizing(0.5), tiny)):
             (chi,) = refused_chis([k], 1e-9)
-            floor = _rank_floor((chi[0], chi[4], chi[7], chi[9]), 1e-9)
+            floor = chi_floor(chi, 1e-9)
             assert _chi_rank(chi, floor) == eigenvalue_count(chi, floor)
 
 

@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from blochiso.channels import (
     ChannelKind,
     KrausSet,
-    _chi_deficit,
     _deficit_bound,
     bloch_affine_action,
     choi_of,
@@ -37,9 +36,11 @@ from blochiso.channels import (
     verify_inverse_pair,
 )
 from blochiso.cli import main
+from blochiso.errors import InvalidChannelError
 from blochiso.matrix import DEFAULT_TOL, ComplexMatrix, scale
 from blochiso.sampling import su2_haar
 from blochiso.su2 import _chi, normalize_phase
+from helpers import chi_deficit
 from test_closed_forms import channel_sets, gram_verdict
 
 # The Bloch action's M and t are within 2.7e-16 of the exact values of the
@@ -221,12 +222,22 @@ def exact_count_above(j, floor):
     return positive
 
 
-def exact_tp(ops):
+def exact_tp_sum(ops):
+    """sum A* A, exactly."""
     total = [ZERO] * 4
     for a in ops:
-        adjoint = tuple((a[i][0], -a[i][1]) for i in (0, 2, 1, 3))
-        total = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(total, mul2(adjoint, a))]
-    return total == [ONE, ZERO, ZERO, ONE]
+        total = [cadd(x, y) for x, y in zip(total, mul2(adjoint(a), a))]
+    return total
+
+
+def exact_tp(ops):
+    return exact_tp_sum(ops) == list(IDENTITY)
+
+
+def exact_tp_deviation_squared(ops):
+    """max |sum A* A - I|^2 over the four entries, exactly: the square of
+    the deviation KrausSet.tp_deviation computes in floats."""
+    return max(re * re + im * im for re, im in map(csub, exact_tp_sum(ops), IDENTITY))
 
 
 def rounded(ops) -> KrausSet:
@@ -363,7 +374,7 @@ def exact_pairs(rng):
 
 class TestExactOracle:
     def test_float_deficit_is_the_exact_one_to_roundoff(self, exact_cases):
-        worst = max(abs(_chi_deficit(_chi(k.operators)) - float(d)) for _, k, d, _ in exact_cases)
+        worst = max(abs(chi_deficit(_chi(k.operators)) - float(d)) for _, k, d, _ in exact_cases)
         assert worst <= EXACT_BAND / 4
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-15], ids=["default", "floor"])
@@ -443,6 +454,34 @@ def rational_channels(draw):
     return ops, spectrum
 
 
+TOLERANCES = st.sampled_from([DEFAULT_TOL, 1e-15, 1e-3, 0.3])
+
+
+@st.composite
+def scales_about_the_gate(draw):
+    """(tol, s): a tolerance and a rational scale s != 1 for a channel, so
+    that sum A* A = s^2 I. Most draws put s^2 - 1 = n tol / 4 + (n tol / 8)^2,
+    0 < |n| <= 12, within about 3 tol of the gate on either side; the rest
+    are far from it."""
+    tol = draw(TOLERANCES)
+    near = 1 + Fraction(draw(st.integers(-12, 12).filter(bool)), 8) * Fraction(tol)
+    far = draw(st.sampled_from([Fraction(1, 2), Fraction(9, 10), Fraction(11, 10), Fraction(2)]))
+    return tol, draw(st.sampled_from([near, near, near, far]))
+
+
+# KrausSet.tp_deviation of a scaled rational channel, rounded once, is within
+# 5.6e-16 of max(1, deviation) of the exact deviation of the rounded
+# operators over the 300 drawn here; the band leaves a factor of about 3.5.
+# The verdict is compared on 233 of them (147 not trace preserving); most of
+# the rest lie within the band of the gate at tol 1e-15.
+TP_BAND = Fraction(2e-15)
+
+
+def within_band(squared, value, band):
+    """Whether sqrt(squared) lies within band of value."""
+    return max(0, value - band) ** 2 <= squared <= (value + band) ** 2
+
+
 # The printed rank is compared unless an exact eigenvalue lies in
 # (floor (1 - RANK_BAND), floor (1 + RANK_BAND)], a band inside the factor
 # of 2 it once was. Over 10000 drawn channels at these four tolerances, one
@@ -458,12 +497,15 @@ class TestRationalChannelStrategy:
     the exact floor delta / 12 of Tr J, exact_rank when no weight lies below
     it. That number is the exact inertia count of J - floor I
     (exact_count_above), and a channel with an eigenvalue within RANK_BAND
-    of the floor, found by the counts at its two ends, is not compared."""
+    of the floor, found by the counts at its two ends, is not compared.
+    The same channels scaled by a rational s != 1, some within a few tol of
+    the gate, meet the trace gate: its verdict is the exact one outside
+    TP_BAND."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         channel=rational_channels(),
-        tol=st.sampled_from([DEFAULT_TOL, 1e-15, 1e-3, 0.3]),
+        tol=TOLERANCES,
     )
     def test_verdict_and_rank_are_the_exact_ones(self, channel, tol):
         ops, spectrum = channel
@@ -489,6 +531,30 @@ class TestRationalChannelStrategy:
         low, high = (exact_count_above(j, floor * (1 + side)) for side in (-RANK_BAND, RANK_BAND))
         if low == high:
             assert result.choi_rank == count
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(channel=rational_channels(), gate=scales_about_the_gate())
+    def test_trace_gate_is_the_exact_one(self, channel, gate):
+        # The gate reads sum A* A off chi. Its deviation is the exact one of
+        # the rounded operators to TP_BAND, and the verdict is the exact one
+        # wherever the exact deviation lies outside TP_BAND of tol.
+        (ops, _), (tol, s) = channel, gate
+        k = rounded([scaled(s, op) for op in ops])
+        squared = exact_tp_deviation_squared(exactly(k))
+        dev = k.tp_deviation()
+        assert within_band(squared, Fraction(dev), TP_BAND * max(1, Fraction(dev)))
+        edge = Fraction(tol)
+        if within_band(squared, edge, TP_BAND * max(1, edge)):
+            return
+        not_tp = squared > edge * edge
+        assert (classify(k, tol).kind is ChannelKind.NOT_CPTP) is not_tp
+        if not_tp:
+            assert gram_verdict(k, tol) is False
+            with pytest.raises(InvalidChannelError, match="CPTP sets only"):
+                bloch_affine_action(k, tol)
+        else:
+            bloch_affine_action(k, tol)
 
 
 class TestExactLift:
@@ -636,7 +702,7 @@ class TestEpsilonSweep:
                 # round trip drops eigenvalues up to delta / 12 of the
                 # largest, up to delta / 2 of deficit, so it may accept a
                 # refused one with deficit in (delta, 3 delta / 2].
-                if delta / 4 < _chi_deficit(_chi(k.operators)) <= 1.5 * delta:
+                if delta / 4 < chi_deficit(_chi(k.operators)) <= 1.5 * delta:
                     in_band += 1
                     continue
                 round_trip = classify(kraus_from_choi(choi_of(k)))
