@@ -6,19 +6,24 @@ entries encoded as ``[re, im]`` pairs and matrices as row-major nested
 arrays. Floats are printed with 17 significant digits so output is a
 lossless, byte-stable function of input, seed, and tolerance.
 
+A plain ``convert``, ``classify`` or ``bloch-action`` line is parsed
+directly, against the same option table argparse is built from; argparse is
+imported and built only for the other lines (``verify``, help, usage
+errors), so a document command loads neither it nor ``gettext``.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 malformed input, 3 unsupported conversion.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
+from types import SimpleNamespace
 
 from . import channels, isomorphism, so3, su2
 from .bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
@@ -276,7 +281,7 @@ _CONVERSIONS: dict[tuple[str, str], Callable[[Any], Any]] = {
 }
 
 
-def _cmd_convert(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_convert(args: SimpleNamespace) -> dict[str, Any]:
     kind, obj = _decode_document(_load_json(args.input))
     target = args.to
     if target == kind:
@@ -287,11 +292,11 @@ def _cmd_convert(args: argparse.Namespace) -> dict[str, Any]:
     return _encode_domain(target, func(obj))
 
 
-def _kraus_input(args: argparse.Namespace) -> KrausSet:
+def _kraus_input(args: SimpleNamespace) -> KrausSet:
     return _expect_kind(_load_json(args.input), "kraus", f"{args.command} expects a kraus document")
 
 
-def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_classify(args: SimpleNamespace) -> dict[str, Any]:
     k = _kraus_input(args)
     result = channels.classify(k, tol=args.tol)
     report: dict[str, Any] = {"cptp": result.kind is not ChannelKind.NOT_CPTP}
@@ -307,7 +312,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     return report
 
 
-def _cmd_bloch_action(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_bloch_action(args: SimpleNamespace) -> dict[str, Any]:
     action = channels.bloch_affine_action(_kraus_input(args), tol=args.tol)
     dev = so3.orthogonality_deviation(action.matrix)
     return {
@@ -336,7 +341,7 @@ def _sampler(seed: int) -> tuple[random.Random, ModuleType]:
     return random.Random(seed), sampling
 
 
-def _diagram_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
+def _diagram_cases(args: SimpleNamespace, docs: list[Any]) -> list[Any]:
     if docs:
         raise CliError(2, "malformed_input", "diagram mode is sampled; no documents expected")
     rng, sampling = _sampler(args.seed)
@@ -348,7 +353,7 @@ def _diagram_check(case: Any, tol: float) -> tuple[float, bool, dict[str, Any]]:
     return report.max_deviation, report.commutes, {"max_deviation": report.max_deviation}
 
 
-def _double_cover_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
+def _double_cover_cases(args: SimpleNamespace, docs: list[Any]) -> list[Any]:
     if docs:
         expected = "double-cover expects unitary documents"
         return [_expect_kind(doc, "unitary", expected) for doc in docs]
@@ -365,7 +370,7 @@ def _double_cover_check(u: Unitary2, tol: float) -> tuple[float, bool, dict[str,
     return dev, dev == 0.0, {"max_deviation": dev}
 
 
-def _group_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
+def _group_cases(args: SimpleNamespace, docs: list[Any]) -> list[Any]:
     if docs:
         expected = "group expects axis_angle documents"
         return [[_expect_kind(doc, "axis_angle", expected) for doc in docs]]
@@ -379,7 +384,7 @@ def _group_check(word: list[AxisAngle], tol: float) -> tuple[float, bool, dict[s
     return report.max_deviation, report.commutes, fields
 
 
-def _inverse_pair_cases(args: argparse.Namespace, docs: list[Any]) -> list[Any]:
+def _inverse_pair_cases(args: SimpleNamespace, docs: list[Any]) -> list[Any]:
     if docs:
         if len(docs) != 2:
             raise CliError(2, "malformed_input", "inverse-pair takes exactly two kraus documents")
@@ -423,7 +428,7 @@ def _expect_kind(doc: Any, kind: str, expected: str) -> Any:
     return obj
 
 
-def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_verify(args: SimpleNamespace) -> dict[str, Any]:
     draw, check = _VERIFY_MODES[args.mode]
     cases = []
     failures = []
@@ -455,6 +460,8 @@ def _load_json(path: str) -> Any:
     # locale-dependent text layer of sys.stdin.
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with fd 0 closed
+                raise CliError(2, "malformed_input", "cannot read -: stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
@@ -483,43 +490,64 @@ def _render(report: Any, fmt: str) -> str:
         raise CliError(2, "malformed_input", f"a result is not finite: {exc}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as a JSON ``malformed_input`` error, not usage text,
-    with an invalid choice's options quoted as Python 3.10-3.13.0 quote them
-    (later releases list them bare), so that the detail is the same on all."""
-
-    def error(self, message: str) -> NoReturn:
-        head, sep, choices = message.rpartition(" (choose from ")
-        if sep and not choices.startswith("'"):
-            message = f"{head}{sep}{', '.join(map(repr, choices[:-1].split(', ')))})"
-        raise CliError(2, "malformed_input", message)
-
-
-class _Formatter(argparse.HelpFormatter):
-    """Help wrapped at 78 columns, what the default gives off a tty. The
-    default reads the terminal's width through ``shutil``, whose import
-    (``bz2``, ``lzma``, ``zlib``, ``fnmatch``) every parser build would pay."""
-
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, width=78)
+# The arguments of a document subcommand, in the order of its namespace:
+# name, converter, choices (None: any value), default (None: required) and
+# help. _build_parser adds them, and _direct_parse reads them; verify takes
+# the last two as well.
+_TOL = ("--tol", float, None, 1e-9, "comparison tolerance")
+_FORMAT = ("--format", str, ("json", "text"), "json", "output format")
+_INPUT = ("input", str, None, "-", "input file or - for stdin")
+_DOCUMENT_ARGUMENTS = {
+    "convert": (("--to", str, KINDS, None, "target kind"), _INPUT, _TOL, _FORMAT),
+    "classify": (_INPUT, _TOL, _FORMAT),
+    "bloch-action": (_INPUT, _TOL, _FORMAT),
+}
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> tuple[Any, dict[str, Any]]:
     """The one parser of the process and its subcommands' parsers by name,
     built on first use and not at import.
 
     Building it costs far more than a parse, and ``parse_known_args`` leaves
     it unchanged, so every ``main`` call shares it. The subparsers inherit
-    ``_Parser`` through ``add_subparsers``.
+    ``_Parser`` through ``add_subparsers``. argparse is imported here, so
+    that a document command, which the direct parse reads, loads neither it
+    nor its ``gettext``.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises a usage error as a JSON ``malformed_input`` error, not usage
+        text, with an invalid choice's options quoted as Python 3.10-3.13.0
+        quote them (later releases list them bare), so that the detail is the
+        same on all."""
+
+        def error(self, message: str) -> NoReturn:
+            head, sep, choices = message.rpartition(" (choose from ")
+            if sep and not choices.startswith("'"):
+                message = f"{head}{sep}{', '.join(map(repr, choices[:-1].split(', ')))})"
+            raise CliError(2, "malformed_input", message)
+
+    class _Formatter(argparse.HelpFormatter):
+        """Help wrapped at 78 columns, what the default gives off a tty. The
+        default reads the terminal's width through ``shutil``, whose import
+        (``bz2``, ``lzma``, ``zlib``, ``fnmatch``) every parser build would
+        pay."""
+
+        def __init__(self, prog: str) -> None:
+            super().__init__(prog, width=78)
+
+    def add_arguments(parser: _Parser, arguments: Sequence[tuple]) -> None:
+        for name, convert, choices, default, text in arguments:
+            if name.startswith("-"):
+                parser.add_argument(
+                    name, type=convert, choices=choices, default=default,
+                    required=default is None, help=text,
+                )
+            else:
+                parser.add_argument(name, nargs="?", type=convert, default=default, help=text)
+
     parser = _Parser(
         prog="blochiso",
         description="Convert between qubit-state representations and analyze channel reversibility.",
@@ -530,13 +558,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     add = functools.partial(sub.add_parser, formatter_class=_Formatter)
 
     p_convert = add("convert", help="convert a document to another kind")
-    p_convert.add_argument("--to", required=True, choices=KINDS, help="target kind")
-    p_convert.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
-    _add_common(p_convert)
+    add_arguments(p_convert, _DOCUMENT_ARGUMENTS["convert"])
 
     p_classify = add("classify", help="decide invertibility of a Kraus channel")
-    p_classify.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
-    _add_common(p_classify)
+    add_arguments(p_classify, _DOCUMENT_ARGUMENTS["classify"])
 
     p_verify = add("verify", help="run a seeded verification suite")
     p_verify.add_argument("mode", choices=tuple(_VERIFY_MODES))
@@ -544,23 +569,65 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_verify.add_argument("inputs", nargs="*", default=(), help="optional input documents")
     p_verify.add_argument("--samples", type=int, default=1000, help="number of random cases")
     p_verify.add_argument("--seed", type=int, default=42, help="random seed")
-    _add_common(p_verify)
+    add_arguments(p_verify, (_TOL, _FORMAT))
 
     p_action = add("bloch-action", help="affine Bloch-vector action of a channel")
-    p_action.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
-    _add_common(p_action)
+    add_arguments(p_action, _DOCUMENT_ARGUMENTS["bloch-action"])
 
     return parser, sub.choices
 
 
-def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse a command line once, with its subcommand's parser, taking
-    ``verify`` documents after options too.
+def _direct_parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain document command line; None for
+    any other line.
 
-    The top-level parser would match the subcommand and then run that
-    parser, so only a line whose first token names no subcommand (none,
-    ``-h``, an unknown name, an option) takes the nested parse, which
-    mostly answers with help or a usage error. ``parse_known_args`` returns
+    A plain line is ``convert``, ``classify`` or ``bloch-action``, then
+    exact option names each with a value that does not start with ``-``,
+    and at most one input. Any other line (help, ``--``, an abbreviation,
+    the ``--tol=`` form, a value ``float()`` or the choices refuse) is left
+    to argparse, which alone writes help and usage errors.
+    """
+    arguments = _DOCUMENT_ARGUMENTS.get(argv[0]) if argv else None
+    if arguments is None:
+        return None
+    fields: dict[str, Any] = {"command": argv[0]}
+    options = {}
+    for name, convert, choices, default, _ in arguments:
+        fields[name.lstrip("-")] = default
+        options[name] = convert, choices
+    tokens = iter(argv[1:])
+    seen_input = False
+    for token in tokens:
+        if token.startswith("-") and token != "-":
+            # "-" stands in for a missing value, refused like a negative one.
+            value = next(tokens, "-")
+            if token not in options or value.startswith("-"):
+                return None
+            convert, choices = options[token]
+            try:
+                fields[token[2:]] = value = convert(value)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        elif seen_input:
+            return None
+        else:
+            fields["input"], seen_input = token, True
+    if None in fields.values():  # a required option is missing
+        return None
+    return SimpleNamespace(**fields)
+
+
+def _parse(argv: Sequence[str] | None) -> SimpleNamespace:
+    """Parse a command line once, directly or with its subcommand's parser,
+    taking ``verify`` documents after options too.
+
+    A plain document command line takes the direct parse, and no parser is
+    built for it. On any other line, the top-level parser would match the
+    subcommand and then run that parser, so only a line whose first token
+    names no subcommand (none, ``-h``, an unknown name, an option) takes the
+    nested parse, which mostly answers with help or a usage error. ``parse_known_args`` returns
     the documents that follow an option as leftovers and, unlike
     ``parse_intermixed_args``, leaves the shared parser unchanged.
 
@@ -575,20 +642,23 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
         argv = sys.argv[1:]
     if argv and argv[0] == "--":
         argv = argv[1:]
+    args = _direct_parse(argv)
+    if args is not None:
+        return args
     parser, commands = _build_parser()
     subparser = commands.get(argv[0]) if argv else None
     if len(argv) > 1 and argv[0] == "--":
         parser.error(f"argument command: invalid choice: '--' (choose from {', '.join(commands)})")
     rest, documents = argv[1:], []
     if subparser is None:
-        args, extra = parser.parse_known_args(argv)
+        args, extra = parser.parse_known_args(argv, SimpleNamespace())
     else:
         if argv[0] == "verify" and "--" in rest:
             cut = rest.index("--")
             rest, documents = rest[:cut], rest[cut + 1 :]
             if not any(t in _VERIFY_MODES for t in rest):  # the mode comes after it
                 rest, documents = rest + documents[:1], documents[1:]
-        args, extra = subparser.parse_known_args(rest, argparse.Namespace(command=argv[0]))
+        args, extra = subparser.parse_known_args(rest, SimpleNamespace(command=argv[0]))
     if extra or documents:
         cut = extra.index("--") if "--" in extra else len(extra)
         head, tail = extra[:cut], extra[cut + 1 :] + documents
@@ -599,7 +669,7 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     return args
 
 
-def _check_args(args: argparse.Namespace) -> None:
+def _check_args(args: SimpleNamespace) -> None:
     # Checked after parsing: whether --samples is used depends on the inputs.
     if not (isfinite(args.tol) and args.tol >= 0.0):
         raise CliError(
@@ -609,7 +679,7 @@ def _check_args(args: argparse.Namespace) -> None:
         raise CliError(2, "malformed_input", f"--samples must be at least 1, got {args.samples}")
 
 
-def _run(args: argparse.Namespace) -> dict[str, Any]:
+def _run(args: SimpleNamespace) -> dict[str, Any]:
     try:
         if args.command == "convert":
             return _cmd_convert(args)
