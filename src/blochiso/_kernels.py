@@ -1,15 +1,18 @@
-"""The matrix layer's one kernel, the cyclic Jacobi eigensolver, and the
-reference product.
+"""The library's one eigensolver, cyclic Jacobi, and the reference product.
 
-The library calls ``jacobi_hermitian`` as a module attribute
+``jacobi_hermitian`` is the whole factorization: it sweeps, sorts and
+phase-fixes, and returns the :class:`HermitianEigenResult`. Its input is
+finite and Hermitian, and it checks neither: each caller builds such
+entries and checks them finite itself (``channels.choi_of``, a checked
+``ChoiMatrix``'s Hermitian average, the Gram table of
+``extract_unitary_via_gram``). The library calls it as a module attribute
 (``_kernels.jacobi_hermitian(...)``), so a test or profiler that replaces
 the attribute sees every call. Its results are pinned bit for bit by the
-golden CLI fixtures and the seeded ``verify`` reports: a change here must
-keep each IEEE-754 operation and its order. A matrix whose sum of squared
-entries leaves the float range is diagonalized as a copy scaled by a power
-of two, so its results are those of the scaled copy, eigenvalues scaled back.
-Its callers keep or read eigenvectors: a checked Choi matrix,
-``kraus_from_choi`` and the Gram route. ``classify`` calls it for no verdict, since a refused
+seeded ``verify`` reports and the ``convert --to kraus`` golden: a change
+here must keep each IEEE-754 operation and its order. A matrix whose sum of
+squared entries leaves the float range is diagonalized as a copy scaled by
+a power of two, so its results are those of the scaled copy, eigenvalues
+scaled back. ``classify`` calls it for no verdict, since a refused
 channel's rank is an inertia count (``channels._chi_rank``).
 
 ``matmul`` is the generic product. No library code calls it: every product
@@ -20,13 +23,14 @@ tracer wraps it by name, so it stays until the tracer drops that name.
 
 from __future__ import annotations
 
-from functools import cache
 from math import frexp, inf, ldexp, sqrt
 
 from .errors import DomainError
+from .matrix import ComplexMatrix, HermitianEigenResult
 
 _JACOBI_EPS = 1e-15
 _MAX_SWEEPS = 60
+_PHASE_CUTOFF = 1e-12
 
 
 def matmul(ar: int, ac: int, a, bc: int, b):
@@ -42,34 +46,18 @@ def matmul(ar: int, ac: int, a, bc: int, b):
     return out
 
 
-@cache
-def _sweep(n: int):
-    """Pivot table of one cyclic sweep over an n x n matrix, built once per n.
+def jacobi_hermitian(n: int, entries) -> HermitianEigenResult:
+    """Spectral factorization A = V diag(eigenvalues) V* by cyclic Jacobi.
 
-    One row per pivot ``(p, q)``, ``p < q``, in sweep order: the flat indices
-    of ``pq``, ``pp``, ``qq`` and ``qp``, then the flat indices of columns
-    ``p`` and ``q`` and of rows ``p`` and ``q`` (each shared by every pivot
-    that touches it, so the table holds O(n^2) indices).
+    ``entries`` are A row-major, unchecked: finite, and each entry below the
+    diagonal the conjugate of its mirror bit for bit, a zero part's sign
+    aside. Deterministic: eigenvalues descending (stable order on ties), and
+    each eigenvector column with its first entry of modulus above 1e-12 made
+    real positive.
     """
     nn = n * n
-    cols = [tuple(range(k, nn, n)) for k in range(n)]
-    rows = [tuple(range(k * n, k * n + n)) for k in range(n)]
-    return tuple(
-        (p * n + q, p * n + p, q * n + q, q * n + p, cols[p], cols[q], rows[p], rows[q])
-        for p in range(n - 1)
-        for q in range(p + 1, n)
-    )
-
-
-def jacobi_hermitian(n: int, a):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Returns ``(diag, v)``: unsorted real eigenvalues and the accumulated
-    unitary as a row-major flat list (columns are eigenvectors). Ordering
-    and phase conventions belong to the caller.
-    """
-    A = [complex(x) for x in a]
-    V = [0j] * (n * n)
+    A = [complex(x) for x in entries]
+    V = [0j] * nn
     for i in range(n):
         V[i * n + i] = 1.0 + 0j
 
@@ -88,60 +76,78 @@ def jacobi_hermitian(n: int, a):
         factor = ldexp(1.0, -shift)
         A = [complex(x.real * factor, x.imag * factor) for x in A]
         anorm = _frobenius(A)
-    if anorm == 0.0:
-        return [0.0] * n, V
 
+    # A zero matrix rotates nothing: r <= thresh = 0 at every pivot.
     thresh = _JACOBI_EPS * anorm
-    sweep = _sweep(n)
     for _ in range(_MAX_SWEEPS):
         rotated = False
-        for pq, pp, qq, qp, col_p, col_q, row_p, row_q in sweep:
-            apq = A[pq]
-            r = sqrt(apq.real * apq.real + apq.imag * apq.imag)
-            if r <= thresh:
-                continue
-            rotated = True
-            app = A[pp].real
-            aqq = A[qq].real
-            tau = (aqq - app) / (2.0 * r)
-            if tau >= 0.0:
-                t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-            c = 1.0 / sqrt(1.0 + t * t)
-            s = apq * (t * c / r)
-            sc = s.conjugate()
-            # Right-multiply columns p, q of A and V by the rotation.
-            for ip, iq in zip(col_p, col_q):
-                aip = A[ip]
-                aiq = A[iq]
-                A[ip] = aip * c - aiq * sc
-                A[iq] = aip * s + aiq * c
-                vip = V[ip]
-                viq = V[iq]
-                V[ip] = vip * c - viq * sc
-                V[iq] = vip * s + viq * c
-            # Left-multiply rows p, q of A by the adjoint rotation.
-            for pj, qj in zip(row_p, row_q):
-                apj = A[pj]
-                aqj = A[qj]
-                A[pj] = apj * c - aqj * s
-                A[qj] = apj * sc + aqj * c
-            # The pivot is zero analytically; pin it to keep A Hermitian.
-            A[pq] = 0j
-            A[qp] = 0j
-            A[pp] = complex(A[pp].real, 0.0)
-            A[qq] = complex(A[qq].real, 0.0)
+        for p in range(n - 1):
+            pp = p * n + p
+            for q in range(p + 1, n):
+                pq, qq, d = p * n + q, q * n + q, q - p
+                apq = A[pq]
+                r = sqrt(apq.real * apq.real + apq.imag * apq.imag)
+                if r <= thresh:
+                    continue
+                rotated = True
+                app = A[pp].real
+                aqq = A[qq].real
+                tau = (aqq - app) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                s = apq * (t * c / r)
+                sc = s.conjugate()
+                # Right-multiply columns p, q of A and V by the rotation.
+                for ip in range(p, nn, n):
+                    iq = ip + d
+                    aip = A[ip]
+                    aiq = A[iq]
+                    A[ip] = aip * c - aiq * sc
+                    A[iq] = aip * s + aiq * c
+                    vip = V[ip]
+                    viq = V[iq]
+                    V[ip] = vip * c - viq * sc
+                    V[iq] = vip * s + viq * c
+                # Left-multiply rows p, q of A by the adjoint rotation.
+                for pj in range(p * n, p * n + n):
+                    qj = pj + d * n
+                    apj = A[pj]
+                    aqj = A[qj]
+                    A[pj] = apj * c - aqj * s
+                    A[qj] = apj * sc + aqj * c
+                # The pivot is zero analytically; pin it to keep A Hermitian.
+                A[pq] = 0j
+                A[q * n + p] = 0j
+                A[pp] = complex(A[pp].real, 0.0)
+                A[qq] = complex(A[qq].real, 0.0)
         if not rotated:
             break
 
-    diag = [A[i * n + i].real for i in range(n)]
+    # A zero matrix's eigenvalues are +0.0, whatever the signs of its zeros.
+    diag = [A[i].real for i in range(0, nn, n + 1)] if anorm else [0.0] * n
     if shift:
         try:
-            diag = [ldexp(d, shift) for d in diag]
+            diag = [ldexp(x, shift) for x in diag]
         except OverflowError:
             raise DomainError("matrix entries must be finite") from None
-    return diag, V
+    order = sorted(range(n), key=diag.__getitem__, reverse=True)
+    vectors = [V[row + k] for row in range(0, nn, n) for k in order]
+    # A unit column has an entry of modulus at least 1/sqrt(n), so the
+    # search always breaks on a pivot.
+    for k in range(n):
+        for i in range(k, nn, n):
+            pivot = vectors[i]
+            if abs(pivot) > _PHASE_CUTOFF:
+                break
+        w = pivot.conjugate() / abs(pivot)
+        for i in range(k, nn, n):
+            vectors[i] *= w
+    eigenvalues = tuple([diag[k] for k in order])
+    # Columns of a unitary: finite, of modulus at most 1.
+    return HermitianEigenResult(eigenvalues, ComplexMatrix._trusted(n, n, tuple(vectors)))
 
 
 def _frobenius(A) -> float:

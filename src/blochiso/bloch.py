@@ -6,7 +6,7 @@ rho = (I + r . sigma) / 2.
 
 from __future__ import annotations
 
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 
 from ._value import Value
 from .errors import DomainError, NonStateError
@@ -46,14 +46,18 @@ class BlochVector(Value):
 
 def _hermiticity_deviation(m: ComplexMatrix) -> float:
     """max |m - m*| over the entries of a 2x2 ``m``, taken in the order
-    ``max_abs_diff(m, adjoint(m))`` takes them, so the value is its own."""
+    ``max_abs_diff(m, adjoint(m))`` takes them, so the value is its own,
+    inf where a modulus is past the float range."""
     a, b, c, d = m.entries
-    return max(
-        abs(a - a.conjugate()),
-        abs(b - c.conjugate()),
-        abs(c - b.conjugate()),
-        abs(d - d.conjugate()),
-    )
+    try:
+        return max(
+            abs(a - a.conjugate()),
+            abs(b - c.conjugate()),
+            abs(c - b.conjugate()),
+            abs(d - d.conjugate()),
+        )
+    except OverflowError:  # abs() of a finite complex past the float range
+        return inf
 
 
 class DensityOperator(Value):

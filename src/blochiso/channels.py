@@ -23,8 +23,10 @@ to the same unitary from any redundant Kraus set, decided by the same trace
 gate and purity rule; no library path calls it.
 
 The Choi matrix of a Kraus set (its upper triangle plus the ``0j + conj``
-mirror, bit for bit the full square), chi and the Gram matrix are Hermitian
-by construction, and factored with no Hermiticity check.
+mirror, bit for bit the full square) and the Gram matrix are Hermitian by
+construction, and a checked :class:`ChoiMatrix` factors its Hermitian
+average. Each is checked finite where it is built and then factored by the
+one eigensolver, ``_kernels.jacobi_hermitian``, which checks neither.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from functools import cached_property
 from math import hypot, sqrt
 from sys import float_info
 
+from . import _kernels
 from ._value import Value
 from .errors import (
     DomainError,
@@ -47,7 +50,6 @@ from .matrix import (
     ComplexMatrix,
     HermitianEigenResult,
     _adjoint2,
-    _hermitian_eig,
     _mul2,
     adjoint,
     max_abs_diff,
@@ -136,9 +138,13 @@ def _rank_floor(trace: float, tol: float) -> float:
 
 def _rank(eigenvalues: tuple[float, ...], tol: float = DEFAULT_TOL) -> int:
     """J's eigenvalues above the :func:`_rank_floor` of their trace (0 if that
-    is not positive): at DEFAULT_TOL the Kraus count of kraus_from_choi."""
+    is not positive): at DEFAULT_TOL the Kraus count of kraus_from_choi. A
+    trace past the float range raises DomainError, as the trace gate's does:
+    its floor would be inf, and a nonzero J would count none."""
     e0, e1, e2, e3 = eigenvalues
-    floor = _rank_floor(0.0 + e0 + e1 + e2 + e3, tol)
+    trace = 0.0 + e0 + e1 + e2 + e3
+    _require_finite(trace)
+    floor = _rank_floor(trace, tol)
     return sum(1 for ev in eigenvalues if ev > floor) if floor > 0.0 else 0
 
 
@@ -209,12 +215,17 @@ class ChoiMatrix(Value):
         m = self.matrix
         if m.rows != 4 or m.cols != 4:
             raise InvalidChannelError("Choi matrix must be 4x4")
-        # One adjoint serves the Hermiticity check and the symmetrization.
+        # One adjoint serves the Hermiticity check and the average. A sum past
+        # the float range is halved term by term instead, which differs from
+        # halving it only for subnormal parts.
         m_adjoint = adjoint(m)
         if max_abs_diff(m, m_adjoint) > DEFAULT_TOL:
             raise InvalidChannelError("Choi matrix must be Hermitian")
-        symmetrized = [(a + b) * 0.5 for a, b in zip(m.entries, m_adjoint.entries)]
-        spectrum = _hermitian_eig(4, symmetrized)
+        average = [
+            s * 0.5 if isfinite(s := a + b) else a * 0.5 + b * 0.5
+            for a, b in zip(m.entries, m_adjoint.entries)
+        ]
+        spectrum = _kernels.jacobi_hermitian(4, average)
         eigenvalues = spectrum.eigenvalues
         if eigenvalues[-1] < -DEFAULT_TOL * max(1.0, eigenvalues[0]):
             raise InvalidChannelError("Choi matrix must be positive semidefinite")
@@ -222,8 +233,9 @@ class ChoiMatrix(Value):
 
     @cached_property
     def spectrum(self) -> HermitianEigenResult:
-        # Hermitian bit for bit: choi_of leaves only its own matrices unfactored.
-        return _hermitian_eig(4, self.matrix.entries)
+        # Hermitian bit for bit and checked finite: choi_of leaves only its
+        # own matrices unfactored.
+        return _kernels.jacobi_hermitian(4, self.matrix.entries)
 
 
 class ChannelKind(Enum):
@@ -310,8 +322,8 @@ _CHOI_LOWER = tuple((r * 4 + c, c * 4 + r) for r in range(1, 4) for c in range(r
 def _choi_entries(k: KrausSet) -> ComplexMatrix:
     """J = sum vec(A) vec(A)*: the upper triangle summed from 0j, then
     mirrored, each lower entry ``0j + conj`` of its mirror: the bits its own
-    sum would have, and Hermitian bit for bit. Unvalidated: the
-    factorization checks every entry finite."""
+    sum would have, and Hermitian bit for bit. Unvalidated: choi_of checks
+    every entry finite."""
     ents = [0j] * 16
     for op in k.operators:
         w = op.entries  # row-major flattening matches the tensor-product order
@@ -325,8 +337,9 @@ def _choi_entries(k: KrausSet) -> ComplexMatrix:
 
 def choi_of(k: KrausSet) -> ChoiMatrix:
     """Choi matrix of the channel; its rank is the minimal Kraus count. Hermitian
-    bit for bit (``matrix._hermitian_eig``) and positive semidefinite, unchecked;
-    the entries are checked finite, and factored only when the spectrum is read."""
+    bit for bit, as ``_kernels.jacobi_hermitian`` takes it, and positive
+    semidefinite, unchecked; the entries are checked finite, and factored
+    only when the spectrum is read."""
     j = object.__new__(ChoiMatrix)
     j.__dict__["matrix"] = m = _choi_entries(k)
     _require_finite(*m.entries)
@@ -511,7 +524,7 @@ def extract_unitary_via_gram(
             worst_residual,
         )
 
-    eig = _hermitian_eig(len(ops), beta.entries)
+    eig = _kernels.jacobi_hermitian(len(ops), beta.entries)
     mixing = eig.eigenvectors
     s0 = s1 = s2 = s3 = 0j
     for a, op in enumerate(ops):

@@ -247,6 +247,8 @@ def _decode_document(doc: Any) -> tuple[str, Any]:
         return kind, ChoiMatrix(m)
     except (DomainError, OverflowError) as exc:
         # OverflowError: float() of an integer literal beyond the float range.
+        # No value check raises one: each reads a modulus past the float range
+        # as an inf deviation and refuses with its own DomainError.
         raise CliError(2, "malformed_input", f"invalid {kind} document: {exc}") from exc
 
 

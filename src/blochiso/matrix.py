@@ -1,27 +1,24 @@
-"""Dense complex matrices at qubit scale with deterministic factorizations.
+"""Dense complex matrices at qubit scale and the result of their factorization.
 
 Matrices are immutable, row-major, and small (everything downstream is 2x2
 to 4x4 plus Gram matrices of Kraus sets). Every product is the closed 2x2
-form ``_mul2``; the library has no generic product. The cyclic Jacobi
-eigensolver, the one kernel, lives in :mod:`blochiso._kernels`;
-``_hermitian_eig`` is its one caller, and every caller of that keeps or
-reads the eigenvectors. A count of eigenvalues above a floor needs no eigensolve
+form ``_mul2``; the library has no generic product. The one eigensolver,
+cyclic Jacobi, lives in :mod:`blochiso._kernels` and returns a
+:class:`HermitianEigenResult`; its callers keep or read the eigenvectors. A
+count of eigenvalues above a floor needs no eigensolve
 (``channels._chi_rank``).
 """
 
 from __future__ import annotations
 
 import cmath
-from math import sqrt
+from math import inf, sqrt
 
-from . import _kernels
 from ._value import Value
 from .errors import DimensionError, DomainError
 
 #: Absolute entrywise tolerance used by default everywhere in the library.
 DEFAULT_TOL = 1e-9
-
-_PHASE_CUTOFF = 1e-12
 
 
 class ComplexMatrix(Value):
@@ -119,39 +116,9 @@ def _mul2(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]
 
 
 def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
+    """max |a_ij - b_ij|, inf where a modulus is past the float range."""
     _require_same_shape(a, b)
-    return max([abs(x - y) for x, y in zip(a.entries, b.entries)])
-
-
-def _phase_fix_columns(n: int, v: list[complex]) -> list[complex]:
-    # A unit column has an entry of modulus at least 1/sqrt(n), so the
-    # search always breaks on a pivot.
-    for k in range(n):
-        for i in range(n):
-            pivot = v[i * n + k]
-            if abs(pivot) > _PHASE_CUTOFF:
-                break
-        w = pivot.conjugate() / abs(pivot)
-        for i in range(n):
-            v[i * n + k] *= w
-    return v
-
-
-def _hermitian_eig(n: int, entries) -> HermitianEigenResult:
-    """Spectral decomposition of a Hermitian matrix via cyclic Jacobi.
-
-    ``entries`` are row-major, symmetrized ``(A + A*) / 2`` or Hermitian bit
-    for bit (each lower entry ``0j + conj`` of its mirror, none ``-0.0``),
-    which symmetrizing would not change: only ``A + A*`` can overflow.
-    Deterministic: eigenvalues descending (stable order on ties), eigenvector
-    phases pinned.
-    """
-    if not all([cmath.isfinite(x + x) for x in entries]):
-        raise DomainError("matrix entries must be finite")
-    diag, vflat = _kernels.jacobi_hermitian(n, entries)
-    order = sorted(range(n), key=diag.__getitem__, reverse=True)
-    eigenvalues = tuple([diag[k] for k in order])
-    reordered = [vflat[row + k] for row in range(0, n * n, n) for k in order]
-    vectors = _phase_fix_columns(n, reordered)
-    # Columns of a unitary: finite, of modulus at most 1.
-    return HermitianEigenResult(eigenvalues, ComplexMatrix._trusted(n, n, tuple(vectors)))
+    try:
+        return max([abs(x - y) for x, y in zip(a.entries, b.entries)])
+    except OverflowError:  # abs() of a finite complex past the float range
+        return inf

@@ -12,7 +12,7 @@ Shepperd's rule.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, sqrt
 
 from ._value import Value
 from .errors import DomainError
@@ -53,16 +53,20 @@ def unitarity_deviation(m: ComplexMatrix) -> float:
     """Largest entrywise deviation of U* U from the identity, for a 2x2 U.
 
     Closed form of the generic product: the same operations less the terms
-    that are exact zeros, so the deviation is the generic one, bit for bit.
+    that are exact zeros, so the deviation is the generic one, bit for bit;
+    inf where a modulus is past the float range.
     """
     a, b, c, d = m.entries
     ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    return max(
-        abs(ac * a + cc * c - 1.0),
-        abs(ac * b + cc * d),
-        abs(bc * a + dc * c),
-        abs(bc * b + dc * d - 1.0),
-    )
+    try:
+        return max(
+            abs(ac * a + cc * c - 1.0),
+            abs(ac * b + cc * d),
+            abs(bc * a + dc * c),
+            abs(bc * b + dc * d - 1.0),
+        )
+    except OverflowError:  # abs() of a finite complex past the float range
+        return inf
 
 
 def _entries(w: float, x: float, y: float, z: float) -> tuple[complex, ...]:

@@ -13,6 +13,7 @@ from math import cos, frexp, inf, isfinite, ldexp, pi, sin, sqrt
 from pathlib import Path
 
 import blochiso._kernels
+from blochiso._kernels import _PHASE_CUTOFF
 from blochiso._value import Value
 from blochiso.bloch import PAULIS, BlochVector, DensityOperator, bloch_to_density
 from blochiso.channels import (
@@ -34,12 +35,10 @@ from blochiso.errors import (
     NotUnitaryConjugationError,
 )
 from blochiso.matrix import (
-    _PHASE_CUTOFF,
     DEFAULT_TOL,
     ComplexMatrix,
     HermitianEigenResult,
     _adjoint2,
-    _hermitian_eig,
     _mul2,
     adjoint,
     max_abs_diff,
@@ -332,6 +331,13 @@ def density_to_bloch_generic(rho) -> tuple[float, float, float]:
 _I2 = identity(2)
 
 
+def residual_generic(prod: ComplexMatrix, coeff: complex) -> float:
+    """max |P - coeff I|. A modulus past the float range raises abs()'s
+    OverflowError, which the pair-product references turn into DomainError,
+    as the library's pair table does; ``max_abs_diff`` would read it as inf."""
+    return max([abs(x - y) for x, y in zip(prod.entries, scale(_I2, coeff).entries)])
+
+
 def choi_tp_deviation(choi: ChoiMatrix) -> float:
     """Deviation of the Choi matrix's partial trace over the output factor
     from I; zero exactly when the source set is trace preserving."""
@@ -442,7 +448,7 @@ def extract_unitary_via_gram_generic(
             for a in range(count):
                 prod = mul(left, ops[a])
                 coeff = trace(prod) / 2.0
-                residual = max_abs_diff(prod, scale(_I2, coeff))
+                residual = residual_generic(prod, coeff)
                 if residual > worst_residual:
                     worst_residual = residual
                     worst_pair = (a_prime, a)
@@ -492,7 +498,7 @@ def verify_inverse_pair_generic(
             for a in range(n_fwd):
                 prod = mul(k_inv.operators[b], k_fwd.operators[a])
                 coeff = trace(prod) / 2.0
-                residual = max_abs_diff(prod, scale(_I2, coeff))
+                residual = residual_generic(prod, coeff)
                 max_residual = max(max_residual, residual)
                 alpha_entries[b * n_fwd + a] = coeff
                 gram_term = blochiso._kernels.matmul(2, 2, adjoint(prod).entries, 2, prod.entries)
@@ -518,7 +524,8 @@ def verify_inverse_pair_generic(
 # The eigensolver before its pivot table and its trusted values: the kernel
 # and the factorization verbatim, so their results can be compared bit for bit.
 # Where the sum of squared entries leaves the float range, the factorization
-# runs the reference kernel on the exactly rescaled copy the kernel sweeps.
+# runs the reference kernel on the exactly rescaled copy the kernel sweeps,
+# and raises DomainError where an eigenvalue scaled back leaves the range.
 
 _JACOBI_EPS = 1e-15
 _MAX_SWEEPS = 60
@@ -619,6 +626,36 @@ def jacobi_hermitian_rescaled_reference(n: int, a):
     return [ldexp(d, shift) for d in diag], v
 
 
+def sorted_reference(n: int, diag: list[float], vflat: list[complex]) -> HermitianEigenResult:
+    """A reference kernel's eigenpairs, eigenvalues descending (stable order
+    on ties) and eigenvector phases pinned."""
+    order = sorted(range(n), key=diag.__getitem__, reverse=True)
+    eigenvalues = tuple(diag[k] for k in order)
+    reordered = [0j] * (n * n)
+    for new_col, old_col in enumerate(order):
+        for i in range(n):
+            reordered[i * n + new_col] = vflat[i * n + old_col]
+    vectors = _phase_fix_columns_reference(n, reordered)
+    return HermitianEigenResult(eigenvalues, ComplexMatrix(n, n, tuple(vectors)))
+
+
+def factored_reference(n: int, a) -> HermitianEigenResult:
+    """The rescaled reference kernel's eigenpairs, sorted and phase-fixed."""
+    try:
+        return sorted_reference(n, *jacobi_hermitian_rescaled_reference(n, a))
+    except OverflowError:  # ldexp of an eigenvalue past the float range
+        raise DomainError("matrix entries must be finite") from None
+
+
+def hermitian_average(m: ComplexMatrix) -> list[complex]:
+    """(m + m*) / 2, each sum halved or, where it is past the float range,
+    each term, as ``ChoiMatrix`` averages a matrix it has checked Hermitian."""
+    return [
+        (a + b) * 0.5 if cmath.isfinite(a + b) else a * 0.5 + b * 0.5
+        for a, b in zip(m.entries, adjoint(m).entries)
+    ]
+
+
 def _phase_fix_columns_reference(n: int, v: list[complex]) -> list[complex]:
     for k in range(n):
         pivot = 0j
@@ -651,28 +688,14 @@ def hermitian_eig_reference(m: ComplexMatrix, tol: float = DEFAULT_TOL) -> Hermi
     dev = max(abs(a - b) for a, b in zip(x, y))
     if dev > tol:
         raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
-    n = m.rows
-    sym = tuple((a + b) * 0.5 for a, b in zip(x, y))
-    # A + A* can overflow where A itself is finite.
-    for e in sym:
-        if not cmath.isfinite(e):
-            raise DomainError("matrix entries must be finite")
-    diag, vflat = jacobi_hermitian_rescaled_reference(n, sym)
-    order = sorted(range(n), key=diag.__getitem__, reverse=True)
-    eigenvalues = tuple(diag[k] for k in order)
-    reordered = [0j] * (n * n)
-    for new_col, old_col in enumerate(order):
-        for i in range(n):
-            reordered[i * n + new_col] = vflat[i * n + old_col]
-    vectors = _phase_fix_columns_reference(n, reordered)
-    return HermitianEigenResult(eigenvalues, ComplexMatrix(n, n, tuple(vectors)))
+    return factored_reference(m.rows, hermitian_average(m))
 
 
 def factor_hermitian(m: ComplexMatrix) -> HermitianEigenResult:
     """The library's factorization of a square ``m``, as ``ChoiMatrix`` runs
-    it on a matrix it has checked Hermitian: symmetrized, then
-    ``matrix._hermitian_eig``."""
-    return _hermitian_eig(m.rows, [(a + b) * 0.5 for a, b in zip(m.entries, adjoint(m).entries)])
+    it on a matrix it has checked Hermitian: averaged, then
+    ``_kernels.jacobi_hermitian``."""
+    return blochiso._kernels.jacobi_hermitian(m.rows, hermitian_average(m))
 
 
 def fingerprint(value):
@@ -1133,6 +1156,7 @@ GOLDEN_CASES = [
         "convert_rotation_half_turn_to_axis_angle.json",
         ["convert", "--to", "axis_angle", "rotation_half_turn.json"],
     ),
+    ("convert_choi_to_kraus.json", ["convert", "--to", "kraus", "choi_damping_phased.json"]),
 ]
 
 # The whole stdout of usage errors whose argparse words or meaning vary by
@@ -1227,6 +1251,21 @@ def build_golden_inputs() -> dict[str, str]:
             },
         ),
         "kraus_roundoff_unitary.json": _golden_doc("kraus", {"operators": ROUNDOFF_UNITARY_OPS}),
+        # J = sum vec(A) vec(A)* of that damping followed by diag(1, i): A_0 =
+        # [[1, 0], [0, 0.8 i]] and A_1 = [[0, 0.6], [0, 0]], of eigenvalues
+        # 1.64 and 0.36. Its Kraus set is the one printed command that factors
+        # a matrix: a complex rotation, the sort and the phase fix.
+        "choi_damping_phased.json": _golden_doc(
+            "choi",
+            {
+                "matrix": [
+                    [1, 0, 0, [0, -0.8]],
+                    [0, 0.36, 0, 0],
+                    [0, 0, 0, 0],
+                    [[0, 0.8], 0, 0, 0.64],
+                ]
+            },
+        ),
         # The exact half turn 2 n n^T - I about n = (0.6, -0.8, 0): the lift
         # has w = 0, and the axis printed is the one whose largest component
         # is positive, (-0.6, 0.8, 0).

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from blochiso.bloch import BlochVector, DensityOperator, bloch_to_density, density_to_bloch
 from blochiso.errors import DomainError, NonStateError
-from blochiso.matrix import max_abs_diff
+from blochiso.matrix import ComplexMatrix, max_abs_diff
 from blochiso.sampling import bloch_in_ball
 from helpers import (
     SphericalAngles,
@@ -130,6 +130,14 @@ class TestDensity:
             DensityOperator(from_rows([[1.5, 0], [0, -0.5]]))  # not PSD
         with pytest.raises(NonStateError):
             DensityOperator(from_rows([[0.5, 0.5], [0.1, 0.5]]))  # not Hermitian
+
+    def test_a_modulus_past_the_float_range_is_not_hermitian(self):
+        # b - conj(c) = 1.3e308 (1 + i) is finite, but abs() of it refused
+        # with a bare OverflowError.
+        c = 0.65e308
+        m = ComplexMatrix(2, 2, (0.5, complex(c, c), complex(-c, c), 0.5))
+        with pytest.raises(NonStateError, match="^density operator must be Hermitian$"):
+            DensityOperator(m)
 
     @given(
         st.tuples(

@@ -7,6 +7,7 @@ from math import pi, sqrt
 
 import pytest
 
+from blochiso import _kernels
 from blochiso.bloch import PAULIS, bloch_to_density, density_to_bloch
 from blochiso.channels import (
     ChannelKind,
@@ -194,6 +195,82 @@ class TestChoi:
             back = kraus_from_choi(j)
             assert len(back.operators) == choi_rank(j)
             assert max_abs_diff(choi_of(back).matrix, j.matrix) <= 1e-10
+
+
+def diagonal_choi(*diagonal: float) -> ComplexMatrix:
+    return ComplexMatrix(4, 4, tuple(diagonal[i // 5] if i % 5 == 0 else 0.0 for i in range(16)))
+
+
+class TestChoiAtTheFloatRangesEdge:
+    """The one eigensolver factors every finite Hermitian matrix its callers
+    hand it, each of which checks its entries finite first. It once refused a
+    matrix whose entries' doubles overflow, though it factors one exactly."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        sizes = []
+        kernel = _kernels.jacobi_hermitian
+
+        def counted(n, a):
+            sizes.append(n)
+            return kernel(n, a)
+
+        monkeypatch.setattr(_kernels, "jacobi_hermitian", counted)
+        return sizes
+
+    def test_an_entry_whose_double_overflows_round_trips(self, factored):
+        # J = vec(A) vec(A)* has the entry 1e308; kraus_from_choi raised
+        # "matrix entries must be finite".
+        k = KrausSet((ComplexMatrix(2, 2, (1e154, 0, 0, 0)),))
+        (op,) = kraus_from_choi(choi_of(k)).operators
+        assert op.entries == (1e154, 0, 0, 0)
+        assert factored == [4]
+
+    def test_a_checked_matrix_whose_sums_overflow_is_averaged_term_by_term(self):
+        # (a + a) / 2 overflowed at 1e308; the average is a itself.
+        j = ChoiMatrix(diagonal_choi(1e308, 0.0, 0.0, 0.0))
+        assert j.spectrum.eigenvalues == (1e308, 0.0, 0.0, 0.0)
+        (op,) = kraus_from_choi(j).operators
+        assert op.entries == (1e154, 0, 0, 0)
+
+    def test_a_trace_past_the_float_range_is_not_a_zero_matrix(self):
+        # Both eigenvalues are finite and their sum is not: the rank floor
+        # was inf, and kraus_from_choi said "Choi matrix is zero".
+        j = ChoiMatrix(diagonal_choi(1e308, 1e308, 0.0, 0.0))
+        assert j.spectrum.eigenvalues == (1e308, 1e308, 0.0, 0.0)
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            kraus_from_choi(j)
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            _rank(j.spectrum.eigenvalues)
+
+    def test_a_deviation_past_the_float_range_is_not_hermitian(self):
+        # J - J* has the finite entry 1.3e308 (1 + i), whose modulus abs()
+        # refused with a bare OverflowError.
+        c = 0.65e308
+        m = ComplexMatrix(4, 4, (0.0, complex(c, c)) + (0.0,) * 2 + (complex(-c, c),) + (0.0,) * 11)
+        with pytest.raises(InvalidChannelError, match="^Choi matrix must be Hermitian$"):
+            ChoiMatrix(m)
+
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            # The checked ChoiMatrix: its matrix's entries are validated.
+            lambda s: ChoiMatrix(ComplexMatrix(4, 4, (s * s,) + (0.0,) * 15)),
+            # choi_of's J, factored when kraus_from_choi reads its spectrum:
+            # choi_of checks J's entries finite, here s^2.
+            lambda s: kraus_from_choi(choi_of(KrausSet((ComplexMatrix(2, 2, (s, 0, 0, 0)),)))),
+            # The Gram table: each coefficient is checked finite, here s^2 / 2.
+            lambda s: extract_unitary_via_gram(KrausSet((ComplexMatrix(2, 2, (s, 0, 0, s)),))),
+        ],
+        ids=["ChoiMatrix", "choi_of", "gram"],
+    )
+    def test_each_caller_refuses_a_non_finite_entry_before_factoring(self, factored, caller):
+        caller(1.0)
+        assert len(factored) == 1
+        factored.clear()
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            caller(1e155)
+        assert factored == []
 
 
 class TestIsCptp:

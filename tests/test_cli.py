@@ -453,6 +453,69 @@ class TestChannelsAtEveryScale:
         assert abs(op[1][1][0] - root) <= 1e-15 * root
         assert op[0][1] == op[1][0] == [0, 0]
 
+    def test_a_choi_entry_whose_double_overflows_has_one_operator(self, tmp_path):
+        # 1e308 + 1e308 overflows: the document exited 2 with "matrix
+        # entries must be finite", though its spectrum is finite.
+        matrix = [[1e308 if r == c == 0 else 0 for c in range(4)] for r in range(4)]
+        path = write_doc(tmp_path, "c.json", "choi", {"matrix": matrix})
+        code, out = run_cli(["convert", "--to", "kraus", path])
+        assert code == 0
+        operator = [[[1e154, 0], [0, 0]], [[0, 0], [0, 0]]]
+        assert json.loads(out)["payload"] == {"operators": [operator]}
+
+    def test_a_choi_trace_past_the_float_range_exits_2(self, tmp_path):
+        # Each eigenvalue is finite, their sum is not: never "Choi matrix is zero".
+        matrix = [[1e308 if r == c < 2 else 0 for c in range(4)] for r in range(4)]
+        path = write_doc(tmp_path, "c.json", "choi", {"matrix": matrix})
+        code, out = run_cli(["convert", "--to", "kraus", path])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "malformed_input",
+            "detail": "matrix entries must be finite",
+        }
+
+    @pytest.mark.parametrize(
+        "kind, target, matrix, detail",
+        [
+            (
+                "unitary",
+                "rotation",
+                [[1e154, [1.3e154, 1.3e154]], [0, 0]],
+                "matrix is not unitary (deviation inf)",
+            ),
+            (
+                "density",
+                "bloch",
+                [[0.5, [0.65e308, 0.65e308]], [[-0.65e308, 0.65e308], 0.5]],
+                "density operator must be Hermitian",
+            ),
+            (
+                "choi",
+                "kraus",
+                [
+                    [0, [0.65e308, 0.65e308], 0, 0],
+                    [[-0.65e308, 0.65e308], 0, 0, 0],
+                    [0, 0, 0, 0],
+                    [0, 0, 0, 0],
+                ],
+                "Choi matrix must be Hermitian",
+            ),
+        ],
+        ids=["unitary", "density", "choi"],
+    )
+    def test_a_modulus_past_the_float_range_names_the_check(
+        self, tmp_path, kind, target, matrix, detail
+    ):
+        # Every entry is finite, and a deviation's modulus is not: each
+        # printed "invalid ... document: absolute value too large".
+        path = write_doc(tmp_path, "d.json", kind, {"matrix": matrix})
+        code, out = run_cli(["convert", "--to", target, path])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "malformed_input",
+            "detail": f"invalid {kind} document: {detail}",
+        }
+
     @pytest.mark.parametrize("command", ["classify", "bloch-action"])
     @pytest.mark.parametrize(
         "ops",

@@ -37,7 +37,7 @@ from blochiso.channels import (
 )
 from blochiso.cli import main
 from blochiso.errors import DomainError, InvalidChannelError, NotUnitaryConjugationError
-from blochiso.matrix import ComplexMatrix, _hermitian_eig, adjoint, scale
+from blochiso.matrix import ComplexMatrix, adjoint, scale
 from blochiso.sampling import redundant_unitary_kraus, su2_haar
 from blochiso.so3 import AxisAngle, Rotation3
 from blochiso.su2 import Unitary2, _chi
@@ -322,8 +322,8 @@ class TestChiIsTheChoiMatrixInAnotherBasis:
             square_chi = sum(abs(z) ** 2 for z in chi)
             square_j = sum(abs(z) ** 2 for z in j)
             assert abs(square_chi - square_j / 4.0) <= 4.5e-16 * square_j
-            spectrum_chi = _hermitian_eig(4, chi).eigenvalues
-            spectrum_j = _hermitian_eig(4, j).eigenvalues
+            spectrum_chi = blochiso._kernels.jacobi_hermitian(4, chi).eigenvalues
+            spectrum_j = blochiso._kernels.jacobi_hermitian(4, j).eigenvalues
             gap = max(abs(x - y / 2.0) for x, y in zip(spectrum_chi, spectrum_j))
             assert gap <= 4e-15 * spectrum_j[0]
 

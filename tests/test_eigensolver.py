@@ -1,13 +1,15 @@
-"""The eigensolver path gives the reference eigensolver's bytes.
+"""The one eigensolver gives the reference eigensolver's bytes.
 
 ``helpers`` keeps the Jacobi kernel and the factorization as they were before
 the kernel walked a pivot table and the factorization built its eigenvector
-matrix without re-validation. Both perform the same IEEE-754 operations in
-the same order, so on every Hermitian input each eigenvalue and eigenvector
-entry is the reference's bit for bit, and every such input the reference
-rejects raises the same exception with the same message. A matrix whose sum of squared
-entries over- or underflows is compared against the reference run on the
-copy scaled by the same exact power of two, eigenvalues scaled back.
+matrix without re-validation, as two steps: the sweeps, and the sort and
+phase fix. ``_kernels.jacobi_hermitian`` does both and performs the same
+IEEE-754 operations in the same order, so on every Hermitian input each
+eigenvalue and eigenvector entry is the reference's bit for bit, and every
+such input the reference rejects raises the same exception with the same
+message. A matrix whose sum of squared entries over- or underflows is
+compared against the reference run on the copy scaled by the same exact
+power of two, eigenvalues scaled back.
 
 ``channels._chi_rank``, the inertia count a refused ``classify`` prints,
 counts the eigenvalues of chi above a floor with no eigensolve: it is
@@ -34,19 +36,20 @@ from blochiso.channels import (
     classify,
 )
 from blochiso.errors import DomainError, InvalidChannelError
-from blochiso.matrix import ComplexMatrix, _hermitian_eig, adjoint, scale
+from blochiso.matrix import ComplexMatrix, adjoint, scale
 from blochiso.sampling import su2_haar
 from blochiso.su2 import _chi
 from helpers import (
     amplitude_damping,
     chi_matrix,
     factor_hermitian,
+    factored_reference,
     hermitian_eig_reference,
     jacobi_hermitian_reference,
-    jacobi_hermitian_rescaled_reference,
     make_depolarizing,
     mul,
     rescale_shift,
+    sorted_reference,
 )
 from test_channels import near_unitary, nudged
 from test_closed_forms import channel_sets
@@ -101,7 +104,8 @@ def cases(n: int) -> list[list[complex]]:
 
 def edges(n: int) -> list[ComplexMatrix]:
     """A matrix Hermitian only within the default tolerance, which both
-    symmetrize, and one whose finite entries' Hermitian average overflows."""
+    average, and one whose entries' sums overflow, which both average term
+    by term: its eigenvalue n x is past the float range from n = 2."""
     rng = random.Random(4200 + n)
     # A deviation from Hermiticity of 5e-10 (n = 1: 1e-9).
     h = hermitian_part(n, gauss_entries(rng, n * n))
@@ -112,15 +116,11 @@ def edges(n: int) -> list[ComplexMatrix]:
     ]
 
 
-def kernel_bits(result) -> bytes:
-    diag, v = result
-    flat = [x for z in v for x in (z.real, z.imag)]
-    return struct.pack(f"{len(diag)}d{len(flat)}d", *diag, *flat)
-
-
 def eig_bits(result) -> tuple:
     vectors = result.eigenvectors
-    return (vectors.rows, vectors.cols, kernel_bits((result.eigenvalues, vectors.entries)))
+    flat = [x for z in vectors.entries for x in (z.real, z.imag)]
+    values = result.eigenvalues
+    return (vectors.rows, vectors.cols, struct.pack(f"{len(values)}d{len(flat)}d", *values, *flat))
 
 
 def eig_outcome(function, m: ComplexMatrix):
@@ -134,7 +134,7 @@ def eig_outcome(function, m: ComplexMatrix):
 def test_kernel_matches_reference(n):
     for entries in cases(n):
         got = _kernels.jacobi_hermitian(n, entries)
-        assert kernel_bits(got) == kernel_bits(jacobi_hermitian_rescaled_reference(n, entries))
+        assert eig_bits(got) == eig_bits(factored_reference(n, entries))
 
 
 def test_out_of_range_cases_are_rescaled():
@@ -145,7 +145,8 @@ def test_out_of_range_cases_are_rescaled():
     assert sum(s > 0 for s in shifts) == 20
     assert sum(s < 0 for s in shifts) == 2
     changed = sum(
-        kernel_bits(_kernels.jacobi_hermitian(n, e)) != kernel_bits(jacobi_hermitian_reference(n, e))
+        eig_bits(_kernels.jacobi_hermitian(n, e))
+        != eig_bits(sorted_reference(n, *jacobi_hermitian_reference(n, e)))
         for n in SIZES
         for e in cases(n)
         if rescale_shift(e)
@@ -187,28 +188,30 @@ def test_hermitian_eig_matches_reference(n):
         want = eig_outcome(hermitian_eig_reference, m)
         assert eig_outcome(factor_hermitian, m) == want
         refused += isinstance(want[0], type)
-    assert refused == 1
+    # The overflowing edge, refused at every n while its sums' overflow was:
+    # its eigenvalue n x, 1.5e308 at n = 1, is past the float range from n = 2.
+    assert refused == (n > 1)
 
 
 @pytest.mark.parametrize("n, x", [(2, 1e308), (4, 8e307)], ids=["entry", "eigenvalue"])
 def test_eigenvalues_alone_raise_as_the_factorization(n, x):
     # Named for the eigenvalues-only factorization it once compared with this
-    # one. Every entry x: A + A overflows at 1e308. At 8e307 it is finite and
-    # the kernel sweeps the rescaled copy, but the eigenvalue 4 x is past the
-    # float range.
+    # one. Every entry x: A + A overflows at 1e308, which the solver does not
+    # read, and is finite at 8e307. Either way the kernel sweeps the rescaled
+    # copy, but the eigenvalue n x is past the float range.
     with pytest.raises(DomainError, match="^matrix entries must be finite$"):
-        _hermitian_eig(n, [complex(x)] * (n * n))
+        _kernels.jacobi_hermitian(n, [complex(x)] * (n * n))
 
 
 def eigenvalue_count(chi: tuple, floor: float) -> int:
     """The factorization's eigenvalues of chi above floor."""
-    return sum(1 for ev in _hermitian_eig(4, chi_matrix(chi)).eigenvalues if ev > floor)
+    return sum(1 for ev in _kernels.jacobi_hermitian(4, chi_matrix(chi)).eigenvalues if ev > floor)
 
 
 def largest_floor_count(chi: tuple, tol: float) -> int:
     """The count above delta(tol) / 12 of the largest eigenvalue, the floor
     the printed rank was measured against before it moved to the trace."""
-    spectrum = _hermitian_eig(4, chi_matrix(chi)).eigenvalues
+    spectrum = _kernels.jacobi_hermitian(4, chi_matrix(chi)).eigenvalues
     floor = _deficit_bound(tol) / 12.0 * spectrum[0]
     return sum(1 for ev in spectrum if ev > floor)
 
@@ -332,8 +335,3 @@ def test_choi_spectrum_matches_reference():
         else:
             assert eig_bits(ChoiMatrix(m).spectrum) == eig_bits(want)
 
-
-def test_pivot_table_is_built_once_per_size():
-    assert _kernels._sweep(5) is _kernels._sweep(5)
-    pivots = [(pq // 5, pq % 5) for pq, *_ in _kernels._sweep(5)]
-    assert pivots == [(p, q) for p in range(4) for q in range(p + 1, 5)]

@@ -70,6 +70,18 @@ class TestAlgebra:
         with pytest.raises(DimensionError):
             max_abs_diff(a, b)
 
+    def test_max_abs_diff_past_the_float_range_is_inf(self):
+        # The difference 1.3e308 (1 + i) is finite and its modulus is not:
+        # abs() raised a bare OverflowError. A finite modulus keeps its bits.
+        c = 0.65e308
+        a = ComplexMatrix(1, 2, (complex(c, c), 1e300 + 0j))
+        b = ComplexMatrix(1, 2, (complex(-c, -c), -1e300 + 0j))
+        assert max_abs_diff(a, b) == float("inf")
+        assert max_abs_diff(b, b) == 0.0
+        x = ComplexMatrix(1, 1, (0.6e308 + 0.6e308j,))
+        y = ComplexMatrix(1, 1, (-0.6e308 + 0j,))
+        assert max_abs_diff(x, y) == abs(x.entries[0] - y.entries[0])
+
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             ComplexMatrix(1, 1, (complex(float("nan"), 0),))

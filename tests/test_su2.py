@@ -100,6 +100,16 @@ class TestTypes:
         with pytest.raises(DomainError, match="not unitary"):
             normalize_phase(m)
 
+    @pytest.mark.parametrize(
+        "check", [Unitary2, normalize_phase], ids=["Unitary2", "normalize_phase"]
+    )
+    def test_a_modulus_past_the_float_range_is_an_infinite_deviation(self, check):
+        # U* U has the finite entry 1.3e308 (1 + i), whose modulus abs()
+        # refused with a bare OverflowError.
+        m = ComplexMatrix(2, 2, (1e154, 1.3e154 + 1.3e154j, 0, 0))
+        with pytest.raises(DomainError, match=r"^matrix is not unitary \(deviation inf\)$"):
+            check(m)
+
     def test_rejects_a_matrix_not_2x2(self):
         with pytest.raises(DomainError, match="^unitary must be 2x2$"):
             Unitary2(identity(3))
