@@ -15,7 +15,7 @@ from . import so3, su2
 from ._value import Value
 from .bloch import BlochVector, DensityOperator, _density_entries
 from .errors import DomainError
-from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2, max_abs_diff
+from .matrix import DEFAULT_TOL, ComplexMatrix, _adjoint2, _mul2
 from .so3 import AxisAngle, Rotation3
 from .su2 import Unitary2
 
@@ -70,8 +70,10 @@ def verify_state_diagram(
     rotated = _density_entries(so3._apply(so3._rows(*q), v))
     path_a = DensityOperator(ComplexMatrix._trusted(2, 2, rotated))
     ue, rho = su2._entries(*q), _density_entries(v)
-    path_b = DensityOperator(ComplexMatrix._trusted(2, 2, _mul2(_mul2(ue, rho), _adjoint2(ue))))
-    dev = max_abs_diff(path_a.matrix, path_b.matrix)
+    conjugated = _mul2(_mul2(ue, rho), _adjoint2(ue))
+    path_b = DensityOperator(ComplexMatrix._trusted(2, 2, conjugated))
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = rotated, conjugated  # moduli at most 1
+    dev = max(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
     return DiagramReport(dev, dev <= tol, path_a, path_b)
 
 
@@ -92,7 +94,11 @@ def verify_group_diagram(
         r_total = so3._mul3(r_total, so3._rows(*q))
     dropped = Rotation3._built(so3._rows(*su2._quaternion(u_total)))
     r_total = Rotation3._built(r_total)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = dropped.matrix
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = r_total.matrix
     dev = max(
-        [abs(x - y) for ra, rb in zip(dropped.matrix, r_total.matrix) for x, y in zip(ra, rb)]
+        abs(a00 - b00), abs(a01 - b01), abs(a02 - b02),
+        abs(a10 - b10), abs(a11 - b11), abs(a12 - b12),
+        abs(a20 - b20), abs(a21 - b21), abs(a22 - b22),
     )
     return DiagramReport(dev, dev <= tol, dropped, r_total)

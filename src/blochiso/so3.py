@@ -42,7 +42,8 @@ class AxisAngle(Value):
         ax = tuple(map(float, d["axis"]))
         if len(ax) != 3 or not all(map(isfinite, ax)):
             raise DomainError("axis must be a finite 3-vector")
-        nrm = sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2])
+        a1, a2, a3 = ax
+        nrm = sqrt(a1 * a1 + a2 * a2 + a3 * a3)
         if abs(nrm - 1.0) > _AXIS_NORM_TOL:
             raise DomainError(f"axis must be a unit vector, got norm {nrm!r}")
         angle = float(d["angle"])
@@ -59,13 +60,13 @@ class Rotation3(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(float(x) for x in row) for row in self.matrix)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        rows = tuple([tuple([float(x) for x in row]) for row in self.matrix])
+        if len(rows) != 3 or len(rows[0]) != 3 or len(rows[1]) != 3 or len(rows[2]) != 3:
             raise DomainError("rotation matrix must be 3x3")
-        if any(not isfinite(x) for r in rows for x in r):
+        if not all(map(isfinite, rows[0] + rows[1] + rows[2])):
             raise DomainError("rotation entries must be finite")
         _check_rotation(rows)
-        object.__setattr__(self, "matrix", rows)
+        self.__dict__["matrix"] = rows  # frozen: fill the field as __init__ does
 
     @classmethod
     def _built(cls, rows: Matrix3) -> "Rotation3":
@@ -82,20 +83,31 @@ class Rotation3(Value):
 
 
 def _check_rotation(rows: Matrix3) -> None:
-    dev = orthogonality_deviation(rows)
-    if dev > DEFAULT_TOL:
+    """Refuse rows unless R^T R = I and det R = 1, each within DEFAULT_TOL."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    # Each entry of R^T R on and above the diagonal, written as in
+    # ``orthogonality_deviation``, is decided in place; the deviation is taken
+    # only for a refusal's message. The decisions are those of ``deviation >
+    # DEFAULT_TOL`` past the float range too: a NaN entry needs inf - inf, so
+    # some |m_ij| > 1e154, which puts inf on a diagonal entry, refused by both
+    # forms; and the first entry ``max`` reads is a diagonal one, never NaN.
+    if not (
+        -DEFAULT_TOL <= m00 * m00 + m10 * m10 + m20 * m20 - 1.0 <= DEFAULT_TOL
+        and -DEFAULT_TOL <= m00 * m01 + m10 * m11 + m20 * m21 <= DEFAULT_TOL
+        and -DEFAULT_TOL <= m00 * m02 + m10 * m12 + m20 * m22 <= DEFAULT_TOL
+        and -DEFAULT_TOL <= m01 * m01 + m11 * m11 + m21 * m21 - 1.0 <= DEFAULT_TOL
+        and -DEFAULT_TOL <= m01 * m02 + m11 * m12 + m21 * m22 <= DEFAULT_TOL
+        and -DEFAULT_TOL <= m02 * m02 + m12 * m12 + m22 * m22 - 1.0 <= DEFAULT_TOL
+    ):
+        dev = orthogonality_deviation(rows)
         raise DomainError(f"matrix is not orthogonal (deviation {dev:.3e})")
-    d = _det3(rows)
+    d = (
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
+    )
     if abs(d - 1.0) > DEFAULT_TOL:
         raise DomainError(f"rotation must have det +1, got {d!r}")
-
-
-def _det3(m: Matrix3) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def orthogonality_deviation(m: Matrix3) -> float:
@@ -144,24 +156,24 @@ def rotation_from_axis_angle(aa: AxisAngle) -> Rotation3:
 def _quaternion(rows: Matrix3) -> tuple[float, float, float, float]:
     """The unit quaternion q = (w, x, y, z) of a rotation's rows, with w >= 0.
 
-    R is quadratic in q, and its entries give the table 4 q q^T: 1 + tr R
-    and 1 + 2 R_ii - tr R on the diagonal, sums and differences of mirrored
-    entries off it. Shepperd's form (J. Guidance and Control 1, 1978) takes
-    the row with the largest diagonal entry, at least 1, and normalizes it.
-    w is exactly 0 only where the skew part of R is, at a half turn; there
-    the largest component of the axis comes out positive.
+    R is quadratic in q: 4 q q^T has 1 + tr R and 1 + 2 R_ii - tr R on its
+    diagonal, sums and differences of mirrored entries of R off it.
+    Shepperd's form (J. Guidance and Control 1, 1978) builds only the row
+    with the largest diagonal entry, the first of equals, at least 1, and
+    normalizes it. w is exactly 0 only where the skew part of R is, at a
+    half turn; there the largest component of the axis comes out positive.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
     tr = m00 + m11 + m22
-    wx, wy, wz = m21 - m12, m02 - m20, m10 - m01
-    xy, xz, yz = m01 + m10, m02 + m20, m12 + m21
-    table = (
-        (1.0 + tr, wx, wy, wz),
-        (wx, 1.0 + 2.0 * m00 - tr, xy, xz),
-        (wy, xy, 1.0 + 2.0 * m11 - tr, yz),
-        (wz, xz, yz, 1.0 + 2.0 * m22 - tr),
-    )
-    w, x, y, z = table[max(range(4), key=lambda i: table[i][i])]
+    t0, t1, t2, t3 = 1.0 + tr, 1.0 + 2.0 * m00 - tr, 1.0 + 2.0 * m11 - tr, 1.0 + 2.0 * m22 - tr
+    if t0 >= t1 and t0 >= t2 and t0 >= t3:
+        w, x, y, z = t0, m21 - m12, m02 - m20, m10 - m01
+    elif t1 >= t2 and t1 >= t3:
+        w, x, y, z = m21 - m12, t1, m01 + m10, m02 + m20
+    elif t2 >= t3:
+        w, x, y, z = m02 - m20, m01 + m10, t2, m12 + m21
+    else:
+        w, x, y, z = m10 - m01, m02 + m20, m12 + m21, t3
     nrm = sqrt(w * w + x * x + y * y + z * z)
     if w < 0.0:
         nrm = -nrm

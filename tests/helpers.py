@@ -55,7 +55,6 @@ from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar
 from blochiso.so3 import (
     Rotation3,
     _axis_angle,
-    _det3,
     orthogonality_deviation,
     rotation_from_axis_angle,
 )
@@ -737,6 +736,14 @@ def outcome(function, *args):
 # tests/test_trusted_geometry.py compares the library with these bit for bit.
 
 
+def _det3(m) -> float:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 def rotation_reference(matrix):
     """The rows ``Rotation3(matrix)`` kept, or the error it raised."""
     rows = tuple(tuple(float(x) for x in row) for row in matrix)
@@ -751,6 +758,26 @@ def rotation_reference(matrix):
     if abs(d - 1.0) > DEFAULT_TOL:
         raise DomainError(f"rotation must have det +1, got {d!r}")
     return rows
+
+
+def quaternion_reference(rows):
+    """``so3._quaternion`` as it built the whole table 4 q q^T and took its
+    row with the largest diagonal entry through ``max``."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    tr = m00 + m11 + m22
+    wx, wy, wz = m21 - m12, m02 - m20, m10 - m01
+    xy, xz, yz = m01 + m10, m02 + m20, m12 + m21
+    table = (
+        (1.0 + tr, wx, wy, wz),
+        (wx, 1.0 + 2.0 * m00 - tr, xy, xz),
+        (wy, xy, 1.0 + 2.0 * m11 - tr, yz),
+        (wz, xz, yz, 1.0 + 2.0 * m22 - tr),
+    )
+    w, x, y, z = table[max(range(4), key=lambda i: table[i][i])]
+    nrm = sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        nrm = -nrm
+    return (w / nrm, x / nrm, y / nrm, z / nrm)
 
 
 def euler_rodrigues_reference(w, x, y, z):
@@ -1175,6 +1202,14 @@ USAGE_ERROR_STDOUT = {
         (["verify", "frob"], f"argument mode: invalid choice: 'frob' {_MODES}"),
         (["verify", "group", "--", "--", "D"], "cannot read --: No such file or directory"),
     ]
+}
+
+# SHA-256 of `blochiso verify <mode> --samples 1000 --seed 42` stdout.
+SEEDED_DIGESTS = {
+    "diagram": "ca23a788d3b973e31460859d3176e5e90f8c6e793fada380473b21b08b7e9781",
+    "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
+    "group": "d3628f0f7fafd17273e711218a6f2ae4a588be58a9360132156fdd8d864f3bcc",
+    "inverse-pair": "0b3ba133ebbe9e59bbf684146914d2fd1f7838add80297d27e8ab610459dc202",
 }
 
 # A two-operator unitary conjugation with TP deviation 3.1e-17 and Choi

@@ -23,6 +23,7 @@ from helpers import (
     GOLDEN_CASES,
     GOLDEN_DIR as GOLDEN,
     ROUNDOFF_UNITARY_OPS,
+    SEEDED_DIGESTS,
     USAGE_ERROR_STDOUT,
     _decode_cmatrix_reference,
     dumps_reference,
@@ -546,15 +547,6 @@ class TestChannelsAtEveryScale:
             "code": "malformed_input",
             "detail": "matrix entries must be finite",
         }
-
-
-# SHA-256 of `blochiso verify <mode> --samples 1000 --seed 42` stdout.
-SEEDED_DIGESTS = {
-    "diagram": "ca23a788d3b973e31460859d3176e5e90f8c6e793fada380473b21b08b7e9781",
-    "double-cover": "a76b531a1bad4caab4283a5e84e5e615d75d7b54b5e058bbae7e5385042dc12c",
-    "group": "d3628f0f7fafd17273e711218a6f2ae4a588be58a9360132156fdd8d864f3bcc",
-    "inverse-pair": "0b3ba133ebbe9e59bbf684146914d2fd1f7838add80297d27e8ab610459dc202",
-}
 
 
 class TestVerify:

@@ -72,7 +72,6 @@ from blochiso.so3 import (
     AxisAngle,
     Rotation3,
     _apply,
-    _det3,
     _mul3,
     orthogonality_deviation,
     rotation_from_axis_angle,
@@ -87,6 +86,7 @@ from blochiso.su2 import (
     unitary_from_axis_angle,
 )
 from helpers import (
+    _det3,
     amplitude_damping,
     bloch_affine_action_generic,
     chi_deficit,

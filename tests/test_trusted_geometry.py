@@ -14,29 +14,36 @@ rejected input must raise the same error with the same message. The closed
 forms that read a matrix's entries once (``so3._apply``, ``su2.det2``,
 ``axis_angle_from_unitary``) are compared with the forms that index it entry
 by entry, on inputs holding exact zeros of both signs; the validators'
-refusals are pinned by type and message.
+refusals are pinned by type and message. The rotation check's decisions
+(one ulp either side of the tolerance, past the float range, malformed
+rows) and ``so3._quaternion``'s pick (on ties and one ulp off them) are
+compared with the forms they replaced, ``rotation_reference`` and
+``quaternion_reference``.
 """
 
 import random
-from math import nan, pi
+from math import inf, nan, nextafter, pi, sqrt
 
 import pytest
 
 from blochiso.bloch import BlochVector, DensityOperator, _hermiticity_deviation, bloch_to_density
 from blochiso.errors import DomainError, NonStateError
-from blochiso.isomorphism import phi_inverse, verify_group_diagram, verify_state_diagram
+from blochiso.isomorphism import phi, phi_inverse, verify_group_diagram, verify_state_diagram
 from blochiso.matrix import ComplexMatrix, _adjoint2, _mul2, adjoint, scale
 from blochiso.sampling import axis_angle, bloch_in_ball, su2_haar, unit_vector
 from blochiso.so3 import (
     AxisAngle,
     Rotation3,
     _apply,
+    _axis_angle,
     _mul3,
+    axis_angle_from_rotation,
     orthogonality_deviation,
     rotation_from_axis_angle,
 )
 from blochiso.su2 import (
     Unitary2,
+    _from_quaternion,
     axis_angle_from_unitary,
     det2,
     negate,
@@ -44,6 +51,7 @@ from blochiso.su2 import (
     unitary_from_axis_angle,
 )
 from helpers import (
+    _det3,
     axis_angle_from_unitary_reference,
     bloch_to_density_reference,
     density_operator_reference,
@@ -53,6 +61,7 @@ from helpers import (
     identity,
     outcome,
     phi_inverse_reference,
+    quaternion_reference,
     random_matrix,
     rotation_from_axis_angle_reference,
     rotation_reference,
@@ -110,6 +119,66 @@ def rotations() -> list[Rotation3]:
     return [rotation_from_axis_angle(aa) for aa in axis_angles()] + [
         phi_inverse(u) for u in unitaries()[:40]
     ]
+
+
+# Half turns about the coordinate axes: w = 0.
+HALF_TURNS = [
+    ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)),
+    ((-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)),
+    ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)),
+]
+THIRD = 1.0 / 3.0
+# Rows whose table 4 q q^T ties on its largest diagonal entry: the half
+# turns about (1, +-1, 0)/sqrt 2, (0, 1, -1)/sqrt 2 and (1, 0, -1)/sqrt 2
+# (two entries tie, and with opposite signs their rows differ in sign) and
+# about (1, 1, 1)/sqrt 3 (three), a quarter turn about x (the entries of w
+# and x), and the rows of a q with w = x whose entries for w and x tie in
+# floats while the two rows normalize to different bits.
+TIE_ROWS = [
+    ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, -1.0)),
+    ((0.0, -1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0)),
+    ((-1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, -1.0, 0.0)),
+    ((0.0, 0.0, -1.0), (0.0, -1.0, 0.0), (-1.0, 0.0, 0.0)),
+    ((-THIRD, 2 * THIRD, 2 * THIRD), (2 * THIRD, -THIRD, 2 * THIRD), (2 * THIRD, 2 * THIRD, -THIRD)),
+    ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0)),
+    (
+        (0.958570652377251, -0.1340337952606993, 0.2513508427060955),
+        (0.2513508427060955, -0.01720106821215861, -0.9677431875881619),
+        (0.1340337952606993, 0.9908274647890892, 0.01720106821215861),
+    ),
+]
+
+
+def table_diagonal(rows) -> tuple[float, float, float, float]:
+    """The diagonal of the table 4 q q^T that ``quaternion_reference`` picks from."""
+    (m00, _, _), (_, m11, _), (_, _, m22) = rows
+    tr = m00 + m11 + m22
+    return (1.0 + tr, 1.0 + 2.0 * m00 - tr, 1.0 + 2.0 * m11 - tr, 1.0 + 2.0 * m22 - tr)
+
+
+def tied_rotations() -> list[Rotation3]:
+    """The rows with a tie, then the library's own rows of the tied half turns."""
+    s2, s3 = 1.0 / sqrt(2.0), 1.0 / sqrt(3.0)
+    axes = ((s2, s2, 0.0), (s2, -s2, 0.0), (0.0, s2, -s2), (s2, 0.0, -s2), (s3, s3, s3))
+    built = [rotation_from_axis_angle(AxisAngle(n, pi)) for n in axes]
+    return [Rotation3(rows) for rows in TIE_ROWS] + built
+
+
+def near_ties() -> list[tuple[Rotation3, bool]]:
+    """The tied rotations with one diagonal entry moved by a few 2^-54, kept
+    where the two largest table entries are one ulp apart; each with whether
+    the larger one comes first in the table."""
+    near = []
+    for rot in tied_rotations():
+        for k in range(3):
+            for step in range(-12, 13):
+                rows = [list(row) for row in rot.matrix]
+                rows[k][k] += step * 2.0**-54
+                t = table_diagonal(rows)
+                top, second = sorted(t, reverse=True)[:2]
+                if top == nextafter(second, inf):
+                    near.append((Rotation3(rows), t.index(top) < t.index(second)))
+    return near
 
 
 def bloch_vectors() -> list[BlochVector]:
@@ -201,6 +270,22 @@ class TestRotations:
         for u in unitaries():
             assert outcome(lambda v: phi_inverse(v).matrix, u) == outcome(phi_inverse_reference, u)
 
+    def test_ties_are_ties(self):
+        for rot in tied_rotations():
+            top, second = sorted(table_diagonal(rot.matrix), reverse=True)[:2]
+            assert top == second
+        assert {first for _, first in near_ties()} == {True, False}
+
+    def test_quaternion_pick(self):
+        # The first largest diagonal entry picked by comparisons, and only
+        # its row built: the row the whole table and max picked, bit for bit.
+        cases = rotations() + edge_rotations() + [Rotation3(rows) for rows in HALF_TURNS]
+        cases += tied_rotations() + [rot for rot, _ in near_ties()]
+        for rot in cases:
+            q = quaternion_reference(rot.matrix)
+            assert outcome(phi, rot) == fingerprint(_from_quaternion(*q))
+            assert outcome(axis_angle_from_rotation, rot) == fingerprint(_axis_angle(*q))
+
     def test_built_values_equal_public_ones(self):
         for rot in rotations():
             twin = Rotation3(rot.matrix)
@@ -275,6 +360,36 @@ def refusal(function, *args) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
+def tolerance_edges() -> list[tuple[tuple, bool]]:
+    """Rows whose orthogonality or det deviation lies one ulp either side of
+    the tolerance, each with whether the reference refuses it."""
+
+    def crossing(rows_of, deviation, x, toward):
+        # Walk x one float at a time to the last value the tolerance admits.
+        while deviation(rows_of(x)) > TOL:
+            x = nextafter(x, -toward)
+        while deviation(rows_of(nextafter(x, toward))) <= TOL:
+            x = nextafter(x, toward)
+        return [(rows_of(x), False), (rows_of(nextafter(x, toward)), True)]
+
+    def diagonal(a, b, c):
+        return ((a, 0.0, 0.0), (0.0, b, 0.0), (0.0, 0.0, c))
+
+    def det_deviation(rows):
+        return abs(_det3(rows) - 1.0)
+
+    off = [((1.0, e, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)) for e in (TOL, nextafter(TOL, 0.0), -TOL)]
+    edges = [(rows, False) for rows in off + [tuple(zip(*rows)) for rows in off]]
+    for sign in (1.0, -1.0):
+        toward = sign * inf
+        edge = 1.0 + sign * TOL
+        square = crossing(lambda a: diagonal(a, 1.0, 1.0), orthogonality_deviation, sqrt(edge), toward)
+        a = 1.0 + sign * 3e-10  # det leaves the tolerance before a square does
+        det = crossing(lambda c: diagonal(a, a, c), det_deviation, edge / (a * a), toward)
+        edges += square + det
+    return edges
+
+
 class TestErrorParity:
     REJECTED_ROTATIONS = [
         (
@@ -290,6 +405,25 @@ class TestErrorParity:
             ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)),
             r"^rotation must have det \+1, got -1\.0$",
         ),
+        # An off-diagonal entry of R^T R one ulp past the tolerance, either sign.
+        (
+            ((1.0, nextafter(TOL, inf), 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            r"^matrix is not orthogonal \(deviation 1\.000e-09\)$",
+        ),
+        (
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -nextafter(TOL, inf), 1.0)),
+            r"^matrix is not orthogonal \(deviation 1\.000e-09\)$",
+        ),
+        # Past the float range: a diagonal entry of R^T R overflows, then
+        # also an off-diagonal one is inf - inf.
+        (
+            ((1e200, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            r"^matrix is not orthogonal \(deviation inf\)$",
+        ),
+        (
+            ((1e200, 1e200, 0.0), (1e200, -1e200, 0.0), (0.0, 0.0, 1.0)),
+            r"^matrix is not orthogonal \(deviation inf\)$",
+        ),
     ]
 
     @pytest.mark.parametrize("rows, message", REJECTED_ROTATIONS)
@@ -299,6 +433,37 @@ class TestErrorParity:
         with pytest.raises(DomainError, match=message):
             Rotation3(rows)
         assert outcome(Rotation3._built, rows) == outcome(rotation_reference, rows)
+
+    @pytest.mark.parametrize("rows, refused", tolerance_edges())
+    def test_rotation_decisions_at_the_tolerance(self, rows, refused):
+        want = outcome(rotation_reference, rows)
+        assert outcome(lambda m: Rotation3._built(m).matrix, rows) == want
+        assert outcome(lambda m: Rotation3(m).matrix, rows) == want
+        assert (want[0] is DomainError) is refused
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            ((1.0, 0.0, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0)),
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+            ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0)),
+            (("x", 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            ((1.0, 0.0, 0.0), (0.0, None, 0.0), (0.0, 0.0, 1.0)),
+            ((1.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0)),
+            5.0,
+            # Converted before the shape check, and the shape before finiteness.
+            (("x", 0.0), (0.0, 1.0, 0.0)),
+            ((nan, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, nan)),
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -inf)),
+        ],
+    )
+    def test_malformed_rotations_raise_alike(self, matrix):
+        want = outcome(rotation_reference, matrix)
+        assert want[0] in (DomainError, ValueError, TypeError)
+        assert outcome(Rotation3, matrix) == want
 
     @pytest.mark.parametrize(
         "m, message",
