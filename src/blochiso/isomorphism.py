@@ -72,7 +72,7 @@ def verify_state_diagram(
     ue, rho = su2._entries(*q), _density_entries(v)
     conjugated = _mul2(_mul2(ue, rho), _adjoint2(ue))
     path_b = DensityOperator(ComplexMatrix._trusted(2, 2, conjugated))
-    (a0, a1, a2, a3), (b0, b1, b2, b3) = rotated, conjugated  # moduli at most 1
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = rotated, conjugated  # states: no abs() overflows
     dev = max(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3))
     return DiagramReport(dev, dev <= tol, path_a, path_b)
 
